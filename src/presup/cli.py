@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import __version__
 from .corpus import parse_gold, preprocess, read_dataset
-from .errors import FormatError, ParseError
+from .errors import FormatError
 from .evaluation import (
     HeadlineEval,
     MatchConfig,
@@ -29,14 +29,7 @@ from .evaluation import (
 from .ingest import ParsedHeadline, parse_conllu, parse_stanford_json
 from .lexicon import default_lexicon, load_lexicon
 from .morphology import VerbForm, conjugate
-from .rules import (
-    DEFAULT_RULES,
-    EngineConfig,
-    Inference,
-    LEXICAL_CLASSES,
-    RULE_IDS,
-    infer_all,
-)
+from .rules import DEFAULT_RULES, RULE_IDS, EngineConfig, Inference, infer_all
 
 LEXICON_DIR_ENV = "PRESUP_LEXICON_DIR"
 LEXICON_FILENAME = "trigger_lexicon.tsv"
@@ -69,19 +62,13 @@ def _expand_rules(spec: str) -> tuple[str, ...]:
     out: list[str] = []
     for item in spec.split(","):
         item = item.strip()
-        if not item:
-            continue
         if item == "lexical":
-            out.extend(f"lexical.{c}" for c in LEXICAL_CLASSES)
+            out.extend(r for r in RULE_IDS if r.startswith("lexical."))
         elif item == "all":
             out.extend(RULE_IDS)
-        else:
+        elif item:
             out.append(item)
-    deduped = tuple(dict.fromkeys(out))
-    unknown = [r for r in deduped if r not in RULE_IDS]
-    if unknown:
-        raise FormatError(f"unknown rule ids: {', '.join(unknown)}")
-    return deduped
+    return tuple(dict.fromkeys(out))
 
 
 def _resolve_lexicon(explicit: str | None):
@@ -150,16 +137,9 @@ def _spans_for_tokens(h: ParsedHeadline, preprocessed) -> tuple[tuple[int, int],
 
 
 def cmd_infer(args) -> int:
-    try:
-        cfg = _build_engine_config(args)
-        records = read_dataset(Path(args.dataset).read_text("utf-8"))
-        parses = load_parses(args.parses)
-    except FileNotFoundError as exc:
-        print(f"error: {exc.filename}: file not found", file=sys.stderr)
-        return 1
-    except (FormatError, ParseError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    cfg = _build_engine_config(args)
+    records = read_dataset(Path(args.dataset).read_text("utf-8"))
+    parses = load_parses(args.parses)
     by_id = {}
     for h in parses:
         by_id.setdefault(h.headline_id, h)
@@ -223,46 +203,48 @@ def cmd_infer(args) -> int:
     return 0
 
 
-def _read_inference_file(path: str) -> dict[str, list[Inference]]:
-    computed: dict[str, list[Inference]] = {}
-    for line in Path(path).read_text("utf-8").splitlines():
+def _read_jsonl(path: str):
+    """(normalized headline, record) for each non-blank line of a JSON Lines
+    file of objects with a ``headline`` string."""
+    for lineno, line in enumerate(Path(path).read_text("utf-8").splitlines(), start=1):
         if not line.strip():
             continue
-        obj = json.loads(line)
-        computed[normalize(obj["headline"])] = [
-            Inference.from_dict(d) for d in obj.get("inferences", ())
-        ]
-    return computed
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise FormatError(f"{path}:{lineno}: expected a JSON object")
+        if not isinstance(obj.get("headline"), str):
+            raise FormatError(f"{path}:{lineno}: missing or non-string 'headline'")
+        yield normalize(obj["headline"]), obj
+
+
+def _read_inference_file(path: str) -> dict[str, list[Inference]]:
+    return {
+        key: [Inference.from_dict(d) for d in obj.get("inferences", ())]
+        for key, obj in _read_jsonl(path)
+    }
 
 
 def _read_labels_file(path: str) -> dict[str, dict]:
-    labels: dict[str, dict] = {}
-    for line in Path(path).read_text("utf-8").splitlines():
-        if not line.strip():
-            continue
-        obj = json.loads(line)
-        labels[normalize(obj["headline"])] = {
+    return {
+        key: {
             "incorrect": frozenset(obj.get("incorrect", ())),
             "matched": tuple(tuple(pair) for pair in obj.get("matched", ())),
         }
-    return labels
+        for key, obj in _read_jsonl(path)
+    }
 
 
 def cmd_eval(args) -> int:
-    try:
-        gold = parse_gold(Path(args.gold).read_text("utf-8"))
-        computed_by_headline = _read_inference_file(args.inferences)
-        labels = _read_labels_file(args.labels) if args.labels else None
-        cfg = MatchConfig(
-            mode=MatchMode(args.match_mode),
-            jaccard_threshold=args.jaccard_threshold,
-        )
-    except FileNotFoundError as exc:
-        print(f"error: {exc.filename}: file not found", file=sys.stderr)
-        return 1
-    except (FormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    gold = parse_gold(Path(args.gold).read_text("utf-8"))
+    computed_by_headline = _read_inference_file(args.inferences)
+    labels = _read_labels_file(args.labels) if args.labels else None
+    cfg = MatchConfig(
+        mode=MatchMode(args.match_mode),
+        jaccard_threshold=args.jaccard_threshold,
+    )
     headline_scores = []
     items = []
     for annotation in gold:
@@ -317,14 +299,7 @@ def cmd_morph(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    try:
-        records = read_dataset(Path(args.dataset).read_text("utf-8"))
-    except FileNotFoundError as exc:
-        print(f"error: {exc.filename}: file not found", file=sys.stderr)
-        return 1
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    records = read_dataset(Path(args.dataset).read_text("utf-8"))
     print(f"headlines: {len(records)}")
     for source, count in sorted(Counter(r.source for r in records).items()):
         print(f"  {source or '(unknown)'}: {count}")
@@ -377,7 +352,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    # FormatError and ParseError are ValueErrors.
+    try:
+        return args.func(args)
+    except FileNotFoundError as exc:
+        print(f"error: {exc.filename}: file not found", file=sys.stderr)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

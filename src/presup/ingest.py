@@ -74,13 +74,12 @@ class ParsedHeadline:
 
 def _validate(h: ParsedHeadline) -> ParsedHeadline:
     n = len(h.tokens)
-    seen = set()
-    for t in h.tokens:
-        if t.index < 1 or t.index in seen:
-            raise ConsistencyError(f"{h.headline_id}: bad token index {t.index}")
+    # Rules look tokens up by index, so token k must carry index k.
+    for position, t in enumerate(h.tokens, start=1):
+        if t.index != position:
+            raise ConsistencyError(f"{h.headline_id}: token {position} has index {t.index}")
         if not t.pos:
             raise ConsistencyError(f"{h.headline_id}: empty POS on token {t.index}")
-        seen.add(t.index)
     roots = [e for e in h.edges if e.dep == "root"]
     if len(roots) != 1:
         raise ConsistencyError(f"{h.headline_id}: expected one root edge, got {len(roots)}")
@@ -127,7 +126,6 @@ def _validate(h: ParsedHeadline) -> ParsedHeadline:
 
 def normalize_labels(
     edges: list[DependencyEdge] | tuple[DependencyEdge, ...],
-    tokens: tuple[Token, ...] = (),
 ) -> list[DependencyEdge]:
     """Map label vocabulary onto the rules' one.
 
@@ -155,15 +153,13 @@ def build_headline(
     raw_text: str,
     tokens: list[Token],
     edges: list[DependencyEdge],
-    quoted_spans: tuple[tuple[int, int], ...] = (),
 ) -> ParsedHeadline:
     """Normalize labels, then validate the structural invariants."""
     h = ParsedHeadline(
         headline_id=headline_id,
         raw_text=raw_text,
         tokens=tuple(tokens),
-        edges=tuple(normalize_labels(edges, tuple(tokens))),
-        quoted_spans=quoted_spans,
+        edges=tuple(normalize_labels(edges)),
     )
     return _validate(h)
 

@@ -7,14 +7,9 @@ from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
-CLASS_IDS = (
-    "iterative",
-    "change_of_state",
-    "factive",
-    "implicative",
-    "judging",
-    "temporal",
-)
+# Verb classes; each is one ``lexical.<class>`` rule, in this order.
+VERB_CLASS_IDS = ("iterative", "change_of_state", "factive", "implicative", "judging")
+CLASS_IDS = (*VERB_CLASS_IDS, "temporal")
 
 
 @dataclass(frozen=True)

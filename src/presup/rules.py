@@ -3,6 +3,10 @@ realization of the licensed inferences.
 
 Each rule is a pure function from a ParsedHeadline (and, where needed, the
 preprocessed text or the trigger lexicon) to a list of Inference values.
+``RULES`` is the one rule registry: it maps each rule id, which is also the
+``trigger`` of the inferences the rule renders, to a function of
+``(h, p, cfg)``, and its order is the output order.  Adding a rule is adding
+one row to it; the ``lexical.*`` rows come from ``lexicon.VERB_CLASS_IDS``.
 ``infer_all`` runs the configured rules in registry order and deduplicates
 the rendered texts.
 """
@@ -23,7 +27,7 @@ from .ingest import (
     nouns_of,
     verbs_of,
 )
-from .lexicon import TriggerLexicon, default_lexicon
+from .lexicon import VERB_CLASS_IDS, TriggerLexicon, default_lexicon
 from .morphology import VerbForm, conjugate, lemma
 
 
@@ -58,65 +62,12 @@ class Inference:
         )
 
 
-LEXICAL_CLASSES = (
-    "iterative",
-    "change_of_state",
-    "factive",
-    "implicative",
-    "judging",
-)
-
-RULE_IDS = (
-    "future",
-    "but",
-    "again",
-    "further",
-    "compound",
-    "past",
-    "nmod_of",
-    "nmod_relaxed",
-    *(f"lexical.{c}" for c in LEXICAL_CLASSES),
-    "temporal",
-    "question",
-    "quotes",
-    "triple",
-)
-
-# The relaxed any-nmod rule over-generates, so it is opt-in.
-DEFAULT_RULES = tuple(r for r in RULE_IDS if r != "nmod_relaxed")
-
 COMPOUND_MODES = ("both", "can_be", "can_have")
 _COMPOUND_CONNECTOR = {
     "both": "can be/can have",
     "can_be": "can be",
     "can_have": "can have",
 }
-
-
-@dataclass(frozen=True)
-class EngineConfig:
-    rules: tuple[str, ...] = DEFAULT_RULES
-    lexicon: TriggerLexicon = field(default_factory=default_lexicon)
-    strict_verbs: bool = False
-    compound_mode: str = "both"
-
-    def __post_init__(self):
-        unknown = [r for r in self.rules if r not in RULE_IDS]
-        if unknown:
-            raise ValueError(f"unknown rule ids: {unknown}")
-        if self.compound_mode not in COMPOUND_MODES:
-            raise ValueError(f"unknown compound mode {self.compound_mode!r}")
-        object.__setattr__(self, "rules", tuple(self.rules))
-
-    def fingerprint(self) -> str:
-        return "\n".join(
-            [
-                "rules=" + ",".join(self.rules),
-                f"strict_verbs={self.strict_verbs}",
-                f"compound_mode={self.compound_mode}",
-                self.lexicon.fingerprint(),
-            ]
-        )
 
 
 _SUBJ_MODS = ("compound", "amod", "nummod")
@@ -154,10 +105,23 @@ def _phrase(
 ) -> tuple[str, tuple[int, ...]]:
     """Head token with its flat premodifiers, in surface order."""
     idxs = sorted(
-        [head]
-        + [e.dependent for e in h.edges if e.governor == head and e.dep in mods]
+        [head] + [e.dependent for e in edges_governed_by(h, head) if e.dep in mods]
     )
     return " ".join(h.token_at(i).surface for i in idxs), tuple(idxs)
+
+
+def _is_negator(e) -> bool:
+    return e.dep == "neg" or (e.dep == "advmod" and e.dependent_gloss.lower() == "not")
+
+
+def _dependents(
+    h: ParsedHeadline, head: int, keep, parts: tuple[tuple[int, str], ...] = ()
+) -> tuple[str, tuple[int, ...]]:
+    """``parts`` plus the dependents of ``head`` that ``keep`` accepts, as text
+    and span in surface order."""
+    found = [(e.dependent, e.dependent_gloss) for e in edges_governed_by(h, head) if keep(e)]
+    ordered = sorted([*parts, *found])
+    return " ".join(s for _, s in ordered), tuple(i for i, _ in ordered)
 
 
 def _verb_surface(
@@ -165,26 +129,17 @@ def _verb_surface(
 ) -> tuple[str, tuple[int, ...]]:
     """Verb as it appears in the headline, with particles (and optionally its
     auxiliaries/negator) in surface order."""
-    parts = [(verb, h.token_at(verb).surface)]
-    for e in edges_governed_by(h, verb):
-        if e.dep in _PARTICLE_DEPS:
-            parts.append((e.dependent, e.dependent_gloss))
-        elif with_aux and (
-            e.dep in ("aux", "auxpass", "neg")
-            or (e.dep == "advmod" and e.dependent_gloss.lower() == "not")
-        ):
-            parts.append((e.dependent, e.dependent_gloss))
-    parts.sort()
-    return " ".join(s for _, s in parts), tuple(i for i, _ in parts)
+
+    def keep(e) -> bool:
+        return e.dep in _PARTICLE_DEPS or (
+            with_aux and (e.dep in ("aux", "auxpass") or _is_negator(e))
+        )
+
+    return _dependents(h, verb, keep, ((verb, h.token_at(verb).surface),))
 
 
 def _particle_tail(h: ParsedHeadline, verb: int) -> tuple[str, tuple[int, ...]]:
-    parts = sorted(
-        (e.dependent, e.dependent_gloss)
-        for e in edges_governed_by(h, verb)
-        if e.dep in _PARTICLE_DEPS
-    )
-    return " ".join(s for _, s in parts), tuple(i for i, _ in parts)
+    return _dependents(h, verb, lambda e: e.dep in _PARTICLE_DEPS)
 
 
 def _nmod_attachments(
@@ -219,12 +174,16 @@ def _object_tail(h: ParsedHeadline, verb: int) -> tuple[str, tuple[int, ...]]:
 
 
 def _is_negated(h: ParsedHeadline, index: int) -> bool:
-    for e in edges_governed_by(h, index):
-        if e.dep == "neg":
-            return True
-        if e.dep == "advmod" and e.dependent_gloss.lower() == "not":
-            return True
-    return False
+    return any(_is_negator(e) for e in edges_governed_by(h, index))
+
+
+def _joins_nouns(h: ParsedHeadline, e) -> bool:
+    """Both ends of ``e`` are noun tokens (the virtual root is not one)."""
+    return (
+        e.governor != 0
+        and h.token_at(e.governor).pos.startswith("N")
+        and h.token_at(e.dependent).pos.startswith("N")
+    )
 
 
 def _first(edges):
@@ -330,12 +289,7 @@ def rule_noun_compound(h: ParsedHeadline, mode: str = "both") -> list[Inference]
     connector = _COMPOUND_CONNECTOR[mode]
     out = []
     for e in edges_with(h, "compound"):
-        if e.governor == 0:
-            continue
-        if not (
-            h.token_at(e.governor).pos.startswith("N")
-            and h.token_at(e.dependent).pos.startswith("N")
-        ):
+        if not _joins_nouns(h, e):
             continue
         text = f"{e.dependent_gloss} {connector} {e.governor_gloss}"
         out.append(
@@ -411,12 +365,7 @@ def rule_nmod_relaxed(h: ParsedHeadline) -> list[Inference]:
     """
     out = []
     for e in edges_with(h, "nmod"):
-        if e.governor == 0:
-            continue
-        if not (
-            h.token_at(e.governor).pos.startswith("N")
-            and h.token_at(e.dependent).pos.startswith("N")
-        ):
+        if not _joins_nouns(h, e):
             continue
         text = f"{e.dependent_gloss} has {e.governor_gloss}"
         out.append(
@@ -450,7 +399,7 @@ def _class_matches(
 
 
 def _complement(h: ParsedHeadline, verb: int):
-    return _first([e for e in h.edges if e.governor == verb and e.dep in _COMP_DEPS])
+    return _first([e for e in edges_governed_by(h, verb) if e.dep in _COMP_DEPS])
 
 
 def _render_lexical(
@@ -532,7 +481,7 @@ def _render_lexical(
 def rule_lexical(
     h: ParsedHeadline,
     lex: TriggerLexicon,
-    classes: tuple[str, ...] = LEXICAL_CLASSES,
+    classes: tuple[str, ...] = VERB_CLASS_IDS,
     strict_verbs: bool = False,
 ) -> list[Inference]:
     """Lexicon-driven triggers: a headline verb whose lemma belongs to a class
@@ -703,38 +652,57 @@ def extract_triplets(h: ParsedHeadline, strict_verbs: bool = False) -> list[Infe
     return out
 
 
-def _run_rule(
-    rule_id: str, h: ParsedHeadline, p: PreprocessedHeadline, cfg: EngineConfig
-) -> list[Inference]:
-    if rule_id == "future":
-        return rule_future(h)
-    if rule_id == "but":
-        return rule_but(h)
-    if rule_id == "again":
-        return rule_again(h)
-    if rule_id == "further":
-        return rule_further(h, cfg.strict_verbs)
-    if rule_id == "compound":
-        return rule_noun_compound(h, cfg.compound_mode)
-    if rule_id == "past":
-        return rule_past_tense(h)
-    if rule_id == "nmod_of":
-        return rule_nmod_of(h)
-    if rule_id == "nmod_relaxed":
-        return rule_nmod_relaxed(h)
-    if rule_id.startswith("lexical."):
-        return rule_lexical(
-            h, cfg.lexicon, (rule_id.split(".", 1)[1],), cfg.strict_verbs
+def _lexical_rule(class_id: str):
+    return lambda h, p, cfg: rule_lexical(h, cfg.lexicon, (class_id,), cfg.strict_verbs)
+
+
+# Rule id (the ``trigger`` of what the rule renders) -> rule(h, p, cfg), in
+# output order.
+RULES = {
+    "future": lambda h, p, cfg: rule_future(h),
+    "but": lambda h, p, cfg: rule_but(h),
+    "again": lambda h, p, cfg: rule_again(h),
+    "further": lambda h, p, cfg: rule_further(h, cfg.strict_verbs),
+    "compound": lambda h, p, cfg: rule_noun_compound(h, cfg.compound_mode),
+    "past": lambda h, p, cfg: rule_past_tense(h),
+    "nmod_of": lambda h, p, cfg: rule_nmod_of(h),
+    "nmod_relaxed": lambda h, p, cfg: rule_nmod_relaxed(h),
+    **{f"lexical.{c}": _lexical_rule(c) for c in VERB_CLASS_IDS},
+    "temporal": lambda h, p, cfg: rule_temporal(h, cfg.lexicon),
+    "question": lambda h, p, cfg: rule_question(h),
+    "quotes": lambda h, p, cfg: rule_quotes(h, p, cfg.strict_verbs),
+    "triple": lambda h, p, cfg: extract_triplets(h, cfg.strict_verbs),
+}
+RULE_IDS = tuple(RULES)
+
+# The relaxed any-nmod rule over-generates, so it is opt-in.
+DEFAULT_RULES = tuple(r for r in RULE_IDS if r != "nmod_relaxed")
+
+
+@dataclass(frozen=True)
+class EngineConfig:
+    rules: tuple[str, ...] = DEFAULT_RULES
+    lexicon: TriggerLexicon = field(default_factory=default_lexicon)
+    strict_verbs: bool = False
+    compound_mode: str = "both"
+
+    def __post_init__(self):
+        unknown = [r for r in self.rules if r not in RULES]
+        if unknown:
+            raise ValueError(f"unknown rule ids: {', '.join(unknown)}")
+        if self.compound_mode not in COMPOUND_MODES:
+            raise ValueError(f"unknown compound mode {self.compound_mode!r}")
+        object.__setattr__(self, "rules", tuple(self.rules))
+
+    def fingerprint(self) -> str:
+        return "\n".join(
+            [
+                "rules=" + ",".join(self.rules),
+                f"strict_verbs={self.strict_verbs}",
+                f"compound_mode={self.compound_mode}",
+                self.lexicon.fingerprint(),
+            ]
         )
-    if rule_id == "temporal":
-        return rule_temporal(h, cfg.lexicon)
-    if rule_id == "question":
-        return rule_question(h)
-    if rule_id == "quotes":
-        return rule_quotes(h, p, cfg.strict_verbs)
-    if rule_id == "triple":
-        return extract_triplets(h, cfg.strict_verbs)
-    raise ValueError(f"unknown rule id {rule_id!r}")
 
 
 def generate_all(
@@ -742,10 +710,10 @@ def generate_all(
 ) -> list[Inference]:
     """All enabled rules' outputs in registry order, before deduplication."""
     out = []
-    for rule_id in RULE_IDS:
+    for rule_id, rule in RULES.items():
         if rule_id not in cfg.rules:
             continue
-        produced = _run_rule(rule_id, h, p, cfg)
+        produced = rule(h, p, cfg)
         produced.sort(key=lambda inf: inf.span)
         out.extend(produced)
     return out

@@ -5,6 +5,7 @@ import pytest
 from conftest import FIXTURES
 from presup.cli import main
 from presup.evaluation import normalize
+from presup.rules import RULE_IDS
 
 CORE_EXPECTED_INFERENCES = [
     "Olympics is not yet broadcast",
@@ -130,6 +131,17 @@ class TestInfer:
         assert code != 0
         assert "astrology" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec, want", [
+        ("lexical", ("lexical.iterative", "lexical.change_of_state", "lexical.factive",
+                     "lexical.implicative", "lexical.judging")),
+        ("all", RULE_IDS),
+    ])
+    def test_rules_flag_expands_group(self, tmp_path, spec, want):
+        code, _ = run_infer(tmp_path, extra=["--rules", spec])
+        assert code == 0
+        manifest = json.loads((tmp_path / "out.jsonl.manifest.json").read_text())
+        assert tuple(manifest["rules"]) == want
+
     def test_lexicon_dir_env_var(self, tmp_path, monkeypatch):
         # A lexicon without change-of-state entries silences that rule.
         lexdir = tmp_path / "lex"
@@ -208,6 +220,22 @@ class TestEval:
         )
         assert code != 0
         assert "terminator" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--inferences", "--labels"])
+    @pytest.mark.parametrize("line, complaint", [
+        ('{"inferences": []}', "missing or non-string 'headline'"),
+        ('["not", "an", "object"]', "expected a JSON object"),
+        ('{"headline": ', "invalid JSON"),
+    ])
+    def test_bad_jsonl_line_names_file_and_line(self, tmp_path, capsys, flag, line, complaint):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"headline": "fine"}\n\n' + line + "\n")
+        argv = ["eval", "--inferences", str(FIXTURES / "scored_computed.jsonl"),
+                "--labels", str(FIXTURES / "scored_labels.jsonl"),
+                "--gold", str(FIXTURES / "scored_gold.txt"), flag, str(bad)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"{bad}:3: {complaint}" in err
 
     def test_tsv_table(self, tmp_path):
         table = tmp_path / "table.tsv"

@@ -164,6 +164,25 @@ class TestParseStanfordJson:
                 }
             )
 
+    @pytest.mark.parametrize("indices", [(2, 1, 3), (7, 9, 3), (1, 1, 3)])
+    def test_index_not_position_is_consistency_error(self, indices):
+        words = [("rejected", "VBD"), ("Britain", "NNP"), ("plan", "NN")]
+        with pytest.raises(ConsistencyError, match="index"):
+            parse_stanford_json(
+                {
+                    "headline": "rejected Britain plan",
+                    "tokens": [
+                        {"index": i, "word": w, "pos": pos}
+                        for i, (w, pos) in zip(indices, words)
+                    ],
+                    "dependencies": [
+                        {"dep": "root", "governor": 0, "governorGloss": "ROOT", "dependent": 1, "dependentGloss": "rejected"},
+                        {"dep": "compound", "governor": 3, "governorGloss": "plan", "dependent": 2, "dependentGloss": "Britain"},
+                        {"dep": "dobj", "governor": 1, "governorGloss": "rejected", "dependent": 3, "dependentGloss": "plan"},
+                    ],
+                }
+            )
+
 
 def _edge(dep, gov, gov_gloss, dependent, dep_gloss):
     return DependencyEdge(dep, gov, gov_gloss, dependent, dep_gloss)

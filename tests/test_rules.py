@@ -1,13 +1,18 @@
+from pathlib import Path
+
 from conftest import make_headline
 from presup.corpus import preprocess
 from presup.evaluation import normalize
 from presup.ingest import parse_conllu
-from presup.lexicon import default_lexicon
+from presup.lexicon import VERB_CLASS_IDS, default_lexicon
 from presup.rules import (
     DEFAULT_RULES,
+    RULE_IDS,
+    RULES,
     EngineConfig,
     InferenceKind,
     extract_triplets,
+    generate_all,
     infer_all,
     rule_again,
     rule_but,
@@ -445,3 +450,27 @@ class TestInferAll:
                 assert inf.text.strip()
                 assert inf.span
                 assert all(1 <= i <= len(h.tokens) for i in inf.span)
+
+
+class TestRegistry:
+    def test_rule_ids_follow_registry(self):
+        assert RULE_IDS == tuple(RULES)
+
+    def test_registry_key_is_trigger(self, basic_triggers, lexical_triggers, combined_example):
+        cases = list(basic_triggers.values()) + list(lexical_triggers.values()) + [combined_example]
+        for rule_id in RULE_IDS:
+            cfg = EngineConfig(rules=(rule_id,))
+            fired = {i.trigger for h, p in cases for i in generate_all(h, p, cfg)}
+            assert fired == {rule_id}
+
+    def test_readme_rule_table_matches_registry(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text("utf-8")
+        rows = readme.split("| rule id |", 1)[1].split("\n\n", 1)[0].splitlines()[2:]
+        ids = []
+        for row in rows:
+            rule_id = row.split("|")[1].strip().strip("`")
+            if rule_id == "lexical.*":
+                ids.extend(f"lexical.{c}" for c in VERB_CLASS_IDS)
+            else:
+                ids.append(rule_id)
+        assert tuple(ids) == RULE_IDS
