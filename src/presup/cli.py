@@ -29,7 +29,14 @@ from .evaluation import (
 from .ingest import ParsedHeadline, parse_conllu, parse_stanford_json
 from .lexicon import default_lexicon, load_lexicon
 from .morphology import VerbForm, conjugate
-from .rules import DEFAULT_RULES, RULE_IDS, EngineConfig, Inference, infer_all
+from .rules import (
+    DEFAULT_RULES,
+    RULE_IDS,
+    EngineConfig,
+    Inference,
+    InferenceKind,
+    infer_all,
+)
 
 LEXICON_DIR_ENV = "PRESUP_LEXICON_DIR"
 LEXICON_FILENAME = "trigger_lexicon.tsv"
@@ -204,8 +211,8 @@ def cmd_infer(args) -> int:
 
 
 def _read_jsonl(path: str):
-    """(normalized headline, record) for each non-blank line of a JSON Lines
-    file of objects with a ``headline`` string."""
+    """(line number, normalized headline, record) for each non-blank line of a
+    JSON Lines file of objects with a ``headline`` string."""
     for lineno, line in enumerate(Path(path).read_text("utf-8").splitlines(), start=1):
         if not line.strip():
             continue
@@ -217,24 +224,65 @@ def _read_jsonl(path: str):
             raise FormatError(f"{path}:{lineno}: expected a JSON object")
         if not isinstance(obj.get("headline"), str):
             raise FormatError(f"{path}:{lineno}: missing or non-string 'headline'")
-        yield normalize(obj["headline"]), obj
+        yield lineno, normalize(obj["headline"]), obj
+
+
+def _is_str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+_KINDS = tuple(k.value for k in InferenceKind)
+
+
+def _inference_error(d) -> str | None:
+    """What is wrong with one entry of a record's ``inferences``, if anything."""
+    if not isinstance(d, dict):
+        return "each inference must be a JSON object"
+    if d.get("kind") not in _KINDS:
+        return f"inference 'kind' must be one of {', '.join(_KINDS)}"
+    if not isinstance(d.get("text"), str):
+        return "inference 'text' must be a string"
+    if not isinstance(d.get("trigger", ""), str):
+        return "inference 'trigger' must be a string"
+    span = d.get("span", [])
+    if not (isinstance(span, list) and all(isinstance(i, int) for i in span)):
+        return "inference 'span' must be a list of integers"
+    return None
 
 
 def _read_inference_file(path: str) -> dict[str, list[Inference]]:
-    return {
-        key: [Inference.from_dict(d) for d in obj.get("inferences", ())]
-        for key, obj in _read_jsonl(path)
-    }
+    out = {}
+    for lineno, key, obj in _read_jsonl(path):
+        entries = obj.get("inferences", [])
+        if not isinstance(entries, list):
+            raise FormatError(f"{path}:{lineno}: 'inferences' must be a list")
+        for d in entries:
+            error = _inference_error(d)
+            if error:
+                raise FormatError(f"{path}:{lineno}: {error}")
+        out[key] = [Inference.from_dict(d) for d in entries]
+    return out
 
 
 def _read_labels_file(path: str) -> dict[str, dict]:
-    return {
-        key: {
-            "incorrect": frozenset(obj.get("incorrect", ())),
-            "matched": tuple(tuple(pair) for pair in obj.get("matched", ())),
+    out = {}
+    for lineno, key, obj in _read_jsonl(path):
+        incorrect = obj.get("incorrect", [])
+        matched = obj.get("matched", [])
+        if not _is_str_list(incorrect):
+            raise FormatError(f"{path}:{lineno}: 'incorrect' must be a list of strings")
+        if not (
+            isinstance(matched, list)
+            and all(_is_str_list(pair) and len(pair) == 2 for pair in matched)
+        ):
+            raise FormatError(
+                f"{path}:{lineno}: 'matched' must be a list of [gold, computed] string pairs"
+            )
+        out[key] = {
+            "incorrect": frozenset(incorrect),
+            "matched": tuple(tuple(pair) for pair in matched),
         }
-        for key, obj in _read_jsonl(path)
-    }
+    return out
 
 
 def cmd_eval(args) -> int:

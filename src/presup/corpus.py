@@ -53,7 +53,6 @@ class QuotedSpan:
 class PreprocessedHeadline:
     cleaned: str
     quoted_spans: tuple[QuotedSpan, ...]
-    removed_chars: int
 
 
 @dataclass(frozen=True)
@@ -130,22 +129,16 @@ def preprocess(text: str) -> PreprocessedHeadline:
         for i in range(start + 1, end):
             span_of_char[i] = sid
     out: list[tuple[str, int | None]] = []
-    removed = 0
     for i, c in enumerate(text):
         sid = span_of_char.get(i)
         if c in _HYPHENS:
             out.append((" ", sid))
-            removed += 1
         elif c in _APOSTROPHES:
             prev_ok = i > 0 and text[i - 1].isalnum()
             next_ok = i + 1 < len(text) and text[i + 1].isalnum()
             if prev_ok and next_ok:
                 out.append((c, sid))
-            else:
-                removed += 1
-        elif c in _PUNCT:
-            removed += 1
-        else:
+        elif c not in _PUNCT:
             out.append((c, sid))
     words: list[tuple[str, set[int]]] = []
     current, sids = [], set()
@@ -174,7 +167,6 @@ def preprocess(text: str) -> PreprocessedHeadline:
     return PreprocessedHeadline(
         cleaned=" ".join(w for w, _ in words),
         quoted_spans=tuple(spans),
-        removed_chars=removed,
     )
 
 

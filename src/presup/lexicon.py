@@ -1,4 +1,5 @@
-"""Trigger lexicon: word/phrase lists per lexical trigger class."""
+"""Trigger lexicon: word/phrase lists per lexical trigger class.  A verb-class
+entry is a head, matched by lemma, then words that must follow the verb."""
 
 from __future__ import annotations
 
@@ -6,6 +7,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
+
+from .morphology import lemma
 
 # Verb classes; each is one ``lexical.<class>`` rule, in this order.
 VERB_CLASS_IDS = ("iterative", "change_of_state", "factive", "implicative", "judging")
@@ -21,9 +24,25 @@ class TriggerLexicon:
         for cid, words in self.entries.items():
             filled[cid] = frozenset(w.lower() for w in words)
         object.__setattr__(self, "entries", filled)
+        # (class, head lemma) -> the tails of the entries with that head.
+        tails: dict[tuple[str, str], list[list[str]]] = {}
+        for cid in VERB_CLASS_IDS:
+            for entry in filled[cid]:
+                head, *tail = entry.split()
+                for key in {head, lemma(head, "VBD"), lemma(head, "VBZ")}:
+                    tails.setdefault((cid, key), []).append(tail)
+        object.__setattr__(self, "_tails", tails)
 
     def words(self, class_id: str) -> frozenset[str]:
         return self.entries[class_id]
+
+    def matches(self, class_id: str, verb_lemma: str, following_words) -> bool:
+        """Whether a verb with lemma ``verb_lemma``, followed in the headline
+        by the lowercase ``following_words``, is an entry of ``class_id``."""
+        return any(
+            list(following_words[: len(tail)]) == tail
+            for tail in self._tails.get((class_id, verb_lemma), ())
+        )
 
     def fingerprint(self) -> str:
         return "\n".join(
@@ -35,7 +54,7 @@ class TriggerLexicon:
 
 def parse_lexicon(document: str) -> TriggerLexicon:
     """Read a 'class<TAB>entry' TSV; '#' comment and blank lines are skipped."""
-    entries: dict[str, set[str]] = {cid: set() for cid in CLASS_IDS}
+    entries: dict[str, set[str]] = {}
     for lineno, raw in enumerate(document.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -44,11 +63,11 @@ def parse_lexicon(document: str) -> TriggerLexicon:
             raise ValueError(f"lexicon line {lineno}: expected 'class<TAB>entry'")
         cid, entry = line.split("\t", 1)
         cid, entry = cid.strip(), entry.strip()
-        if cid not in entries:
+        if cid not in CLASS_IDS:
             raise ValueError(f"lexicon line {lineno}: unknown class {cid!r}")
         if entry:
-            entries[cid].add(entry.lower())
-    return TriggerLexicon(entries={c: frozenset(w) for c, w in entries.items()})
+            entries.setdefault(cid, set()).add(entry)
+    return TriggerLexicon(entries=entries)
 
 
 def load_lexicon(path: str | Path) -> TriggerLexicon:

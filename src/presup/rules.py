@@ -173,6 +173,19 @@ def _object_tail(h: ParsedHeadline, verb: int) -> tuple[str, tuple[int, ...]]:
     return " ".join(parts), span
 
 
+def _clause(
+    h: ParsedHeadline, subj: int, verb: int, form: VerbForm, aux: str = "", after: str = ""
+) -> tuple[str, tuple[int, ...]]:
+    """Subject phrase, ``aux``, ``verb`` inflected to ``form``, the verb's
+    object tail and ``after``, as text and span."""
+    subj_p, subj_s = _phrase(h, subj)
+    tok = h.token_at(verb)
+    inflected = conjugate(lemma(tok.surface, tok.pos), form)
+    tail, tail_s = _object_tail(h, verb)
+    text = " ".join(filter(None, [subj_p, aux, inflected, tail, after]))
+    return text, _merge(subj_s, tail_s, (verb,))
+
+
 def _is_negated(h: ParsedHeadline, index: int) -> bool:
     return any(_is_negator(e) for e in edges_governed_by(h, index))
 
@@ -379,25 +392,6 @@ def rule_nmod_relaxed(h: ParsedHeadline) -> list[Inference]:
     return out
 
 
-def _class_matches(
-    h: ParsedHeadline, lex: TriggerLexicon, class_id: str, verb: Token, vlemma: str
-) -> bool:
-    for entry in lex.words(class_id):
-        words = entry.split()
-        head = words[0]
-        if vlemma not in {head, lemma(head, "VBD"), lemma(head, "VBZ")}:
-            continue
-        if len(words) == 1:
-            return True
-        following = [
-            t.surface.lower()
-            for t in h.tokens[verb.index : verb.index + len(words) - 1]
-        ]
-        if following == words[1:]:
-            return True
-    return False
-
-
 def _complement(h: ParsedHeadline, verb: int):
     return _first([e for e in edges_governed_by(h, verb) if e.dep in _COMP_DEPS])
 
@@ -410,35 +404,27 @@ def _render_lexical(
     dobj = _first(edges_governed_by(h, verb.index, "dobj"))
     trigger = f"lexical.{class_id}"
 
-    def presup(text: str, span) -> Inference:
-        return Inference(InferenceKind.PRESUPPOSITION, text, trigger, span)
+    def presup(text: str, *spans) -> Inference:
+        return Inference(
+            InferenceKind.PRESUPPOSITION, text, trigger, _merge(*spans, (verb.index,))
+        )
 
     if class_id in ("factive", "implicative"):
         if comp is not None:
-            comp_tok = h.token_at(comp.dependent)
             comp_subj = _first(edges_governed_by(h, comp.dependent, "nsubj")) or subj
             if comp_subj is None:
                 return None
-            subj_p, subj_s = _phrase(h, comp_subj.dependent)
-            past = conjugate(lemma(comp_tok.surface, comp_tok.pos), VerbForm.PAST)
-            tail, tail_s = _object_tail(h, comp.dependent)
-            text = " ".join(filter(None, [subj_p, past, tail]))
-            return presup(text, _merge(subj_s, tail_s, (verb.index, comp.dependent)))
+            return presup(*_clause(h, comp_subj.dependent, comp.dependent, VerbForm.PAST))
         if class_id == "factive" and dobj is not None:
             obj_p, obj_s = _phrase(h, dobj.dependent, _OBJ_MODS)
-            return presup(f"There exists {obj_p}", _merge(obj_s, (verb.index,)))
+            return presup(f"There exists {obj_p}", obj_s)
         return None
 
     if class_id == "change_of_state":
         if comp is None or subj is None:
             return None
-        comp_tok = h.token_at(comp.dependent)
-        subj_p, subj_s = _phrase(h, subj.dependent)
         aux = "had been" if vlemma in _CESSATION_VERBS else "was"
-        gerund = conjugate(lemma(comp_tok.surface, comp_tok.pos), VerbForm.GERUND)
-        tail, tail_s = _object_tail(h, comp.dependent)
-        text = " ".join(filter(None, [subj_p, aux, gerund, tail]))
-        return presup(text, _merge(subj_s, tail_s, (verb.index, comp.dependent)))
+        return presup(*_clause(h, subj.dependent, comp.dependent, VerbForm.GERUND, aux))
 
     if class_id == "judging":
         if subj is None or dobj is None:
@@ -446,33 +432,27 @@ def _render_lexical(
         subj_p, subj_s = _phrase(h, subj.dependent)
         obj_p, obj_s = _phrase(h, dobj.dependent, _OBJ_MODS)
         text = f"{subj_p} thinks that {obj_p} is bad"
-        return presup(text, _merge(subj_s, obj_s, (verb.index,)))
+        return presup(text, subj_s, obj_s)
 
     if class_id == "iterative":
         attachments = _nmod_attachments(h, verb.index)
         if subj is not None and comp is not None:
-            comp_tok = h.token_at(comp.dependent)
-            subj_p, subj_s = _phrase(h, subj.dependent)
-            participle = conjugate(
-                lemma(comp_tok.surface, comp_tok.pos), VerbForm.PAST_PARTICIPLE
-            )
-            tail, tail_s = _object_tail(h, comp.dependent)
-            text = " ".join(filter(None, [subj_p, "had", participle, tail, "previously"]))
-            return presup(text, _merge(subj_s, tail_s, (verb.index, comp.dependent)))
+            form = VerbForm.PAST_PARTICIPLE
+            return presup(*_clause(h, subj.dependent, comp.dependent, form, "had", "previously"))
         if subj is not None and attachments:
             _, phrase, span = attachments[0]
             subj_p, subj_s = _phrase(h, subj.dependent)
             text = f"{subj_p} had been in {phrase} previously"
-            return presup(text, _merge(subj_s, span, (verb.index,)))
+            return presup(text, subj_s, span)
         if subj is not None:
             subj_p, subj_s = _phrase(h, subj.dependent)
-            return presup(f"{subj_p} has happened before", _merge(subj_s, (verb.index,)))
+            return presup(f"{subj_p} has happened before", subj_s)
         if dobj is not None:
             obj_p, obj_s = _phrase(h, dobj.dependent)
-            return presup(f"{obj_p} has happened before", _merge(obj_s, (verb.index,)))
+            return presup(f"{obj_p} has happened before", obj_s)
         if attachments:
             _, phrase, span = attachments[0]
-            return presup(f"{phrase} has happened before", _merge(span, (verb.index,)))
+            return presup(f"{phrase} has happened before", span)
         return None
 
     return None
@@ -486,11 +466,12 @@ def rule_lexical(
 ) -> list[Inference]:
     """Lexicon-driven triggers: a headline verb whose lemma belongs to a class
     licenses that class's template over its complement/objects."""
+    lowered = [t.surface.lower() for t in h.tokens]
     out = []
     for class_id in classes:
         for verb in verbs_of(h, strict_verbs):
             vlemma = lemma(verb.surface, verb.pos)
-            if not _class_matches(h, lex, class_id, verb, vlemma):
+            if not lex.matches(class_id, vlemma, lowered[verb.index :]):
                 continue
             inf = _render_lexical(h, class_id, verb, vlemma)
             if inf is not None:
@@ -512,11 +493,8 @@ def rule_temporal(h: ParsedHeadline, lex: TriggerLexicon) -> list[Inference]:
             subj = _first(edges_governed_by(h, gov.index, "nsubj"))
             if subj is None:
                 continue
-            subj_p, subj_s = _phrase(h, subj.dependent)
-            past = conjugate(lemma(gov.surface, gov.pos), VerbForm.PAST)
-            tail, tail_s = _object_tail(h, gov.index)
-            text = " ".join(filter(None, [subj_p, past, tail]))
-            span = _merge(subj_s, tail_s, (gov.index, e.dependent))
+            text, span = _clause(h, subj.dependent, gov.index, VerbForm.PAST)
+            span = _merge(span, (e.dependent,))
         else:
             phrase, p_span = _phrase(h, gov.index)
             text = f"There was {phrase}"

@@ -221,11 +221,42 @@ class TestEval:
         assert code != 0
         assert "terminator" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--inferences", "--labels"])
-    @pytest.mark.parametrize("line, complaint", [
-        ('{"inferences": []}', "missing or non-string 'headline'"),
-        ('["not", "an", "object"]', "expected a JSON object"),
-        ('{"headline": ', "invalid JSON"),
+    @pytest.mark.parametrize("line, complaint, flag", [
+        *(
+            (line, complaint, flag)
+            for line, complaint in [
+                ('{"inferences": []}', "missing or non-string 'headline'"),
+                ('["not", "an", "object"]', "expected a JSON object"),
+                ('{"headline": ', "invalid JSON"),
+            ]
+            for flag in ["--inferences", "--labels"]
+        ),
+        *(
+            ('{"headline": "H", ' + rest, complaint, "--inferences")
+            for rest, complaint in [
+                ('"inferences": [{"text": "a"}]}', "inference 'kind' must be one of"),
+                ('"inferences": [{"kind": "zz", "text": "a"}]}', "inference 'kind' must be"),
+                ('"inferences": "abc"}', "'inferences' must be a list"),
+                ('"inferences": [{"kind": ">>", "text": 5}]}', "inference 'text' must be a string"),
+                ('"inferences": [{"kind": ">>"}]}', "inference 'text' must be a string"),
+                ('"inferences": ["a"]}', "each inference must be a JSON object"),
+                ('"inferences": [{"kind": ">>", "text": "a", "trigger": 1}]}',
+                 "inference 'trigger' must be a string"),
+                ('"inferences": [{"kind": ">>", "text": "a", "span": 3}]}',
+                 "inference 'span' must be a list of integers"),
+            ]
+        ),
+        *(
+            ('{"headline": "H", ' + rest, complaint, "--labels")
+            for rest, complaint in [
+                ('"matched": [1]}', "'matched' must be a list of [gold, computed] string pairs"),
+                ('"matched": [["a", "b", "c"]]}', "'matched' must be a list of"),
+                ('"matched": [[1, 2]]}', "'matched' must be a list of"),
+                ('"matched": "ab"}', "'matched' must be a list of"),
+                ('"incorrect": [3]}', "'incorrect' must be a list of strings"),
+                ('"incorrect": "a"}', "'incorrect' must be a list of strings"),
+            ]
+        ),
     ])
     def test_bad_jsonl_line_names_file_and_line(self, tmp_path, capsys, flag, line, complaint):
         bad = tmp_path / "bad.jsonl"

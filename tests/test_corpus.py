@@ -70,11 +70,6 @@ class TestPreprocess:
         p = preprocess("Corbyn 'regrets' Labour MPs' resignations")
         assert p.cleaned == "Corbyn regrets Labour MPs resignations"
 
-    def test_removed_chars_counted(self):
-        p = preprocess("a-b, c!")
-        assert p.cleaned == "a b c"
-        assert p.removed_chars == 3
-
     def test_span_substring_locates_in_original(self):
         text = 'One "two three four" five "six seven" end'
         p = preprocess(text)
