@@ -35,6 +35,8 @@ from .rules import (
     EngineConfig,
     Inference,
     InferenceKind,
+    check_compound_mode,
+    check_rule_ids,
     infer_all,
 )
 
@@ -52,7 +54,8 @@ _FORM_NAMES = {
 }
 
 
-def _read_config_file(path: str) -> dict[str, str]:
+def _read_config_file(path: str) -> dict[str, tuple[str, str]]:
+    """key -> (value, 'path:line' of the key) for each 'key = value' line."""
     values = {}
     for lineno, raw in enumerate(Path(path).read_text("utf-8").splitlines(), start=1):
         line = raw.strip()
@@ -61,7 +64,7 @@ def _read_config_file(path: str) -> dict[str, str]:
         if "=" not in line:
             raise FormatError(f"{path}:{lineno}: expected 'key = value'")
         key, value = line.split("=", 1)
-        values[key.strip()] = value.strip()
+        values[key.strip()] = (value.strip(), f"{path}:{lineno}")
     return values
 
 
@@ -89,22 +92,44 @@ def _resolve_lexicon(explicit: str | None):
     return default_lexicon()
 
 
+def _check_verb_pattern(value: str) -> str:
+    if value not in ("strict", "relaxed"):
+        raise ValueError(f"verb_pattern must be strict or relaxed, got {value!r}")
+    return value
+
+
 def _build_engine_config(args) -> EngineConfig:
-    values = _read_config_file(args.config) if getattr(args, "config", None) else {}
-    rules_spec = args.rules or values.get("rules")
-    rules = _expand_rules(rules_spec) if rules_spec else DEFAULT_RULES
+    settings = _read_config_file(args.config) if getattr(args, "config", None) else {}
+
+    def setting(key: str, default, check=str):
+        """The config file's value for ``key`` through ``check``, else
+        ``default``; a value ``check`` rejects is an error at its path:line."""
+        if key not in settings:
+            return default
+        value, where = settings[key]
+        try:
+            return check(value)
+        except ValueError as exc:
+            raise FormatError(f"{where}: {exc}") from exc
+
+    if args.rules:
+        rules = _expand_rules(args.rules)
+    else:
+        rules = setting(
+            "rules",
+            DEFAULT_RULES,
+            lambda spec: check_rule_ids(_expand_rules(spec)) if spec else DEFAULT_RULES,
+        )
     if getattr(args, "relaxed_nmod", False) and "nmod_relaxed" not in rules:
         rules = rules + ("nmod_relaxed",)
-    verb_pattern = values.get("verb_pattern", "relaxed")
-    if verb_pattern not in ("strict", "relaxed"):
-        raise FormatError(f"verb_pattern must be strict or relaxed, got {verb_pattern!r}")
+    verb_pattern = setting("verb_pattern", "relaxed", _check_verb_pattern)
     if getattr(args, "strict_verbs", False):
         verb_pattern = "strict"
     return EngineConfig(
         rules=rules,
-        lexicon=_resolve_lexicon(args.lexicon or values.get("lexicon")),
+        lexicon=_resolve_lexicon(args.lexicon or setting("lexicon", None)),
         strict_verbs=verb_pattern == "strict",
-        compound_mode=values.get("compound_mode", "both"),
+        compound_mode=setting("compound_mode", "both", check_compound_mode),
     )
 
 
@@ -210,21 +235,38 @@ def cmd_infer(args) -> int:
     return 0
 
 
-def _read_jsonl(path: str):
-    """(line number, normalized headline, record) for each non-blank line of a
-    JSON Lines file of objects with a ``headline`` string."""
+def _read_jsonl(path: str, parse) -> dict:
+    """{normalized headline: parse(record)} over a JSON Lines file of objects
+    with a ``headline`` string.  ``parse`` raises FormatError without a
+    location.  A headline may repeat only with the same parsed content."""
+    out: dict = {}
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(Path(path).read_text("utf-8").splitlines(), start=1):
         if not line.strip():
             continue
+        where = f"{path}:{lineno}"
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+            raise FormatError(f"{where}: invalid JSON: {exc}") from exc
         if not isinstance(obj, dict):
-            raise FormatError(f"{path}:{lineno}: expected a JSON object")
+            raise FormatError(f"{where}: expected a JSON object")
         if not isinstance(obj.get("headline"), str):
-            raise FormatError(f"{path}:{lineno}: missing or non-string 'headline'")
-        yield lineno, normalize(obj["headline"]), obj
+            raise FormatError(f"{where}: missing or non-string 'headline'")
+        try:
+            value = parse(obj)
+        except FormatError as exc:
+            raise FormatError(f"{where}: {exc}") from None
+        key = normalize(obj["headline"])
+        if key in out:
+            if out[key] != value:
+                raise FormatError(
+                    f"{where}: headline {obj['headline']!r} repeats line "
+                    f"{first_line[key]} with different content"
+                )
+            continue
+        out[key], first_line[key] = value, lineno
+    return out
 
 
 def _is_str_list(value) -> bool:
@@ -234,55 +276,47 @@ def _is_str_list(value) -> bool:
 _KINDS = tuple(k.value for k in InferenceKind)
 
 
-def _inference_error(d) -> str | None:
-    """What is wrong with one entry of a record's ``inferences``, if anything."""
-    if not isinstance(d, dict):
-        return "each inference must be a JSON object"
-    if d.get("kind") not in _KINDS:
-        return f"inference 'kind' must be one of {', '.join(_KINDS)}"
-    if not isinstance(d.get("text"), str):
-        return "inference 'text' must be a string"
-    if not isinstance(d.get("trigger", ""), str):
-        return "inference 'trigger' must be a string"
-    span = d.get("span", [])
-    if not (isinstance(span, list) and all(isinstance(i, int) for i in span)):
-        return "inference 'span' must be a list of integers"
-    return None
+def _parse_inferences(obj: dict) -> list[Inference]:
+    entries = obj.get("inferences", [])
+    if not isinstance(entries, list):
+        raise FormatError("'inferences' must be a list")
+    for d in entries:
+        if not isinstance(d, dict):
+            raise FormatError("each inference must be a JSON object")
+        if d.get("kind") not in _KINDS:
+            raise FormatError(f"inference 'kind' must be one of {', '.join(_KINDS)}")
+        if not isinstance(d.get("text"), str):
+            raise FormatError("inference 'text' must be a string")
+        if not isinstance(d.get("trigger", ""), str):
+            raise FormatError("inference 'trigger' must be a string")
+        span = d.get("span", [])
+        if not (isinstance(span, list) and all(isinstance(i, int) for i in span)):
+            raise FormatError("inference 'span' must be a list of integers")
+    return [Inference.from_dict(d) for d in entries]
+
+
+def _parse_labels(obj: dict) -> dict:
+    incorrect = obj.get("incorrect", [])
+    matched = obj.get("matched", [])
+    if not _is_str_list(incorrect):
+        raise FormatError("'incorrect' must be a list of strings")
+    if not (
+        isinstance(matched, list)
+        and all(_is_str_list(pair) and len(pair) == 2 for pair in matched)
+    ):
+        raise FormatError("'matched' must be a list of [gold, computed] string pairs")
+    return {
+        "incorrect": frozenset(incorrect),
+        "matched": tuple(tuple(pair) for pair in matched),
+    }
 
 
 def _read_inference_file(path: str) -> dict[str, list[Inference]]:
-    out = {}
-    for lineno, key, obj in _read_jsonl(path):
-        entries = obj.get("inferences", [])
-        if not isinstance(entries, list):
-            raise FormatError(f"{path}:{lineno}: 'inferences' must be a list")
-        for d in entries:
-            error = _inference_error(d)
-            if error:
-                raise FormatError(f"{path}:{lineno}: {error}")
-        out[key] = [Inference.from_dict(d) for d in entries]
-    return out
+    return _read_jsonl(path, _parse_inferences)
 
 
 def _read_labels_file(path: str) -> dict[str, dict]:
-    out = {}
-    for lineno, key, obj in _read_jsonl(path):
-        incorrect = obj.get("incorrect", [])
-        matched = obj.get("matched", [])
-        if not _is_str_list(incorrect):
-            raise FormatError(f"{path}:{lineno}: 'incorrect' must be a list of strings")
-        if not (
-            isinstance(matched, list)
-            and all(_is_str_list(pair) and len(pair) == 2 for pair in matched)
-        ):
-            raise FormatError(
-                f"{path}:{lineno}: 'matched' must be a list of [gold, computed] string pairs"
-            )
-        out[key] = {
-            "incorrect": frozenset(incorrect),
-            "matched": tuple(tuple(pair) for pair in matched),
-        }
-    return out
+    return _read_jsonl(path, _parse_labels)
 
 
 def cmd_eval(args) -> int:

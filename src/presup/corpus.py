@@ -15,10 +15,19 @@ from dataclasses import dataclass
 from .errors import FormatError
 
 _HYPHENS = "-–—"  # -, en dash, em dash: replaced by a space
-_APOSTROPHES = "'’"  # kept only between word characters
+_APOSTROPHES = "'’"  # kept only between letters or digits
 _DOUBLE_QUOTES = '"“”'
 _OTHER_PUNCT = ".,!?;:()‘" + _DOUBLE_QUOTES
-_PUNCT = set(_HYPHENS + _APOSTROPHES + _OTHER_PUNCT)
+# What survives cleaning is defined here once: the table maps each hyphen to
+# a space and deletes the other punctuation; the pattern matches every
+# apostrophe not preceded or not followed by a ``str.isalnum`` character,
+# which is what ``[^\W_]`` matches.  It starts at the apostrophe, so the
+# search skips ahead to one instead of trying a lookbehind at each position.
+_CLEAN_TABLE = str.maketrans(dict.fromkeys(_HYPHENS, " ") | dict.fromkeys(_OTHER_PUNCT))
+_STRAY_APOSTROPHE = re.compile(
+    rf"[{_APOSTROPHES}](?:(?<![^\W_][{_APOSTROPHES}])|(?![^\W_]))"
+)
+_FATE = {chr(k): v or "" for k, v in _CLEAN_TABLE.items()}  # the table by character
 
 _MONTHS = {
     m
@@ -106,56 +115,64 @@ def read_dataset(document: str) -> list[HeadlineRecord]:
 
 def _double_quote_pairs(text: str) -> list[tuple[int, int]]:
     """Pair quote characters left to right; unmatched openers yield no span."""
-    pairs = []
-    straight = [i for i, c in enumerate(text) if c == '"']
-    for k in range(0, len(straight) - 1, 2):
-        pairs.append((straight[k], straight[k + 1]))
+    straight = [m.start() for m in re.finditer('"', text)]
+    pairs = list(zip(straight[::2], straight[1::2]))
     open_curly = None
-    for i, c in enumerate(text):
-        if c == "“":
-            open_curly = i
-        elif c == "”" and open_curly is not None:
-            pairs.append((open_curly, i))
+    for m in re.finditer("[“”]", text):
+        if m.group() == "“":
+            open_curly = m.start()
+        elif open_curly is not None:
+            pairs.append((open_curly, m.start()))
             open_curly = None
     return sorted(pairs)
 
 
+def _has_apostrophe(text: str) -> bool:
+    """Whether _STRAY_APOSTROPHE can match; cheaper than a search."""
+    return "'" in text or "’" in text
+
+
+def clean(text: str) -> str:
+    """Strip punctuation: hyphens become spaces, an apostrophe survives only
+    between letters or digits, the rest of the punctuation is deleted and
+    whitespace is collapsed."""
+    if _has_apostrophe(text):
+        text = _STRAY_APOSTROPHE.sub("", text)
+    return " ".join(text.translate(_CLEAN_TABLE).split())
+
+
 def preprocess(text: str) -> PreprocessedHeadline:
-    """Strip punctuation (hyphens become spaces, in-word apostrophes survive)
-    and record which cleaned words fall inside double-quoted spans."""
+    """``clean`` the text and record which cleaned words fall inside
+    double-quoted spans."""
+    cleaned = clean(text)
     pairs = _double_quote_pairs(text)
-    span_of_char = {}
+    if not pairs:
+        return PreprocessedHeadline(cleaned=cleaned, quoted_spans=())
+    # Each character's span; where pairs overlap, the later pair wins.
+    sid_of: list[int | None] = [None] * len(text)
     for sid, (start, end) in enumerate(pairs):
-        for i in range(start + 1, end):
-            span_of_char[i] = sid
-    out: list[tuple[str, int | None]] = []
-    for i, c in enumerate(text):
-        sid = span_of_char.get(i)
-        if c in _HYPHENS:
-            out.append((" ", sid))
-        elif c in _APOSTROPHES:
-            prev_ok = i > 0 and text[i - 1].isalnum()
-            next_ok = i + 1 < len(text) and text[i + 1].isalnum()
-            if prev_ok and next_ok:
-                out.append((c, sid))
-        elif c not in _PUNCT:
-            out.append((c, sid))
-    words: list[tuple[str, set[int]]] = []
-    current, sids = [], set()
-    for c, sid in out:
-        if c.isspace():
-            if current:
-                words.append(("".join(current), sids))
-                current, sids = [], set()
-        else:
-            current.append(c)
-            if sid is not None:
-                sids.add(sid)
-    if current:
-        words.append(("".join(current), sids))
+        sid_of[start + 1 : end] = [sid] * (end - start - 1)
+    # What clean makes of each character: itself, a space or '' (deleted).
+    fates = [_FATE.get(c, c) for c in text]
+    if _has_apostrophe(text):
+        for m in _STRAY_APOSTROPHE.finditer(text):
+            fates[m.start()] = ""
+    word_sids: list[set[int]] = []  # the span ids of each cleaned word
+    in_word = False
+    for fate, sid in zip(fates, sid_of):
+        if not fate:
+            continue
+        if fate.isspace():
+            in_word = False
+            continue
+        if not in_word:
+            word_sids.append(set())
+            in_word = True
+        if sid is not None:
+            word_sids[-1].add(sid)
     spans = []
     for sid, (start, end) in enumerate(pairs):
-        covered = [w for w, (_, s) in enumerate(words) if sid in s]
+        covered = [w for w, sids in enumerate(word_sids) if sid in sids]
         if covered:
             spans.append(
                 QuotedSpan(
@@ -164,10 +181,7 @@ def preprocess(text: str) -> PreprocessedHeadline:
                     text=text[start + 1 : end],
                 )
             )
-    return PreprocessedHeadline(
-        cleaned=" ".join(w for w, _ in words),
-        quoted_spans=tuple(spans),
-    )
+    return PreprocessedHeadline(cleaned=cleaned, quoted_spans=tuple(spans))
 
 
 _TRIGGER_TAG = re.compile(r"^(.*?)\s*@([\w.:-]+)\s*$")

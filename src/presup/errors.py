@@ -2,7 +2,7 @@
 
 
 class FormatError(ValueError):
-    """A corpus file (dataset line, gold block, labels file) is malformed."""
+    """An input file (dataset, gold, labels, lexicon, config) is malformed."""
 
 
 class ParseError(ValueError):

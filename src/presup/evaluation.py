@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 
-from .corpus import GoldAnnotation, preprocess
+from .corpus import GoldAnnotation, clean
 
 
 class MatchMode(Enum):
@@ -115,12 +115,12 @@ _CAN_HAVE = re.compile(r"\bcan (?:have|be)\b")
 
 
 def normalize(text: str) -> str:
-    """Canonical comparison form: lowercase, punctuation-stripped, whitespace
-    collapsed, the can-be/can-have family folded onto one token."""
-    s = preprocess(text.lower()).cleaned
-    s = _CAN_FAMILY.sub("can-have", s)
-    s = _CAN_HAVE.sub("can-have", s)
-    return " ".join(s.split())
+    """Canonical comparison form: lowercase, ``clean``, the can-be/can-have
+    family folded onto one token."""
+    s = clean(text.lower())
+    if "can " not in s:  # both patterns need it; most texts skip two scans
+        return s
+    return _CAN_HAVE.sub("can-have", _CAN_FAMILY.sub("can-have", s))
 
 
 def _texts(items) -> list[str]:

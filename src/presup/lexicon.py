@@ -8,6 +8,7 @@ from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
+from .errors import FormatError
 from .morphology import lemma
 
 # Verb classes; each is one ``lexical.<class>`` rule, in this order.
@@ -52,26 +53,27 @@ class TriggerLexicon:
         )
 
 
-def parse_lexicon(document: str) -> TriggerLexicon:
-    """Read a 'class<TAB>entry' TSV; '#' comment and blank lines are skipped."""
+def parse_lexicon(document: str, source: str = "lexicon") -> TriggerLexicon:
+    """Read a 'class<TAB>entry' TSV; '#' comment and blank lines are skipped.
+    Errors name ``source:line``."""
     entries: dict[str, set[str]] = {}
     for lineno, raw in enumerate(document.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "\t" not in line:
-            raise ValueError(f"lexicon line {lineno}: expected 'class<TAB>entry'")
+            raise FormatError(f"{source}:{lineno}: expected 'class<TAB>entry'")
         cid, entry = line.split("\t", 1)
         cid, entry = cid.strip(), entry.strip()
         if cid not in CLASS_IDS:
-            raise ValueError(f"lexicon line {lineno}: unknown class {cid!r}")
+            raise FormatError(f"{source}:{lineno}: unknown class {cid!r}")
         if entry:
             entries.setdefault(cid, set()).add(entry)
     return TriggerLexicon(entries=entries)
 
 
 def load_lexicon(path: str | Path) -> TriggerLexicon:
-    return parse_lexicon(Path(path).read_text("utf-8"))
+    return parse_lexicon(Path(path).read_text("utf-8"), str(path))
 
 
 @lru_cache(maxsize=1)

@@ -657,6 +657,20 @@ RULE_IDS = tuple(RULES)
 DEFAULT_RULES = tuple(r for r in RULE_IDS if r != "nmod_relaxed")
 
 
+def check_rule_ids(rules) -> tuple[str, ...]:
+    """``rules`` as a tuple; a ValueError names every id that is not a rule."""
+    unknown = [r for r in rules if r not in RULES]
+    if unknown:
+        raise ValueError(f"unknown rule ids: {', '.join(unknown)}")
+    return tuple(rules)
+
+
+def check_compound_mode(mode: str) -> str:
+    if mode not in COMPOUND_MODES:
+        raise ValueError(f"unknown compound mode {mode!r}")
+    return mode
+
+
 @dataclass(frozen=True)
 class EngineConfig:
     rules: tuple[str, ...] = DEFAULT_RULES
@@ -665,12 +679,8 @@ class EngineConfig:
     compound_mode: str = "both"
 
     def __post_init__(self):
-        unknown = [r for r in self.rules if r not in RULES]
-        if unknown:
-            raise ValueError(f"unknown rule ids: {', '.join(unknown)}")
-        if self.compound_mode not in COMPOUND_MODES:
-            raise ValueError(f"unknown compound mode {self.compound_mode!r}")
-        object.__setattr__(self, "rules", tuple(self.rules))
+        object.__setattr__(self, "rules", check_rule_ids(self.rules))
+        check_compound_mode(self.compound_mode)
 
     def fingerprint(self) -> str:
         return "\n".join(

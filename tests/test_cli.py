@@ -129,7 +129,26 @@ class TestInfer:
     def test_unknown_rule_id_is_error(self, tmp_path, capsys):
         code, _ = run_infer(tmp_path, extra=["--rules", "compound,astrology"])
         assert code != 0
-        assert "astrology" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: unknown rule ids: astrology\n"
+
+    @pytest.mark.parametrize("key, complaint", [
+        ("compound_mode", "unknown compound mode 'zz'"),
+        ("verb_pattern", "verb_pattern must be strict or relaxed, got 'zz'"),
+        ("rules", "unknown rule ids: zz"),
+    ])
+    def test_bad_config_value_names_file_and_line(self, tmp_path, capsys, key, complaint):
+        cfg = tmp_path / "engine.cfg"
+        cfg.write_text(f"# engine settings\nrules = compound\n\n{key} = zz\n")
+        code, _ = run_infer(tmp_path, extra=["--config", str(cfg)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {cfg}:4: {complaint}\n"
+
+    def test_bad_lexicon_names_file_and_line(self, tmp_path, capsys):
+        lexicon = tmp_path / "bad.tsv"
+        lexicon.write_text("# comment\nfactive\tregret\nbogus\tfoo\n")
+        code, _ = run_infer(tmp_path, extra=["--lexicon", str(lexicon)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {lexicon}:3: unknown class 'bogus'\n"
 
     @pytest.mark.parametrize("spec, want", [
         ("lexical", ("lexical.iterative", "lexical.change_of_state", "lexical.factive",
@@ -267,6 +286,38 @@ class TestEval:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert f"{bad}:3: {complaint}" in err
+
+    @pytest.mark.parametrize("flag, first, second", [
+        ("--inferences",
+         '{"headline": "Same headline", "inferences": [{"kind": ">>", "text": "a"}]}',
+         '{"headline": "same headline.", "inferences": [{"kind": ">>", "text": "b"}]}'),
+        ("--labels",
+         '{"headline": "Same headline", "incorrect": ["a"]}',
+         '{"headline": "same headline.", "incorrect": ["b"]}'),
+    ])
+    def test_repeated_headline(self, tmp_path, capsys, flag, first, second):
+        gold = tmp_path / "gold.txt"
+        gold.write_text("Same headline\n>> a\n||\nSame headline\n>> b\n||\n")
+        inferences = tmp_path / "inferences.jsonl"
+        inferences.write_text(
+            '{"headline": "Same headline", "inferences": [{"kind": ">>", "text": "a"}]}\n'
+        )
+        repeated = tmp_path / "repeated.jsonl"
+        argv = ["eval", "--gold", str(gold), "--out", str(tmp_path / "report.json")]
+        if flag == "--labels":
+            argv += ["--inferences", str(inferences)]
+        argv += [flag, str(repeated)]
+        # The same content twice is accepted and scores both blocks alike.
+        repeated.write_text(f"{first}\n\n{first}\n")
+        assert main(argv) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert [h["matched"] for h in report["headlines"]] == [1, 0]
+        capsys.readouterr()
+        # Different content under the same normalized headline is an error.
+        repeated.write_text(f"{first}\n\n{second}\n")
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"{repeated}:3: headline 'same headline.' repeats line 1 with different content" in err
 
     def test_tsv_table(self, tmp_path):
         table = tmp_path / "table.tsv"

@@ -1,7 +1,11 @@
+import re
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from presup.corpus import (
+    QuotedSpan,
+    clean,
     parse_dataset_line,
     parse_gold,
     preprocess,
@@ -9,6 +13,7 @@ from presup.corpus import (
     render_gold,
 )
 from presup.errors import FormatError
+from presup.evaluation import normalize
 
 
 class TestParseDatasetLine:
@@ -90,6 +95,115 @@ class TestPreprocess:
     def test_cleaned_has_no_punctuation(self, text):
         cleaned = preprocess(text).cleaned
         assert not set(cleaned) & set('.,!?;:"()“”‘-–—')
+
+
+def reference_preprocess(text: str) -> tuple[str, tuple[QuotedSpan, ...]]:
+    """The per-character cleaning walk that ``clean`` and ``preprocess``
+    replaced, kept as the reference: (cleaned, quoted spans)."""
+    hyphens, apostrophes = "-–—", "'’"
+    punct = set(hyphens + apostrophes + ".,!?;:()‘" + '"“”')
+    pairs = []
+    straight = [i for i, c in enumerate(text) if c == '"']
+    for k in range(0, len(straight) - 1, 2):
+        pairs.append((straight[k], straight[k + 1]))
+    open_curly = None
+    for i, c in enumerate(text):
+        if c == "“":
+            open_curly = i
+        elif c == "”" and open_curly is not None:
+            pairs.append((open_curly, i))
+            open_curly = None
+    pairs.sort()
+    span_of_char = {}
+    for sid, (start, end) in enumerate(pairs):
+        for i in range(start + 1, end):
+            span_of_char[i] = sid
+    out = []
+    for i, c in enumerate(text):
+        sid = span_of_char.get(i)
+        if c in hyphens:
+            out.append((" ", sid))
+        elif c in apostrophes:
+            prev_ok = i > 0 and text[i - 1].isalnum()
+            next_ok = i + 1 < len(text) and text[i + 1].isalnum()
+            if prev_ok and next_ok:
+                out.append((c, sid))
+        elif c not in punct:
+            out.append((c, sid))
+    words, current, sids = [], [], set()
+    for c, sid in out:
+        if c.isspace():
+            if current:
+                words.append(("".join(current), sids))
+                current, sids = [], set()
+        else:
+            current.append(c)
+            if sid is not None:
+                sids.add(sid)
+    if current:
+        words.append(("".join(current), sids))
+    spans = []
+    for sid, (start, end) in enumerate(pairs):
+        covered = [w for w, (_, s) in enumerate(words) if sid in s]
+        if covered:
+            spans.append(QuotedSpan(min(covered), max(covered), text[start + 1 : end]))
+    return " ".join(w for w, _ in words), tuple(spans)
+
+
+def reference_normalize(text: str) -> str:
+    s = reference_preprocess(text.lower())[0]
+    s = re.sub(r"\bcan be\s*/\s*can have\b", "can-have", s)
+    s = re.sub(r"\bcan (?:have|be)\b", "can-have", s)
+    return " ".join(s.split())
+
+
+# Word characters, every character cleaning treats specially, whitespace
+# that is not a space, and a non-ASCII letter and digit (isalnum, not ASCII).
+CLEANING_ALPHABET = (
+    "aZ9_" "'’‘" '"“”' "-–—" ".,!?;:()" " \t\n\u3000" "é٣"
+)
+
+PINNED = [
+    "rock'n'roll",
+    "'90s",
+    "MPs'",
+    'foo"bar baz"',  # a word straddles the opening quote
+    '“a "b” c"',  # overlapping pairs: the later one owns "b"
+    "a'-b",
+    "Corbyn 'regrets' Labour MPs' resignations",
+    "can be / can have 'em",
+]
+
+
+class TestCleanMatchesReference:
+    @pytest.mark.parametrize("text", PINNED)
+    def test_pinned(self, text):
+        cleaned, spans = reference_preprocess(text)
+        p = preprocess(text)
+        assert (p.cleaned, p.quoted_spans) == (cleaned, spans)
+        assert clean(text) == cleaned
+        assert normalize(text) == reference_normalize(text)
+
+    def test_pinned_values(self):
+        assert [clean(t) for t in PINNED[:6]] == [
+            "rock'n'roll", "90s", "MPs", "foobar baz", "a b c", "a b"
+        ]
+        assert [(s.start_word, s.end_word) for s in preprocess('“a "b” c"').quoted_spans] == [
+            (0, 0), (1, 2)
+        ]
+
+    @settings(max_examples=1000)
+    @given(st.text(alphabet=CLEANING_ALPHABET, max_size=30))
+    def test_property(self, text):
+        cleaned, spans = reference_preprocess(text)
+        p = preprocess(text)
+        assert (p.cleaned, p.quoted_spans) == (cleaned, spans)
+        assert clean(text) == cleaned
+
+    @given(st.lists(st.sampled_from([*CLEANING_ALPHABET, "can", "be", "have", "/", " "]), max_size=20))
+    def test_normalize_property(self, parts):
+        text = "".join(parts)
+        assert normalize(text) == reference_normalize(text)
 
 
 FACTIVE_BLOCK = """\
