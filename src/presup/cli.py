@@ -6,6 +6,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -14,7 +15,7 @@ from pathlib import Path
 
 from . import __version__
 from .corpus import parse_gold, preprocess, read_dataset
-from .errors import FormatError
+from .errors import FormatError, ParseError
 from .evaluation import (
     HeadlineEval,
     MatchConfig,
@@ -54,6 +55,9 @@ _FORM_NAMES = {
 }
 
 
+_CONFIG_KEYS = ("rules", "verb_pattern", "compound_mode", "lexicon")
+
+
 def _read_config_file(path: str) -> dict[str, tuple[str, str]]:
     """key -> (value, 'path:line' of the key) for each 'key = value' line."""
     values = {}
@@ -63,8 +67,12 @@ def _read_config_file(path: str) -> dict[str, tuple[str, str]]:
             continue
         if "=" not in line:
             raise FormatError(f"{path}:{lineno}: expected 'key = value'")
-        key, value = line.split("=", 1)
-        values[key.strip()] = (value.strip(), f"{path}:{lineno}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _CONFIG_KEYS:
+            raise FormatError(
+                f"{path}:{lineno}: unknown key {key!r} (known keys: {', '.join(_CONFIG_KEYS)})"
+            )
+        values[key] = (value, f"{path}:{lineno}")
     return values
 
 
@@ -133,28 +141,53 @@ def _build_engine_config(args) -> EngineConfig:
     )
 
 
+def _item_line(text: str, k: int) -> int:
+    """The 1-based line on which JSON value ``k`` of ``text`` starts: item
+    ``k`` of an array, or the one object.  Only an error message needs it."""
+    pos = len(text) - len(text.lstrip())
+    if text[pos] == "[":
+        decoder, skip = json.JSONDecoder(), re.compile(r"[\s,]*")
+        pos = skip.match(text, pos + 1).end()
+        for _ in range(k):
+            pos = skip.match(text, decoder.raw_decode(text, pos)[1]).end()
+    return text.count("\n", 0, pos) + 1
+
+
 def load_parses(path: str) -> list[ParsedHeadline]:
     """Read a sidecar parse file: CoNLL-U by extension, else Stanford JSON
-    (single object, array of objects, or JSON Lines)."""
+    (single object, array of objects, or JSON Lines).  Errors name
+    ``path:line``; in an array, the line its bad object starts on."""
     text = Path(path).read_text("utf-8")
     if Path(path).suffix in (".conllu", ".conll"):
-        return parse_conllu(text)
+        return parse_conllu(text, path)
     stripped = text.strip()
     if not stripped:
         return []
-    if stripped.startswith("["):
-        payload = json.loads(stripped)
-        return [parse_stanford_json(obj) for obj in payload]
+    first_line = text[: len(text) - len(text.lstrip())].count("\n") + 1
     try:
         payload = json.loads(stripped)
-    except json.JSONDecodeError:
-        payload = None
+    except json.JSONDecodeError as exc:
+        if stripped.startswith("["):
+            raise ParseError(
+                f"{path}:{first_line + exc.lineno - 1}: invalid JSON: {exc.msg}"
+            ) from None
+        payload = None  # JSON Lines
     if isinstance(payload, dict):
-        return [parse_stanford_json(payload)]
+        payload = [payload]
     parses = []
-    for line in stripped.splitlines():
+    if isinstance(payload, list):
+        for k, obj in enumerate(payload):
+            try:
+                parses.append(parse_stanford_json(obj))
+            except ParseError as exc:
+                raise type(exc)(f"{path}:{_item_line(text, k)}: {exc}") from None
+        return parses
+    for lineno, line in enumerate(stripped.splitlines(), start=first_line):
         if line.strip():
-            parses.append(parse_stanford_json(line))
+            try:
+                parses.append(parse_stanford_json(line))
+            except ParseError as exc:
+                raise type(exc)(f"{path}:{lineno}: {exc}") from None
     return parses
 
 
@@ -170,7 +203,7 @@ def _spans_for_tokens(h: ParsedHeadline, preprocessed) -> tuple[tuple[int, int],
 
 def cmd_infer(args) -> int:
     cfg = _build_engine_config(args)
-    records = read_dataset(Path(args.dataset).read_text("utf-8"))
+    records = read_dataset(Path(args.dataset).read_text("utf-8"), args.dataset)
     parses = load_parses(args.parses)
     by_id = {}
     for h in parses:
@@ -320,7 +353,7 @@ def _read_labels_file(path: str) -> dict[str, dict]:
 
 
 def cmd_eval(args) -> int:
-    gold = parse_gold(Path(args.gold).read_text("utf-8"))
+    gold = parse_gold(Path(args.gold).read_text("utf-8"), args.gold)
     computed_by_headline = _read_inference_file(args.inferences)
     labels = _read_labels_file(args.labels) if args.labels else None
     cfg = MatchConfig(
@@ -381,7 +414,7 @@ def cmd_morph(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    records = read_dataset(Path(args.dataset).read_text("utf-8"))
+    records = read_dataset(Path(args.dataset).read_text("utf-8"), args.dataset)
     print(f"headlines: {len(records)}")
     for source, count in sorted(Counter(r.source for r in records).items()):
         print(f"  {source or '(unknown)'}: {count}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import FormatError
+from .errors import FormatError, located
 
 _HYPHENS = "-–—"  # -, en dash, em dash: replaced by a space
 _APOSTROPHES = "'’"  # kept only between letters or digits
@@ -103,13 +103,17 @@ def parse_dataset_line(line: str) -> HeadlineRecord:
     return HeadlineRecord(text=text, source=source, timestamp_raw=timestamp)
 
 
-def read_dataset(document: str) -> list[HeadlineRecord]:
-    """All records of a dataset document; '#' comment and blank lines skipped."""
+def read_dataset(document: str, source: str | None = None) -> list[HeadlineRecord]:
+    """All records of a dataset document; '#' comment and blank lines skipped.
+    Errors name ``source:line``."""
     records = []
-    for line in document.splitlines():
+    for lineno, line in enumerate(document.splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
-        records.append(parse_dataset_line(line))
+        try:
+            records.append(parse_dataset_line(line))
+        except FormatError as exc:
+            raise FormatError(f"{located(source, lineno)}: {exc}") from None
     return records
 
 
@@ -187,14 +191,16 @@ def preprocess(text: str) -> PreprocessedHeadline:
 _TRIGGER_TAG = re.compile(r"^(.*?)\s*@([\w.:-]+)\s*$")
 
 
-def parse_gold(document: str) -> list[GoldAnnotation]:
+def parse_gold(document: str, source: str | None = None) -> list[GoldAnnotation]:
     """Parse gold blocks: headline line, '>>' inference lines, '||' terminator.
 
     An '@trigger' suffix on an inference line fills the trigger field and is
     stripped from the text.  '#' comment lines between blocks are ignored.
+    Errors name ``source:line``; an unterminated block names its headline's.
     """
     annotations = []
     headline: str | None = None
+    headline_line = 0
     inferences: list[GoldInference] = []
     for lineno, raw in enumerate(document.splitlines(), start=1):
         line = raw.strip()
@@ -202,10 +208,10 @@ def parse_gold(document: str) -> list[GoldAnnotation]:
             if not line or line.startswith("#"):
                 continue
             if line.startswith(">>"):
-                raise FormatError(f"line {lineno}: inference before any headline")
+                raise FormatError(f"{located(source, lineno)}: inference before any headline")
             if line == "||":
-                raise FormatError(f"line {lineno}: '||' before any headline")
-            headline = line
+                raise FormatError(f"{located(source, lineno)}: '||' before any headline")
+            headline, headline_line = line, lineno
             inferences = []
         elif line.startswith(">>"):
             body = line[2:].strip()
@@ -214,7 +220,7 @@ def parse_gold(document: str) -> list[GoldAnnotation]:
             if m:
                 body, trigger = m.group(1).strip(), m.group(2)
             if not body:
-                raise FormatError(f"line {lineno}: empty inference under {headline!r}")
+                raise FormatError(f"{located(source, lineno)}: empty inference under {headline!r}")
             inferences.append(GoldInference(text=body, trigger=trigger))
         elif line == "||":
             annotations.append(GoldAnnotation(headline=headline, inferences=tuple(inferences)))
@@ -223,10 +229,12 @@ def parse_gold(document: str) -> list[GoldAnnotation]:
             continue
         else:
             raise FormatError(
-                f"line {lineno}: expected '>>' or '||' inside block for {headline!r}"
+                f"{located(source, lineno)}: expected '>>' or '||' inside block for {headline!r}"
             )
     if headline is not None:
-        raise FormatError(f"missing '||' terminator for headline {headline!r}")
+        raise FormatError(
+            f"{located(source, headline_line)}: missing '||' terminator for headline {headline!r}"
+        )
     return annotations
 
 

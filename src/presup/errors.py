@@ -11,3 +11,9 @@ class ParseError(ValueError):
 
 class ConsistencyError(ParseError):
     """A parse was read but violates a structural invariant."""
+
+
+def located(source: str | None, lineno: int) -> str:
+    """Where an input error is: ``source:lineno``, or ``line N`` when the
+    text has no file name."""
+    return f"{source}:{lineno}" if source else f"line {lineno}"

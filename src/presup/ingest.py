@@ -9,9 +9,10 @@ functions pure.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import ConsistencyError, ParseError
+from .errors import ConsistencyError, ParseError, located
 
 ROOT_GLOSS = "ROOT"
 
@@ -40,16 +41,14 @@ _UPOS_TO_PTB = {
 }
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     index: int  # 1-based
     surface: str
     pos: str
     lemma: str | None = None
 
 
-@dataclass(frozen=True)
-class DependencyEdge:
+class DependencyEdge(NamedTuple):
     dep: str
     governor: int  # 0 = virtual root
     governor_gloss: str
@@ -68,46 +67,45 @@ class ParsedHeadline:
     def token_at(self, index: int) -> Token:
         return self.tokens[index - 1]
 
-    def surface_at(self, index: int) -> str:
-        return ROOT_GLOSS if index == 0 else self.tokens[index - 1].surface
-
 
 def _validate(h: ParsedHeadline) -> ParsedHeadline:
     n = len(h.tokens)
     # Rules look tokens up by index, so token k must carry index k.
-    for position, t in enumerate(h.tokens, start=1):
-        if t.index != position:
-            raise ConsistencyError(f"{h.headline_id}: token {position} has index {t.index}")
-        if not t.pos:
-            raise ConsistencyError(f"{h.headline_id}: empty POS on token {t.index}")
-    roots = [e for e in h.edges if e.dep == "root"]
-    if len(roots) != 1:
-        raise ConsistencyError(f"{h.headline_id}: expected one root edge, got {len(roots)}")
+    surfaces = [ROOT_GLOSS]  # the gloss an edge must give for each index
+    for position, (index, surface, pos, _) in enumerate(h.tokens, start=1):
+        if index != position:
+            raise ConsistencyError(f"{h.headline_id}: token {position} has index {index}")
+        if not pos:
+            raise ConsistencyError(f"{h.headline_id}: empty POS on token {index}")
+        surfaces.append(surface)
+    roots = [e.dep for e in h.edges].count("root")
+    if roots != 1:
+        raise ConsistencyError(f"{h.headline_id}: expected one root edge, got {roots}")
     children: dict[int, list[int]] = {}
     dependents = set()
-    for e in h.edges:
-        if e.governor < 0 or e.governor > n or not 1 <= e.dependent <= n:
+    for dep, governor, governor_gloss, dependent, dependent_gloss in h.edges:
+        if governor < 0 or governor > n or not 1 <= dependent <= n:
             raise ConsistencyError(
-                f"{h.headline_id}: edge {e.dep} references token outside 1..{n}"
+                f"{h.headline_id}: edge {dep} references token outside 1..{n}"
             )
-        if e.dependent == e.governor:
-            raise ConsistencyError(f"{h.headline_id}: self-loop on token {e.dependent}")
-        if h.surface_at(e.governor) != e.governor_gloss:
+        if dependent == governor:
+            raise ConsistencyError(f"{h.headline_id}: self-loop on token {dependent}")
+        if surfaces[governor] != governor_gloss:
             raise ConsistencyError(
-                f"{h.headline_id}: governorGloss {e.governor_gloss!r} does not match "
-                f"token {e.governor}"
+                f"{h.headline_id}: governorGloss {governor_gloss!r} does not match "
+                f"token {governor}"
             )
-        if h.surface_at(e.dependent) != e.dependent_gloss:
+        if surfaces[dependent] != dependent_gloss:
             raise ConsistencyError(
-                f"{h.headline_id}: dependentGloss {e.dependent_gloss!r} does not match "
-                f"token {e.dependent}"
+                f"{h.headline_id}: dependentGloss {dependent_gloss!r} does not match "
+                f"token {dependent}"
             )
-        if e.dependent in dependents:
+        if dependent in dependents:
             raise ConsistencyError(
-                f"{h.headline_id}: token {e.dependent} is a dependent twice"
+                f"{h.headline_id}: token {dependent} is a dependent twice"
             )
-        dependents.add(e.dependent)
-        children.setdefault(e.governor, []).append(e.dependent)
+        dependents.add(dependent)
+        children.setdefault(governor, []).append(dependent)
     if len(dependents) != n:
         missing = sorted(set(range(1, n + 1)) - dependents)
         raise ConsistencyError(f"{h.headline_id}: tokens {missing} attach nowhere")
@@ -144,7 +142,7 @@ def normalize_labels(
         dep = LABEL_MAP.get(e.dep, e.dep)
         if dep == "conj" and (e.governor in but_sites or e.dependent in but_sites):
             dep = "conj:but"
-        out.append(replace(e, dep=dep) if dep != e.dep else e)
+        out.append(e._replace(dep=dep) if dep != e.dep else e)
     return out
 
 
@@ -164,51 +162,48 @@ def build_headline(
     return _validate(h)
 
 
-def parse_conllu(document: str) -> list[ParsedHeadline]:
+def parse_conllu(document: str, source: str | None = None) -> list[ParsedHeadline]:
     """Parse a 10-column CoNLL-U document into one ParsedHeadline per sentence.
 
     The XPOS column supplies Penn tags; "_" falls back to a UPOS mapping.
-    Multi-word-token and empty-node lines are skipped.
+    Multi-word-token and empty-node lines are skipped.  Errors name
+    ``source:line`` (``line N`` without a source); a sentence's errors name
+    its first line.
     """
     headlines: list[ParsedHeadline] = []
-    rows: list[tuple[int, str, str, int, str]] = []  # id, form, pos, head, deprel
+    tokens: list[Token] = []
+    heads: list[tuple[int, str]] = []  # head, deprel of each token
     sent_id: str | None = None
     sent_text: str | None = None
-    lemmas: dict[int, str] = {}
+    first_line = 0  # the current sentence's first line, 0 before it starts
 
     def flush() -> None:
-        nonlocal rows, sent_id, sent_text, lemmas
-        if not rows:
-            sent_id, sent_text = None, None
-            return
-        hid = sent_id if sent_id is not None else str(len(headlines) + 1)
-        tokens = [
-            Token(index=i, surface=form, pos=pos, lemma=lemmas.get(i))
-            for i, form, pos, _, _ in rows
-        ]
-        surfaces = {t.index: t.surface for t in tokens}
-        edges = []
-        for i, form, _, head, deprel in rows:
-            if head != 0 and head not in surfaces:
-                raise ParseError(f"sentence {hid}: head {head} of token {i} does not exist")
-            edges.append(
-                DependencyEdge(
-                    dep=deprel,
-                    governor=head,
-                    governor_gloss=ROOT_GLOSS if head == 0 else surfaces[head],
-                    dependent=i,
-                    dependent_gloss=form,
-                )
-            )
-        text = sent_text if sent_text is not None else " ".join(t.surface for t in tokens)
-        headlines.append(build_headline(hid, text, tokens, edges))
-        rows, sent_id, sent_text, lemmas = [], None, None, {}
+        nonlocal tokens, heads, sent_id, sent_text, first_line
+        if tokens:
+            hid = sent_id if sent_id is not None else str(len(headlines) + 1)
+            surfaces = {t.index: t.surface for t in tokens}
+            surfaces[0] = ROOT_GLOSS
+            edges = []
+            for t, (head, deprel) in zip(tokens, heads):
+                if head not in surfaces:
+                    raise ParseError(
+                        f"{located(source, first_line)}: sentence {hid}: "
+                        f"head {head} of token {t.index} does not exist"
+                    )
+                edges.append(DependencyEdge(deprel, head, surfaces[head], t.index, t.surface))
+            text = sent_text if sent_text is not None else " ".join(t.surface for t in tokens)
+            try:
+                headlines.append(build_headline(hid, text, tokens, edges))
+            except ConsistencyError as exc:
+                raise ConsistencyError(f"{located(source, first_line)}: {exc}") from None
+        tokens, heads, sent_id, sent_text, first_line = [], [], None, None, 0
 
-    for lineno, raw in enumerate(document.splitlines(), start=1):
-        line = raw.rstrip("\n")
+    for lineno, line in enumerate(document.splitlines(), start=1):
         if not line.strip():
             flush()
             continue
+        if not first_line:
+            first_line = lineno
         if line.startswith("#"):
             body = line[1:].strip()
             if body.startswith("sent_id"):
@@ -218,30 +213,58 @@ def parse_conllu(document: str) -> list[ParsedHeadline]:
             continue
         cols = line.split("\t")
         if len(cols) != 10:
-            raise ParseError(f"line {lineno}: expected 10 columns, got {len(cols)}")
-        if "-" in cols[0] or "." in cols[0]:
+            raise ParseError(
+                f"{located(source, lineno)}: expected 10 columns, got {len(cols)}"
+            )
+        tid, form, lemma, upos, pos, _, head, deprel, _, _ = cols
+        if "-" in tid or "." in tid:
             continue  # multi-word token / empty node
         try:
-            tid = int(cols[0])
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: non-integer token id {cols[0]!r}") from exc
+            tid = int(tid)
+        except ValueError:
+            raise ParseError(f"{located(source, lineno)}: non-integer token id {tid!r}") from None
         try:
-            head = int(cols[6])
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: non-integer head {cols[6]!r}") from exc
-        pos = cols[4]
+            head = int(head)
+        except ValueError:
+            raise ParseError(f"{located(source, lineno)}: non-integer head {head!r}") from None
         if pos == "_":
-            pos = _UPOS_TO_PTB.get(cols[3], cols[3])
-        if cols[2] != "_":
-            lemmas[tid] = cols[2]
-        rows.append((tid, cols[1], pos, head, cols[7]))
+            pos = _UPOS_TO_PTB.get(upos, upos)
+        tokens.append(Token(tid, form, pos, None if lemma == "_" else lemma))
+        heads.append((head, deprel))
     flush()
     return headlines
 
 
-def _require(obj: dict, key: str, where: str):
+_TOKEN_KEYS = ("index", "word", "pos")
+_EDGE_KEYS = ("dep", "governor", "governorGloss", "dependent", "dependentGloss")
+_INT_KEYS = frozenset({"index", "governor", "dependent"})
+# What indexing raises on a record that is not an object or lacks a key, and
+# what int() raises on a JSON value that is not an integer ("x", null, a
+# list, NaN, Infinity).
+_RECORD_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
+
+
+def _record_error(where: str, record, keys: tuple[str, ...]) -> ParseError:
+    """The error for a token or dependency record that failed to convert,
+    naming the record and the first key at fault."""
+    if not isinstance(record, dict):
+        return ParseError(f"{where}: expected a JSON object, got {type(record).__name__}")
+    for key in keys:
+        if key not in record:
+            return ParseError(f"{where}: missing key {key!r}")
+        if key in _INT_KEYS:
+            try:
+                int(record[key])
+            except _RECORD_ERRORS:
+                return ParseError(f"{where}: key {key!r} must be an integer, got {record[key]!r}")
+    return ParseError(f"{where}: malformed record")
+
+
+def _record_list(obj: dict, key: str) -> list:
     if key not in obj:
-        raise ParseError(f"{where}: missing key {key!r}")
+        raise ParseError(f"headline object: missing key {key!r}")
+    if not isinstance(obj[key], list):
+        raise ParseError(f"headline object: key {key!r} must be a list")
     return obj[key]
 
 
@@ -249,7 +272,8 @@ def parse_stanford_json(document: str | dict) -> ParsedHeadline:
     """Parse one Stanford-style JSON object into a ParsedHeadline.
 
     The dependency tuples keep their glosses byte for byte; labels are then
-    normalized.  Gloss/index mismatches raise ConsistencyError.
+    normalized.  Gloss/index mismatches raise ConsistencyError; a missing
+    key or a non-integer index names its token or dependency.
     """
     if isinstance(document, str):
         try:
@@ -260,30 +284,31 @@ def parse_stanford_json(document: str | dict) -> ParsedHeadline:
         obj = document
     if not isinstance(obj, dict):
         raise ParseError("expected a JSON object per headline")
-    headline = _require(obj, "headline", "headline object")
+    if "headline" not in obj:
+        raise ParseError("headline object: missing key 'headline'")
+    headline = str(obj["headline"])
     hid = str(obj.get("sent_id") or obj.get("id") or "")
     tokens = []
-    for i, t in enumerate(_require(obj, "tokens", "headline object"), start=1):
-        tokens.append(
-            Token(
-                index=int(_require(t, "index", f"token {i}")),
-                surface=str(_require(t, "word", f"token {i}")),
-                pos=str(_require(t, "pos", f"token {i}")),
-                lemma=t.get("lemma"),
-            )
-        )
+    for i, t in enumerate(_record_list(obj, "tokens"), start=1):
+        try:
+            tokens.append(Token(int(t["index"]), str(t["word"]), str(t["pos"]), t.get("lemma")))
+        except _RECORD_ERRORS:
+            raise _record_error(f"token {i}", t, _TOKEN_KEYS) from None
     edges = []
-    for i, d in enumerate(_require(obj, "dependencies", "headline object"), start=1):
-        edges.append(
-            DependencyEdge(
-                dep=str(_require(d, "dep", f"dependency {i}")),
-                governor=int(_require(d, "governor", f"dependency {i}")),
-                governor_gloss=str(_require(d, "governorGloss", f"dependency {i}")),
-                dependent=int(_require(d, "dependent", f"dependency {i}")),
-                dependent_gloss=str(_require(d, "dependentGloss", f"dependency {i}")),
+    for i, d in enumerate(_record_list(obj, "dependencies"), start=1):
+        try:
+            edges.append(
+                DependencyEdge(
+                    str(d["dep"]),
+                    int(d["governor"]),
+                    str(d["governorGloss"]),
+                    int(d["dependent"]),
+                    str(d["dependentGloss"]),
+                )
             )
-        )
-    return build_headline(hid or headline, str(headline), tokens, edges)
+        except _RECORD_ERRORS:
+            raise _record_error(f"dependency {i}", d, _EDGE_KEYS) from None
+    return build_headline(hid or headline, headline, tokens, edges)
 
 
 def to_stanford_json(h: ParsedHeadline) -> dict:

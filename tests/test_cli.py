@@ -18,6 +18,10 @@ CORE_EXPECTED_INFERENCES = [
 ]
 
 
+# The first fixture parse as one JSON Lines record.
+GOOD_PARSE = json.dumps(json.loads((FIXTURES / "basic_triggers.json").read_text("utf-8"))[0])
+
+
 def read_jsonl(path):
     return [json.loads(line) for line in path.read_text("utf-8").splitlines() if line]
 
@@ -135,6 +139,8 @@ class TestInfer:
         ("compound_mode", "unknown compound mode 'zz'"),
         ("verb_pattern", "verb_pattern must be strict or relaxed, got 'zz'"),
         ("rules", "unknown rule ids: zz"),
+        ("compund_mode", "unknown key 'compund_mode' "
+                         "(known keys: rules, verb_pattern, compound_mode, lexicon)"),
     ])
     def test_bad_config_value_names_file_and_line(self, tmp_path, capsys, key, complaint):
         cfg = tmp_path / "engine.cfg"
@@ -142,6 +148,73 @@ class TestInfer:
         code, _ = run_infer(tmp_path, extra=["--config", str(cfg)])
         assert code == 1
         assert capsys.readouterr().err == f"error: {cfg}:4: {complaint}\n"
+
+    @pytest.mark.parametrize("flag, name, line, complaint", [
+        *(
+            ("--parses", "p.jsonl", GOOD_PARSE[:-1] + rest, complaint)
+            for rest, complaint in [
+                (', "tokens": [1]}', "token 1: expected a JSON object, got int"),
+                (', "tokens": "abc"}', "headline object: key 'tokens' must be a list"),
+                (', "dependencies": 5}', "headline object: key 'dependencies' must be a list"),
+                (', "tokens": [{"word": "w", "pos": "NN"}]}', "token 1: missing key 'index'"),
+                (', "dependencies": [{"dep": "root", "governor": "x", "governorGloss": "ROOT", '
+                 '"dependent": 1, "dependentGloss": "w"}]}',
+                 "dependency 1: key 'governor' must be an integer, got 'x'"),
+                (', "dependencies": []}', "future: expected one root edge, got 0"),
+            ]
+        ),
+        ("--parses", "p.jsonl", '{"headline": ', "invalid JSON: Expecting value"),
+        ("--parses", "p.jsonl", "[]", "expected a JSON object per headline"),
+        ("--parses", "p.json", GOOD_PARSE[:-1] + ', "tokens": [null]}',
+         "token 1: expected a JSON object, got NoneType"),
+        ("--parses", "p.json", '{"headline": }', "invalid JSON: Expecting value"),
+        ("--parses", "p.conllu", "3\tbad\trow", "expected 10 columns, got 3"),
+        ("--parses", "p.conllu", "3\tdown\t_\t_\tRB\t_\tx\tadvmod\t_\t_",
+         "non-integer head 'x'"),
+        ("--parses", "p.conllu", "3\tdown\t_\t_\tRB\t_\t9\tadvmod\t_\t_",
+         "sentence 2: head 9 of token 3 does not exist"),
+        ("--dataset", "d.txt", "no bracket here", "no '[source:' bracket in line: 'no bracket here'"),
+        ("--gold", "g.txt", "Headline one", "missing '||' terminator for headline 'Headline one'"),
+    ])
+    def test_bad_input_names_file_and_line(self, tmp_path, capsys, flag, name, line, complaint):
+        # The bad record is on line 3, after one good record and a blank line.
+        first = {
+            "p.jsonl": GOOD_PARSE + "\n",
+            "p.json": "[\n" + GOOD_PARSE + ",",
+            "p.conllu": "1\tcrashed\t_\t_\tVBD\t_\t0\troot\t_\t_\n",
+            "d.txt": "A headline [source: BBC]\n",
+            "g.txt": "# gold\n",
+        }[name]
+        last = "\n]" if name == "p.json" else ""
+        bad = tmp_path / name
+        bad.write_text(f"{first}\n{line}{last}\n")
+        if flag == "--gold":
+            argv = ["eval", "--inferences", str(FIXTURES / "scored_computed.jsonl"),
+                    "--gold", str(bad)]
+        else:
+            argv = ["infer", "--dataset", str(FIXTURES / "basic_triggers_dataset.txt"),
+                    "--parses", str(FIXTURES / "basic_triggers.json"),
+                    "--out", str(tmp_path / "o.jsonl"), flag, str(bad)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}:3: {complaint}")
+        assert err.count("\n") == 1, err
+
+    def test_bad_object_in_array_names_its_first_line(self, tmp_path, capsys):
+        items = json.loads((FIXTURES / "basic_triggers.json").read_text("utf-8"))
+        del items[2]["tokens"][0]["index"]
+        bad = tmp_path / "p.json"
+        bad.write_text(json.dumps(items, indent=1))
+        # "[" is line 1; each item before the bad one spans its dump's lines.
+        line = 2 + sum(len(json.dumps(item, indent=1).splitlines()) for item in items[:2])
+        code, _ = run_infer(tmp_path, extra=["--parses", str(bad)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {bad}:{line}: token 1: missing key 'index'\n"
+        # A file of one object names the line the object starts on.
+        bad.write_text("\n\n" + json.dumps(items[2], indent=1))
+        code, _ = run_infer(tmp_path, extra=["--parses", str(bad)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {bad}:3: token 1: missing key 'index'\n"
 
     def test_bad_lexicon_names_file_and_line(self, tmp_path, capsys):
         lexicon = tmp_path / "bad.tsv"

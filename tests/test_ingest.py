@@ -73,6 +73,20 @@ class TestParseConllu:
         with pytest.raises(ParseError, match="non-integer head"):
             parse_conllu(doc)
 
+    def test_sentence_error_names_its_first_line(self):
+        doc = (
+            "1\tgo\t_\t_\tVB\t_\t0\troot\t_\t_\n\n"
+            "# sent_id = two\n"
+            "1\tgo\t_\t_\tVB\t_\t2\tdep\t_\t_\n"
+            "2\tnow\t_\t_\tRB\t_\t1\tadvmod\t_\t_\n"
+        )
+        with pytest.raises(ConsistencyError) as exc:
+            parse_conllu(doc)
+        assert str(exc.value) == "line 3: two: expected one root edge, got 0"
+        with pytest.raises(ConsistencyError) as exc:
+            parse_conllu(doc, "p.conllu")
+        assert str(exc.value) == "p.conllu:3: two: expected one root edge, got 0"
+
     def test_multiword_and_empty_nodes_skipped(self):
         doc = (
             "1-2\tdon't\t_\t_\t_\t_\t_\t_\t_\t_\n"
@@ -130,6 +144,28 @@ class TestParseStanfordJson:
         with pytest.raises(ParseError, match="governorGloss"):
             parse_stanford_json(broken)
 
+    @pytest.mark.parametrize("mutate, complaint", [
+        (lambda o: o.update(tokens=[1]), "token 1: expected a JSON object, got int"),
+        (lambda o: o.update(tokens="abc"), "headline object: key 'tokens' must be a list"),
+        (lambda o: o.update(dependencies=5), "headline object: key 'dependencies' must be a list"),
+        (lambda o: o.pop("tokens"), "headline object: missing key 'tokens'"),
+        (lambda o: o.pop("headline"), "headline object: missing key 'headline'"),
+        (lambda o: o["tokens"][2].pop("pos"), "token 3: missing key 'pos'"),
+        (lambda o: o["tokens"][1].update(index=[2]), "token 2: key 'index' must be an integer, got [2]"),
+        (lambda o: o["dependencies"][3].update(governor="x"),
+         "dependency 4: key 'governor' must be an integer, got 'x'"),
+        (lambda o: o["dependencies"][0].update(dependent=float("inf")),
+         "dependency 1: key 'dependent' must be an integer, got inf"),
+        (lambda o: o["dependencies"].append(None), "dependency 6: expected a JSON object, got NoneType"),
+    ])
+    def test_malformed_record_named(self, mutate, complaint):
+        broken = json.loads(json.dumps(FIG7_JSON))
+        mutate(broken)
+        for document in (broken, json.dumps(broken)):
+            with pytest.raises(ParseError) as exc:
+                parse_stanford_json(document)
+            assert str(exc.value) == complaint
+
     def test_gloss_mismatch_is_consistency_error(self):
         broken = json.loads(json.dumps(FIG7_JSON))
         broken["tokens"][3]["word"] = "divides"
@@ -182,6 +218,18 @@ class TestParseStanfordJson:
                     ],
                 }
             )
+
+
+class TestRecordTypes:
+    def test_tokens_and_edges_are_immutable_tuples(self):
+        t = Token(1, "w", "NN")
+        assert t == (1, "w", "NN", None)
+        assert hash(t) == hash((1, "w", "NN", None))
+        assert t._replace(lemma="x") == Token(1, "w", "NN", "x")
+        e = DependencyEdge("root", 0, "ROOT", 1, "w")
+        assert e._replace(dep="dep") == ("dep", 0, "ROOT", 1, "w")
+        with pytest.raises(AttributeError):
+            e.dep = "dep"
 
 
 def _edge(dep, gov, gov_gloss, dependent, dep_gloss):

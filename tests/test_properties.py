@@ -1,12 +1,23 @@
 """Cross-cutting engine properties: fuzzing over random dependency trees,
-rule-set monotonicity and output determinism."""
+format equivalence of the two ingest formats, rule-set monotonicity and
+output determinism."""
 
 import json
 import random
 
+from hypothesis import given, strategies as st
+
 from conftest import load_fixture_corpus
 from presup.corpus import preprocess
-from presup.ingest import DependencyEdge, Token, build_headline
+from presup.errors import ParseError
+from presup.ingest import (
+    DependencyEdge,
+    Token,
+    build_headline,
+    parse_conllu,
+    parse_stanford_json,
+    to_stanford_json,
+)
 from presup.rules import DEFAULT_RULES, EngineConfig, RULE_IDS, generate_all, infer_all
 
 WORDS = [
@@ -52,6 +63,107 @@ def test_fuzz_no_empty_inferences_and_valid_spans():
             assert inf.text.strip(), h.raw_text
             assert inf.span, h.raw_text
             assert all(1 <= i <= len(h.tokens) for i in inf.span)
+
+
+def to_conllu(h) -> str:
+    """One CoNLL-U sentence block: XPOS carries the tag, UPOS is left empty."""
+    lines = [f"# sent_id = {h.headline_id}", f"# text = {h.raw_text}"]
+    heads = {e.dependent: e for e in h.edges}
+    for t in h.tokens:
+        e = heads[t.index]
+        lemma = "_" if t.lemma is None else t.lemma
+        lines.append(f"{t.index}\t{t.surface}\t{lemma}\t_\t{t.pos}\t_\t{e.governor}\t{e.dep}\t_\t_")
+    return "\n".join(lines) + "\n\n"
+
+
+@given(st.lists(st.integers(0, 2**32), min_size=1, max_size=4))
+def test_conllu_and_stanford_json_parse_alike(seeds):
+    trees = []
+    for n, seed in enumerate(seeds, start=1):
+        rng = random.Random(seed)
+        h = random_parse(rng)
+        tokens = tuple(t._replace(lemma=rng.choice([None, *WORDS])) for t in h.tokens)
+        # CoNLL-U lists each token's edge in token order.
+        edges = sorted(h.edges, key=lambda e: e.dependent)
+        trees.append(build_headline(str(n), h.raw_text, tokens, edges))
+    from_conllu = parse_conllu("".join(to_conllu(h) for h in trees))
+    from_json = [parse_stanford_json(json.dumps(to_stanford_json(h))) for h in trees]
+    assert len(from_conllu) == len(from_json) == len(trees)
+    for h, a, b in zip(trees, from_conllu, from_json):
+        assert a.tokens == b.tokens == h.tokens
+        assert a.edges == b.edges == h.edges
+        assert (a.headline_id, a.raw_text) == (b.headline_id, b.raw_text)
+        p = preprocess(h.raw_text)
+        assert [i.to_dict() for i in infer_all(a, p, ALL_RULES_CFG)] == [
+            i.to_dict() for i in infer_all(b, p, ALL_RULES_CFG)
+        ]
+
+
+# Any JSON value, NaN and Infinity included (json.loads reads them).
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+def _parse_or_parse_error(parse, document):
+    """``parse(document)``, where the only exception allowed is ParseError
+    (ConsistencyError is one)."""
+    try:
+        parse(document)
+    except ParseError:
+        pass
+
+
+@given(st.integers(0, 2**32), st.data())
+def test_malformed_stanford_json_raises_only_parse_errors(seed, data):
+    obj = to_stanford_json(random_parse(random.Random(seed)))
+    for _ in range(data.draw(st.integers(1, 3))):
+        target = data.draw(st.sampled_from(["headline", "tokens", "dependencies"]))
+        if target == "headline" or not obj.get(target) or not isinstance(obj[target], list):
+            record = obj
+        else:
+            records = obj[target]
+            k = data.draw(st.integers(0, len(records) - 1))
+            if data.draw(st.booleans()) or not isinstance(records[k], dict):
+                records[k] = data.draw(JSON_VALUES)  # a record of the wrong type
+                continue
+            record = records[k]
+        if not record:
+            continue
+        key = data.draw(st.sampled_from(sorted(record)))
+        if data.draw(st.booleans()):
+            del record[key]  # a dropped key
+        else:
+            record[key] = data.draw(JSON_VALUES)  # a wrong type or a non-integer id
+    _parse_or_parse_error(parse_stanford_json, obj)
+    text = json.dumps(obj)
+    _parse_or_parse_error(parse_stanford_json, text)
+    _parse_or_parse_error(parse_stanford_json, text[: data.draw(st.integers(0, len(text)))])
+
+
+@given(st.integers(0, 2**32), st.data())
+def test_malformed_conllu_raises_only_parse_errors(seed, data):
+    h = random_parse(random.Random(seed))
+    lines = to_conllu(h).splitlines()
+    for _ in range(data.draw(st.integers(1, 3))):
+        k = data.draw(st.integers(0, len(lines) - 1))
+        cols = lines[k].split("\t")
+        action = data.draw(st.sampled_from(["short", "cell", "drop", "insert"]))
+        if action == "short":
+            del cols[data.draw(st.integers(0, len(cols) - 1))]
+        elif action == "cell":  # a non-integer id or head, or any other text
+            cols[data.draw(st.integers(0, len(cols) - 1))] = data.draw(st.text(max_size=4))
+        if action == "drop":
+            del lines[k]
+        elif action == "insert":
+            lines.insert(k, data.draw(st.text(max_size=12)))
+        else:
+            lines[k] = "\t".join(cols)
+        if not lines:
+            break
+    _parse_or_parse_error(parse_conllu, "\n".join(lines))
 
 
 def test_rule_subset_monotonicity_on_fixture_corpus():
