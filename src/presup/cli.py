@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import re
 import sys
 from collections import Counter
@@ -28,7 +27,7 @@ from .evaluation import (
     trigger_table,
 )
 from .ingest import ParsedHeadline, parse_conllu, parse_stanford_json
-from .lexicon import default_lexicon, load_lexicon
+from .lexicon import TriggerLexicon, default_lexicon, load_lexicon
 from .morphology import VerbForm, conjugate
 from .rules import (
     DEFAULT_RULES,
@@ -41,9 +40,6 @@ from .rules import (
     infer_all,
 )
 
-LEXICON_DIR_ENV = "PRESUP_LEXICON_DIR"
-LEXICON_FILENAME = "trigger_lexicon.tsv"
-
 _FORM_NAMES = {
     "base": VerbForm.BASE,
     "past": VerbForm.PAST,
@@ -53,9 +49,6 @@ _FORM_NAMES = {
     "present3sg": VerbForm.PRESENT_3SG,
     "3sg": VerbForm.PRESENT_3SG,
 }
-
-
-_CONFIG_KEYS = ("rules", "verb_pattern", "compound_mode", "lexicon")
 
 
 def _read_config_file(path: str) -> dict[str, tuple[str, str]]:
@@ -68,15 +61,19 @@ def _read_config_file(path: str) -> dict[str, tuple[str, str]]:
         if "=" not in line:
             raise FormatError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        if key not in SETTINGS:
             raise FormatError(
-                f"{path}:{lineno}: unknown key {key!r} (known keys: {', '.join(_CONFIG_KEYS)})"
+                f"{path}:{lineno}: unknown key {key!r} (known keys: {', '.join(SETTINGS)})"
             )
         values[key] = (value, f"{path}:{lineno}")
     return values
 
 
-def _expand_rules(spec: str) -> tuple[str, ...]:
+def _check_rules(spec: str) -> tuple[str, ...]:
+    """The ids a comma-separated ``spec`` names, 'all' and 'lexical' expanded;
+    an empty spec is the default rule set."""
+    if not spec:
+        return DEFAULT_RULES
     out: list[str] = []
     for item in spec.split(","):
         item = item.strip()
@@ -86,18 +83,7 @@ def _expand_rules(spec: str) -> tuple[str, ...]:
             out.extend(RULE_IDS)
         elif item:
             out.append(item)
-    return tuple(dict.fromkeys(out))
-
-
-def _resolve_lexicon(explicit: str | None):
-    if explicit:
-        return load_lexicon(explicit)
-    env_dir = os.environ.get(LEXICON_DIR_ENV)
-    if env_dir:
-        candidate = Path(env_dir) / LEXICON_FILENAME
-        if candidate.exists():
-            return load_lexicon(candidate)
-    return default_lexicon()
+    return check_rule_ids(dict.fromkeys(out))
 
 
 def _check_verb_pattern(value: str) -> str:
@@ -106,38 +92,44 @@ def _check_verb_pattern(value: str) -> str:
     return value
 
 
-def _build_engine_config(args) -> EngineConfig:
-    settings = _read_config_file(args.config) if getattr(args, "config", None) else {}
+def _check_lexicon(path: str) -> TriggerLexicon:
+    return load_lexicon(path) if path else default_lexicon()
 
-    def setting(key: str, default, check=str):
-        """The config file's value for ``key`` through ``check``, else
-        ``default``; a value ``check`` rejects is an error at its path:line."""
-        if key not in settings:
-            return default
-        value, where = settings[key]
+
+# The engine settings: key -> (default, check, help).  Each key is one
+# --config key and one flag (--key, '_' written '-').  check turns the text
+# of the flag, of the file or of the default into the value and raises
+# ValueError on a bad one.
+SETTINGS = {
+    "rules": ("", _check_rules, "comma-separated rule ids; 'all' and 'lexical' name groups"),
+    "verb_pattern": ("relaxed", _check_verb_pattern, "'strict' drops the bare VB tag from verbs"),
+    "compound_mode": ("both", check_compound_mode, "noun compounds as can_be, can_have or both"),
+    "lexicon": ("", _check_lexicon, "trigger lexicon TSV path (default: the bundled one)"),
+}
+
+
+def _build_engine_config(args) -> EngineConfig:
+    """Each setting from its flag, else from the --config file, else its
+    default; a bad value from the file is an error at its path:line."""
+    in_file = _read_config_file(args.config) if args.config else {}
+    value = {}
+    for key, (default, check, _) in SETTINGS.items():
+        flag = getattr(args, key)
+        if flag is not None or key not in in_file:
+            value[key] = check(default if flag is None else flag)
+            continue
+        text, where = in_file[key]
         try:
-            return check(value)
+            value[key] = check(text)
+        except FormatError:
+            raise  # a lexicon file names its own path:line
         except ValueError as exc:
             raise FormatError(f"{where}: {exc}") from exc
-
-    if args.rules:
-        rules = _expand_rules(args.rules)
-    else:
-        rules = setting(
-            "rules",
-            DEFAULT_RULES,
-            lambda spec: check_rule_ids(_expand_rules(spec)) if spec else DEFAULT_RULES,
-        )
-    if getattr(args, "relaxed_nmod", False) and "nmod_relaxed" not in rules:
-        rules = rules + ("nmod_relaxed",)
-    verb_pattern = setting("verb_pattern", "relaxed", _check_verb_pattern)
-    if getattr(args, "strict_verbs", False):
-        verb_pattern = "strict"
     return EngineConfig(
-        rules=rules,
-        lexicon=_resolve_lexicon(args.lexicon or setting("lexicon", None)),
-        strict_verbs=verb_pattern == "strict",
-        compound_mode=setting("compound_mode", "both", check_compound_mode),
+        rules=value["rules"],
+        lexicon=value["lexicon"],
+        strict_verbs=value["verb_pattern"] == "strict",
+        compound_mode=value["compound_mode"],
     )
 
 
@@ -166,10 +158,12 @@ def load_parses(path: str) -> list[ParsedHeadline]:
     first_line = text[: len(text) - len(text.lstrip())].count("\n") + 1
     try:
         payload = json.loads(stripped)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         if stripped.startswith("["):
+            # Nesting past the recursion limit has no position: name the "[".
+            lineno = first_line + getattr(exc, "lineno", 1) - 1
             raise ParseError(
-                f"{path}:{first_line + exc.lineno - 1}: invalid JSON: {exc.msg}"
+                f"{path}:{lineno}: invalid JSON: {getattr(exc, 'msg', exc)}"
             ) from None
         payload = None  # JSON Lines
     if isinstance(payload, dict):
@@ -182,7 +176,9 @@ def load_parses(path: str) -> list[ParsedHeadline]:
             except ParseError as exc:
                 raise type(exc)(f"{path}:{_item_line(text, k)}: {exc}") from None
         return parses
-    for lineno, line in enumerate(stripped.splitlines(), start=first_line):
+    # Only "\n" ends a record: str.splitlines would also split at U+2028 and
+    # the like, which JSON strings may hold raw.
+    for lineno, line in enumerate(stripped.split("\n"), start=first_line):
         if line.strip():
             try:
                 parses.append(parse_stanford_json(line))
@@ -201,6 +197,11 @@ def _spans_for_tokens(h: ParsedHeadline, preprocessed) -> tuple[tuple[int, int],
     )
 
 
+def _letters(text: str) -> str:
+    """What a headline and its parse's text share whatever the tokenization."""
+    return "".join(c for c in text.casefold() if c.isalnum())
+
+
 def cmd_infer(args) -> int:
     cfg = _build_engine_config(args)
     records = read_dataset(Path(args.dataset).read_text("utf-8"), args.dataset)
@@ -215,7 +216,11 @@ def cmd_infer(args) -> int:
     for i, record in enumerate(records, start=1):
         h = by_id.get(str(i))
         if h is None and i - 1 < len(parses):
-            h = parses[i - 1]
+            h = parses[i - 1]  # by position, so it must be of this line's text
+            if _letters(h.raw_text) != _letters(record.text):
+                skipped.append({"line": i, "headline": record.text, "reason": "mismatch",
+                                "parse": h.raw_text})
+                continue
         if h is None:
             skipped.append({"line": i, "headline": record.text, "reason": "no parse"})
             continue
@@ -258,12 +263,10 @@ def cmd_infer(args) -> int:
         json.dumps(manifest, indent=2, ensure_ascii=False) + "\n", "utf-8"
     )
     for entry in skipped:
-        print(
-            f"warning: line {entry['line']}: no parse for {entry['headline']!r}",
-            file=sys.stderr,
-        )
+        what = f"parse of {entry['parse']!r} does not match" if "parse" in entry else "no parse for"
+        print(f"warning: line {entry['line']}: {what} {entry['headline']!r}", file=sys.stderr)
     if skipped and args.strict:
-        print(f"error: {len(skipped)} headline(s) without a parse", file=sys.stderr)
+        print(f"error: {len(skipped)} headline(s) without a matching parse", file=sys.stderr)
         return 1
     return 0
 
@@ -274,13 +277,14 @@ def _read_jsonl(path: str, parse) -> dict:
     location.  A headline may repeat only with the same parsed content."""
     out: dict = {}
     first_line: dict[str, int] = {}
-    for lineno, line in enumerate(Path(path).read_text("utf-8").splitlines(), start=1):
+    # Split on "\n" only, as load_parses does.
+    for lineno, line in enumerate(Path(path).read_text("utf-8").split("\n"), start=1):
         if not line.strip():
             continue
         where = f"{path}:{lineno}"
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise FormatError(f"{where}: invalid JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise FormatError(f"{where}: expected a JSON object")
@@ -434,13 +438,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_infer.add_argument("--parses", required=True, help="CoNLL-U or Stanford JSON parses")
     p_infer.add_argument("--config", help="key=value engine config file")
     p_infer.add_argument("--out", required=True, help="output JSONL path")
-    p_infer.add_argument("--strict", action="store_true", help="fail if any headline lacks a parse")
-    p_infer.add_argument("--rules", help="comma-separated rule ids to enable")
-    p_infer.add_argument("--relaxed-nmod", action="store_true", dest="relaxed_nmod",
-                         help="also emit 'X has Y' for every noun-noun nmod")
-    p_infer.add_argument("--strict-verbs", action="store_true", dest="strict_verbs",
-                         help="exclude the bare VB tag from verb matching")
-    p_infer.add_argument("--lexicon", help="trigger lexicon TSV path")
+    p_infer.add_argument("--strict", action="store_true",
+                         help="fail if any headline lacks a matching parse")
+    for key, (_, _, help_text) in SETTINGS.items():
+        p_infer.add_argument("--" + key.replace("_", "-"), help=help_text)
     p_infer.set_defaults(func=cmd_infer)
 
     p_eval = sub.add_parser("eval", help="score computed inferences against gold")

@@ -45,7 +45,6 @@ class Token(NamedTuple):
     index: int  # 1-based
     surface: str
     pos: str
-    lemma: str | None = None
 
 
 class DependencyEdge(NamedTuple):
@@ -72,7 +71,7 @@ def _validate(h: ParsedHeadline) -> ParsedHeadline:
     n = len(h.tokens)
     # Rules look tokens up by index, so token k must carry index k.
     surfaces = [ROOT_GLOSS]  # the gloss an edge must give for each index
-    for position, (index, surface, pos, _) in enumerate(h.tokens, start=1):
+    for position, (index, surface, pos) in enumerate(h.tokens, start=1):
         if index != position:
             raise ConsistencyError(f"{h.headline_id}: token {position} has index {index}")
         if not pos:
@@ -216,7 +215,7 @@ def parse_conllu(document: str, source: str | None = None) -> list[ParsedHeadlin
             raise ParseError(
                 f"{located(source, lineno)}: expected 10 columns, got {len(cols)}"
             )
-        tid, form, lemma, upos, pos, _, head, deprel, _, _ = cols
+        tid, form, _, upos, pos, _, head, deprel, _, _ = cols
         if "-" in tid or "." in tid:
             continue  # multi-word token / empty node
         try:
@@ -229,7 +228,7 @@ def parse_conllu(document: str, source: str | None = None) -> list[ParsedHeadlin
             raise ParseError(f"{located(source, lineno)}: non-integer head {head!r}") from None
         if pos == "_":
             pos = _UPOS_TO_PTB.get(upos, upos)
-        tokens.append(Token(tid, form, pos, None if lemma == "_" else lemma))
+        tokens.append(Token(tid, form, pos))
         heads.append((head, deprel))
     flush()
     return headlines
@@ -278,7 +277,7 @@ def parse_stanford_json(document: str | dict) -> ParsedHeadline:
     if isinstance(document, str):
         try:
             obj = json.loads(document)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ParseError(f"invalid JSON: {exc}") from exc
     else:
         obj = document
@@ -291,7 +290,7 @@ def parse_stanford_json(document: str | dict) -> ParsedHeadline:
     tokens = []
     for i, t in enumerate(_record_list(obj, "tokens"), start=1):
         try:
-            tokens.append(Token(int(t["index"]), str(t["word"]), str(t["pos"]), t.get("lemma")))
+            tokens.append(Token(int(t["index"]), str(t["word"]), str(t["pos"])))
         except _RECORD_ERRORS:
             raise _record_error(f"token {i}", t, _TOKEN_KEYS) from None
     edges = []
@@ -316,11 +315,7 @@ def to_stanford_json(h: ParsedHeadline) -> dict:
     return {
         "headline": h.raw_text,
         "sent_id": h.headline_id,
-        "tokens": [
-            {"index": t.index, "word": t.surface, "pos": t.pos}
-            | ({"lemma": t.lemma} if t.lemma is not None else {})
-            for t in h.tokens
-        ],
+        "tokens": [{"index": t.index, "word": t.surface, "pos": t.pos} for t in h.tokens],
         "dependencies": [
             {
                 "dep": e.dep,

@@ -1,9 +1,10 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from conftest import FIXTURES
-from presup.cli import main
+from presup.cli import SETTINGS, build_parser, main
 from presup.evaluation import normalize
 from presup.rules import RULE_IDS
 
@@ -103,9 +104,9 @@ class TestInfer:
         }
         assert triggers == {"compound"}
 
-    def test_relaxed_nmod_flag(self, tmp_path):
+    def test_rules_all_adds_relaxed_nmod(self, tmp_path):
         code, out = run_infer(
-            tmp_path, extra=["--relaxed-nmod"],
+            tmp_path, extra=["--rules", "all"],
             parses="combined.json", dataset="combined_dataset.txt",
         )
         (record,) = read_jsonl(out)
@@ -134,6 +135,45 @@ class TestInfer:
         code, _ = run_infer(tmp_path, extra=["--rules", "compound,astrology"])
         assert code != 0
         assert capsys.readouterr().err == "error: unknown rule ids: astrology\n"
+
+    @pytest.mark.parametrize("flag, complaint", [
+        ("--verb-pattern", "verb_pattern must be strict or relaxed, got 'zz'"),
+        ("--compound-mode", "unknown compound mode 'zz'"),
+    ])
+    def test_bad_flag_value_is_error(self, tmp_path, capsys, flag, complaint):
+        code, _ = run_infer(tmp_path, extra=[flag, "zz"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {complaint}\n"
+
+    @pytest.mark.parametrize("key, value, other, fixtures", [
+        ("rules", "compound", "future", "basic_triggers"),
+        ("verb_pattern", "strict", "relaxed", "basic_triggers"),
+        ("compound_mode", "can_have", "can_be", "basic_triggers"),
+        ("lexicon", "blame.tsv", "regret.tsv", "lexical_triggers"),
+    ])
+    def test_setting_by_flag_or_config_key(self, tmp_path, monkeypatch, key, value, other,
+                                           fixtures):
+        monkeypatch.chdir(tmp_path)  # the lexicon paths are relative
+        (tmp_path / "blame.tsv").write_text("judging\tblame\n")
+        (tmp_path / "regret.tsv").write_text("factive\tregret\n")
+        cfg = tmp_path / "engine.cfg"
+        flag = "--" + key.replace("_", "-")
+
+        def run(name, extra):
+            code, out = run_infer(tmp_path, extra=extra, name=name, parses=f"{fixtures}.json",
+                                  dataset=f"{fixtures}_dataset.txt")
+            assert code == 0
+            manifest = json.loads((tmp_path / f"{name}.manifest.json").read_text())
+            return out.read_bytes(), manifest["config_hash"]
+
+        by_flag = run("flag.jsonl", [flag, value])
+        cfg.write_text(f"{key} = {value}\n")
+        assert run("file.jsonl", ["--config", str(cfg)]) == by_flag
+        cfg.write_text(f"{key} = {other}\n")
+        by_other = run("other.jsonl", ["--config", str(cfg)])
+        assert by_other[0] != by_flag[0] and by_other[1] != by_flag[1]
+        # The flag wins over the file.
+        assert run("both.jsonl", ["--config", str(cfg), flag, value]) == by_flag
 
     @pytest.mark.parametrize("key, complaint", [
         ("compound_mode", "unknown compound mode 'zz'"),
@@ -164,6 +204,8 @@ class TestInfer:
             ]
         ),
         ("--parses", "p.jsonl", '{"headline": ', "invalid JSON: Expecting value"),
+        pytest.param("--parses", "p.jsonl", "[" * 100_000, "invalid JSON: maximum recursion depth",
+                     id="--parses-p.jsonl-deep-nesting"),
         ("--parses", "p.jsonl", "[]", "expected a JSON object per headline"),
         ("--parses", "p.json", GOOD_PARSE[:-1] + ', "tokens": [null]}',
          "token 1: expected a JSON object, got NoneType"),
@@ -234,16 +276,18 @@ class TestInfer:
         manifest = json.loads((tmp_path / "out.jsonl.manifest.json").read_text())
         assert tuple(manifest["rules"]) == want
 
-    def test_lexicon_dir_env_var(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("by", ["flag", "config"])
+    def test_custom_lexicon(self, tmp_path, by):
         # A lexicon without change-of-state entries silences that rule.
-        lexdir = tmp_path / "lex"
-        lexdir.mkdir()
-        (lexdir / "trigger_lexicon.tsv").write_text("judging\tblame\n")
-        monkeypatch.setenv("PRESUP_LEXICON_DIR", str(lexdir))
+        lexicon = tmp_path / "lex.tsv"
+        lexicon.write_text("judging\tblame\n")
+        cfg = tmp_path / "engine.cfg"
+        cfg.write_text(f"lexicon = {lexicon}\n")
         out = tmp_path / "o.jsonl"
         code = main(
             ["infer", "--dataset", str(FIXTURES / "lexical_triggers_dataset.txt"),
-             "--parses", str(FIXTURES / "lexical_triggers.json"), "--out", str(out)]
+             "--parses", str(FIXTURES / "lexical_triggers.json"), "--out", str(out),
+             *(["--lexicon", str(lexicon)] if by == "flag" else ["--config", str(cfg)])]
         )
         assert code == 0
         triggers = {
@@ -267,6 +311,87 @@ class TestInfer:
         assert code == 0
         (record,) = read_jsonl(out)
         assert "Markets has crashed" in [i["text"] for i in record["inferences"]]
+
+    def test_positional_parse_of_another_text_is_skipped(self, tmp_path, capsys):
+        dataset = tmp_path / "d.txt"
+        dataset.write_text("A headline here [source: BBC]\nMarkets crashed [source: BBC]\n")
+        parses = tmp_path / "p.jsonl"
+        # No sent_id, so each parse pairs with a dataset line by position.
+        parses.write_text("".join(json.dumps({
+            "headline": text,
+            "tokens": [{"index": 1, "word": first, "pos": "NNS"},
+                       {"index": 2, "word": second, "pos": "VBD"}],
+            "dependencies": [
+                {"dep": "root", "governor": 0, "governorGloss": "ROOT",
+                 "dependent": 2, "dependentGloss": second},
+                {"dep": "nsubj", "governor": 2, "governorGloss": second,
+                 "dependent": 1, "dependentGloss": first},
+            ],
+        }) + "\n" for text, first, second in [("Totally different", "Totally", "different"),
+                                              ("markets CRASHED!", "markets", "CRASHED")]))
+        out = tmp_path / "o.jsonl"
+        argv = ["infer", "--dataset", str(dataset), "--parses", str(parses), "--out", str(out)]
+        assert main(argv) == 0
+        assert [r["headline"] for r in read_jsonl(out)] == ["Markets crashed"]
+        manifest = json.loads((tmp_path / "o.jsonl.manifest.json").read_text())
+        assert manifest["skipped"] == [{"line": 1, "headline": "A headline here",
+                                        "reason": "mismatch", "parse": "Totally different"}]
+        assert capsys.readouterr().err == (
+            "warning: line 1: parse of 'Totally different' does not match 'A headline here'\n"
+        )
+        assert main([*argv, "--strict"]) == 1
+        assert capsys.readouterr().err.endswith(
+            "error: 1 headline(s) without a matching parse\n"
+        )
+
+    @pytest.mark.parametrize("char", ["\u0085", "\u2028", "\u2029"])
+    @pytest.mark.parametrize("flag", ["--parses", "--inferences"])
+    def test_unicode_line_separator_stays_inside_its_record(self, tmp_path, flag, char):
+        # json.dumps(ensure_ascii=False), as infer writes, leaves these raw.
+        records = tmp_path / "records.jsonl"
+        out = tmp_path / "out.json"
+        if flag == "--parses":
+            items = json.loads((FIXTURES / "basic_triggers.json").read_text("utf-8"))[:2]
+            items[1]["tokens"][0]["word"] += char
+            for d in items[1]["dependencies"]:
+                for end in ("governor", "dependent"):
+                    if d[end] == 1:
+                        d[end + "Gloss"] += char
+            argv = ["infer", "--dataset", str(FIXTURES / "basic_triggers_dataset.txt"),
+                    "--out", str(out)]
+        else:
+            items = [{"headline": h, "inferences": [{"kind": ">>", "text": f"a{char}b"}]}
+                     for h in ("one", "two")]
+            argv = ["eval", "--gold", str(FIXTURES / "scored_gold.txt"), "--out", str(out)]
+        records.write_text("".join(json.dumps(i, ensure_ascii=False) + "\n" for i in items))
+        assert main([*argv, flag, str(records)]) == 0
+        if flag == "--parses":
+            assert len(read_jsonl(out)) == 2
+
+    def test_deep_json_array_is_an_input_error(self, tmp_path, capsys):
+        bad = tmp_path / "p.json"
+        bad.write_text("\n" + "[" * 100_000 + "\n")
+        code, _ = run_infer(tmp_path, extra=["--parses", str(bad)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}:2: invalid JSON: maximum recursion depth")
+        assert err.count("\n") == 1, err
+
+
+class TestSettings:
+    FLAGS = {key: "--" + key.replace("_", "-") for key in SETTINGS}
+
+    def test_infer_has_one_flag_per_setting(self):
+        (sub,) = [a for a in build_parser()._actions if a.dest == "command"]
+        flags = {f for a in sub.choices["infer"]._actions for f in a.option_strings}
+        assert flags == {"-h", "--help", "--dataset", "--parses", "--config", "--out",
+                         "--strict", *self.FLAGS.values()}
+
+    def test_readme_cli_section_names_every_setting(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text("utf-8")
+        cli = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+        for key, flag in self.FLAGS.items():
+            assert f"`{key}`" in cli and f"`{flag} " in cli, key
 
 
 class TestEval:
@@ -321,6 +446,11 @@ class TestEval:
                 ('["not", "an", "object"]', "expected a JSON object"),
                 ('{"headline": ', "invalid JSON"),
             ]
+            for flag in ["--inferences", "--labels"]
+        ),
+        *(
+            pytest.param("[" * 100_000, "invalid JSON: maximum recursion depth", flag,
+                         id=f"deep-nesting-{flag}")
             for flag in ["--inferences", "--labels"]
         ),
         *(

@@ -223,9 +223,9 @@ class TestParseStanfordJson:
 class TestRecordTypes:
     def test_tokens_and_edges_are_immutable_tuples(self):
         t = Token(1, "w", "NN")
-        assert t == (1, "w", "NN", None)
-        assert hash(t) == hash((1, "w", "NN", None))
-        assert t._replace(lemma="x") == Token(1, "w", "NN", "x")
+        assert t == (1, "w", "NN")
+        assert hash(t) == hash((1, "w", "NN"))
+        assert t._replace(pos="VB") == Token(1, "w", "VB")
         e = DependencyEdge("root", 0, "ROOT", 1, "w")
         assert e._replace(dep="dep") == ("dep", 0, "ROOT", 1, "w")
         with pytest.raises(AttributeError):

