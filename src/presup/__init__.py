@@ -17,7 +17,6 @@ from .corpus import (
 from .errors import ConsistencyError, FormatError, ParseError
 from .evaluation import (
     Alignment,
-    HeadlineEval,
     HeadlineScore,
     MatchConfig,
     MatchMode,

@@ -14,9 +14,8 @@ from pathlib import Path
 
 from . import __version__
 from .corpus import parse_gold, preprocess, read_dataset
-from .errors import FormatError, ParseError
+from .errors import FormatError, ParseError, split_lines
 from .evaluation import (
-    HeadlineEval,
     MatchConfig,
     MatchMode,
     match,
@@ -54,7 +53,7 @@ _FORM_NAMES = {
 def _read_config_file(path: str) -> dict[str, tuple[str, str]]:
     """key -> (value, 'path:line' of the key) for each 'key = value' line."""
     values = {}
-    for lineno, raw in enumerate(Path(path).read_text("utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(split_lines(Path(path).read_text("utf-8")), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -158,9 +157,10 @@ def load_parses(path: str) -> list[ParsedHeadline]:
     first_line = text[: len(text) - len(text.lstrip())].count("\n") + 1
     try:
         payload = json.loads(stripped)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # as in parse_stanford_json
         if stripped.startswith("["):
-            # Nesting past the recursion limit has no position: name the "[".
+            # Nesting past the recursion limit or a too-long integer has no
+            # position: name the "[".
             lineno = first_line + getattr(exc, "lineno", 1) - 1
             raise ParseError(
                 f"{path}:{lineno}: invalid JSON: {getattr(exc, 'msg', exc)}"
@@ -176,9 +176,7 @@ def load_parses(path: str) -> list[ParsedHeadline]:
             except ParseError as exc:
                 raise type(exc)(f"{path}:{_item_line(text, k)}: {exc}") from None
         return parses
-    # Only "\n" ends a record: str.splitlines would also split at U+2028 and
-    # the like, which JSON strings may hold raw.
-    for lineno, line in enumerate(stripped.split("\n"), start=first_line):
+    for lineno, line in enumerate(split_lines(stripped), start=first_line):
         if line.strip():
             try:
                 parses.append(parse_stanford_json(line))
@@ -277,14 +275,13 @@ def _read_jsonl(path: str, parse) -> dict:
     location.  A headline may repeat only with the same parsed content."""
     out: dict = {}
     first_line: dict[str, int] = {}
-    # Split on "\n" only, as load_parses does.
-    for lineno, line in enumerate(Path(path).read_text("utf-8").split("\n"), start=1):
+    for lineno, line in enumerate(split_lines(Path(path).read_text("utf-8")), start=1):
         if not line.strip():
             continue
         where = f"{path}:{lineno}"
         try:
             obj = json.loads(line)
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:  # as in parse_stanford_json
             raise FormatError(f"{where}: invalid JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise FormatError(f"{where}: expected a JSON object")
@@ -359,13 +356,15 @@ def _read_labels_file(path: str) -> dict[str, dict]:
 def cmd_eval(args) -> int:
     gold = parse_gold(Path(args.gold).read_text("utf-8"), args.gold)
     computed_by_headline = _read_inference_file(args.inferences)
-    labels = _read_labels_file(args.labels) if args.labels else None
+    labels = _read_labels_file(args.labels) if args.labels else {}
+    # With --labels, a headline the file leaves out has nothing incorrect.
+    unlabeled = {"matched": (), "incorrect": frozenset() if args.labels else None}
     cfg = MatchConfig(
         mode=MatchMode(args.match_mode),
         jaccard_threshold=args.jaccard_threshold,
     )
     headline_scores = []
-    items = []
+    alignments = []
     for annotation in gold:
         key = normalize(annotation.headline)
         computed = computed_by_headline.get(key)
@@ -376,23 +375,11 @@ def cmd_eval(args) -> int:
                 file=sys.stderr,
             )
             computed = []
-        entry = labels.get(key, {"incorrect": frozenset(), "matched": ()}) if labels is not None else None
-        judged = entry["matched"] if entry else ()
-        incorrect = entry["incorrect"] if entry is not None else None
-        alignment = match(computed, annotation, cfg, judged_pairs=judged)
-        headline_scores.append(
-            score_headline(alignment, incorrect, headline=annotation.headline)
-        )
-        items.append(
-            HeadlineEval(
-                headline=annotation.headline,
-                computed=tuple(computed),
-                gold=annotation,
-                alignment=alignment,
-                incorrect_labels=incorrect,
-            )
-        )
-    trigger_scores = score_by_trigger(items)
+        entry = labels.get(key, unlabeled)
+        alignment = match(computed, annotation, cfg, entry["matched"], entry["incorrect"])
+        headline_scores.append(score_headline(alignment, headline=annotation.headline))
+        alignments.append(alignment)
+    trigger_scores = score_by_trigger(alignments)
     report = report_dict(headline_scores, trigger_scores)
     if args.out:
         Path(args.out).write_text(
@@ -473,6 +460,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except FileNotFoundError as exc:
         print(f"error: {exc.filename}: file not found", file=sys.stderr)
+    except OSError as exc:  # a directory, no permission, ...
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
     return 1

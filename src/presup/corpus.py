@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import FormatError, located
+from .errors import FormatError, located, split_lines
 
 _HYPHENS = "-–—"  # -, en dash, em dash: replaced by a space
 _APOSTROPHES = "'’"  # kept only between letters or digits
@@ -107,7 +107,7 @@ def read_dataset(document: str, source: str | None = None) -> list[HeadlineRecor
     """All records of a dataset document; '#' comment and blank lines skipped.
     Errors name ``source:line``."""
     records = []
-    for lineno, line in enumerate(document.splitlines(), start=1):
+    for lineno, line in enumerate(split_lines(document), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         try:
@@ -202,7 +202,7 @@ def parse_gold(document: str, source: str | None = None) -> list[GoldAnnotation]
     headline: str | None = None
     headline_line = 0
     inferences: list[GoldInference] = []
-    for lineno, raw in enumerate(document.splitlines(), start=1):
+    for lineno, raw in enumerate(split_lines(document), start=1):
         line = raw.strip()
         if headline is None:
             if not line or line.startswith("#"):

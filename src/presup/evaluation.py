@@ -3,13 +3,14 @@ and per-trigger accuracy statistics.
 
 Matching is a greedy one-to-one alignment: human-judged pairs (when supplied)
 first, then exact matches on normalized text, then optionally highest token
-Jaccard above a threshold.  Incorrectness is a human judgment; automatic mode
-counts every unmatched computed inference as incorrect instead.
+Jaccard above a threshold.  ``match`` also decides which computed inferences
+are incorrect, and the scores only count its verdict.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -40,11 +41,17 @@ class MatchPair:
 
 @dataclass(frozen=True)
 class Alignment:
+    """One headline's verdict: which gold and computed inferences match and
+    which computed ones are incorrect.  Texts are normalized."""
+
     pairs: tuple[MatchPair, ...]
     unmatched_gold: tuple[int, ...]
     unmatched_computed: tuple[int, ...]
+    incorrect: tuple[int, ...]  # computed indices
     gold_texts: tuple[str, ...]
     computed_texts: tuple[str, ...]
+    gold_triggers: tuple[str | None, ...]
+    computed_triggers: tuple[str | None, ...]
 
     @property
     def matched_count(self) -> int:
@@ -127,6 +134,10 @@ def _texts(items) -> list[str]:
     return [getattr(item, "text", item) for item in items]
 
 
+def _triggers(items) -> tuple[str | None, ...]:
+    return tuple(getattr(item, "trigger", None) for item in items)
+
+
 def _jaccard(a: set[str], b: set[str]) -> float:
     if not a and not b:
         return 1.0
@@ -139,19 +150,21 @@ def match(
     gold,
     cfg: MatchConfig = MatchConfig(),
     judged_pairs: tuple[tuple[str, str], ...] = (),
+    incorrect_labels: set[str] | frozenset[str] | None = None,
 ) -> Alignment:
     """Greedy one-to-one alignment of computed inferences against gold ones.
 
     ``computed`` and ``gold`` may be sequences of strings or of objects with a
-    ``text`` attribute (a GoldAnnotation's inferences are unwrapped).
-    ``judged_pairs`` are (gold text, computed text) matches decided by a human
-    and applied before any automatic phase.
+    ``text`` attribute, and optionally a ``trigger`` (a GoldAnnotation's
+    inferences are unwrapped).  ``judged_pairs`` are (gold text, computed
+    text) matches decided by a human and applied before any automatic phase.
+    A computed inference is incorrect when its normalized text is one of
+    ``incorrect_labels``, the human judgment; without labels, when it is
+    unmatched.
     """
     gold_items = gold.inferences if isinstance(gold, GoldAnnotation) else gold
-    gold_texts = tuple(_texts(gold_items))
-    computed_texts = tuple(_texts(computed))
-    ngold = [normalize(t) for t in gold_texts]
-    ncomp = [normalize(t) for t in computed_texts]
+    ngold = tuple(normalize(t) for t in _texts(gold_items))
+    ncomp = tuple(normalize(t) for t in _texts(computed))
     pairs: list[MatchPair] = []
     used_g: set[int] = set()
     used_c: set[int] = set()
@@ -194,57 +207,40 @@ def match(
                 take(gi, ci, -neg_score)
 
     pairs.sort(key=lambda p: (p.gold_index, p.computed_index))
+    unmatched_computed = tuple(i for i in range(len(ncomp)) if i not in used_c)
+    if incorrect_labels is None:
+        incorrect = unmatched_computed
+    else:
+        labels = {normalize(t) for t in incorrect_labels}
+        incorrect = tuple(i for i, t in enumerate(ncomp) if t in labels)
     return Alignment(
         pairs=tuple(pairs),
         unmatched_gold=tuple(i for i in range(len(ngold)) if i not in used_g),
-        unmatched_computed=tuple(i for i in range(len(ncomp)) if i not in used_c),
-        gold_texts=gold_texts,
-        computed_texts=computed_texts,
+        unmatched_computed=unmatched_computed,
+        incorrect=incorrect,
+        gold_texts=ngold,
+        computed_texts=ncomp,
+        gold_triggers=_triggers(gold_items),
+        computed_triggers=_triggers(computed),
     )
 
 
-def score_headline(
-    alignment: Alignment,
-    incorrect_labels: set[str] | frozenset[str] | None = None,
-    headline: str = "",
-) -> HeadlineScore:
-    """Table-style percentages for one headline.
-
-    With ``incorrect_labels`` the incorrect count is the number of computed
-    inferences whose normalized text appears in the set; without it every
-    unmatched computed inference counts as incorrect.
-    """
-    if incorrect_labels is None:
-        incorrect = len(alignment.unmatched_computed)
-    else:
-        labels = {normalize(t) for t in incorrect_labels}
-        incorrect = sum(1 for t in alignment.computed_texts if normalize(t) in labels)
+def score_headline(alignment: Alignment, headline: str = "") -> HeadlineScore:
+    """Table-style percentages for one headline."""
     return HeadlineScore(
         headline=headline,
         gold_count=alignment.gold_count,
         computed_count=alignment.computed_count,
         matched_count=alignment.matched_count,
-        incorrect_count=incorrect,
+        incorrect_count=len(alignment.incorrect),
     )
 
 
-@dataclass(frozen=True)
-class HeadlineEval:
-    """Everything score_by_trigger needs about one headline."""
+def score_by_trigger(alignments: Iterable[Alignment]) -> list[TriggerScore]:
+    """Aggregate per-trigger accuracy over a corpus of alignments.
 
-    headline: str
-    computed: tuple  # objects with .text and .trigger
-    gold: GoldAnnotation
-    alignment: Alignment
-    incorrect_labels: frozenset[str] | None = None
-
-
-def score_by_trigger(items: list[HeadlineEval]) -> list[TriggerScore]:
-    """Aggregate per-trigger accuracy over a corpus.
-
-    Computed inferences are attributed by their trigger id; a gold inference
-    counts toward a trigger only when annotated with a tag.  Triggers never
-    seen on either side are omitted.
+    An inference, computed or gold, counts toward its trigger; one without
+    a trigger (an untagged gold inference) counts toward none.
     """
     computed_count: dict[str, int] = {}
     matched: dict[str, int] = {}
@@ -252,35 +248,18 @@ def score_by_trigger(items: list[HeadlineEval]) -> list[TriggerScore]:
     tagged_gold: dict[str, int] = {}
     missing: dict[str, int] = {}
 
-    def bump(d: dict[str, int], key: str) -> None:
-        d[key] = d.get(key, 0) + 1
+    def bump(d: dict[str, int], indices, triggers) -> None:
+        for i in indices:
+            if triggers[i] is not None:
+                d[triggers[i]] = d.get(triggers[i], 0) + 1
 
-    for item in items:
-        matched_c = {p.computed_index for p in item.alignment.pairs}
-        matched_g = {p.gold_index for p in item.alignment.pairs}
-        labels = (
-            None
-            if item.incorrect_labels is None
-            else {normalize(t) for t in item.incorrect_labels}
-        )
-        for ci, inf in enumerate(item.computed):
-            trigger = inf.trigger
-            bump(computed_count, trigger)
-            if ci in matched_c:
-                bump(matched, trigger)
-            if labels is None:
-                if ci not in matched_c:
-                    bump(incorrect, trigger)
-            elif normalize(inf.text) in labels:
-                bump(incorrect, trigger)
-        for gi, g in enumerate(item.gold.inferences):
-            if not g.trigger:
-                continue
-            bump(tagged_gold, g.trigger)
-            if gi not in matched_g:
-                bump(missing, g.trigger)
+    for a in alignments:
+        bump(computed_count, range(a.computed_count), a.computed_triggers)
+        bump(matched, (p.computed_index for p in a.pairs), a.computed_triggers)
+        bump(incorrect, a.incorrect, a.computed_triggers)
+        bump(tagged_gold, range(a.gold_count), a.gold_triggers)
+        bump(missing, a.unmatched_gold, a.gold_triggers)
 
-    triggers = sorted(set(computed_count) | set(tagged_gold))
     return [
         TriggerScore(
             trigger=t,
@@ -290,8 +269,7 @@ def score_by_trigger(items: list[HeadlineEval]) -> list[TriggerScore]:
             tagged_gold_count=tagged_gold.get(t, 0),
             missing_count=missing.get(t, 0),
         )
-        for t in triggers
-        if computed_count.get(t, 0) or tagged_gold.get(t, 0)
+        for t in sorted(set(computed_count) | set(tagged_gold))
     ]
 
 

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import ConsistencyError, ParseError, located
+from .errors import ConsistencyError, ParseError, located, split_lines
 
 ROOT_GLOSS = "ROOT"
 
@@ -179,25 +179,26 @@ def parse_conllu(document: str, source: str | None = None) -> list[ParsedHeadlin
     def flush() -> None:
         nonlocal tokens, heads, sent_id, sent_text, first_line
         if tokens:
-            hid = sent_id if sent_id is not None else str(len(headlines) + 1)
             surfaces = {t.index: t.surface for t in tokens}
             surfaces[0] = ROOT_GLOSS
             edges = []
             for t, (head, deprel) in zip(tokens, heads):
                 if head not in surfaces:
                     raise ParseError(
-                        f"{located(source, first_line)}: sentence {hid}: "
+                        f"{located(source, first_line)}: sentence "
+                        f"{sent_id or len(headlines) + 1}: "
                         f"head {head} of token {t.index} does not exist"
                     )
                 edges.append(DependencyEdge(deprel, head, surfaces[head], t.index, t.surface))
             text = sent_text if sent_text is not None else " ".join(t.surface for t in tokens)
             try:
-                headlines.append(build_headline(hid, text, tokens, edges))
+                # Without a sent_id the id is the text, as in Stanford JSON.
+                headlines.append(build_headline(sent_id or text, text, tokens, edges))
             except ConsistencyError as exc:
                 raise ConsistencyError(f"{located(source, first_line)}: {exc}") from None
         tokens, heads, sent_id, sent_text, first_line = [], [], None, None, 0
 
-    for lineno, line in enumerate(document.splitlines(), start=1):
+    for lineno, line in enumerate(split_lines(document), start=1):
         if not line.strip():
             flush()
             continue
@@ -277,7 +278,7 @@ def parse_stanford_json(document: str | dict) -> ParsedHeadline:
     if isinstance(document, str):
         try:
             obj = json.loads(document)
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:  # ValueError: also a too-long integer
             raise ParseError(f"invalid JSON: {exc}") from exc
     else:
         obj = document

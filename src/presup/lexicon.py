@@ -8,7 +8,7 @@ from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
-from .errors import FormatError
+from .errors import FormatError, split_lines
 from .morphology import lemma
 
 # Verb classes; each is one ``lexical.<class>`` rule, in this order.
@@ -57,7 +57,7 @@ def parse_lexicon(document: str, source: str = "lexicon") -> TriggerLexicon:
     """Read a 'class<TAB>entry' TSV; '#' comment and blank lines are skipped.
     Errors name ``source:line``."""
     entries: dict[str, set[str]] = {}
-    for lineno, raw in enumerate(document.splitlines(), start=1):
+    for lineno, raw in enumerate(split_lines(document), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

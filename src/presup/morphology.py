@@ -13,6 +13,8 @@ from enum import Enum
 from functools import lru_cache
 from importlib import resources
 
+from .errors import split_lines
+
 
 class VerbForm(Enum):
     BASE = "base"
@@ -87,7 +89,7 @@ _PAST_SPECIAL = {"were": "be"}
 def _load_table() -> list[tuple[str, str, str]]:
     entries = []
     text = resources.files(__package__).joinpath("data/irregular_verbs.tsv").read_text("utf-8")
-    for raw in text.splitlines():
+    for raw in split_lines(text):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -8,12 +8,13 @@ criterion is printed by the conftest report hook.
 import json
 import random
 import time
+from typing import NamedTuple
 
 from conftest import FIXTURES, load_fixture_corpus
 from presup.cli import main
 from presup.corpus import GoldAnnotation, GoldInference, preprocess
 from presup.evaluation import (
-    HeadlineEval,
+    Alignment,
     MatchConfig,
     MatchMode,
     match,
@@ -100,6 +101,13 @@ def _presup(text, trigger):
     return Inference(InferenceKind.PRESUPPOSITION, text, trigger, (1,))
 
 
+class SyntheticHeadline(NamedTuple):
+    computed: tuple
+    gold: GoldAnnotation
+    incorrect_labels: frozenset
+    alignment: Alignment
+
+
 def _synthetic_corpus():
     """20 headlines with controlled matches per trigger.
 
@@ -115,14 +123,13 @@ def _synthetic_corpus():
 
     def add(headline, computed, gold_inferences, incorrect=()):
         gold = GoldAnnotation(headline=headline, inferences=tuple(gold_inferences))
-        alignment = match(computed, gold)
+        labels = frozenset(incorrect)
         items.append(
-            HeadlineEval(
-                headline=headline,
+            SyntheticHeadline(
                 computed=tuple(computed),
                 gold=gold,
-                alignment=alignment,
-                incorrect_labels=frozenset(incorrect),
+                incorrect_labels=labels,
+                alignment=match(computed, gold, incorrect_labels=labels),
             )
         )
 
@@ -218,7 +225,7 @@ def test_trigger_statistics_substitute():
     """Criterion 4: synthetic 20-headline corpus scored exactly as the
     hand-computed/oracle percentages; the but-row echo lands on 69.2/0/30.8."""
     items = _synthetic_corpus()
-    scores = {s.trigger: s for s in score_by_trigger(items)}
+    scores = {s.trigger: s for s in score_by_trigger(item.alignment for item in items)}
     hand_computed = {
         "future": (75.0, 25.0, 25.0),
         "but": (50.0, 0.0, 50.0),
@@ -249,15 +256,7 @@ def test_trigger_statistics_substitute():
             headline=f"echo {i}",
             inferences=(GoldInference(gold_text, "but"),),
         )
-        echo_items.append(
-            HeadlineEval(
-                headline=f"echo {i}",
-                computed=tuple(computed),
-                gold=gold,
-                alignment=match(computed, gold),
-                incorrect_labels=frozenset(),
-            )
-        )
+        echo_items.append(match(computed, gold, incorrect_labels=frozenset()))
     (echo,) = score_by_trigger(echo_items)
     assert round(echo.percent_accurate, 1) == 69.2
     assert echo.percent_inaccurate == 0.0

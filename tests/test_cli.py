@@ -4,8 +4,18 @@ from pathlib import Path
 import pytest
 
 from conftest import FIXTURES
-from presup.cli import SETTINGS, build_parser, main
+from presup.cli import (
+    SETTINGS,
+    _read_config_file,
+    _read_inference_file,
+    build_parser,
+    load_parses,
+    main,
+)
+from presup.corpus import parse_gold, read_dataset
 from presup.evaluation import normalize
+from presup.ingest import parse_conllu
+from presup.lexicon import parse_lexicon
 from presup.rules import RULE_IDS
 
 CORE_EXPECTED_INFERENCES = [
@@ -207,6 +217,8 @@ class TestInfer:
         pytest.param("--parses", "p.jsonl", "[" * 100_000, "invalid JSON: maximum recursion depth",
                      id="--parses-p.jsonl-deep-nesting"),
         ("--parses", "p.jsonl", "[]", "expected a JSON object per headline"),
+        pytest.param("--parses", "p.jsonl", "[" + "1" * 5000 + "]",
+                     "invalid JSON: Exceeds the limit", id="--parses-p.jsonl-long-integer"),
         ("--parses", "p.json", GOOD_PARSE[:-1] + ', "tokens": [null]}',
          "token 1: expected a JSON object, got NoneType"),
         ("--parses", "p.json", '{"headline": }', "invalid JSON: Expecting value"),
@@ -264,6 +276,17 @@ class TestInfer:
         code, _ = run_infer(tmp_path, extra=["--lexicon", str(lexicon)])
         assert code == 1
         assert capsys.readouterr().err == f"error: {lexicon}:3: unknown class 'bogus'\n"
+
+    @pytest.mark.parametrize("flag", ["--lexicon", "--dataset", "--gold"])
+    def test_directory_path_is_an_input_error(self, tmp_path, capsys, flag):
+        if flag == "--gold":
+            argv = ["eval", "--inferences", str(FIXTURES / "scored_computed.jsonl")]
+        else:
+            argv = ["infer", "--dataset", str(FIXTURES / "basic_triggers_dataset.txt"),
+                    "--parses", str(FIXTURES / "basic_triggers.json"),
+                    "--out", str(tmp_path / "o.jsonl")]
+        assert main([*argv, flag, str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: {tmp_path}: Is a directory\n"
 
     @pytest.mark.parametrize("spec, want", [
         ("lexical", ("lexical.iterative", "lexical.change_of_state", "lexical.factive",
@@ -344,6 +367,26 @@ class TestInfer:
             "error: 1 headline(s) without a matching parse\n"
         )
 
+    def test_conllu_sentence_without_sent_id_pairs_by_text(self, tmp_path, capsys):
+        conllu = tmp_path / "p.conllu"
+        conllu.write_text(
+            "1\tMarkets\t_\t_\tNNS\t_\t2\tnsubj\t_\t_\n"
+            "2\tcrashed\t_\t_\tVBD\t_\t0\troot\t_\t_\n\n"
+        )
+        dataset = tmp_path / "d.txt"
+        dataset.write_text("A headline here [source: BBC]\n")
+        out = tmp_path / "o.jsonl"
+        argv = ["infer", "--dataset", str(dataset), "--parses", str(conllu), "--out", str(out)]
+        assert main([*argv, "--strict"]) == 1
+        assert read_jsonl(out) == []
+        manifest = json.loads((tmp_path / "o.jsonl.manifest.json").read_text())
+        assert [s["reason"] for s in manifest["skipped"]] == ["mismatch"]
+        # The same sentence pairs with a line of its own text.
+        dataset.write_text("Markets crashed [source: BBC]\n")
+        assert main([*argv, "--strict"]) == 0
+        (record,) = read_jsonl(out)
+        assert "Markets has crashed" in [i["text"] for i in record["inferences"]]
+
     @pytest.mark.parametrize("char", ["\u0085", "\u2028", "\u2029"])
     @pytest.mark.parametrize("flag", ["--parses", "--inferences"])
     def test_unicode_line_separator_stays_inside_its_record(self, tmp_path, flag, char):
@@ -376,6 +419,56 @@ class TestInfer:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}:2: invalid JSON: maximum recursion depth")
         assert err.count("\n") == 1, err
+
+
+# Each document reader: (read a document, a one-record document holding `x`,
+# the text of that record as read).
+DOCUMENT_READERS = {
+    "conllu": (
+        parse_conllu,
+        lambda x: f"1\t{x}\t_\t_\tNNS\t_\t2\tnsubj\t_\t_\n2\tcrashed\t_\t_\tVBD\t_\t0\troot\t_\t_\n",
+        lambda parses: parses[0].tokens[0].surface,
+    ),
+    "dataset": (
+        read_dataset,
+        lambda x: f"{x} crashed [source: BBC]\n",
+        lambda records: records[0].text,
+    ),
+    "gold": (
+        parse_gold,
+        lambda x: f"Markets crashed\n>> {x} has crashed\n||\n",
+        lambda annotations: annotations[0].inferences[0].text,
+    ),
+    "lexicon": (
+        parse_lexicon,
+        lambda x: f"# heads\nfactive\t{x}\n",
+        lambda lexicon: min(lexicon.words("factive")),
+    ),
+}
+
+
+class TestLineEnds:
+    @pytest.mark.parametrize("reader", DOCUMENT_READERS)
+    def test_only_newline_ends_a_line(self, reader):
+        read, document, text_of = DOCUMENT_READERS[reader]
+        assert "a\u2028b" in text_of(read(document("a\u2028b")))
+        lf = read(document("markets"))
+        assert read(document("markets").replace("\n", "\r\n")) == lf
+
+    @pytest.mark.parametrize("reader", ["config", "parses", "inferences"])
+    def test_crlf_file(self, tmp_path, reader):
+        path = tmp_path / "f"
+        text, read, want = {
+            "config": ("# engine\nrules = future\ncompound_mode = can_be\n",
+                       _read_config_file, {"rules": ("future", f"{path}:2"),
+                                           "compound_mode": ("can_be", f"{path}:3")}),
+            "parses": (GOOD_PARSE + "\n\n" + GOOD_PARSE + "\n",
+                       lambda p: len(load_parses(p)), 2),
+            "inferences": ('{"headline": "A"}\n{"headline": "B", "inferences": []}\n',
+                           lambda p: sorted(_read_inference_file(p)), ["a", "b"]),
+        }[reader]
+        path.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+        assert read(str(path)) == want
 
 
 class TestSettings:

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from presup.corpus import GoldAnnotation, GoldInference
 from presup.evaluation import (
     Alignment,
-    HeadlineEval,
     MatchConfig,
     MatchMode,
     match,
@@ -112,12 +111,21 @@ class TestMatch:
         assert alignment.matched_count == 1
         assert len(alignment.unmatched_computed) == 1
 
+    def test_incorrect_is_labeled_else_unmatched(self):
+        computed = computed_of("a b", "Brexit can be campaign", "c")
+        gold = gold_of("A b.")
+        assert match(computed, gold).incorrect == (1, 2)
+        labeled = match(computed, gold, incorrect_labels={"brexit can have campaign."})
+        assert labeled.incorrect == (1,)
+        assert match(computed, gold, incorrect_labels=frozenset()).incorrect == ()
+
     def test_threshold_range_validated(self):
         with pytest.raises(ValueError):
             MatchConfig(jaccard_threshold=1.5)
 
 
-def alignment_counts(gold_n, computed_n, matched_n, headline="h"):
+def alignment_counts(gold_n, computed_n, matched_n, headline="h", incorrect=None):
+    """``incorrect`` holds computed indices; None means the unmatched ones."""
     pairs = tuple(
         dict(gold_index=i, computed_index=i) for i in range(matched_n)
     )
@@ -127,26 +135,28 @@ def alignment_counts(gold_n, computed_n, matched_n, headline="h"):
         pairs=tuple(MatchPair(p["gold_index"], p["computed_index"], 1.0) for p in pairs),
         unmatched_gold=tuple(range(matched_n, gold_n)),
         unmatched_computed=tuple(range(matched_n, computed_n)),
+        incorrect=tuple(range(matched_n, computed_n)) if incorrect is None else incorrect,
         gold_texts=tuple(f"g{i}" for i in range(gold_n)),
         computed_texts=tuple(f"c{i}" for i in range(computed_n)),
+        gold_triggers=(None,) * gold_n,
+        computed_triggers=("rule",) * computed_n,
     )
 
 
 class TestScoreHeadline:
     def test_row1(self):
-        score = score_headline(alignment_counts(5, 3, 2), incorrect_labels=frozenset())
+        score = score_headline(alignment_counts(5, 3, 2, incorrect=()))
         assert round(score.percent_correct, 1) == 40.0
         assert round(score.percent_incorrect, 1) == 0.0
 
     def test_row2(self):
-        score = score_headline(alignment_counts(4, 3, 3), incorrect_labels=frozenset())
+        score = score_headline(alignment_counts(4, 3, 3, incorrect=()))
         assert round(score.percent_correct, 1) == 75.0
         assert round(score.percent_incorrect, 1) == 0.0
 
     def test_row3(self):
-        score = score_headline(
-            alignment_counts(6, 3, 1), incorrect_labels=frozenset({"c1"})
-        )
+        # "c1", computed index 1, is labeled incorrect.
+        score = score_headline(alignment_counts(6, 3, 1, incorrect=(1,)))
         assert round(score.percent_correct, 1) == 16.7
         assert round(score.percent_incorrect, 1) == 33.3
 
@@ -170,14 +180,7 @@ class TestScoreHeadline:
 
 
 def eval_item(computed, gold, incorrect=None, judged=()):
-    alignment = match(computed, gold, judged_pairs=judged)
-    return HeadlineEval(
-        headline=gold.headline,
-        computed=tuple(computed),
-        gold=gold,
-        alignment=alignment,
-        incorrect_labels=incorrect,
-    )
+    return match(computed, gold, judged_pairs=judged, incorrect_labels=incorrect)
 
 
 class TestScoreByTrigger:
@@ -304,3 +307,36 @@ def test_alignment_injective(left, right):
     comp_used = [p.computed_index for p in alignment.pairs]
     assert len(gold_used) == len(set(gold_used))
     assert len(comp_used) == len(set(comp_used))
+
+
+# Texts that normalize alike in several spellings, so labels and gold hit
+# computed texts written differently.
+VERDICT_TEXTS = ["a b", "A b.", "c", "a c", "b can be c", "b can have c", "d"]
+TRIGGERS = ["again", "but", "future"]
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.lists(st.tuples(st.sampled_from(VERDICT_TEXTS), st.sampled_from(TRIGGERS)),
+                     max_size=4),
+            st.lists(st.tuples(st.sampled_from(VERDICT_TEXTS),
+                               st.none() | st.sampled_from(TRIGGERS)), max_size=4),
+            st.none() | st.frozensets(st.sampled_from(VERDICT_TEXTS), max_size=3),
+        ),
+        max_size=5,
+    ),
+    st.sampled_from(list(MatchMode)),
+)
+def test_headline_and_trigger_scores_count_one_verdict(headlines, mode):
+    cfg = MatchConfig(mode, jaccard_threshold=0.3)
+    alignments = [
+        match(computed_of(*computed), gold_of(*gold), cfg, incorrect_labels=labels)
+        for computed, gold, labels in headlines
+    ]
+    by_headline = [score_headline(a) for a in alignments]
+    by_trigger = score_by_trigger(alignments)
+    for count in ("computed_count", "matched_count", "incorrect_count"):
+        assert sum(getattr(s, count) for s in by_trigger) == sum(
+            getattr(s, count) for s in by_headline
+        ), count

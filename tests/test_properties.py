@@ -1,15 +1,17 @@
 """Cross-cutting engine properties: fuzzing over random dependency trees,
-format equivalence of the two ingest formats, rule-set monotonicity and
-output determinism."""
+format equivalence of the two ingest formats, malformed-input fuzzing of the
+parse, gold and eval readers, rule-set monotonicity and output determinism."""
 
 import json
 import random
+import re
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conftest import load_fixture_corpus
-from presup.corpus import preprocess
-from presup.errors import ParseError
+from presup.cli import _read_inference_file, _read_labels_file
+from presup.corpus import parse_gold, preprocess
+from presup.errors import FormatError, ParseError
 from presup.ingest import (
     DependencyEdge,
     Token,
@@ -162,6 +164,58 @@ def test_malformed_conllu_raises_only_parse_errors(seed, data):
         if not lines:
             break
     _parse_or_parse_error(parse_conllu, "\n".join(lines))
+
+
+def _parse_or_located_format_error(parse, path, text):
+    """``parse()`` of ``text``, read from ``path``, where the only exception
+    allowed is a FormatError naming ``path:line`` for a line of the text."""
+    try:
+        parse()
+    except FormatError as exc:
+        m = re.match(re.escape(path) + r":(\d+): ", str(exc))
+        assert m and 1 <= int(m.group(1)) <= text.count("\n") + 1, str(exc)
+
+
+GOLD_LINES = st.sampled_from(
+    ["Markets crashed", ">> markets have crashed", ">> it rose @future", ">> @but", ">>",
+     "||", " || ", "# note", ""]
+) | st.text(max_size=12)
+
+
+@given(st.lists(GOLD_LINES, max_size=8).map("\n".join) | st.text())
+def test_malformed_gold_raises_only_located_format_errors(text):
+    _parse_or_located_format_error(lambda: parse_gold(text, "g.txt"), "g.txt", text)
+
+
+def _maybe(strategy):
+    return strategy | JSON_VALUES
+
+
+INFERENCE_RECORDS = st.fixed_dictionaries({}, optional={
+    "kind": _maybe(st.sampled_from([">>", "~=", "triple", "zz"])),
+    "text": _maybe(st.text(max_size=4)),
+    "trigger": _maybe(st.text(max_size=4)),
+    "span": _maybe(st.lists(st.integers(-2, 9), max_size=2)),
+})
+EVAL_RECORDS = st.fixed_dictionaries({}, optional={
+    "headline": _maybe(st.text(max_size=4)),
+    "inferences": _maybe(st.lists(_maybe(INFERENCE_RECORDS), max_size=2)),
+    "incorrect": _maybe(st.lists(_maybe(st.text(max_size=4)), max_size=2)),
+    "matched": _maybe(st.lists(_maybe(st.lists(_maybe(st.text(max_size=3)), max_size=3)),
+                               max_size=2)),
+})
+EVAL_LINES = EVAL_RECORDS.map(json.dumps) | JSON_VALUES.map(json.dumps) | st.text(max_size=12)
+
+
+@given(st.lists(EVAL_LINES, max_size=5), st.sampled_from(["inferences", "labels"]))
+@example(['{"headline": ' + "1" * 5000 + "}"], "labels")
+def test_malformed_eval_records_raise_only_located_format_errors(tmp_path_factory, lines, flag):
+    path = tmp_path_factory.getbasetemp() / f"{flag}.jsonl"
+    path.write_text("\n".join(lines), "utf-8")
+    read = _read_inference_file if flag == "inferences" else _read_labels_file
+    # Reading a file in text mode ends a line at a lone "\r" too.
+    text = path.read_text("utf-8")
+    _parse_or_located_format_error(lambda: read(str(path)), str(path), text)
 
 
 def test_rule_subset_monotonicity_on_fixture_corpus():
