@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import __version__
 from .corpus import parse_gold, preprocess, read_dataset
-from .errors import FormatError, ParseError, split_lines
+from .errors import FormatError, ParseError, read_text, split_lines
 from .evaluation import (
     MatchConfig,
     MatchMode,
@@ -53,7 +53,7 @@ _FORM_NAMES = {
 def _read_config_file(path: str) -> dict[str, tuple[str, str]]:
     """key -> (value, 'path:line' of the key) for each 'key = value' line."""
     values = {}
-    for lineno, raw in enumerate(split_lines(Path(path).read_text("utf-8")), start=1):
+    for lineno, raw in enumerate(split_lines(read_text(path)), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -148,7 +148,7 @@ def load_parses(path: str) -> list[ParsedHeadline]:
     """Read a sidecar parse file: CoNLL-U by extension, else Stanford JSON
     (single object, array of objects, or JSON Lines).  Errors name
     ``path:line``; in an array, the line its bad object starts on."""
-    text = Path(path).read_text("utf-8")
+    text = read_text(path)
     if Path(path).suffix in (".conllu", ".conll"):
         return parse_conllu(text, path)
     stripped = text.strip()
@@ -202,7 +202,7 @@ def _letters(text: str) -> str:
 
 def cmd_infer(args) -> int:
     cfg = _build_engine_config(args)
-    records = read_dataset(Path(args.dataset).read_text("utf-8"), args.dataset)
+    records = read_dataset(read_text(args.dataset), args.dataset)
     parses = load_parses(args.parses)
     by_id = {}
     for h in parses:
@@ -275,7 +275,7 @@ def _read_jsonl(path: str, parse) -> dict:
     location.  A headline may repeat only with the same parsed content."""
     out: dict = {}
     first_line: dict[str, int] = {}
-    for lineno, line in enumerate(split_lines(Path(path).read_text("utf-8")), start=1):
+    for lineno, line in enumerate(split_lines(read_text(path)), start=1):
         if not line.strip():
             continue
         where = f"{path}:{lineno}"
@@ -354,7 +354,7 @@ def _read_labels_file(path: str) -> dict[str, dict]:
 
 
 def cmd_eval(args) -> int:
-    gold = parse_gold(Path(args.gold).read_text("utf-8"), args.gold)
+    gold = parse_gold(read_text(args.gold), args.gold)
     computed_by_headline = _read_inference_file(args.inferences)
     labels = _read_labels_file(args.labels) if args.labels else {}
     # With --labels, a headline the file leaves out has nothing incorrect.
@@ -405,7 +405,7 @@ def cmd_morph(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    records = read_dataset(Path(args.dataset).read_text("utf-8"), args.dataset)
+    records = read_dataset(read_text(args.dataset), args.dataset)
     print(f"headlines: {len(records)}")
     for source, count in sorted(Counter(r.source for r in records).items()):
         print(f"  {source or '(unknown)'}: {count}")

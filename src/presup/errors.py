@@ -1,5 +1,7 @@
 """Exception types and input-location helpers shared across the package."""
 
+from pathlib import Path
+
 
 class FormatError(ValueError):
     """An input file (dataset, gold, labels, lexicon, config) is malformed."""
@@ -24,3 +26,15 @@ def split_lines(text: str) -> list[str]:
     str.splitlines also ends one at U+2028, U+0085 and the like, which a
     CoNLL-U FORM, a headline or a JSON string may hold raw."""
     return text.replace("\r\n", "\n").split("\n")
+
+
+def read_text(path) -> str:
+    """The text of the input file at ``path``: its bytes decoded as UTF-8
+    with no newline translation, so that only split_lines ends a line.  Bytes
+    that are not UTF-8 are a FormatError at ``path:line``."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise FormatError(f"{path}:{lineno}: not valid UTF-8") from None

@@ -8,7 +8,7 @@ from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
-from .errors import FormatError, split_lines
+from .errors import FormatError, read_text, split_lines
 from .morphology import lemma
 
 # Verb classes; each is one ``lexical.<class>`` rule, in this order.
@@ -25,25 +25,29 @@ class TriggerLexicon:
         for cid, words in self.entries.items():
             filled[cid] = frozenset(w.lower() for w in words)
         object.__setattr__(self, "entries", filled)
-        # (class, head lemma) -> the tails of the entries with that head.
-        tails: dict[tuple[str, str], list[list[str]]] = {}
+        # Head lemma -> {class: the tails of its entries with that head}, the
+        # classes in VERB_CLASS_IDS order.
+        heads: dict[str, dict[str, list[list[str]]]] = {}
         for cid in VERB_CLASS_IDS:
             for entry in filled[cid]:
                 head, *tail = entry.split()
                 for key in {head, lemma(head, "VBD"), lemma(head, "VBZ")}:
-                    tails.setdefault((cid, key), []).append(tail)
-        object.__setattr__(self, "_tails", tails)
+                    heads.setdefault(key, {}).setdefault(cid, []).append(tail)
+        object.__setattr__(self, "heads", heads)
 
     def words(self, class_id: str) -> frozenset[str]:
         return self.entries[class_id]
 
-    def matches(self, class_id: str, verb_lemma: str, following_words) -> bool:
-        """Whether a verb with lemma ``verb_lemma``, followed in the headline
-        by the lowercase ``following_words``, is an entry of ``class_id``."""
-        return any(
-            list(following_words[: len(tail)]) == tail
-            for tail in self._tails.get((class_id, verb_lemma), ())
-        )
+    def verb_classes(self, verb_lemma: str, following_words) -> list[str]:
+        """The verb classes, in VERB_CLASS_IDS order, with an entry that a verb
+        with lemma ``verb_lemma``, followed in the headline by the lowercase
+        ``following_words``, matches.  A verb that heads no entry costs one
+        dict miss."""
+        return [
+            cid
+            for cid, tails in self.heads.get(verb_lemma, {}).items()
+            if any(list(following_words[: len(tail)]) == tail for tail in tails)
+        ]
 
     def fingerprint(self) -> str:
         return "\n".join(
@@ -73,7 +77,7 @@ def parse_lexicon(document: str, source: str = "lexicon") -> TriggerLexicon:
 
 
 def load_lexicon(path: str | Path) -> TriggerLexicon:
-    return parse_lexicon(Path(path).read_text("utf-8"), str(path))
+    return parse_lexicon(read_text(path), str(path))
 
 
 @lru_cache(maxsize=1)

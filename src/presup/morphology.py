@@ -145,11 +145,12 @@ def _restore_stem(stem: str) -> str:
     """Undo spelling changes on a stem left after stripping -ed / -ing."""
     if len(stem) == 2 and stem.endswith("y"):
         return stem[:-1] + "ie"  # dying -> die
+    if stem in _KEEP_DOUBLE:
+        return stem  # passing -> pass, not passe
     if (
         len(stem) >= 3
         and stem[-1] == stem[-2]
         and not _is_vowel(stem[-1])
-        and stem not in _KEEP_DOUBLE
         and stem not in _irregular_maps()[0]
     ):
         return stem[:-1]  # stopping -> stop

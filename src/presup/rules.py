@@ -100,6 +100,10 @@ def _merge(*spans: tuple[int, ...] | list[int]) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
+def _presupposition(text: str, trigger: str, *spans) -> Inference:
+    return Inference(InferenceKind.PRESUPPOSITION, text, trigger, _merge(*spans))
+
+
 def _phrase(
     h: ParsedHeadline, head: int, mods: tuple[str, ...] = _SUBJ_MODS
 ) -> tuple[str, tuple[int, ...]]:
@@ -211,14 +215,7 @@ def rule_future(h: ParsedHeadline) -> list[Inference]:
         participle = conjugate(lemma(verb.surface, verb.pos), VerbForm.PAST_PARTICIPLE)
         for nd in edges_governed_by(h, d.governor, "dobj"):
             text = f"{nd.dependent_gloss} is not yet {participle}"
-            out.append(
-                Inference(
-                    InferenceKind.PRESUPPOSITION,
-                    text,
-                    "future",
-                    _merge((d.dependent, d.governor, nd.dependent)),
-                )
-            )
+            out.append(_presupposition(text, "future", (d.dependent, d.governor, nd.dependent)))
     return out
 
 
@@ -257,14 +254,7 @@ def rule_again(h: ParsedHeadline) -> list[Inference]:
         if dobj is not None:
             obj_p, obj_s = _phrase(h, dobj.dependent)
         text = " ".join(filter(None, [subj_p, "has", participle, obj_p, "before"]))
-        out.append(
-            Inference(
-                InferenceKind.PRESUPPOSITION,
-                text,
-                "again",
-                _merge(subj_s, obj_s, (d.governor, d.dependent)),
-            )
-        )
+        out.append(_presupposition(text, "again", subj_s, obj_s, (d.governor, d.dependent)))
     return out
 
 
@@ -286,14 +276,7 @@ def rule_further(h: ParsedHeadline, strict_verbs: bool = False) -> list[Inferenc
                 continue
             subj_gloss, subj_index = preceding[-1].surface, preceding[-1].index
         text = f"{subj_gloss} is already {lemma(verb.surface, verb.pos)}"
-        out.append(
-            Inference(
-                InferenceKind.PRESUPPOSITION,
-                text,
-                "further",
-                _merge((subj_index, d.governor, d.dependent)),
-            )
-        )
+        out.append(_presupposition(text, "further", (subj_index, d.governor, d.dependent)))
     return out
 
 
@@ -305,14 +288,7 @@ def rule_noun_compound(h: ParsedHeadline, mode: str = "both") -> list[Inference]
         if not _joins_nouns(h, e):
             continue
         text = f"{e.dependent_gloss} {connector} {e.governor_gloss}"
-        out.append(
-            Inference(
-                InferenceKind.PRESUPPOSITION,
-                text,
-                "compound",
-                _merge((e.governor, e.dependent)),
-            )
-        )
+        out.append(_presupposition(text, "compound", (e.governor, e.dependent)))
     return out
 
 
@@ -337,14 +313,7 @@ def rule_past_tense(h: ParsedHeadline) -> list[Inference]:
         text = " ".join(
             filter(None, [subj.dependent_gloss, "has", participle, prt, obj_p])
         )
-        out.append(
-            Inference(
-                InferenceKind.PRESUPPOSITION,
-                text,
-                "past",
-                _merge((subj.dependent, t.index), prt_s, obj_s),
-            )
-        )
+        out.append(_presupposition(text, "past", (subj.dependent, t.index), prt_s, obj_s))
     return out
 
 
@@ -361,12 +330,7 @@ def rule_nmod_of(h: ParsedHeadline) -> list[Inference]:
             continue
         text = f"{e.dependent_gloss} has {e.governor_gloss}"
         out.append(
-            Inference(
-                InferenceKind.PRESUPPOSITION,
-                text,
-                "nmod_of",
-                _merge((e.governor, e.dependent, cases[0].dependent)),
-            )
+            _presupposition(text, "nmod_of", (e.governor, e.dependent, cases[0].dependent))
         )
     return out
 
@@ -381,14 +345,7 @@ def rule_nmod_relaxed(h: ParsedHeadline) -> list[Inference]:
         if not _joins_nouns(h, e):
             continue
         text = f"{e.dependent_gloss} has {e.governor_gloss}"
-        out.append(
-            Inference(
-                InferenceKind.PRESUPPOSITION,
-                text,
-                "nmod_relaxed",
-                _merge((e.governor, e.dependent)),
-            )
-        )
+        out.append(_presupposition(text, "nmod_relaxed", (e.governor, e.dependent)))
     return out
 
 
@@ -405,9 +362,7 @@ def _render_lexical(
     trigger = f"lexical.{class_id}"
 
     def presup(text: str, *spans) -> Inference:
-        return Inference(
-            InferenceKind.PRESUPPOSITION, text, trigger, _merge(*spans, (verb.index,))
-        )
+        return _presupposition(text, trigger, *spans, (verb.index,))
 
     if class_id in ("factive", "implicative"):
         if comp is not None:
@@ -464,14 +419,19 @@ def rule_lexical(
     classes: tuple[str, ...] = VERB_CLASS_IDS,
     strict_verbs: bool = False,
 ) -> list[Inference]:
-    """Lexicon-driven triggers: a headline verb whose lemma belongs to a class
-    licenses that class's template over its complement/objects."""
-    lowered = [t.surface.lower() for t in h.tokens]
+    """Lexicon-driven triggers: a headline verb whose lemma heads an entry of
+    one of ``classes`` licenses that class's template over its
+    complement/objects.  One pass over the verbs, in verb order."""
+    lowered = None
     out = []
-    for class_id in classes:
-        for verb in verbs_of(h, strict_verbs):
-            vlemma = lemma(verb.surface, verb.pos)
-            if not lex.matches(class_id, vlemma, lowered[verb.index :]):
+    for verb in verbs_of(h, strict_verbs):
+        vlemma = lemma(verb.surface, verb.pos)
+        if vlemma not in lex.heads:
+            continue
+        if lowered is None:
+            lowered = [t.surface.lower() for t in h.tokens]
+        for class_id in lex.verb_classes(vlemma, lowered[verb.index :]):
+            if class_id not in classes:
                 continue
             inf = _render_lexical(h, class_id, verb, vlemma)
             if inf is not None:
@@ -504,24 +464,26 @@ def rule_temporal(h: ParsedHeadline, lex: TriggerLexicon) -> list[Inference]:
 
 
 def _undo_inversion(h: ParsedHeadline, substitute: str, words: list[str]) -> list[str]:
+    """``words``, the question's words, in statement order: the auxiliary
+    (word 2) moves after the subject, the substitute to the end."""
     aux_edge = edge_for_dependent(h, 2)
-    if aux_edge is None:
-        return [substitute] + words
-    main = aux_edge.governor
-    subj = _first(edges_governed_by(h, main, "nsubj"))
+    subj = None if aux_edge is None else _first(edges_governed_by(h, aux_edge.governor, "nsubj"))
     if subj is None or subj.dependent <= 2:
-        return [substitute] + words
+        return [substitute] + words[1:]
     head = subj.dependent
-    surfaces = [t.surface for t in h.tokens]
-    return surfaces[2:head] + [words[0]] + surfaces[head:] + [substitute]
+    return words[2:head] + [words[1]] + words[head:] + [substitute]
 
 
 def rule_question(h: ParsedHeadline) -> list[Inference]:
     """Wh-questions presuppose the indefinite counterpart; yes/no questions
     presuppose nothing."""
-    if "?" not in h.raw_text or not h.tokens:
+    if "?" not in h.raw_text:
         return []
     words = [t.surface for t in h.tokens]
+    while words and not words[-1].strip("?!."):
+        words.pop()  # trailing sentence punctuation is not rendered
+    if not words:
+        return []
     first = words[0].lower()
     wh = None
     contracted = False
@@ -538,7 +500,7 @@ def rule_question(h: ParsedHeadline) -> list[Inference]:
     elif rest and rest[0].lower() in ("'s", "’s"):
         rendered = [substitute, "is"] + rest[1:]
     elif rest and rest[0].lower() in _AUX_SURFACES:
-        rendered = _undo_inversion(h, substitute, rest)
+        rendered = _undo_inversion(h, substitute, words)
     else:
         rendered = [substitute] + rest
     return [
@@ -576,14 +538,7 @@ def rule_quotes(
             verb, subj = speaker
             subj_p, subj_s = _phrase(h, subj.dependent)
             text = f'{subj_p} says "{span.text}"'
-            out.append(
-                Inference(
-                    InferenceKind.PRESUPPOSITION,
-                    text,
-                    "quotes",
-                    _merge(subj_s, token_span, (verb.index,)),
-                )
-            )
+            out.append(_presupposition(text, "quotes", subj_s, token_span, (verb.index,)))
         else:
             fallback = token_span or tuple(t.index for t in h.tokens)
             out.append(
@@ -630,12 +585,16 @@ def extract_triplets(h: ParsedHeadline, strict_verbs: bool = False) -> list[Infe
     return out
 
 
-def _lexical_rule(class_id: str):
-    return lambda h, p, cfg: rule_lexical(h, cfg.lexicon, (class_id,), cfg.strict_verbs)
+def _lexical_group(h, p, cfg) -> list[Inference]:
+    """The one function of the five ``lexical.*`` rows: their enabled classes
+    in one pass."""
+    classes = tuple(c for c in VERB_CLASS_IDS if "lexical." + c in cfg.rules)
+    return rule_lexical(h, cfg.lexicon, classes, cfg.strict_verbs)
 
 
 # Rule id (the ``trigger`` of what the rule renders) -> rule(h, p, cfg), in
-# output order.
+# output order.  Rows may share a function, which then renders every enabled
+# id of its rows.
 RULES = {
     "future": lambda h, p, cfg: rule_future(h),
     "but": lambda h, p, cfg: rule_but(h),
@@ -645,13 +604,14 @@ RULES = {
     "past": lambda h, p, cfg: rule_past_tense(h),
     "nmod_of": lambda h, p, cfg: rule_nmod_of(h),
     "nmod_relaxed": lambda h, p, cfg: rule_nmod_relaxed(h),
-    **{f"lexical.{c}": _lexical_rule(c) for c in VERB_CLASS_IDS},
+    **{f"lexical.{c}": _lexical_group for c in VERB_CLASS_IDS},
     "temporal": lambda h, p, cfg: rule_temporal(h, cfg.lexicon),
     "question": lambda h, p, cfg: rule_question(h),
     "quotes": lambda h, p, cfg: rule_quotes(h, p, cfg.strict_verbs),
     "triple": lambda h, p, cfg: extract_triplets(h, cfg.strict_verbs),
 }
 RULE_IDS = tuple(RULES)
+_POSITION = {rule_id: k for k, rule_id in enumerate(RULE_IDS)}
 
 # The relaxed any-nmod rule over-generates, so it is opt-in.
 DEFAULT_RULES = tuple(r for r in RULE_IDS if r != "nmod_relaxed")
@@ -696,14 +656,12 @@ class EngineConfig:
 def generate_all(
     h: ParsedHeadline, p: PreprocessedHeadline, cfg: EngineConfig
 ) -> list[Inference]:
-    """All enabled rules' outputs in registry order, before deduplication."""
+    """All enabled rules' outputs in registry order, each rule's by span,
+    before deduplication.  A function shared by rows runs once."""
     out = []
-    for rule_id, rule in RULES.items():
-        if rule_id not in cfg.rules:
-            continue
-        produced = rule(h, p, cfg)
-        produced.sort(key=lambda inf: inf.span)
-        out.extend(produced)
+    for rule in dict.fromkeys(RULES[r] for r in cfg.rules):
+        out.extend(rule(h, p, cfg))
+    out.sort(key=lambda inf: (_POSITION[inf.trigger], inf.span))
     return out
 
 

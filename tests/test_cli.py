@@ -471,6 +471,46 @@ class TestLineEnds:
         assert read(str(path)) == want
 
 
+class TestFileBytes:
+    INFER = ["infer", "--dataset", str(FIXTURES / "basic_triggers_dataset.txt"),
+             "--parses", str(FIXTURES / "basic_triggers.json")]
+    EVAL = ["eval", "--inferences", str(FIXTURES / "scored_computed.jsonl"),
+            "--gold", str(FIXTURES / "scored_gold.txt")]
+
+    @pytest.mark.parametrize("command, flag, name", [
+        ("stats", "--dataset", "d.txt"),
+        ("infer", "--dataset", "d.txt"),
+        ("infer", "--parses", "p.jsonl"),
+        ("infer", "--parses", "p.conllu"),
+        ("infer", "--lexicon", "lex.tsv"),
+        ("infer", "--config", "engine.cfg"),
+        ("eval", "--gold", "g.txt"),
+        ("eval", "--inferences", "i.jsonl"),
+        ("eval", "--labels", "l.jsonl"),
+    ])
+    def test_invalid_utf8_names_file_and_line(self, tmp_path, capsys, command, flag, name):
+        bad = tmp_path / name
+        bad.write_bytes(b"# a first line\n\xff\xfe then bytes that are not UTF-8\n")
+        argv = {"stats": ["stats"], "infer": [*self.INFER, "--out", str(tmp_path / "o.jsonl")],
+                "eval": self.EVAL}[command]
+        assert main([*argv, flag, str(bad)]) == 1
+        assert capsys.readouterr().err == f"error: {bad}:2: not valid UTF-8\n"
+
+    def test_carriage_return_stays_inside_a_conllu_form(self, tmp_path):
+        conllu = tmp_path / "cr.conllu"
+        conllu.write_bytes(
+            b"1\tMar\rkets\t_\t_\tNNS\t_\t2\tnsubj\t_\t_\n"
+            b"2\tcrashed\t_\t_\tVBD\t_\t0\troot\t_\t_\n\n"
+        )
+        assert load_parses(str(conllu))[0].tokens[0].surface == "Mar\rkets"
+        dataset = tmp_path / "d.txt"
+        dataset.write_text("Markets crashed [source: BBC]\n")
+        out = tmp_path / "o.jsonl"
+        argv = ["infer", "--dataset", str(dataset), "--parses", str(conllu), "--out", str(out)]
+        assert main([*argv, "--strict"]) == 0
+        assert len(read_jsonl(out)) == 1
+
+
 class TestSettings:
     FLAGS = {key: "--" + key.replace("_", "-") for key in SETTINGS}
 

@@ -1,4 +1,4 @@
-"""TriggerLexicon.matches against the entry scan it replaced."""
+"""TriggerLexicon.verb_classes against the entry scan it replaced."""
 
 from presup.ingest import ParsedHeadline, Token
 from presup.lexicon import VERB_CLASS_IDS, TriggerLexicon, default_lexicon, parse_lexicon
@@ -75,25 +75,33 @@ def test_matches_agrees_with_entry_scan():
             verb = h.tokens[1]
             lowered = [t.surface.lower() for t in h.tokens]
             for cid in VERB_CLASS_IDS:
-                got = lex.matches(cid, vlemma, lowered[verb.index :])
+                got = cid in lex.verb_classes(vlemma, lowered[verb.index :])
                 assert got == reference_matches(h, lex, cid, verb, vlemma), (cid, h.raw_text)
                 outcomes.add(got)
     assert outcomes == {True, False}
 
 
 def test_inflected_head_and_tail():
-    assert CUSTOM.matches("change_of_state", "stop", [])
-    assert CUSTOM.matches("change_of_state", "carry", ["on", "talking"])
-    assert not CUSTOM.matches("change_of_state", "carry", ["out"])
-    assert CUSTOM.matches("implicative", "take", ["the", "time"])
-    assert not CUSTOM.matches("implicative", "take", ["the"])
-    assert CUSTOM.matches("factive", "regret", ())
-    assert not CUSTOM.matches("judging", "regret", ())
-    assert default_lexicon().matches("change_of_state", "carry", ("on",))
+    assert "change_of_state" in CUSTOM.verb_classes("stop", [])
+    assert "change_of_state" in CUSTOM.verb_classes("carry", ["on", "talking"])
+    assert "change_of_state" not in CUSTOM.verb_classes("carry", ["out"])
+    assert "implicative" in CUSTOM.verb_classes("take", ["the", "time"])
+    assert "implicative" not in CUSTOM.verb_classes("take", ["the"])
+    assert "factive" in CUSTOM.verb_classes("regret", ())
+    assert "judging" not in CUSTOM.verb_classes("regret", ())
+    assert "change_of_state" in default_lexicon().verb_classes("carry", ("on",))
+
+
+def test_verb_classes_in_class_order():
+    lex = TriggerLexicon(entries={"judging": {"plan"}, "factive": {"planned that"},
+                                  "iterative": {"plans"}})
+    assert lex.verb_classes("plan", ["that", "it"]) == ["iterative", "factive", "judging"]
+    assert lex.verb_classes("plan", []) == ["iterative", "judging"]
+    assert lex.verb_classes("planet", ["that"]) == []
 
 
 def test_parse_lexicon_lowercases_and_fills_classes():
     lex = parse_lexicon("# comment\nfactive\tRegrets\n\njudging\tBlame\n")
     assert lex == TriggerLexicon(entries={"factive": {"regrets"}, "judging": {"blame"}})
     assert lex.words("iterative") == frozenset()
-    assert lex.matches("factive", "regret", [])
+    assert "factive" in lex.verb_classes("regret", [])

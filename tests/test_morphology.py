@@ -1,7 +1,7 @@
 import string
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from presup.morphology import (
     MODALS,
@@ -29,6 +29,10 @@ FORM_TAG = {
         ("released", "VBD", "release"),
         ("stockpiling", "VBG", "stockpile"),
         ("Managed", "VBD", "manage"),
+        ("passed", "VBD", "pass"),
+        ("discussed", "VBN", "discuss"),
+        ("pressing", "VBG", "press"),
+        ("buzzed", "VBD", "buzz"),
         ("says", "VBZ", "say"),
         ("is", "VBZ", "be"),
         ("were", "VBD", "be"),
@@ -119,3 +123,30 @@ def test_regular_past_is_suffix_ed(stem, final):
     if _doubles_final(base) or base in _irregular_maps()[0]:
         return
     assert conjugate(base, VerbForm.PAST) == base + "ed"
+
+
+# Regular verbs covering the spelling rules: silent e, -y, -ie, doubling,
+# -es, no e after -er/-en/-on.
+_PLAIN_REGULAR = """
+    walk play try hope stop plan release manage love argue change struggle
+    agree die tie cry obey fix wash watch echo veto listen bother reckon
+    interfere
+""".split()
+
+
+def _regular_bases():
+    """Base forms only: the lexicon's inflected heads (began, regrets,
+    stopped) are the lexicon's to expand."""
+    from presup.morphology import _DOUBLE_FINAL, _KEEP_DOUBLE, _NO_E_RESTORE, _irregular_maps
+
+    pool = _KEEP_DOUBLE | _DOUBLE_FINAL | _NO_E_RESTORE | set(_PLAIN_REGULAR)
+    return sorted(pool - set(_irregular_maps()[0]))
+
+
+@given(st.sampled_from(_regular_bases()), st.sampled_from(list(VerbForm)))
+@example("pass", VerbForm.PAST)
+@example("discuss", VerbForm.PAST_PARTICIPLE)
+@example("press", VerbForm.GERUND)
+@example("buzz", VerbForm.PAST)
+def test_regular_round_trip(base, form):
+    assert lemma(conjugate(base, form), FORM_TAG[form]) == base

@@ -1,6 +1,7 @@
 """Cross-cutting engine properties: fuzzing over random dependency trees,
 format equivalence of the two ingest formats, malformed-input fuzzing of the
-parse, gold and eval readers, rule-set monotonicity and output determinism."""
+parse, gold and eval readers, rule-set monotonicity, rules that share a
+registry function and output determinism."""
 
 import json
 import random
@@ -20,6 +21,7 @@ from presup.ingest import (
     parse_stanford_json,
     to_stanford_json,
 )
+from presup.lexicon import TriggerLexicon, default_lexicon
 from presup.rules import DEFAULT_RULES, EngineConfig, RULE_IDS, generate_all, infer_all
 
 WORDS = [
@@ -213,8 +215,7 @@ def test_malformed_eval_records_raise_only_located_format_errors(tmp_path_factor
     path = tmp_path_factory.getbasetemp() / f"{flag}.jsonl"
     path.write_text("\n".join(lines), "utf-8")
     read = _read_inference_file if flag == "inferences" else _read_labels_file
-    # Reading a file in text mode ends a line at a lone "\r" too.
-    text = path.read_text("utf-8")
+    text = "\n".join(lines)
     _parse_or_located_format_error(lambda: read(str(path)), str(path), text)
 
 
@@ -245,6 +246,59 @@ def test_rule_subset_monotonicity_on_random_trees():
         smaller = {i.text for i in generate_all(h, p, EngineConfig(rules=subset))}
         full = {i.text for i in generate_all(h, p, ALL_RULES_CFG)}
         assert smaller <= full
+
+
+LEXICAL_IDS = tuple(r for r in RULE_IDS if r.startswith("lexical."))
+FIXTURE_PAIRS = [
+    (h, p)
+    for parses, dataset in [
+        ("basic_triggers.json", "basic_triggers_dataset.txt"),
+        ("lexical_triggers.json", "lexical_triggers_dataset.txt"),
+        ("combined.json", "combined_dataset.txt"),
+    ]
+    for h, p, _ in load_fixture_corpus(parses, dataset)
+]
+# Heads from the fuzz words, some heading entries of several classes.
+FUZZ_LEXICON = TriggerLexicon(
+    entries={
+        "iterative": {"come back", "talks", "plan"},
+        "change_of_state": {"stopped", "say"},
+        "factive": {"stop", "blames", "say that"},
+        "implicative": {"come to", "plan"},
+        "judging": {"blame", "ban", "talk"},
+    }
+)
+
+
+def _random_pair(seed):
+    h = random_parse(random.Random(seed))
+    return h, preprocess(h.raw_text)
+
+
+@given(
+    st.sampled_from(FIXTURE_PAIRS) | st.integers(0, 2**32).map(_random_pair),
+    st.sampled_from([default_lexicon(), FUZZ_LEXICON]),
+    st.booleans(),
+    st.lists(st.sampled_from(LEXICAL_IDS), unique=True),
+)
+def test_rules_sharing_a_function_render_as_if_alone(pair, lexicon, strict_verbs, subset):
+    """The five lexical.* rows share one function: all rules together render
+    each rule's own output, sorted by span, in registry order whatever the
+    order of the configured ids, and any subset of the lexical rows renders
+    only its own ids."""
+    h, p = pair
+
+    def run(rules):
+        return generate_all(h, p, EngineConfig(rules=tuple(rules), lexicon=lexicon,
+                                               strict_verbs=strict_verbs))
+
+    alone = {rule_id: run([rule_id]) for rule_id in RULE_IDS}
+    for out in alone.values():
+        assert [inf.span for inf in out] == sorted(inf.span for inf in out)
+    full = run(RULE_IDS)
+    assert full == [inf for rule_id in RULE_IDS for inf in alone[rule_id]]
+    assert run(reversed(RULE_IDS)) == full
+    assert run(subset) == [inf for inf in full if inf.trigger in subset]
 
 
 def test_infer_all_deterministic():

@@ -348,6 +348,42 @@ class TestRuleQuestion:
         (inf,) = rule_question(h)
         assert inf.text == "he did go somewhere"
 
+    def test_question_mark_token_is_not_rendered(self):
+        """CoreNLP keeps "?" as a token tagged "."; no branch renders it."""
+        cases = [
+            ("When/WRB will/MD Brexit/NNP happen/VB ?/.", "When will Brexit happen?",
+             [("advmod", 4, 1), ("aux", 4, 2), ("nsubj", 4, 3), ("root", 0, 4), ("punct", 4, 5)],
+             "Brexit will happen sometime"),
+            ("Who/WP is/VBZ Trump/NNP ?/.", "Who is Trump?",
+             [("root", 0, 1), ("cop", 1, 2), ("nsubj", 1, 3), ("punct", 1, 4)],
+             "Trump is someone"),
+            ("What's/WP next/JJ ?/.", "What's next?",
+             [("nsubj", 2, 1), ("root", 0, 2), ("punct", 2, 3)],
+             "something is next"),
+            ("Who/WP won/VBD ?/.", "Who won?",
+             [("nsubj", 2, 1), ("root", 0, 2), ("punct", 2, 3)],
+             "someone won"),
+        ]
+        for spec, raw_text, edges, want in cases:
+            h = make_headline(spec, edges, raw_text=raw_text)
+            (inf,) = rule_question(h)
+            assert inf.text == want
+            assert inf.span == tuple(t.index for t in h.tokens)
+
+    def test_auxiliary_root_is_not_inverted(self):
+        """Word 2 is the root, not an inverted auxiliary: nothing moves."""
+        h = make_headline(
+            "Who/WP has/VBZ the/DT ball/NN ?/.",
+            [("nsubj", 2, 1), ("root", 0, 2), ("det", 4, 3), ("dobj", 2, 4), ("punct", 2, 5)],
+            raw_text="Who has the ball?",
+        )
+        (inf,) = rule_question(h)
+        assert inf.text == "someone has the ball"
+
+    def test_punctuation_only_question(self):
+        h = make_headline("?/.", [("root", 0, 1)], raw_text="?")
+        assert rule_question(h) == []
+
 
 class TestRuleQuotes:
     def test_merkel(self, lexical_triggers):
