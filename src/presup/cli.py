@@ -8,7 +8,6 @@ import json
 import re
 import sys
 from collections import Counter
-from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -186,6 +185,9 @@ def load_parses(path: str) -> list[ParsedHeadline]:
 
 
 def _spans_for_tokens(h: ParsedHeadline, preprocessed) -> tuple[tuple[int, int], ...]:
+    """The quoted spans of ``preprocessed`` as token spans of ``h``.  No rule
+    reads ``ParsedHeadline.quoted_spans`` and ``cmd_infer`` no longer sets it;
+    the benchmark's rule timing still builds its headlines with it."""
     # Word offsets line up with token indices only when the parse tokenized
     # the cleaned text one word per token.
     if len(preprocessed.cleaned.split()) != len(h.tokens):
@@ -223,12 +225,7 @@ def cmd_infer(args) -> int:
             skipped.append({"line": i, "headline": record.text, "reason": "no parse"})
             continue
         p = preprocess(record.text)
-        h = replace(
-            h,
-            headline_id=str(i),
-            raw_text=record.text,
-            quoted_spans=_spans_for_tokens(h, p),
-        )
+        h = ParsedHeadline(str(i), record.text, h.tokens, h.edges)
         inferences = infer_all(h, p, cfg)
         trigger_counts.update(inf.trigger for inf in inferences)
         headline_counts.append({"line": i, "inferences": len(inferences)})

@@ -9,7 +9,10 @@ functions pure.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import repeat
+from operator import ne
 from typing import NamedTuple
 
 from .errors import ConsistencyError, ParseError, located, split_lines
@@ -40,6 +43,9 @@ _UPOS_TO_PTB = {
     "X": "FW",
 }
 
+# Builds a NamedTuple from one row without its Python-level __new__.
+_new = tuple.__new__
+
 
 class Token(NamedTuple):
     index: int  # 1-based
@@ -67,63 +73,71 @@ class ParsedHeadline:
         return self.tokens[index - 1]
 
 
-def _validate(h: ParsedHeadline) -> ParsedHeadline:
-    n = len(h.tokens)
+def _validate(
+    headline_id: str,
+    ids: Sequence[int],
+    tags: Sequence[str],
+    labels: Sequence[str],
+    heads: Sequence[int],
+    fault: str | None = None,
+) -> None:
+    """Raise ConsistencyError for the first broken invariant of a sentence
+    given as columns, in this order: token k carries index k and a POS; one
+    edge is labelled root; ``fault``, the first bad edge its reader found;
+    every token reaches the root through ``heads`` (``heads[k - 1]``
+    governs token k, each in 0..n once the checks before hold)."""
+    n = len(ids)
     # Rules look tokens up by index, so token k must carry index k.
-    surfaces = [ROOT_GLOSS]  # the gloss an edge must give for each index
-    for position, (index, surface, pos) in enumerate(h.tokens, start=1):
-        if index != position:
-            raise ConsistencyError(f"{h.headline_id}: token {position} has index {index}")
-        if not pos:
-            raise ConsistencyError(f"{h.headline_id}: empty POS on token {index}")
-        surfaces.append(surface)
-    roots = [e.dep for e in h.edges].count("root")
+    if not all(tags) or any(map(ne, ids, range(1, n + 1))):
+        for position, (index, pos) in enumerate(zip(ids, tags), start=1):
+            if index != position:
+                raise ConsistencyError(f"{headline_id}: token {position} has index {index}")
+            if not pos:
+                raise ConsistencyError(f"{headline_id}: empty POS on token {index}")
+    roots = labels.count("root")
     if roots != 1:
-        raise ConsistencyError(f"{h.headline_id}: expected one root edge, got {roots}")
-    children: dict[int, list[int]] = {}
-    dependents = set()
-    for dep, governor, governor_gloss, dependent, dependent_gloss in h.edges:
-        if governor < 0 or governor > n or not 1 <= dependent <= n:
-            raise ConsistencyError(
-                f"{h.headline_id}: edge {dep} references token outside 1..{n}"
-            )
-        if dependent == governor:
-            raise ConsistencyError(f"{h.headline_id}: self-loop on token {dependent}")
-        if surfaces[governor] != governor_gloss:
-            raise ConsistencyError(
-                f"{h.headline_id}: governorGloss {governor_gloss!r} does not match "
-                f"token {governor}"
-            )
-        if surfaces[dependent] != dependent_gloss:
-            raise ConsistencyError(
-                f"{h.headline_id}: dependentGloss {dependent_gloss!r} does not match "
-                f"token {dependent}"
-            )
-        if dependent in dependents:
-            raise ConsistencyError(
-                f"{h.headline_id}: token {dependent} is a dependent twice"
-            )
-        dependents.add(dependent)
-        children.setdefault(governor, []).append(dependent)
-    if len(dependents) != n:
-        missing = sorted(set(range(1, n + 1)) - dependents)
-        raise ConsistencyError(f"{h.headline_id}: tokens {missing} attach nowhere")
-    # Reaching every token from the root edge rules out detached cycles.
-    stack, reached = [0], set()
-    while stack:
-        node = stack.pop()
-        for child in children.get(node, ()):
-            if child not in reached:
-                reached.add(child)
-                stack.append(child)
-    if len(reached) != n:
-        raise ConsistencyError(f"{h.headline_id}: edges do not form a tree")
-    return h
+        raise ConsistencyError(f"{headline_id}: expected one root edge, got {roots}")
+    if fault:
+        raise ConsistencyError(f"{headline_id}: {fault}")
+    # Walk up from each token; a walk that meets itself is a detached cycle.
+    walk = [0] * (n + 1)  # the token whose walk first reached each index
+    walk[0] = -1
+    for k in range(1, n + 1):
+        j = k
+        while not walk[j]:
+            walk[j] = k
+            j = heads[j - 1]
+        if walk[j] == k:
+            # A CoNLL-U reader leaves a self-loop, a cycle of one, to this walk.
+            for dependent, governor in enumerate(heads, start=1):
+                if dependent == governor:
+                    raise ConsistencyError(f"{headline_id}: self-loop on token {dependent}")
+            raise ConsistencyError(f"{headline_id}: edges do not form a tree")
 
 
-def normalize_labels(
-    edges: list[DependencyEdge] | tuple[DependencyEdge, ...],
-) -> list[DependencyEdge]:
+def _labels(
+    deps: Sequence[str],
+    governors: Sequence[int],
+    dependents: Sequence[int],
+    dependent_glosses: Sequence[str],
+) -> list[str]:
+    """The rules' label of each edge, the edges given as columns: LABEL_MAP,
+    then conj -> conj:but where a cc edge with gloss "but" hangs off either
+    conjunct (the first in legacy Stanford output, the second in UD v2)."""
+    labels = list(map(LABEL_MAP.get, deps, deps))
+    if "cc" in deps and "conj" in labels:
+        but_sites = {
+            governor
+            for dep, governor, gloss in zip(deps, governors, dependent_glosses)
+            if dep == "cc" and gloss.lower() == "but"
+        }
+        for k, label in enumerate(labels):
+            if label == "conj" and (governors[k] in but_sites or dependents[k] in but_sites):
+                labels[k] = "conj:but"
+    return labels
+
+
+def normalize_labels(edges: Iterable[DependencyEdge]) -> list[DependencyEdge]:
     """Map label vocabulary onto the rules' one.
 
     obj->dobj, obl->nmod, nn->compound; a conj edge is rewritten to conj:but
@@ -131,34 +145,61 @@ def normalize_labels(
     conjunct in legacy Stanford output, second in UD v2).  Unknown labels are
     preserved verbatim; applying the function twice is a no-op.
     """
-    but_sites = {
-        e.governor
-        for e in edges
-        if e.dep == "cc" and e.dependent_gloss.lower() == "but"
-    }
-    out = []
-    for e in edges:
-        dep = LABEL_MAP.get(e.dep, e.dep)
-        if dep == "conj" and (e.governor in but_sites or e.dependent in but_sites):
-            dep = "conj:but"
-        out.append(e._replace(dep=dep) if dep != e.dep else e)
-    return out
+    edges = list(edges)
+    if not edges:
+        return []
+    deps, governors, _, dependents, dependent_glosses = zip(*edges)
+    labels = _labels(deps, governors, dependents, dependent_glosses)
+    return [e if e.dep == dep else e._replace(dep=dep) for e, dep in zip(edges, labels)]
 
 
 def build_headline(
     headline_id: str,
     raw_text: str,
-    tokens: list[Token],
-    edges: list[DependencyEdge],
+    tokens: Iterable[Token],
+    edges: Iterable[tuple[str, int, str, int, str]],
 ) -> ParsedHeadline:
-    """Normalize labels, then validate the structural invariants."""
-    h = ParsedHeadline(
-        headline_id=headline_id,
-        raw_text=raw_text,
-        tokens=tuple(tokens),
-        edges=tuple(normalize_labels(edges)),
+    """Map labels and check the structural invariants in one pass over
+    ``edges``, (dep, governor, governor gloss, dependent, dependent gloss)
+    rows: every index in range, no self-loop, each gloss that of its token,
+    each token a dependent exactly once, then ``_validate``."""
+    tokens = tuple(tokens)
+    n = len(tokens)
+    ids, surfaces, tags = zip(*tokens) if tokens else ((), (), ())
+    glosses = (ROOT_GLOSS, *surfaces)  # the gloss an edge must give for each index
+    heads = [-1] * n
+    rows = []
+    fault: str | int | None = None  # an int: the row whose index is out of range
+    for row in edges:
+        rows.append(row)
+        if fault is not None:
+            continue
+        _, governor, governor_gloss, dependent, dependent_gloss = row
+        if governor < 0 or governor > n or not 1 <= dependent <= n:
+            fault = len(rows) - 1  # its message names the mapped label
+        elif dependent == governor:
+            fault = f"self-loop on token {dependent}"
+        elif glosses[governor] != governor_gloss:
+            fault = f"governorGloss {governor_gloss!r} does not match token {governor}"
+        elif glosses[dependent] != dependent_gloss:
+            fault = f"dependentGloss {dependent_gloss!r} does not match token {dependent}"
+        elif heads[dependent - 1] >= 0:
+            fault = f"token {dependent} is a dependent twice"
+        else:
+            heads[dependent - 1] = governor
+    columns = tuple(zip(*rows)) if rows else ((),) * 5
+    deps, governors, governor_glosses, dependents, dependent_glosses = columns
+    labels = _labels(deps, governors, dependents, dependent_glosses)
+    if isinstance(fault, int):
+        fault = f"edge {labels[fault]} references token outside 1..{n}"
+    elif fault is None and -1 in heads:
+        missing = [k for k, head in enumerate(heads, start=1) if head < 0]
+        fault = f"tokens {missing} attach nowhere"
+    _validate(headline_id, ids, tags, labels, heads, fault)
+    edge_rows = zip(labels, governors, governor_glosses, dependents, dependent_glosses)
+    return ParsedHeadline(
+        headline_id, raw_text, tokens, tuple(map(_new, repeat(DependencyEdge), edge_rows))
     )
-    return _validate(h)
 
 
 def parse_conllu(document: str, source: str | None = None) -> list[ParsedHeadline]:
@@ -167,36 +208,52 @@ def parse_conllu(document: str, source: str | None = None) -> list[ParsedHeadlin
     The XPOS column supplies Penn tags; "_" falls back to a UPOS mapping.
     Multi-word-token and empty-node lines are skipped.  Errors name
     ``source:line`` (``line N`` without a source); a sentence's errors name
-    its first line.
+    its first line.  Each token row gives exactly one edge, so of the checks
+    of ``build_headline`` a sentence needs only that every head exists.
     """
     headlines: list[ParsedHeadline] = []
-    tokens: list[Token] = []
-    heads: list[tuple[int, str]] = []  # head, deprel of each token
+    # The columns of the current sentence's token rows.
+    ids: list[int] = []
+    forms: list[str] = []
+    tags: list[str] = []
+    heads: list[int] = []
+    deprels: list[str] = []
     sent_id: str | None = None
     sent_text: str | None = None
     first_line = 0  # the current sentence's first line, 0 before it starts
 
     def flush() -> None:
-        nonlocal tokens, heads, sent_id, sent_text, first_line
-        if tokens:
-            surfaces = {t.index: t.surface for t in tokens}
-            surfaces[0] = ROOT_GLOSS
-            edges = []
-            for t, (head, deprel) in zip(tokens, heads):
-                if head not in surfaces:
-                    raise ParseError(
-                        f"{located(source, first_line)}: sentence "
-                        f"{sent_id or len(headlines) + 1}: "
-                        f"head {head} of token {t.index} does not exist"
-                    )
-                edges.append(DependencyEdge(deprel, head, surfaces[head], t.index, t.surface))
-            text = sent_text if sent_text is not None else " ".join(t.surface for t in tokens)
+        nonlocal ids, forms, tags, heads, deprels, sent_id, sent_text, first_line
+        if ids:
+            known = set(ids)
+            known.add(0)
+            if not known.issuperset(heads):
+                for tid, head in zip(ids, heads):
+                    if head not in known:
+                        raise ParseError(
+                            f"{located(source, first_line)}: sentence "
+                            f"{sent_id or len(headlines) + 1}: "
+                            f"head {head} of token {tid} does not exist"
+                        )
+            text = sent_text if sent_text is not None else " ".join(forms)
+            hid = sent_id or text  # without a sent_id the id is the text, as in Stanford JSON
+            labels = _labels(deprels, heads, ids, forms)
             try:
-                # Without a sent_id the id is the text, as in Stanford JSON.
-                headlines.append(build_headline(sent_id or text, text, tokens, edges))
+                _validate(hid, ids, tags, labels, heads)
             except ConsistencyError as exc:
                 raise ConsistencyError(f"{located(source, first_line)}: {exc}") from None
-        tokens, heads, sent_id, sent_text, first_line = [], [], None, None, 0
+            glosses = [ROOT_GLOSS, *forms]
+            edge_rows = zip(labels, heads, map(glosses.__getitem__, heads), ids, forms)
+            headlines.append(
+                ParsedHeadline(
+                    hid,
+                    text,
+                    tuple(map(_new, repeat(Token), zip(ids, forms, tags))),
+                    tuple(map(_new, repeat(DependencyEdge), edge_rows)),
+                )
+            )
+        ids, forms, tags, heads, deprels = [], [], [], [], []
+        sent_id, sent_text, first_line = None, None, 0
 
     for lineno, line in enumerate(split_lines(document), start=1):
         if not line.strip():
@@ -220,17 +277,16 @@ def parse_conllu(document: str, source: str | None = None) -> list[ParsedHeadlin
         if "-" in tid or "." in tid:
             continue  # multi-word token / empty node
         try:
-            tid = int(tid)
+            ids.append(int(tid))
         except ValueError:
             raise ParseError(f"{located(source, lineno)}: non-integer token id {tid!r}") from None
         try:
-            head = int(head)
+            heads.append(int(head))
         except ValueError:
             raise ParseError(f"{located(source, lineno)}: non-integer head {head!r}") from None
-        if pos == "_":
-            pos = _UPOS_TO_PTB.get(upos, upos)
-        tokens.append(Token(tid, form, pos))
-        heads.append((head, deprel))
+        forms.append(form)
+        tags.append(_UPOS_TO_PTB.get(upos, upos) if pos == "_" else pos)
+        deprels.append(deprel)
     flush()
     return headlines
 
@@ -294,21 +350,25 @@ def parse_stanford_json(document: str | dict) -> ParsedHeadline:
             tokens.append(Token(int(t["index"]), str(t["word"]), str(t["pos"])))
         except _RECORD_ERRORS:
             raise _record_error(f"token {i}", t, _TOKEN_KEYS) from None
-    edges = []
-    for i, d in enumerate(_record_list(obj, "dependencies"), start=1):
+    records = _record_list(obj, "dependencies")
+    return build_headline(hid or headline, headline, tokens, _edge_rows(records))
+
+
+def _edge_rows(records: list) -> Iterator[tuple[str, int, str, int, str]]:
+    """The rows of the dependency records, converted as ``build_headline``
+    asks for them, so that it reads the records in its one pass."""
+    for i, d in enumerate(records, start=1):
         try:
-            edges.append(
-                DependencyEdge(
-                    str(d["dep"]),
-                    int(d["governor"]),
-                    str(d["governorGloss"]),
-                    int(d["dependent"]),
-                    str(d["dependentGloss"]),
-                )
+            row = (
+                str(d["dep"]),
+                int(d["governor"]),
+                str(d["governorGloss"]),
+                int(d["dependent"]),
+                str(d["dependentGloss"]),
             )
         except _RECORD_ERRORS:
             raise _record_error(f"dependency {i}", d, _EDGE_KEYS) from None
-    return build_headline(hid or headline, headline, tokens, edges)
+        yield row
 
 
 def to_stanford_json(h: ParsedHeadline) -> dict:

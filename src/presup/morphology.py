@@ -32,17 +32,19 @@ _VOWELS = "aeiou"
 
 # Bases that legitimately end in a doubled consonant; stripping -ing/-ed from
 # their inflections must not undo the doubling (calling -> call, not cal).
+# An -ss/-zz stem keeps its doubling without being listed (passed -> pass).
 _KEEP_DOUBLE = frozenset(
     """
     call fall tell sell swell smell spell yell spill chill drill grill thrill
     kill fill bill pull roll poll toll stall install recall enroll
-    pass press miss kiss cross dress guess toss boss fuss hiss bless stress
-    discuss express address assess possess access process progress witness
-    harass embarrass amass class glass
     stuff staff sniff bluff cuff
-    buzz fizz add err purr
+    add err purr
     """.split()
 )
+
+# Bases ending in a single s or z that double it when inflected (gassed,
+# quizzes, bussing), unlike the -ss/-zz bases (confessed -> confess).
+_DOUBLED_S = frozenset({"gas", "quiz", "bus"})
 
 # Multisyllabic bases with final-syllable stress: these double the last
 # consonant like monosyllables do (begin -> beginning).
@@ -136,6 +138,8 @@ def _vowel_groups(word: str) -> int:
 
 
 def _doubles_final(base: str) -> bool:
+    if base in _DOUBLED_S:
+        return True
     if not _ends_cvc(base):
         return False
     return _vowel_groups(base) == 1 or base in _DOUBLE_FINAL
@@ -145,8 +149,12 @@ def _restore_stem(stem: str) -> str:
     """Undo spelling changes on a stem left after stripping -ed / -ing."""
     if len(stem) == 2 and stem.endswith("y"):
         return stem[:-1] + "ie"  # dying -> die
+    if stem.endswith(("ss", "zz")):
+        # passing -> pass; gassing -> gas, and British focussing -> focus
+        base = stem[:-1]
+        return base if base in _DOUBLED_S or base in _NO_E_RESTORE else stem
     if stem in _KEEP_DOUBLE:
-        return stem  # passing -> pass, not passe
+        return stem  # calling -> call
     if (
         len(stem) >= 3
         and stem[-1] == stem[-2]
@@ -199,6 +207,10 @@ def _lemma_from_s(word: str) -> str:
         return word
     if word.endswith("ies") and len(word) > 4:
         return word[:-3] + "y"  # tries -> try
+    if word.endswith("es"):
+        base = word[:-3] if word.endswith(("sses", "zzes")) else word[:-2]
+        if base in _DOUBLED_S:
+            return base  # gasses, gases -> gas
     for suffix in ("ches", "shes", "sses", "xes", "zzes", "oes"):
         if word.endswith(suffix):
             return word[:-2]
@@ -258,6 +270,8 @@ def _present_3sg(base: str) -> str:
         return "is"
     if base == "have":
         return "has"
+    if base in _DOUBLED_S:
+        return base + base[-1] + "es"
     if base.endswith(("s", "x", "z", "o")) or base.endswith(("ch", "sh")):
         return base + "es"
     if base.endswith("y") and len(base) > 1 and not _is_vowel(base[-2]):

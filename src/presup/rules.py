@@ -85,6 +85,8 @@ _WH_SUBSTITUTE = {
     "how": "somehow",
     "when": "sometime",
 }
+# The contracted "is" after a wh-word, with a straight or a curly apostrophe.
+_IS_CLITICS = ("'s", "’s")
 _AUX_SURFACES = frozenset(
     """
     is are was were am do does did can could will would shall should may
@@ -489,7 +491,7 @@ def rule_question(h: ParsedHeadline) -> list[Inference]:
     contracted = False
     if first in _WH_SUBSTITUTE:
         wh = first
-    elif first.endswith("'s") and first[:-2] in _WH_SUBSTITUTE:
+    elif first.endswith(_IS_CLITICS) and first[:-2] in _WH_SUBSTITUTE:
         wh, contracted = first[:-2], True
     if wh is None:
         return []
@@ -497,7 +499,7 @@ def rule_question(h: ParsedHeadline) -> list[Inference]:
     rest = words[1:]
     if contracted:
         rendered = [substitute, "is"] + rest
-    elif rest and rest[0].lower() in ("'s", "’s"):
+    elif rest and rest[0].lower() in _IS_CLITICS:
         rendered = [substitute, "is"] + rest[1:]
     elif rest and rest[0].lower() in _AUX_SURFACES:
         rendered = _undo_inversion(h, substitute, words)

@@ -9,7 +9,7 @@ is validated through the real ingestion path before being written.
 import json
 from pathlib import Path
 
-from presup.ingest import parse_stanford_json
+from presup.ingest import parse_conllu, parse_stanford_json
 
 HERE = Path(__file__).parent
 
@@ -450,6 +450,22 @@ def dump_json(path, payload):
     path.write_text(json.dumps(payload, indent=1, ensure_ascii=False) + "\n", "utf-8")
 
 
+def conllu_document(parse_objs):
+    """The same trees as CoNLL-U: Penn tags in XPOS, each token's edge on its
+    own row, the sent_id and the headline as comments."""
+    blocks = []
+    for obj in parse_objs:
+        edge_of = {d["dependent"]: d for d in obj["dependencies"]}
+        lines = [f"# sent_id = {obj['sent_id']}", f"# text = {obj['headline']}"]
+        for t in obj["tokens"]:
+            d = edge_of[t["index"]]
+            lines.append(
+                f"{t['index']}\t{t['word']}\t_\t_\t{t['pos']}\t_\t{d['governor']}\t{d['dep']}\t_\t_"
+            )
+        blocks.append("\n".join(lines) + "\n")
+    return "\n".join(blocks)
+
+
 def dump_jsonl(path, rows):
     path.write_text(
         "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows), "utf-8"
@@ -458,6 +474,9 @@ def dump_jsonl(path, rows):
 
 def main():
     dump_json(HERE / "basic_triggers.json", BASIC_TRIGGERS)
+    conllu = conllu_document(BASIC_TRIGGERS)
+    parse_conllu(conllu)  # raises if malformed
+    (HERE / "basic_triggers.conllu").write_text(conllu, "utf-8")
     (HERE / "basic_triggers_dataset.txt").write_text(BASIC_TRIGGERS_DATASET, "utf-8")
     dump_json(HERE / "combined.json", COMBINED)
     (HERE / "combined_dataset.txt").write_text(COMBINED_DATASET, "utf-8")

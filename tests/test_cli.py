@@ -335,6 +335,14 @@ class TestInfer:
         (record,) = read_jsonl(out)
         assert "Markets has crashed" in [i["text"] for i in record["inferences"]]
 
+    def test_conllu_and_stanford_json_fixtures_infer_alike(self, tmp_path):
+        """basic_triggers.conllu holds the trees of basic_triggers.json."""
+        _, from_json = run_infer(tmp_path, ["--rules", "all"], name="json.jsonl")
+        _, from_conllu = run_infer(tmp_path, ["--rules", "all"],
+                                   parses="basic_triggers.conllu", name="conllu.jsonl")
+        assert len(read_jsonl(from_json)) == 7
+        assert from_conllu.read_bytes() == from_json.read_bytes()
+
     def test_positional_parse_of_another_text_is_skipped(self, tmp_path, capsys):
         dataset = tmp_path / "d.txt"
         dataset.write_text("A headline here [source: BBC]\nMarkets crashed [source: BBC]\n")

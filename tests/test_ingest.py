@@ -220,6 +220,26 @@ class TestParseStanfordJson:
             )
 
 
+    def test_edge_outside_the_tokens_names_its_mapped_label(self):
+        """The message names the label the rules would see: a conj edge
+        under a "but" is conj:but, an obj edge dobj."""
+        tokens = [{"index": i, "word": w, "pos": "NN"} for i, w in enumerate(["a", "but", "c"], 1)]
+        for dep, named in (("conj", "conj:but"), ("obj", "dobj")):
+            with pytest.raises(ConsistencyError) as exc:
+                parse_stanford_json(
+                    {
+                        "headline": "a but c",
+                        "tokens": tokens,
+                        "dependencies": [
+                            {"dep": "root", "governor": 0, "governorGloss": "ROOT", "dependent": 1, "dependentGloss": "a"},
+                            {"dep": "cc", "governor": 1, "governorGloss": "a", "dependent": 2, "dependentGloss": "but"},
+                            {"dep": dep, "governor": 1, "governorGloss": "a", "dependent": 4, "dependentGloss": "c"},
+                        ],
+                    }
+                )
+            assert str(exc.value) == f"a but c: edge {named} references token outside 1..3"
+
+
 class TestRecordTypes:
     def test_tokens_and_edges_are_immutable_tuples(self):
         t = Token(1, "w", "NN")

@@ -33,6 +33,17 @@ FORM_TAG = {
         ("discussed", "VBN", "discuss"),
         ("pressing", "VBG", "press"),
         ("buzzed", "VBD", "buzz"),
+        ("confessed", "VBD", "confess"),
+        ("dismissed", "VBN", "dismiss"),
+        ("harnessing", "VBG", "harness"),
+        ("gassed", "VBD", "gas"),
+        ("quizzed", "VBN", "quiz"),
+        ("bussing", "VBG", "bus"),
+        ("quizzes", "VBZ", "quiz"),
+        ("gases", "VBZ", "gas"),
+        ("busses", "VBZ", "bus"),
+        ("bushes", "VBZ", "bush"),
+        ("focussed", "VBD", "focus"),
         ("says", "VBZ", "say"),
         ("is", "VBZ", "be"),
         ("were", "VBD", "be"),
@@ -62,6 +73,10 @@ def test_lemma(surface, pos, expected):
         ("watch", VerbForm.PRESENT_3SG, "watches"),
         ("die", VerbForm.GERUND, "dying"),
         ("begin", VerbForm.GERUND, "beginning"),
+        ("confess", VerbForm.PAST, "confessed"),
+        ("quiz", VerbForm.PAST, "quizzed"),
+        ("quiz", VerbForm.PRESENT_3SG, "quizzes"),
+        ("gas", VerbForm.GERUND, "gassing"),
     ],
 )
 def test_conjugate(base, form, expected):
@@ -133,13 +148,30 @@ _PLAIN_REGULAR = """
     interfere
 """.split()
 
+# Bases ending in -ss or -zz, which keep their doubling unlisted.
+_DOUBLE_S_REGULAR = """
+    pass press miss kiss cross dress guess toss boss fuss hiss bless stress
+    discuss express address assess possess access process progress witness
+    harass embarrass amass class glass buzz fizz
+    confess dismiss impress bypass suppress harness
+""".split()
+
 
 def _regular_bases():
     """Base forms only: the lexicon's inflected heads (began, regrets,
     stopped) are the lexicon's to expand."""
-    from presup.morphology import _DOUBLE_FINAL, _KEEP_DOUBLE, _NO_E_RESTORE, _irregular_maps
+    from presup.morphology import (
+        _DOUBLE_FINAL,
+        _DOUBLED_S,
+        _KEEP_DOUBLE,
+        _NO_E_RESTORE,
+        _irregular_maps,
+    )
 
-    pool = _KEEP_DOUBLE | _DOUBLE_FINAL | _NO_E_RESTORE | set(_PLAIN_REGULAR)
+    pool = (
+        _KEEP_DOUBLE | _DOUBLED_S | _DOUBLE_FINAL | _NO_E_RESTORE
+        | set(_PLAIN_REGULAR) | set(_DOUBLE_S_REGULAR)
+    )
     return sorted(pool - set(_irregular_maps()[0]))
 
 
@@ -148,5 +180,10 @@ def _regular_bases():
 @example("discuss", VerbForm.PAST_PARTICIPLE)
 @example("press", VerbForm.GERUND)
 @example("buzz", VerbForm.PAST)
+@example("confess", VerbForm.PAST)
+@example("harness", VerbForm.GERUND)
+@example("gas", VerbForm.PAST)
+@example("quiz", VerbForm.PRESENT_3SG)
+@example("bus", VerbForm.GERUND)
 def test_regular_round_trip(base, form):
     assert lemma(conjugate(base, form), FORM_TAG[form]) == base

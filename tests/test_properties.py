@@ -1,7 +1,8 @@
 """Cross-cutting engine properties: fuzzing over random dependency trees,
-format equivalence of the two ingest formats, malformed-input fuzzing of the
-parse, gold and eval readers, rule-set monotonicity, rules that share a
-registry function and output determinism."""
+format equivalence of the two ingest formats, parity of the parse readers
+with a reference copy on valid and one-defect parses, malformed-input fuzzing
+of the parse, gold and eval readers, rule-set monotonicity, rules that share
+a registry function and output determinism."""
 
 import json
 import random
@@ -9,14 +10,17 @@ import re
 
 from hypothesis import example, given, strategies as st
 
-from conftest import load_fixture_corpus
+import ingest_reference as reference
+from conftest import load_fixture_corpus, make_headline
 from presup.cli import _read_inference_file, _read_labels_file
 from presup.corpus import parse_gold, preprocess
 from presup.errors import FormatError, ParseError
 from presup.ingest import (
+    LABEL_MAP,
     DependencyEdge,
     Token,
     build_headline,
+    normalize_labels,
     parse_conllu,
     parse_stanford_json,
     to_stanford_json,
@@ -317,3 +321,151 @@ def test_dedup_keeps_first_registered_trigger():
         for inf in out:
             assert inf.text.lower() not in seen
             seen.add(inf.text.lower())
+
+
+def _same_outcome(read, reference_read, document):
+    """``read(document)`` gives what the reference gives: an equal result,
+    or an error of the same type with the same text."""
+    try:
+        want = reference_read(document)
+    except ParseError as exc:
+        try:
+            read(document)
+        except ParseError as got:
+            assert (type(got), str(got)) == (type(exc), str(exc))
+        else:
+            raise AssertionError(f"no error, the reference raises {exc}")
+        return str(exc)
+    assert read(document) == want
+    return None
+
+
+# One defect each; "none" is the valid tree.  A defect that the tree cannot
+# take (a cycle needs a token with a dependent below the root) is skipped.
+# The first eight keep one edge row per token.
+DEFECTS = ("none", "index", "pos", "no_root", "two_roots", "self_loop", "cycle",
+           "gloss", "missing_head", "repeated")
+
+
+def _inject(defect, fmt, tokens, edges, rng) -> bool:
+    """Put ``defect`` into the [index, surface, pos] token rows and the
+    [dep, governor, governor gloss, dependent, dependent gloss] edge rows
+    (edge k hangs token k), as it can be written in ``fmt``."""
+    n = len(tokens)
+    k = rng.randrange(n)
+
+    def attach(edge, governor):
+        edge[1], edge[2] = governor, "ROOT" if governor == 0 else tokens[governor - 1][1]
+
+    if defect == "index":
+        tokens[k][0] = rng.choice([0, k, k + 2, n + 1, 2 * n + 5])
+    elif defect == "pos":
+        tokens[k][2] = ""
+    elif defect == "no_root":
+        for edge in edges:
+            if edge[0] == "root":
+                edge[0] = rng.choice(["dep", "Root", "nsubj"])
+    elif defect == "two_roots":
+        if n < 2 or edges[k][0] == "root":
+            return False
+        edges[k][0] = "root"
+    elif defect == "missing_head":
+        if fmt == "conllu" or rng.random() < 0.5:
+            attach(edges[k], 0)
+            edges[k][1] = rng.choice([n + 1, n + 7]) if fmt == "conllu" else rng.choice([-1, n + 1])
+        else:
+            del edges[k]
+    elif defect == "self_loop":
+        attach(edges[k], k + 1)
+    elif defect == "cycle":
+        # Token a, not hung from the root, takes its own dependent as head.
+        below = [e for e in edges if e[1] != 0 and edges[e[1] - 1][1] != 0]
+        if not below:
+            return False
+        child = rng.choice(below)
+        attach(edges[child[1] - 1], child[3])
+    elif defect == "gloss":
+        if fmt == "conllu":
+            return False
+        edges[k][rng.choice([2, 4])] += rng.choice(["x", " "])
+    elif defect == "repeated":
+        if fmt == "conllu":
+            return False
+        copy = list(edges[k])
+        if rng.random() < 0.5 and n > 1:
+            other = rng.choice([i for i in range(n) if i != k])
+            copy[3], copy[4] = edges[other][3], edges[other][4]
+            edges[k] = copy
+        else:
+            edges.insert(rng.randrange(len(edges) + 1), copy)
+    return True
+
+
+def _conllu_block(hid, raw, tokens, edges, with_id) -> str:
+    lines = [f"# sent_id = {hid}"] if with_id else []
+    lines.append(f"# text = {raw}")
+    for (index, surface, pos), (dep, governor, _, _, _) in zip(tokens, edges):
+        lines.append(f"{index}\t{surface}\t_\t_\t{pos}\t_\t{governor}\t{dep}\t_\t_")
+    return "\n".join(lines) + "\n\n"
+
+
+def _stanford_object(hid, raw, tokens, edges) -> dict:
+    return {
+        "headline": raw,
+        "sent_id": hid,
+        "tokens": [{"index": i, "word": w, "pos": p} for i, w, p in tokens],
+        "dependencies": [
+            {"dep": d, "governor": g, "governorGloss": gg, "dependent": e, "dependentGloss": eg}
+            for d, g, gg, e, eg in edges
+        ],
+    }
+
+
+@given(
+    st.sampled_from([h for h, _ in FIXTURE_PAIRS]) | st.integers(0, 2**32).map(
+        lambda seed: random_parse(random.Random(seed))
+    ),
+    st.integers(0, 2**32),
+)
+# An edge outside the tokens is named by its mapped label, here conj:but.
+@example(make_headline("a/NN but/CC c/NN", [("root", 0, 1), ("cc", 1, 2), ("conj", 1, 3)]), 17)
+def test_readers_match_the_reference_copy(h, seed):
+    """Both readers, ``build_headline`` and ``normalize_labels`` give the
+    reference copy's parses on valid trees and its exact error text on a
+    tree with one defect, whichever check finds it."""
+    rng = random.Random(seed)
+    relabel = {rng.choice(sorted(LABEL_MAP.values())): rng.choice(sorted(LABEL_MAP))}
+    base_tokens = [list(t) for t in h.tokens]
+    base_edges = [list(e) for e in sorted(h.edges, key=lambda e: e.dependent)]
+    for edge in base_edges:
+        if rng.random() < 0.5:
+            edge[0] = relabel.get(edge[0], edge[0])  # the UD and legacy spellings
+    prefix = random_parse(rng)
+    # Each defect alone, then two at once: the first check to fail names it.
+    cases = [(defect,) for defect in DEFECTS]
+    cases.append((rng.choice(DEFECTS[1:8]), rng.choice(DEFECTS[1:])))
+    for case in cases:
+        for fmt in ("conllu", "stanford"):
+            tokens, edges = [list(t) for t in base_tokens], [list(e) for e in base_edges]
+            if not all(_inject(defect, fmt, tokens, edges, rng) for defect in case):
+                continue
+            if fmt == "conllu":
+                with_id = rng.random() < 0.8
+                document = _conllu_block(h.headline_id, h.raw_text, tokens, edges, with_id)
+                if rng.random() < 0.5:  # a valid sentence before it
+                    document = to_conllu(prefix) + document
+                error = _same_outcome(parse_conllu, reference.parse_conllu, document)
+            else:
+                rng.shuffle(edges)  # Stanford JSON lists the edges in any order
+                document = json.dumps(_stanford_object(h.headline_id, h.raw_text, tokens, edges))
+                error = _same_outcome(parse_stanford_json, reference.parse_stanford_json, document)
+                token_rows = [Token(*t) for t in tokens]
+                edge_rows = [DependencyEdge(*e) for e in edges]
+                _same_outcome(
+                    lambda rows: build_headline("x", "y", *rows),
+                    lambda rows: reference.build_headline("x", "y", *rows),
+                    (token_rows, edge_rows),
+                )
+                assert normalize_labels(edge_rows) == reference.normalize_labels(edge_rows)
+            if len(case) == 1:
+                assert (error is None) == (case == ("none",)), (case, fmt, error)

@@ -370,6 +370,24 @@ class TestRuleQuestion:
             assert inf.text == want
             assert inf.span == tuple(t.index for t in h.tokens)
 
+    def test_contracted_is_either_apostrophe(self):
+        """"'s" renders "is" whether the parser kept it on the wh-word or
+        split it off, with a straight or a curly apostrophe."""
+        for apostrophe in ("'", "’"):
+            one_token = make_headline(
+                f"What{apostrophe}s/WP next/JJ ?/.",
+                [("nsubj", 2, 1), ("root", 0, 2), ("punct", 2, 3)],
+                raw_text=f"What{apostrophe}s next?",
+            )
+            split = make_headline(
+                f"What/WP {apostrophe}s/VBZ next/JJ ?/.",
+                [("nsubj", 3, 1), ("cop", 3, 2), ("root", 0, 3), ("punct", 3, 4)],
+                raw_text=f"What{apostrophe}s next?",
+            )
+            for h in (one_token, split):
+                (inf,) = rule_question(h)
+                assert inf.text == "something is next", (apostrophe, len(h.tokens))
+
     def test_auxiliary_root_is_not_inverted(self):
         """Word 2 is the root, not an inverted auxiliary: nothing moves."""
         h = make_headline(
