@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import re
@@ -452,6 +453,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # Everything a command builds lives until it returns, so the cyclic
+    # collector would scan it again and again and reclaim nothing.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     # FormatError and ParseError are ValueErrors.
     try:
         return args.func(args)
@@ -461,6 +466,9 @@ def main(argv=None) -> int:
         print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
     return 1
 
 

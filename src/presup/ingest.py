@@ -262,11 +262,12 @@ def parse_conllu(document: str, source: str | None = None) -> list[ParsedHeadlin
         if not first_line:
             first_line = lineno
         if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("sent_id"):
-                sent_id = body.split("=", 1)[1].strip() if "=" in body else sent_id
-            elif body.startswith("text"):
-                sent_text = body.split("=", 1)[1].strip() if "=" in body else sent_text
+            key, eq, value = line[1:].partition("=")
+            key = key.strip()
+            if eq and key == "sent_id":
+                sent_id = value.strip()
+            elif eq and key == "text":
+                sent_text = value.strip()
             continue
         cols = line.split("\t")
         if len(cols) != 10:

@@ -1,9 +1,11 @@
+import gc
 import json
 from pathlib import Path
 
 import pytest
 
 from conftest import FIXTURES
+from presup import cli
 from presup.cli import (
     SETTINGS,
     _read_config_file,
@@ -395,6 +397,24 @@ class TestInfer:
         (record,) = read_jsonl(out)
         assert "Markets has crashed" in [i["text"] for i in record["inferences"]]
 
+    def test_conllu_translation_comment_does_not_replace_text(self, tmp_path):
+        conllu = tmp_path / "p.conllu"
+        conllu.write_text(
+            "# text = Markets crashed\n"
+            "# text_en = Something else entirely\n"
+            "# sent_id_orig = zz\n"
+            "1\tMarkets\t_\t_\tNNS\t_\t2\tnsubj\t_\t_\n"
+            "2\tcrashed\t_\t_\tVBD\t_\t0\troot\t_\t_\n\n"
+        )
+        dataset = tmp_path / "d.txt"
+        dataset.write_text("Markets crashed [source: BBC]\n")
+        out = tmp_path / "o.jsonl"
+        code = main(["infer", "--dataset", str(dataset), "--parses", str(conllu),
+                     "--out", str(out), "--strict"])
+        assert code == 0
+        (record,) = read_jsonl(out)
+        assert "Markets has crashed" in [i["text"] for i in record["inferences"]]
+
     @pytest.mark.parametrize("char", ["\u0085", "\u2028", "\u2029"])
     @pytest.mark.parametrize("flag", ["--parses", "--inferences"])
     def test_unicode_line_separator_stays_inside_its_record(self, tmp_path, flag, char):
@@ -705,3 +725,96 @@ class TestMorphAndStats:
         out = capsys.readouterr().out
         assert "headlines: 3" in out
         assert "BBC: 2" in out
+
+
+@pytest.fixture
+def collector():
+    """Put the collector back as the test found it, whatever the test does."""
+    was_enabled = gc.isenabled()
+    yield
+    (gc.enable if was_enabled else gc.disable)()
+
+
+def repeated(tmp_path, name, k, sep=""):
+    """A copy of fixture ``name`` holding its content ``k`` times."""
+    path = tmp_path / f"x{k}-{name}"
+    path.write_text(sep.join([(FIXTURES / name).read_text("utf-8")] * k), "utf-8")
+    return str(path)
+
+
+def json_lines(tmp_path, name, k):
+    """The array fixture ``name`` as JSON Lines, its records ``k`` times."""
+    path = tmp_path / f"x{k}-{name}l"
+    records = json.loads((FIXTURES / name).read_text("utf-8")) * k
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), "utf-8")
+    return str(path)
+
+
+@pytest.mark.usefixtures("collector")
+class TestCollector:
+    """``main`` runs each command with the cyclic collector paused."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("outcome", ["ok", "error", "raises"])
+    def test_main_restores_the_collector(self, tmp_path, monkeypatch, enabled, outcome):
+        seen = []
+        infer = cli.cmd_infer
+
+        def spy(args):
+            seen.append(gc.isenabled())
+            if outcome == "raises":
+                raise RuntimeError("unexpected")
+            return infer(args)
+
+        monkeypatch.setattr(cli, "cmd_infer", spy)
+        parses = "missing.json" if outcome == "error" else "basic_triggers.json"
+        (gc.enable if enabled else gc.disable)()
+        if outcome == "raises":
+            with pytest.raises(RuntimeError, match="unexpected"):
+                run_infer(tmp_path, parses=parses)
+        else:
+            code, _ = run_infer(tmp_path, parses=parses)
+            assert code == (1 if outcome == "error" else 0)
+        assert seen == [False]
+        assert gc.isenabled() is enabled
+
+    @staticmethod
+    def cyclic_garbage(argv) -> int:
+        """What a full collection finds after ``main(argv)`` ran with the
+        collector off."""
+        gc.collect()
+        gc.disable()
+        assert main(argv) == 0
+        return gc.collect()
+
+    @pytest.mark.parametrize("parses", ["basic_triggers.json", "basic_triggers.conllu"])
+    def test_infer_garbage_does_not_grow_with_input(self, tmp_path, parses):
+        """The fixtures 1 and 8 times over, paired by position."""
+        found = []
+        for k in (1, 8):
+            if parses.endswith(".json"):
+                parse_file = json_lines(tmp_path, parses, k)
+            else:
+                parse_file = repeated(tmp_path, parses, k, "\n")
+            out = tmp_path / f"x{k}.jsonl"
+            found.append(self.cyclic_garbage([
+                "infer", "--rules", "all",
+                "--dataset", repeated(tmp_path, "basic_triggers_dataset.txt", k),
+                "--parses", parse_file, "--out", str(out),
+            ]))
+            assert len(read_jsonl(out)) == 7 * k
+        assert found[1] == found[0]
+
+    def test_eval_garbage_does_not_grow_with_input(self, tmp_path):
+        found = []
+        for k in (1, 8):
+            out = tmp_path / f"x{k}.json"
+            found.append(self.cyclic_garbage([
+                "eval",
+                "--inferences", repeated(tmp_path, "scored_computed.jsonl", k),
+                "--gold", repeated(tmp_path, "scored_gold.txt", k),
+                "--labels", repeated(tmp_path, "scored_labels.jsonl", k),
+                "--out", str(out),
+            ]))
+            assert len(json.loads(out.read_text("utf-8"))["headlines"]) == 3 * k
+        assert found[1] == found[0]

@@ -97,6 +97,22 @@ class TestParseConllu:
         (h,) = parse_conllu(doc)
         assert [t.surface for t in h.tokens] == ["do", "go"]
 
+    @pytest.mark.parametrize("sent_id", ["s1", None])
+    def test_comment_keys_match_exactly(self, sent_id):
+        """UD treebanks carry text_en and similar keys next to text and sent_id."""
+        doc = (
+            (f"# sent_id = {sent_id}\n" if sent_id else "")
+            + "# sent_id_orig = zz\n"
+            "# text = Markets crashed\n"
+            "# text_en = Something else entirely\n"
+            "#textual = no\n"
+            "1\tMarkets\t_\t_\tNNS\t_\t2\tnsubj\t_\t_\n"
+            "2\tcrashed\t_\t_\tVBD\t_\t0\troot\t_\t_\n"
+        )
+        (h,) = parse_conllu(doc)
+        assert h.raw_text == "Markets crashed"
+        assert h.headline_id == (sent_id or "Markets crashed")
+
     def test_upos_fallback_when_xpos_missing(self):
         doc = (
             "1\tdogs\t_\tNOUN\t_\t_\t2\tnsubj\t_\t_\n"
