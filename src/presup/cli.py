@@ -212,24 +212,23 @@ def cmd_infer(args) -> int:
         by_id.setdefault(h.headline_id, h)
     skipped: list[dict] = []
     lines: list[str] = []
-    headline_counts: list[dict] = []
     trigger_counts: Counter = Counter()
     for i, record in enumerate(records, start=1):
         h = by_id.get(str(i))
         if h is None and i - 1 < len(parses):
-            h = parses[i - 1]  # by position, so it must be of this line's text
-            if _letters(h.raw_text) != _letters(record.text):
-                skipped.append({"line": i, "headline": record.text, "reason": "mismatch",
-                                "parse": h.raw_text})
-                continue
+            h = parses[i - 1]  # by position
         if h is None:
             skipped.append({"line": i, "headline": record.text, "reason": "no parse"})
+            continue
+        # Paired by id or by position, a parse must be of this line's text.
+        if h.raw_text != record.text and _letters(h.raw_text) != _letters(record.text):
+            skipped.append({"line": i, "headline": record.text, "reason": "mismatch",
+                            "parse": h.raw_text})
             continue
         p = preprocess(record.text)
         h = ParsedHeadline(str(i), record.text, h.tokens, h.edges)
         inferences = infer_all(h, p, cfg)
         trigger_counts.update(inf.trigger for inf in inferences)
-        headline_counts.append({"line": i, "inferences": len(inferences)})
         lines.append(
             json.dumps(
                 {
@@ -251,7 +250,6 @@ def cmd_infer(args) -> int:
         "headlines": len(records),
         "inferred": len(lines),
         "inference_counts": dict(sorted(trigger_counts.items())),
-        "headline_counts": headline_counts,
         "skipped": skipped,
         "generated_at": datetime.now(timezone.utc).isoformat(),
     }

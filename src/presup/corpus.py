@@ -28,6 +28,12 @@ _STRAY_APOSTROPHE = re.compile(
     rf"[{_APOSTROPHES}](?:(?<![^\W_][{_APOSTROPHES}])|(?![^\W_]))"
 )
 _FATE = {chr(k): v or "" for k, v in _CLEAN_TABLE.items()}  # the table by character
+# The table's ASCII part for ``bytes.translate``.  ``str.translate`` raises
+# and clears a LookupError for every character the table does not map, so
+# ASCII text, which is nearly all of it, is cleaned as bytes.
+_ASCII_HYPHENS = bytes(ord(c) for c in _HYPHENS if c.isascii())
+_ASCII_TABLE = bytes.maketrans(_ASCII_HYPHENS, b" " * len(_ASCII_HYPHENS))
+_ASCII_DELETE = bytes(ord(c) for c in _OTHER_PUNCT if c.isascii())
 
 _MONTHS = {
     m
@@ -119,6 +125,8 @@ def read_dataset(document: str, source: str | None = None) -> list[HeadlineRecor
 
 def _double_quote_pairs(text: str) -> list[tuple[int, int]]:
     """Pair quote characters left to right; unmatched openers yield no span."""
+    if '"' not in text and "“" not in text and "”" not in text:
+        return []  # most headlines; skips both scans
     straight = [m.start() for m in re.finditer('"', text)]
     pairs = list(zip(straight[::2], straight[1::2]))
     open_curly = None
@@ -142,7 +150,12 @@ def clean(text: str) -> str:
     whitespace is collapsed."""
     if _has_apostrophe(text):
         text = _STRAY_APOSTROPHE.sub("", text)
-    return " ".join(text.translate(_CLEAN_TABLE).split())
+    if text.isascii():
+        # Decoded before splitting: str.split also breaks on \x1c-\x1f.
+        text = text.encode("ascii").translate(_ASCII_TABLE, _ASCII_DELETE).decode("ascii")
+    else:
+        text = text.translate(_CLEAN_TABLE)
+    return " ".join(text.split())
 
 
 def preprocess(text: str) -> PreprocessedHeadline:

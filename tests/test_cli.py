@@ -107,6 +107,7 @@ class TestInfer:
         assert manifest["skipped"] == []
         assert len(manifest["config_hash"]) == 64
         assert "future" in manifest["rules"]
+        assert "headline_counts" not in manifest  # the JSONL holds each line's inferences
 
     def test_rules_flag_limits_output(self, tmp_path):
         code, out = run_infer(tmp_path, extra=["--rules", "compound"])
@@ -376,6 +377,33 @@ class TestInfer:
         assert capsys.readouterr().err.endswith(
             "error: 1 headline(s) without a matching parse\n"
         )
+
+    def test_parse_paired_by_id_of_another_text_is_skipped(self, tmp_path, capsys):
+        conllu = tmp_path / "p.conllu"
+        conllu.write_text(
+            "# sent_id = 1\n"
+            "# text = Markets crashed\n"
+            "1\tMarkets\t_\t_\tNNS\t_\t2\tnsubj\t_\t_\n"
+            "2\tcrashed\t_\t_\tVBD\t_\t0\troot\t_\t_\n\n"
+        )
+        dataset = tmp_path / "d.txt"
+        dataset.write_text("A headline here [source: BBC May 08, 2016]\n")
+        out = tmp_path / "o.jsonl"
+        argv = ["infer", "--dataset", str(dataset), "--parses", str(conllu), "--out", str(out)]
+        assert main([*argv, "--strict"]) == 1
+        assert read_jsonl(out) == []
+        manifest = json.loads((tmp_path / "o.jsonl.manifest.json").read_text())
+        assert manifest["skipped"] == [{"line": 1, "headline": "A headline here",
+                                        "reason": "mismatch", "parse": "Markets crashed"}]
+        assert capsys.readouterr().err == (
+            "warning: line 1: parse of 'Markets crashed' does not match 'A headline here'\n"
+            "error: 1 headline(s) without a matching parse\n"
+        )
+        # Paired by id with a line of the same letters, the parse is used.
+        dataset.write_text("markets CRASHED! [source: BBC May 08, 2016]\n")
+        assert main([*argv, "--strict"]) == 0
+        (record,) = read_jsonl(out)
+        assert "Markets has crashed" in [i["text"] for i in record["inferences"]]
 
     def test_conllu_sentence_without_sent_id_pairs_by_text(self, tmp_path, capsys):
         conllu = tmp_path / "p.conllu"

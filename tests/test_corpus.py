@@ -162,6 +162,10 @@ def reference_normalize(text: str) -> str:
 CLEANING_ALPHABET = (
     "aZ9_" "'’‘" '"“”' "-–—" ".,!?;:()" " \t\n\u3000" "é٣"
 )
+# The ASCII part, and the ASCII whitespace that is neither space nor \t\n.
+ASCII_CLEANING_ALPHABET = (
+    "".join(c for c in CLEANING_ALPHABET if c.isascii()) + "\x0b\x0c\r\x1c\x1d\x1e\x1f"
+)
 
 PINNED = [
     "rock'n'roll",
@@ -170,6 +174,7 @@ PINNED = [
     'foo"bar baz"',  # a word straddles the opening quote
     '“a "b” c"',  # overlapping pairs: the later one owns "b"
     "a'-b",
+    "a\x1cb-c",  # str.split breaks on \x1c-\x1f, bytes.split does not
     "Corbyn 'regrets' Labour MPs' resignations",
     "can be / can have 'em",
 ]
@@ -185,8 +190,8 @@ class TestCleanMatchesReference:
         assert normalize(text) == reference_normalize(text)
 
     def test_pinned_values(self):
-        assert [clean(t) for t in PINNED[:6]] == [
-            "rock'n'roll", "90s", "MPs", "foobar baz", "a b c", "a b"
+        assert [clean(t) for t in PINNED[:7]] == [
+            "rock'n'roll", "90s", "MPs", "foobar baz", "a b c", "a b", "a b c"
         ]
         assert [(s.start_word, s.end_word) for s in preprocess('“a "b” c"').quoted_spans] == [
             (0, 0), (1, 2)
@@ -199,6 +204,13 @@ class TestCleanMatchesReference:
         p = preprocess(text)
         assert (p.cleaned, p.quoted_spans) == (cleaned, spans)
         assert clean(text) == cleaned
+
+    @settings(max_examples=1000)
+    @given(st.text(alphabet=ASCII_CLEANING_ALPHABET, max_size=30))
+    def test_ascii_property(self, text):
+        """Most texts of the property above hold a non-ASCII character, so
+        they never reach the ASCII path of ``clean``."""
+        assert clean(text) == reference_preprocess(text)[0]
 
     @given(st.lists(st.sampled_from([*CLEANING_ALPHABET, "can", "be", "have", "/", " "]), max_size=20))
     def test_normalize_property(self, parts):
