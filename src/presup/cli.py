@@ -70,7 +70,8 @@ def _read_config_file(path: str) -> dict[str, tuple[str, str]]:
 
 def _check_rules(spec: str) -> tuple[str, ...]:
     """The ids a comma-separated ``spec`` names, 'all' and 'lexical' expanded;
-    an empty spec is the default rule set."""
+    an empty spec is the default rule set, one that names no rule (',') an
+    error."""
     if not spec:
         return DEFAULT_RULES
     out: list[str] = []
@@ -82,6 +83,8 @@ def _check_rules(spec: str) -> tuple[str, ...]:
             out.extend(RULE_IDS)
         elif item:
             out.append(item)
+    if not out:
+        raise ValueError(f"rules {spec!r} names no rule")
     return check_rule_ids(dict.fromkeys(out))
 
 

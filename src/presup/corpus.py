@@ -66,8 +66,13 @@ class QuotedSpan:
 
 @dataclass(frozen=True)
 class PreprocessedHeadline:
-    cleaned: str
+    text: str
     quoted_spans: tuple[QuotedSpan, ...]
+
+    @property
+    def cleaned(self) -> str:
+        """``clean(text)``, computed when read: no rule reads it."""
+        return clean(self.text)
 
 
 @dataclass(frozen=True)
@@ -159,12 +164,11 @@ def clean(text: str) -> str:
 
 
 def preprocess(text: str) -> PreprocessedHeadline:
-    """``clean`` the text and record which cleaned words fall inside
-    double-quoted spans."""
-    cleaned = clean(text)
+    """The text with the cleaned words that fall inside double-quoted spans.
+    The text itself is cleaned only when ``cleaned`` is read."""
     pairs = _double_quote_pairs(text)
     if not pairs:
-        return PreprocessedHeadline(cleaned=cleaned, quoted_spans=())
+        return PreprocessedHeadline(text=text, quoted_spans=())
     # Each character's span; where pairs overlap, the later pair wins.
     sid_of: list[int | None] = [None] * len(text)
     for sid, (start, end) in enumerate(pairs):
@@ -198,7 +202,7 @@ def preprocess(text: str) -> PreprocessedHeadline:
                     text=text[start + 1 : end],
                 )
             )
-    return PreprocessedHeadline(cleaned=cleaned, quoted_spans=tuple(spans))
+    return PreprocessedHeadline(text=text, quoted_spans=tuple(spans))
 
 
 _TRIGGER_TAG = re.compile(r"^(.*?)\s*@([\w.:-]+)\s*$")

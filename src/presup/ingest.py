@@ -399,7 +399,8 @@ def is_verb_tag(pos: str, strict: bool = False) -> bool:
 
 
 def is_noun_tag(pos: str) -> bool:
-    return pos.startswith(("N", "P"))
+    """Noun and personal-pronoun Penn tags: N*, PRP and PRP$ (not POS or PDT)."""
+    return pos.startswith("N") or pos in ("PRP", "PRP$")
 
 
 def verbs_of(h: ParsedHeadline, strict: bool = False) -> list[Token]:

@@ -87,6 +87,10 @@ _E_FINAL_CONSONANTS = frozenset("scgvzu")
 _PRESENT_SPECIAL = {"is": "be", "has": "have", "does": "do", "am": "be", "are": "be"}
 _PAST_SPECIAL = {"were": "be"}
 
+# Entries each of ``lemma`` and ``conjugate`` keeps: headlines repeat their
+# verb forms, so most calls of a run are for a form seen before.
+_CACHE_SIZE = 4096
+
 
 def _load_table() -> list[tuple[str, str, str]]:
     entries = []
@@ -220,6 +224,7 @@ def _lemma_from_s(word: str) -> str:
     return stem
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def lemma(surface: str, pos: str) -> str:
     """Base form of ``surface`` under Penn tag ``pos``.
 
@@ -279,6 +284,7 @@ def _present_3sg(base: str) -> str:
     return base + "s"
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def conjugate(base: str, form: VerbForm) -> str:
     """Inflect a lowercase base form. Modals are returned unchanged."""
     word = base.lower()

@@ -13,7 +13,7 @@ the rendered texts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 from .corpus import PreprocessedHeadline
@@ -590,8 +590,7 @@ def extract_triplets(h: ParsedHeadline, strict_verbs: bool = False) -> list[Infe
 def _lexical_group(h, p, cfg) -> list[Inference]:
     """The one function of the five ``lexical.*`` rows: their enabled classes
     in one pass."""
-    classes = tuple(c for c in VERB_CLASS_IDS if "lexical." + c in cfg.rules)
-    return rule_lexical(h, cfg.lexicon, classes, cfg.strict_verbs)
+    return rule_lexical(h, cfg.lexicon, cfg.lexical_classes, cfg.strict_verbs)
 
 
 # Rule id (the ``trigger`` of what the rule renders) -> rule(h, p, cfg), in
@@ -635,6 +634,11 @@ def check_compound_mode(mode: str) -> str:
 
 @dataclass(frozen=True)
 class EngineConfig:
+    """The engine settings.  ``__post_init__`` resolves ``rules`` once into
+    ``rule_functions``, the distinct rule functions in registry order, and
+    ``lexical_classes``, the enabled ``lexical.*`` classes; these are not
+    fields, and ``dataclasses.replace`` resolves them anew."""
+
     rules: tuple[str, ...] = DEFAULT_RULES
     lexicon: TriggerLexicon = field(default_factory=default_lexicon)
     strict_verbs: bool = False
@@ -643,6 +647,17 @@ class EngineConfig:
     def __post_init__(self):
         object.__setattr__(self, "rules", check_rule_ids(self.rules))
         check_compound_mode(self.compound_mode)
+        enabled = set(self.rules)
+        functions = dict.fromkeys(fn for rule_id, fn in RULES.items() if rule_id in enabled)
+        object.__setattr__(self, "rule_functions", tuple(functions))
+        object.__setattr__(
+            self, "lexical_classes", tuple(c for c in VERB_CLASS_IDS if "lexical." + c in enabled)
+        )
+
+    def __reduce__(self):
+        # ``rule_functions`` holds the registry's lambdas, which pickle cannot
+        # name, so a copy is built from the fields and resolves them anew.
+        return EngineConfig, tuple(getattr(self, f.name) for f in fields(self))
 
     def fingerprint(self) -> str:
         return "\n".join(
@@ -655,15 +670,19 @@ class EngineConfig:
         )
 
 
+def _output_order(inf: Inference) -> tuple:
+    return _POSITION[inf.trigger], inf.span
+
+
 def generate_all(
     h: ParsedHeadline, p: PreprocessedHeadline, cfg: EngineConfig
 ) -> list[Inference]:
     """All enabled rules' outputs in registry order, each rule's by span,
     before deduplication.  A function shared by rows runs once."""
     out = []
-    for rule in dict.fromkeys(RULES[r] for r in cfg.rules):
+    for rule in cfg.rule_functions:
         out.extend(rule(h, p, cfg))
-    out.sort(key=lambda inf: (_POSITION[inf.trigger], inf.span))
+    out.sort(key=_output_order)
     return out
 
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from conftest import FIXTURES
-from presup import cli
+from presup import cli, corpus
 from presup.cli import (
     SETTINGS,
     _read_config_file,
@@ -30,6 +30,16 @@ CORE_EXPECTED_INFERENCES = [
     "England has Bank",
 ]
 
+
+# (dataset, parses) of each `infer --rules all` run whose output is pinned
+# under fixtures/pinned, by dataset: the CoNLL-U trees of basic_triggers are
+# its JSON ones, so both runs meet the same file.
+PINNED_RUNS = [
+    ("basic_triggers", "basic_triggers.json"),
+    ("basic_triggers", "basic_triggers.conllu"),
+    ("combined", "combined.json"),
+    ("lexical_triggers", "lexical_triggers.json"),
+]
 
 # The first fixture parse as one JSON Lines record.
 GOOD_PARSE = json.dumps(json.loads((FIXTURES / "basic_triggers.json").read_text("utf-8"))[0])
@@ -143,6 +153,46 @@ class TestInfer:
         records = read_jsonl(out)
         texts = [i["text"] for i in records[4]["inferences"]]
         assert "Olympic can have ban" in texts
+
+    @pytest.mark.parametrize("spec", [",", " , ,"])
+    def test_rules_naming_no_rule_is_error(self, tmp_path, capsys, spec):
+        code, out = run_infer(tmp_path, extra=["--rules", spec])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: rules {spec!r} names no rule\n"
+        assert not out.exists()
+
+    def test_config_rules_naming_no_rule_names_file_and_line(self, tmp_path, capsys):
+        cfg = tmp_path / "engine.cfg"
+        cfg.write_text("# engine settings\nrules = ,\n")
+        code, out = run_infer(tmp_path, extra=["--config", str(cfg)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {cfg}:2: rules ',' names no rule\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dataset, parses", PINNED_RUNS)
+    def test_rules_all_output_is_pinned(self, tmp_path, dataset, parses):
+        """The whole output, byte for byte.  A change that means to alter it
+        rewrites the pinned file from its own run and says why."""
+        code, out = run_infer(tmp_path, ["--rules", "all"], parses=parses,
+                              dataset=f"{dataset}_dataset.txt")
+        assert code == 0
+        assert out.read_bytes() == (FIXTURES / "pinned" / f"{dataset}.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("dataset, parses", [
+        ("basic_triggers", "basic_triggers.json"),
+        ("lexical_triggers", "lexical_triggers.json"),
+    ])
+    def test_infer_never_cleans_the_text(self, tmp_path, monkeypatch, dataset, parses):
+        """No rule reads the cleaned text, so infer does not compute it; both
+        datasets hold a quoted headline, whose spans are still found."""
+        def fail(text):
+            raise AssertionError(f"clean({text!r}) called")
+
+        monkeypatch.setattr(corpus, "clean", fail)
+        code, out = run_infer(tmp_path, ["--rules", "all"], parses=parses,
+                              dataset=f"{dataset}_dataset.txt")
+        assert code == 0
+        assert out.read_bytes() == (FIXTURES / "pinned" / f"{dataset}.jsonl").read_bytes()
 
     def test_unknown_rule_id_is_error(self, tmp_path, capsys):
         code, _ = run_infer(tmp_path, extra=["--rules", "compound,astrology"])

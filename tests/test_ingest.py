@@ -9,6 +9,7 @@ from presup.ingest import (
     DependencyEdge,
     Token,
     edges_with,
+    is_noun_tag,
     normalize_labels,
     nouns_of,
     parse_conllu,
@@ -356,6 +357,12 @@ class TestTokenQueries:
     def test_nouns_of_uk_economy(self, basic_triggers):
         h, _ = basic_triggers["further"]
         assert [t.surface for t in nouns_of(h)] == ["UK", "economy"]
+
+    def test_noun_tags(self):
+        for tag in ("NN", "NNS", "NNP", "NNPS", "PRP", "PRP$"):
+            assert is_noun_tag(tag), tag
+        for tag in ("POS", "PDT", "VB", "JJ", "DT", "IN", "RB", "."):
+            assert not is_noun_tag(tag), tag
 
     def test_verb_noun_patterns_disjoint(self):
         tags = ["NN", "NNS", "NNP", "NNPS", "PRP", "PRP$", "VB", "VBD", "VBZ",

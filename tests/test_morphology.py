@@ -187,3 +187,16 @@ def _regular_bases():
 @example("bus", VerbForm.GERUND)
 def test_regular_round_trip(base, form):
     assert lemma(conjugate(base, form), FORM_TAG[form]) == base
+
+
+def test_cached_functions_agree_with_their_wrapped_ones():
+    """The caches of ``lemma`` and ``conjugate`` change no result, on a first
+    call or a repeated one."""
+    for base in _regular_bases():
+        for form in VerbForm:
+            inflected = conjugate.__wrapped__(base, form)
+            tag = FORM_TAG[form]
+            for _ in range(2):
+                assert conjugate(base, form) == inflected, (base, form)
+                assert lemma(inflected, tag) == lemma.__wrapped__(inflected, tag), (base, form)
+    assert lemma.cache_info().maxsize == conjugate.cache_info().maxsize > 0

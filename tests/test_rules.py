@@ -1,4 +1,8 @@
+import pickle
+from dataclasses import fields, replace
 from pathlib import Path
+
+import pytest
 
 from conftest import make_headline
 from presup.corpus import preprocess
@@ -150,6 +154,20 @@ class TestRuleFurther:
         )
         (inf,) = rule_further(h)
         assert inf.text == "Prices is already fall"
+
+    def test_possessive_marker_is_not_a_subject(self):
+        h = make_headline(
+            "Market/NN 's/POS further/RB falls/VBZ",
+            [("dep", 4, 1), ("case", 1, 2), ("advmod", 4, 3), ("root", 0, 4)],
+        )
+        (inf,) = rule_further(h)
+        assert inf.text == "Market is already fall"
+
+    def test_predeterminer_is_not_a_subject(self):
+        h = make_headline(
+            "All/PDT further/RB cut/VB", [("dep", 3, 1), ("advmod", 3, 2), ("root", 0, 3)]
+        )
+        assert rule_further(h) == []
 
     def test_nearest_preceding_noun_fallback(self):
         h = make_headline(
@@ -516,6 +534,49 @@ class TestRegistry:
             cfg = EngineConfig(rules=(rule_id,))
             fired = {i.trigger for h, p in cases for i in generate_all(h, p, cfg)}
             assert fired == {rule_id}
+
+    @pytest.mark.parametrize("rules", [
+        DEFAULT_RULES,
+        RULE_IDS,
+        (),
+        ("triple", "lexical.judging", "future"),
+        ("lexical.judging", "lexical.change_of_state"),
+        ("quotes",),
+    ])
+    def test_plan_follows_rules(self, rules):
+        for cfg in (
+            EngineConfig(rules=rules),
+            replace(EngineConfig(rules=RULE_IDS), rules=rules),
+            replace(EngineConfig(rules=("future",)), rules=rules, strict_verbs=True),
+        ):
+            functions = cfg.rule_functions
+            assert len(set(functions)) == len(functions)
+            assert set(functions) == {RULES[r] for r in rules}
+            first = [min(RULE_IDS.index(r) for r in rules if RULES[r] is fn) for fn in functions]
+            assert first == sorted(first)
+            classes = cfg.lexical_classes
+            assert {f"lexical.{c}" for c in classes} == {r for r in rules if r.startswith("lexical.")}
+            assert list(classes) == sorted(classes, key=VERB_CLASS_IDS.index)
+
+    def test_plan_is_not_a_setting(self):
+        cfg = EngineConfig(rules=("future",))
+        for name in ("rule_functions", "lexical_classes"):
+            assert name not in {f.name for f in fields(EngineConfig)}
+            assert name not in repr(cfg) and name not in cfg.fingerprint()
+
+    def test_config_pickles(self):
+        cfg = EngineConfig(rules=("lexical.judging", "triple"), strict_verbs=True,
+                           compound_mode="can_be")
+        copied = pickle.loads(pickle.dumps(cfg))
+        assert copied == cfg and copied.fingerprint() == cfg.fingerprint()
+        assert copied.rule_functions == cfg.rule_functions
+        assert copied.lexical_classes == cfg.lexical_classes
+
+    def test_replaced_config_runs_its_own_rules(self, lexical_triggers):
+        cases = list(lexical_triggers.values())
+        cfg = replace(EngineConfig(rules=RULE_IDS), rules=("lexical.judging",))
+        fired = {i.trigger for h, p in cases for i in generate_all(h, p, cfg)}
+        assert fired == {"lexical.judging"}
 
     def test_readme_rule_table_matches_registry(self):
         readme = (Path(__file__).parent.parent / "README.md").read_text("utf-8")
