@@ -6,7 +6,6 @@ from .corpus import (
     GoldAnnotation,
     GoldInference,
     HeadlineRecord,
-    PreprocessedHeadline,
     QuotedSpan,
     parse_dataset_line,
     parse_gold,

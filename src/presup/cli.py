@@ -13,7 +13,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .corpus import parse_gold, preprocess, read_dataset
+from .corpus import letters, parse_gold, preprocess, read_dataset
 from .errors import FormatError, ParseError, read_text, split_lines
 from .evaluation import (
     MatchConfig,
@@ -37,6 +37,7 @@ from .rules import (
     check_compound_mode,
     check_rule_ids,
     infer_all,
+    quoted_tokens,
 )
 
 _FORM_NAMES = {
@@ -188,22 +189,11 @@ def load_parses(path: str) -> list[ParsedHeadline]:
     return parses
 
 
-def _spans_for_tokens(h: ParsedHeadline, preprocessed) -> tuple[tuple[int, int], ...]:
-    """The quoted spans of ``preprocessed`` as token spans of ``h``.  No rule
-    reads ``ParsedHeadline.quoted_spans`` and ``cmd_infer`` no longer sets it;
-    the benchmark's rule timing still builds its headlines with it."""
-    # Word offsets line up with token indices only when the parse tokenized
-    # the cleaned text one word per token.
-    if len(preprocessed.cleaned.split()) != len(h.tokens):
-        return ()
-    return tuple(
-        (s.start_word + 1, s.end_word + 1) for s in preprocessed.quoted_spans
-    )
-
-
-def _letters(text: str) -> str:
-    """What a headline and its parse's text share whatever the tokenization."""
-    return "".join(c for c in text.casefold() if c.isalnum())
+def _spans_for_tokens(h: ParsedHeadline, quotes) -> tuple[tuple[int, int], ...]:
+    """The first and last token inside each quote.  No rule reads
+    ``ParsedHeadline.quoted_spans`` and ``cmd_infer`` does not set it; the
+    benchmark's rule timing still builds its headlines with it."""
+    return tuple((span[0], span[-1]) for span in quoted_tokens(h, quotes) if span)
 
 
 def cmd_infer(args) -> int:
@@ -224,7 +214,7 @@ def cmd_infer(args) -> int:
             skipped.append({"line": i, "headline": record.text, "reason": "no parse"})
             continue
         # Paired by id or by position, a parse must be of this line's text.
-        if h.raw_text != record.text and _letters(h.raw_text) != _letters(record.text):
+        if h.raw_text != record.text and letters(h.raw_text) != letters(record.text):
             skipped.append({"line": i, "headline": record.text, "reason": "mismatch",
                             "parse": h.raw_text})
             continue

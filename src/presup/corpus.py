@@ -1,10 +1,11 @@
 """Dataset records, headline preprocessing and gold-annotation parsing.
 
 The dataset format is one record per line, ``<headline> [source: <source>
-<timestamp>]``.  Preprocessing strips punctuation for the parse layer while
-remembering double-quoted spans, which the quotation trigger needs later.
-Gold files are blocks of a headline, ``>>`` inference lines and a closing
-``||`` line.
+<timestamp>]``.  Preprocessing finds the double-quoted spans of a headline,
+as character offsets, which the quotation trigger needs later; it leaves the
+text as it is.  ``clean`` strips punctuation for evaluation, and ``letters``
+is what a headline shares with any tokenization of it.  Gold files are
+blocks of a headline, ``>>`` inference lines and a closing ``||`` line.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ _CLEAN_TABLE = str.maketrans(dict.fromkeys(_HYPHENS, " ") | dict.fromkeys(_OTHER
 _STRAY_APOSTROPHE = re.compile(
     rf"[{_APOSTROPHES}](?:(?<![^\W_][{_APOSTROPHES}])|(?![^\W_]))"
 )
-_FATE = {chr(k): v or "" for k, v in _CLEAN_TABLE.items()}  # the table by character
 # The table's ASCII part for ``bytes.translate``.  ``str.translate`` raises
 # and clears a LookupError for every character the table does not map, so
 # ASCII text, which is nearly all of it, is cleaned as bytes.
@@ -55,24 +55,9 @@ class HeadlineRecord:
 
 @dataclass(frozen=True)
 class QuotedSpan:
-    start_word: int  # 0-based word offsets into the cleaned text
-    end_word: int
+    start: int  # character offsets of the opening and closing quote
+    end: int
     text: str  # verbatim substring between the quote characters
-
-    @property
-    def word_count(self) -> int:
-        return self.end_word - self.start_word + 1
-
-
-@dataclass(frozen=True)
-class PreprocessedHeadline:
-    text: str
-    quoted_spans: tuple[QuotedSpan, ...]
-
-    @property
-    def cleaned(self) -> str:
-        """``clean(text)``, computed when read: no rule reads it."""
-        return clean(self.text)
 
 
 @dataclass(frozen=True)
@@ -163,46 +148,29 @@ def clean(text: str) -> str:
     return " ".join(text.split())
 
 
-def preprocess(text: str) -> PreprocessedHeadline:
-    """The text with the cleaned words that fall inside double-quoted spans.
-    The text itself is cleaned only when ``cleaned`` is read."""
-    pairs = _double_quote_pairs(text)
-    if not pairs:
-        return PreprocessedHeadline(text=text, quoted_spans=())
-    # Each character's span; where pairs overlap, the later pair wins.
-    sid_of: list[int | None] = [None] * len(text)
-    for sid, (start, end) in enumerate(pairs):
-        sid_of[start + 1 : end] = [sid] * (end - start - 1)
-    # What clean makes of each character: itself, a space or '' (deleted).
-    fates = [_FATE.get(c, c) for c in text]
-    if _has_apostrophe(text):
-        for m in _STRAY_APOSTROPHE.finditer(text):
-            fates[m.start()] = ""
-    word_sids: list[set[int]] = []  # the span ids of each cleaned word
-    in_word = False
-    for fate, sid in zip(fates, sid_of):
-        if not fate:
-            continue
-        if fate.isspace():
-            in_word = False
-            continue
-        if not in_word:
-            word_sids.append(set())
-            in_word = True
-        if sid is not None:
-            word_sids[-1].add(sid)
-    spans = []
-    for sid, (start, end) in enumerate(pairs):
-        covered = [w for w, sids in enumerate(word_sids) if sid in sids]
-        if covered:
-            spans.append(
-                QuotedSpan(
-                    start_word=min(covered),
-                    end_word=max(covered),
-                    text=text[start + 1 : end],
-                )
-            )
-    return PreprocessedHeadline(text=text, quoted_spans=tuple(spans))
+def letters(text: str) -> str:
+    """What a headline shares with its parse whatever the tokenization: its
+    letters and digits, casefolded."""
+    return "".join(filter(str.isalnum, text.casefold()))
+
+
+_WORD_BREAK = re.compile(rf"[\s{re.escape(_HYPHENS)}]+")
+
+
+def word_count(text: str) -> int:
+    """The number of words ``clean`` leaves of ``text``: whitespace and
+    hyphens separate words, and a word of only deleted punctuation and
+    apostrophes is dropped."""
+    deleted = _OTHER_PUNCT + _APOSTROPHES
+    return sum(1 for word in _WORD_BREAK.split(text) if word.strip(deleted))
+
+
+def preprocess(text: str) -> tuple[QuotedSpan, ...]:
+    """The double-quoted spans of ``text``, left to right."""
+    return tuple(
+        QuotedSpan(start, end, text[start + 1 : end])
+        for start, end in _double_quote_pairs(text)
+    )
 
 
 _TRIGGER_TAG = re.compile(r"^(.*?)\s*@([\w.:-]+)\s*$")

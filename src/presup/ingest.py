@@ -399,8 +399,8 @@ def is_verb_tag(pos: str, strict: bool = False) -> bool:
 
 
 def is_noun_tag(pos: str) -> bool:
-    """Noun and personal-pronoun Penn tags: N*, PRP and PRP$ (not POS or PDT)."""
-    return pos.startswith("N") or pos in ("PRP", "PRP$")
+    """Noun and personal-pronoun Penn tags: N* and PRP (not PRP$, POS or PDT)."""
+    return pos.startswith("N") or pos == "PRP"
 
 
 def verbs_of(h: ParsedHeadline, strict: bool = False) -> list[Token]:

@@ -2,7 +2,7 @@
 realization of the licensed inferences.
 
 Each rule is a pure function from a ParsedHeadline (and, where needed, the
-preprocessed text or the trigger lexicon) to a list of Inference values.
+headline's quoted spans or the trigger lexicon) to a list of Inference values.
 ``RULES`` is the one rule registry: it maps each rule id, which is also the
 ``trigger`` of the inferences the rule renders, to a function of
 ``(h, p, cfg)``, and its order is the output order.  Adding a rule is adding
@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from itertools import accumulate
 
-from .corpus import PreprocessedHeadline
+from .corpus import QuotedSpan, letters, word_count
 from .ingest import (
     ParsedHeadline,
     Token,
@@ -515,36 +516,54 @@ def rule_question(h: ParsedHeadline) -> list[Inference]:
     ]
 
 
-def rule_quotes(
-    h: ParsedHeadline, p: PreprocessedHeadline, strict_verbs: bool = False
-) -> list[Inference]:
-    """A quoted span longer than two words means something was said."""
+def quoted_tokens(
+    h: ParsedHeadline, quotes: tuple[QuotedSpan, ...]
+) -> list[tuple[int, ...]]:
+    """The indices of the tokens inside each quote of ``h.raw_text``: from
+    the first to the last token with a letter or digit between its quote
+    characters.  Tokens are placed by their letters (``corpus.letters``),
+    which every tokenization keeps, whatever it does with clitics, hyphens
+    and quote marks.  A quote with no letters, or one of a headline whose
+    tokens' letters do not spell its text, gets ``()``."""
+    parts = [letters(t.surface) for t in h.tokens]
+    if "".join(parts) != letters(h.raw_text):
+        return [() for _ in quotes]
+    ends = list(accumulate(map(len, parts)))  # each token's end in the letters
     out = []
-    for span in p.quoted_spans:
-        if span.word_count <= 2:
+    for q in quotes:
+        lo = len(letters(h.raw_text[: q.start]))
+        hi = len(letters(h.raw_text[: q.end]))
+        inside = [k for k, (start, end) in enumerate(zip([0, *ends], ends))
+                  if start < hi and lo < end and start < end]
+        out.append(tuple(t.index for t in h.tokens[inside[0] : inside[-1] + 1]) if inside else ())
+    return out
+
+
+def rule_quotes(
+    h: ParsedHeadline, quotes: tuple[QuotedSpan, ...], strict_verbs: bool = False
+) -> list[Inference]:
+    """A quote of more than two words means something was said."""
+    quotes = [q for q in quotes if word_count(q.text) > 2]
+    if not quotes:
+        return []
+    speaker = None
+    for verb in verbs_of(h, strict_verbs):
+        if lemma(verb.surface, verb.pos) not in _SPEECH_VERBS:
             continue
-        token_span = tuple(
-            i
-            for i in range(span.start_word + 1, span.end_word + 2)
-            if 1 <= i <= len(h.tokens)
-        )
-        speaker = None
-        for verb in verbs_of(h, strict_verbs):
-            if lemma(verb.surface, verb.pos) not in _SPEECH_VERBS:
-                continue
-            subj = _first(edges_governed_by(h, verb.index, "nsubj"))
-            if subj is not None:
-                speaker = (verb, subj)
-                break
+        subj = _first(edges_governed_by(h, verb.index, "nsubj"))
+        if subj is not None:
+            speaker = (verb, subj)
+            break
+    out = []
+    for q, token_span in zip(quotes, quoted_tokens(h, quotes)):
         if speaker is not None:
             verb, subj = speaker
             subj_p, subj_s = _phrase(h, subj.dependent)
-            text = f'{subj_p} says "{span.text}"'
+            text = f'{subj_p} says "{q.text}"'
             out.append(_presupposition(text, "quotes", subj_s, token_span, (verb.index,)))
-        else:
-            fallback = token_span or tuple(t.index for t in h.tokens)
+        elif token_span:  # with no token of its own, it would name none
             out.append(
-                Inference(InferenceKind.PRESUPPOSITION, "something is said", "quotes", fallback)
+                Inference(InferenceKind.PRESUPPOSITION, "something is said", "quotes", token_span)
             )
     return out
 
@@ -675,7 +694,7 @@ def _output_order(inf: Inference) -> tuple:
 
 
 def generate_all(
-    h: ParsedHeadline, p: PreprocessedHeadline, cfg: EngineConfig
+    h: ParsedHeadline, p: tuple[QuotedSpan, ...], cfg: EngineConfig
 ) -> list[Inference]:
     """All enabled rules' outputs in registry order, each rule's by span,
     before deduplication.  A function shared by rows runs once."""
@@ -687,7 +706,7 @@ def generate_all(
 
 
 def infer_all(
-    h: ParsedHeadline, p: PreprocessedHeadline, cfg: EngineConfig
+    h: ParsedHeadline, p: tuple[QuotedSpan, ...], cfg: EngineConfig
 ) -> list[Inference]:
     """Deduplicated inference list; the first rule to render a text keeps it."""
     seen: set[str] = set()

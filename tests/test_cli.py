@@ -493,6 +493,36 @@ class TestInfer:
         (record,) = read_jsonl(out)
         assert "Markets has crashed" in [i["text"] for i in record["inferences"]]
 
+    def test_quoted_span_of_a_ud_tokenization(self, tmp_path, capsys):
+        """A UD parse splits the clitic of "May's" and keeps the quote marks
+        as tokens; the span still names the speaker, the verb and the quoted
+        tokens 7-9, not "plan" and the opening quote."""
+        conllu = tmp_path / "p.conllu"
+        conllu.write_text(
+            "# sent_id = 1\n"
+            "# text = Merkel says May's plan \"not the breakthrough\"\n"
+            "1\tMerkel\t_\tPROPN\tNNP\t_\t2\tnsubj\t_\t_\n"
+            "2\tsays\t_\tVERB\tVBZ\t_\t0\troot\t_\t_\n"
+            "3\tMay\t_\tPROPN\tNNP\t_\t5\tnmod:poss\t_\tSpaceAfter=No\n"
+            "4\t's\t_\tPART\tPOS\t_\t3\tcase\t_\t_\n"
+            "5\tplan\t_\tNOUN\tNN\t_\t2\tobj\t_\t_\n"
+            "6\t\"\t_\tPUNCT\t``\t_\t9\tpunct\t_\tSpaceAfter=No\n"
+            "7\tnot\t_\tPART\tRB\t_\t9\tadvmod\t_\t_\n"
+            "8\tthe\t_\tDET\tDT\t_\t9\tdet\t_\t_\n"
+            "9\tbreakthrough\t_\tNOUN\tNN\t_\t5\tappos\t_\tSpaceAfter=No\n"
+            "10\t\"\t_\tPUNCT\t''\t_\t9\tpunct\t_\t_\n\n"
+        )
+        dataset = tmp_path / "d.txt"
+        dataset.write_text("Merkel says May's plan \"not the breakthrough\" [source: Reuters]\n")
+        out = tmp_path / "o.jsonl"
+        code = main(["infer", "--dataset", str(dataset), "--parses", str(conllu),
+                     "--out", str(out), "--rules", "quotes", "--strict"])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        (record,) = read_jsonl(out)
+        assert record["inferences"] == [{"kind": ">>", "text": 'Merkel says "not the breakthrough"',
+                                         "trigger": "quotes", "span": [1, 2, 7, 8, 9]}]
+
     @pytest.mark.parametrize("char", ["\u0085", "\u2028", "\u2029"])
     @pytest.mark.parametrize("flag", ["--parses", "--inferences"])
     def test_unicode_line_separator_stays_inside_its_record(self, tmp_path, flag, char):

@@ -3,6 +3,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import make_headline
 from presup.corpus import (
     QuotedSpan,
     clean,
@@ -11,9 +12,11 @@ from presup.corpus import (
     preprocess,
     read_dataset,
     render_gold,
+    word_count,
 )
 from presup.errors import FormatError
 from presup.evaluation import normalize
+from presup.rules import quoted_tokens
 
 
 class TestParseDatasetLine:
@@ -46,55 +49,59 @@ class TestParseDatasetLine:
 
 class TestPreprocess:
     def test_hyphen_splits_words(self):
-        p = preprocess("Olympics-It's ready but will they come?")
-        assert p.cleaned == "Olympics It's ready but will they come"
-        assert p.quoted_spans == ()
+        text = "Olympics-It's ready but will they come?"
+        assert clean(text) == "Olympics It's ready but will they come"
+        assert preprocess(text) == ()
 
     def test_quoted_single_word(self):
-        p = preprocess('Schaeuble says British were "deceived" in Brexit campaign')
-        assert p.cleaned == "Schaeuble says British were deceived in Brexit campaign"
-        (span,) = p.quoted_spans
-        assert (span.start_word, span.end_word, span.text) == (4, 4, "deceived")
+        text = 'Schaeuble says British were "deceived" in Brexit campaign'
+        assert clean(text) == "Schaeuble says British were deceived in Brexit campaign"
+        assert preprocess(text) == (QuotedSpan(28, 37, "deceived"),)
 
     def test_quoted_multi_word_and_curly(self):
-        p = preprocess("Merkel says proposals “not the breakthrough”")
-        (span,) = p.quoted_spans
-        assert span.text == "not the breakthrough"
-        assert span.word_count == 3
+        (span,) = preprocess("Merkel says proposals “not the breakthrough”")
+        assert span == QuotedSpan(22, 43, "not the breakthrough")
+        assert word_count(span.text) == 3
 
     def test_empty(self):
-        p = preprocess("")
-        assert p.cleaned == "" and p.quoted_spans == ()
+        assert clean("") == "" and preprocess("") == ()
 
     def test_unmatched_quote_stripped_no_span(self):
-        p = preprocess('He said "never again')
-        assert p.cleaned == "He said never again"
-        assert p.quoted_spans == ()
+        assert clean('He said "never again') == "He said never again"
+        assert preprocess('He said "never again') == ()
 
     def test_possessive_apostrophe_kept_trailing_stripped(self):
-        p = preprocess("Corbyn 'regrets' Labour MPs' resignations")
-        assert p.cleaned == "Corbyn regrets Labour MPs resignations"
+        assert clean("Corbyn 'regrets' Labour MPs' resignations") == (
+            "Corbyn regrets Labour MPs resignations"
+        )
 
     def test_span_substring_locates_in_original(self):
         text = 'One "two three four" five "six seven" end'
-        p = preprocess(text)
-        for span in p.quoted_spans:
-            assert span.text in text
+        assert [(s.start, s.end, s.text) for s in preprocess(text)] == [
+            (4, 19, "two three four"), (26, 36, "six seven")
+        ]
 
     @given(st.text(max_size=60))
     def test_idempotent_on_cleaned_output(self, text):
-        cleaned = preprocess(text).cleaned
-        assert preprocess(cleaned).cleaned == cleaned
+        cleaned = clean(text)
+        assert clean(cleaned) == cleaned
 
     @given(st.text(alphabet='ab "c', max_size=40))
     def test_every_span_relocates_in_original(self, text):
-        for span in preprocess(text).quoted_spans:
-            assert span.text in text
+        for span in preprocess(text):
+            assert text[span.start] == text[span.end] == '"'
+            assert text[span.start + 1 : span.end] == span.text
 
     @given(st.text(max_size=60))
     def test_cleaned_has_no_punctuation(self, text):
-        cleaned = preprocess(text).cleaned
-        assert not set(cleaned) & set('.,!?;:"()“”‘-–—')
+        assert not set(clean(text)) & set('.,!?;:"()“”‘-–—')
+
+    def test_word_count(self):
+        """The words ``clean`` leaves: whitespace and hyphens separate words,
+        and a word of only deleted punctuation is dropped."""
+        texts = ["", "May's plan", "well-known plan", " - a — b ! ", "rock & roll", "I ♥ NY",
+                 "' ’ a'"]
+        assert [word_count(t) for t in texts] == [0, 2, 3, 2, 3, 3, 1]
 
 
 def reference_preprocess(text: str) -> tuple[str, tuple[QuotedSpan, ...]]:
@@ -114,40 +121,19 @@ def reference_preprocess(text: str) -> tuple[str, tuple[QuotedSpan, ...]]:
             pairs.append((open_curly, i))
             open_curly = None
     pairs.sort()
-    span_of_char = {}
-    for sid, (start, end) in enumerate(pairs):
-        for i in range(start + 1, end):
-            span_of_char[i] = sid
     out = []
     for i, c in enumerate(text):
-        sid = span_of_char.get(i)
         if c in hyphens:
-            out.append((" ", sid))
+            out.append(" ")
         elif c in apostrophes:
             prev_ok = i > 0 and text[i - 1].isalnum()
             next_ok = i + 1 < len(text) and text[i + 1].isalnum()
             if prev_ok and next_ok:
-                out.append((c, sid))
+                out.append(c)
         elif c not in punct:
-            out.append((c, sid))
-    words, current, sids = [], [], set()
-    for c, sid in out:
-        if c.isspace():
-            if current:
-                words.append(("".join(current), sids))
-                current, sids = [], set()
-        else:
-            current.append(c)
-            if sid is not None:
-                sids.add(sid)
-    if current:
-        words.append(("".join(current), sids))
-    spans = []
-    for sid, (start, end) in enumerate(pairs):
-        covered = [w for w, (_, s) in enumerate(words) if sid in s]
-        if covered:
-            spans.append(QuotedSpan(min(covered), max(covered), text[start + 1 : end]))
-    return " ".join(w for w, _ in words), tuple(spans)
+            out.append(c)
+    spans = tuple(QuotedSpan(start, end, text[start + 1 : end]) for start, end in pairs)
+    return " ".join("".join(out).split()), spans
 
 
 def reference_normalize(text: str) -> str:
@@ -172,7 +158,7 @@ PINNED = [
     "'90s",
     "MPs'",
     'foo"bar baz"',  # a word straddles the opening quote
-    '“a "b” c"',  # overlapping pairs: the later one owns "b"
+    '“a "b” c"',  # overlapping pairs
     "a'-b",
     "a\x1cb-c",  # str.split breaks on \x1c-\x1f, bytes.split does not
     "Corbyn 'regrets' Labour MPs' resignations",
@@ -183,27 +169,31 @@ PINNED = [
 class TestCleanMatchesReference:
     @pytest.mark.parametrize("text", PINNED)
     def test_pinned(self, text):
-        cleaned, spans = reference_preprocess(text)
-        p = preprocess(text)
-        assert (p.cleaned, p.quoted_spans) == (cleaned, spans)
-        assert clean(text) == cleaned
+        assert (clean(text), preprocess(text)) == reference_preprocess(text)
         assert normalize(text) == reference_normalize(text)
 
     def test_pinned_values(self):
         assert [clean(t) for t in PINNED[:7]] == [
             "rock'n'roll", "90s", "MPs", "foobar baz", "a b c", "a b", "a b c"
         ]
-        assert [(s.start_word, s.end_word) for s in preprocess('“a "b” c"').quoted_spans] == [
-            (0, 0), (1, 2)
-        ]
+        # A word straddling a quote is inside it; overlapping pairs each
+        # take the tokens with letters between their quote characters.
+        for text, spans, tokens in [
+            ('foo"bar baz"', [(3, 11)], [(1, 2)]),
+            ('“a "b” c"', [(0, 5), (3, 8)], [(1, 2), (2, 3)]),
+        ]:
+            quotes = preprocess(text)
+            assert [(q.start, q.end) for q in quotes] == spans
+            words = clean(text).split()
+            h = make_headline(" ".join(f"{w}/NN" for w in words),
+                              [("root", 0, 1)] + [("dep", 1, k) for k in range(2, len(words) + 1)],
+                              raw_text=text)
+            assert quoted_tokens(h, quotes) == tokens
 
     @settings(max_examples=1000)
     @given(st.text(alphabet=CLEANING_ALPHABET, max_size=30))
     def test_property(self, text):
-        cleaned, spans = reference_preprocess(text)
-        p = preprocess(text)
-        assert (p.cleaned, p.quoted_spans) == (cleaned, spans)
-        assert clean(text) == cleaned
+        assert (clean(text), preprocess(text)) == reference_preprocess(text)
 
     @settings(max_examples=1000)
     @given(st.text(alphabet=ASCII_CLEANING_ALPHABET, max_size=30))
@@ -211,6 +201,13 @@ class TestCleanMatchesReference:
         """Most texts of the property above hold a non-ASCII character, so
         they never reach the ASCII path of ``clean``."""
         assert clean(text) == reference_preprocess(text)[0]
+
+    @settings(max_examples=1000)
+    @given(st.text(alphabet=CLEANING_ALPHABET + "&♥", max_size=30))
+    def test_word_count_property(self, text):
+        """``word_count`` counts the words of the reference cleaning; "&" and
+        "♥" stand for the symbols that cleaning keeps."""
+        assert word_count(text) == len(reference_preprocess(text)[0].split())
 
     @given(st.lists(st.sampled_from([*CLEANING_ALPHABET, "can", "be", "have", "/", " "]), max_size=20))
     def test_normalize_property(self, parts):

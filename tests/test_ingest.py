@@ -359,9 +359,9 @@ class TestTokenQueries:
         assert [t.surface for t in nouns_of(h)] == ["UK", "economy"]
 
     def test_noun_tags(self):
-        for tag in ("NN", "NNS", "NNP", "NNPS", "PRP", "PRP$"):
+        for tag in ("NN", "NNS", "NNP", "NNPS", "PRP"):
             assert is_noun_tag(tag), tag
-        for tag in ("POS", "PDT", "VB", "JJ", "DT", "IN", "RB", "."):
+        for tag in ("PRP$", "POS", "PDT", "VB", "JJ", "DT", "IN", "RB", "."):
             assert not is_noun_tag(tag), tag
 
     def test_verb_noun_patterns_disjoint(self):

@@ -2,7 +2,8 @@
 format equivalence of the two ingest formats, parity of the parse readers
 with a reference copy on valid and one-defect parses, malformed-input fuzzing
 of the parse, gold and eval readers, rule-set monotonicity, rules that share
-a registry function and output determinism."""
+a registry function, quoted spans under another tokenization and output
+determinism."""
 
 import json
 import random
@@ -26,7 +27,14 @@ from presup.ingest import (
     to_stanford_json,
 )
 from presup.lexicon import TriggerLexicon, default_lexicon
-from presup.rules import DEFAULT_RULES, EngineConfig, RULE_IDS, generate_all, infer_all
+from presup.rules import (
+    DEFAULT_RULES,
+    EngineConfig,
+    RULE_IDS,
+    generate_all,
+    infer_all,
+    rule_quotes,
+)
 
 WORDS = [
     "will", "but", "again", "further", "of", "not", "say", "stopped", "what",
@@ -62,15 +70,124 @@ def random_parse(rng: random.Random):
     return build_headline("fuzz", raw, tokens, edges)
 
 
+def _quoted_variants(h, rng):
+    """``h`` with its text as it is, with three or more of its words quoted
+    where it has three, and with a quote that its tokens do not spell."""
+    words = h.raw_text.split()
+    texts = [h.raw_text, h.raw_text + ' "lorem ipsum dolor"']
+    if len(words) >= 3:
+        first = rng.randrange(len(words) - 2)
+        last = rng.randrange(first + 2, len(words))
+        words[first] = "“" + words[first]
+        words[last] += "”"
+        texts.append(" ".join(words))
+    return [build_headline(h.headline_id, text, h.tokens, h.edges) for text in texts]
+
+
 def test_fuzz_no_empty_inferences_and_valid_spans():
-    rng = random.Random(20380119)
+    rng, quote_rng = random.Random(20380119), random.Random(20380120)
+    quotes = set()
     for _ in range(1000):
-        h = random_parse(rng)
-        p = preprocess(h.raw_text)
-        for inf in infer_all(h, p, ALL_RULES_CFG):
-            assert inf.text.strip(), h.raw_text
-            assert inf.span, h.raw_text
-            assert all(1 <= i <= len(h.tokens) for i in inf.span)
+        for h in _quoted_variants(random_parse(rng), quote_rng):
+            p = preprocess(h.raw_text)
+            for inf in infer_all(h, p, ALL_RULES_CFG):
+                assert inf.text.strip(), h.raw_text
+                assert inf.span, h.raw_text
+                assert all(1 <= i <= len(h.tokens) for i in inf.span)
+                if inf.trigger == "quotes":
+                    quotes.add((inf.text == "something is said", "lorem" in h.raw_text))
+    assert quotes == {(True, False), (False, False), (False, True)}  # every case ran
+
+
+# A clitic word, which UD splits ("May" "'s") and the cleaned text keeps
+# whole, and a hyphenated word, which UD keeps whole and cleaning splits.
+CLITIC_WORDS = ["May's", "BoE's", "Labour's"]
+HYPHENATED_WORDS = ["well-known", "U-turn", "post-Brexit"]
+
+
+def _two_tokenizations(seed):
+    """A ``random_parse`` tree with a clitic and a hyphenated word inserted
+    as ``dep`` leaves, in half the cases a speaker ("Merkel says") too, and
+    two or more of its words quoted, as the text and two parses of it: one
+    token per cleaned word ("flat"), and UD tokens, with the clitic split,
+    the hyphenated word whole and the quote marks as tokens.  Also: the
+    tokens inside the quotes in each parse, and each flat token's UD
+    tokens."""
+    rng = random.Random(seed)
+    base = random_parse(rng)
+    # Each word of the text: (text, flat tokens, UD tokens, what it hangs
+    # from: its base token's index, "dep" for a random base token, or
+    # "nsubj" for the next word).
+    words = [(t.surface, [(t.surface, t.pos)], [(t.surface, t.pos)], t.index) for t in base.tokens]
+    clitic, hyphenated = rng.choice(CLITIC_WORDS), rng.choice(HYPHENATED_WORDS)
+    stem, _ = clitic.split("'")
+    inserted = [[(clitic, [(clitic, "NNP")], [(stem, "NNP"), ("'s", "POS")], "dep")],
+                [(hyphenated, [(part, "JJ") for part in hyphenated.split("-")],
+                  [(hyphenated, "JJ")], "dep")]]
+    if rng.random() < 0.5:
+        inserted.append([("Merkel", [("Merkel", "NNP")], [("Merkel", "NNP")], "nsubj"),
+                         ("says", [("says", "VBZ")], [("says", "VBZ")], "dep")])
+    for group in inserted:
+        k = rng.randrange(len(words) + 1)
+        words[k:k] = group
+    first = rng.randrange(len(words) - 1)
+    last = rng.randrange(first + 1, len(words))
+    opening, closing = rng.choice(['""', "“”"])
+    text = " ".join(
+        opening * (k == first) + word + closing * (k == last) for k, (word, *_) in enumerate(words)
+    ) + "?" * base.raw_text.endswith("?")
+
+    def parse(kind):
+        tokens, inside, of_word, inner = [], set(), [], []
+        for k, (_, flat, ud, _) in enumerate(words):
+            if kind == "ud" and k == first:
+                tokens.append((opening, "``"))
+            own = flat if kind == "flat" else ud
+            indices = list(range(len(tokens) + 1, len(tokens) + 1 + len(own)))
+            tokens.extend(own)
+            of_word.append(indices)
+            if first <= k <= last:
+                inside.update(indices)
+            inner += [("case" if kind == "ud" else "dep", indices[0], i) for i in indices[1:]]
+            if kind == "ud" and k == last:
+                tokens.append((closing, "''"))
+        head = {at: of_word[k][0] for k, (*_, at) in enumerate(words) if isinstance(at, int)}
+        edges = [(e.dep, head.get(e.governor, 0), head[e.dependent]) for e in base.edges]
+        for k, (*_, at) in enumerate(words):
+            if at == "dep":
+                edges.append(("dep", head[rng.randint(1, len(base.tokens))], of_word[k][0]))
+            elif at == "nsubj":
+                edges.append(("nsubj", of_word[k + 1][0], of_word[k][0]))
+        edges += inner
+        if kind == "ud":
+            edges += [("punct", of_word[first][0], of_word[first][0] - 1),
+                      ("punct", of_word[last][0], of_word[last][-1] + 1)]
+        surfaces = ["ROOT"] + [surface for surface, _ in tokens]
+        h = build_headline(
+            "fuzz", text, [Token(i, surface, pos) for i, (surface, pos) in enumerate(tokens, 1)],
+            [DependencyEdge(dep, gov, surfaces[gov], d, surfaces[d]) for dep, gov, d in edges],
+        )
+        return h, inside, of_word
+
+    state = rng.getstate()
+    flat, flat_inside, flat_words = parse("flat")
+    rng.setstate(state)  # the same attachments in both parses
+    ud, ud_inside, ud_words = parse("ud")
+    ud_of = {i: ud_k for flat_k, ud_k in zip(flat_words, ud_words) for i in flat_k}
+    return text, flat, flat_inside, ud, ud_inside, ud_of
+
+
+@given(st.integers(0, 2**32))
+def test_quotes_spans_stay_inside_the_quotes_of_a_ud_tokenization(seed):
+    """The quotes rule renders the same texts from both tokenizations, and
+    each UD span, less the speaker's tokens, lies inside the quotes."""
+    text, flat, flat_inside, ud, ud_inside, ud_of = _two_tokenizations(seed)
+    flat_out = rule_quotes(flat, preprocess(text))
+    ud_out = rule_quotes(ud, preprocess(text))
+    assert [i.text for i in ud_out] == [i.text for i in flat_out]
+    for f, u in zip(flat_out, ud_out):
+        speaker = {j for i in f.span if i not in flat_inside for j in ud_of[i]}
+        assert set(u.span) - speaker <= ud_inside, (text, u.span)
 
 
 def to_conllu(h) -> str:

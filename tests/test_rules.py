@@ -163,6 +163,12 @@ class TestRuleFurther:
         (inf,) = rule_further(h)
         assert inf.text == "Market is already fall"
 
+    def test_possessive_pronoun_is_not_a_subject(self):
+        h = make_headline(
+            "His/PRP$ further/RB falls/VBZ", [("dep", 3, 1), ("advmod", 3, 2), ("root", 0, 3)]
+        )
+        assert rule_further(h) == []
+
     def test_predeterminer_is_not_a_subject(self):
         h = make_headline(
             "All/PDT further/RB cut/VB", [("dep", 3, 1), ("advmod", 3, 2), ("root", 0, 3)]
@@ -446,6 +452,58 @@ class TestRuleQuotes:
         p = preprocess('Plan shows "real true grit"')
         (inf,) = rule_quotes(h, p)
         assert inf.text == "something is said"
+        assert inf.span == (3, 4, 5)
+
+    def test_more_than_two_words_of_the_text_not_tokens(self):
+        """UD tokens: "May's plan" is three tokens but two words, and
+        "well-known plan" two tokens but three words, as ``clean`` splits it."""
+        for quoted, tokens, want in [
+            ("May's plan", "May/NNP 's/POS plan/NN", []),
+            ("well-known plan", "well-known/JJ plan/NN", [(1, 2, 4, 5)]),
+        ]:
+            h = make_headline(
+                f'Merkel/NNP says/VBZ "/`` {tokens} "/\'\'',
+                [("nsubj", 2, 1), ("root", 0, 2), ("punct", 2, 3)]
+                + [("dep", 2, k) for k in range(4, 5 + tokens.count(" "))]
+                + [("punct", 2, 5 + tokens.count(" "))],
+                raw_text=f'Merkel says "{quoted}"',
+            )
+            assert [i.span for i in rule_quotes(h, preprocess(h.raw_text))] == want
+
+    def test_tokens_that_do_not_spell_the_headline_place_no_quote(self):
+        """A tokenizer that wrote "&" as "and": no token is taken for the
+        quote, so a span holds only the speaker and the verb, and with no
+        speaker nothing is rendered, since its span would be empty."""
+        edges = [("nsubj", 2, 1), ("root", 0, 2), ("dobj", 2, 6),
+                 ("compound", 6, 3), ("cc", 3, 4), ("conj", 3, 5)]
+        h = make_headline("Band/NN says/VBZ rock/NN and/CC roll/NN lives/NNS", edges,
+                          raw_text='Band says "rock & roll lives"')
+        (inf,) = rule_quotes(h, preprocess(h.raw_text))
+        assert (inf.text, inf.span) == ('Band says "rock & roll lives"', (1, 2))
+        h = make_headline("Band/NN shows/VBZ rock/NN and/CC roll/NN lives/NNS", edges,
+                          raw_text='Band shows "rock & roll lives"')
+        assert rule_quotes(h, preprocess(h.raw_text)) == []
+
+    def test_symbols_are_words(self):
+        """``clean`` keeps "&" and "♥", so they count as words of the quote,
+        and a symbol token between quoted words is inside the span."""
+        h = make_headline("Fans/NNS chant/VBP rock/NN &/CC roll/NN",
+                          [("nsubj", 2, 1), ("root", 0, 2), ("dobj", 2, 3),
+                           ("cc", 3, 4), ("conj", 3, 5)],
+                          raw_text='Fans chant "rock & roll"')
+        (inf,) = rule_quotes(h, preprocess(h.raw_text))
+        assert (inf.text, inf.span) == ("something is said", (3, 4, 5))
+        h = make_headline("I/PRP ♥/VBP NY/NNP", [("nsubj", 2, 1), ("root", 0, 2), ("dobj", 2, 3)],
+                          raw_text='"I ♥ NY"')
+        (inf,) = rule_quotes(h, preprocess(h.raw_text))
+        assert (inf.text, inf.span) == ("something is said", (1, 2, 3))
+
+    def test_quote_without_letters_renders_no_spanless_inference(self):
+        """Three words but no letter: no token can be placed in the quote."""
+        h = make_headline("Fans/NNS chant/VBP &/CC &/CC &/CC",
+                          [("nsubj", 2, 1), ("root", 0, 2)] + [("dep", 2, k) for k in (3, 4, 5)],
+                          raw_text='Fans chant "& & &"')
+        assert rule_quotes(h, preprocess(h.raw_text)) == []
 
 
 class TestExtractTriplets:
