@@ -16,7 +16,6 @@ from .corpus import (
 from .errors import ConsistencyError, FormatError, ParseError
 from .evaluation import (
     Alignment,
-    HeadlineScore,
     MatchConfig,
     MatchMode,
     TriggerScore,
@@ -24,6 +23,7 @@ from .evaluation import (
     normalize,
     score_by_trigger,
     score_headline,
+    trigger_rows,
 )
 from .ingest import (
     DependencyEdge,

@@ -20,9 +20,9 @@ from .evaluation import (
     MatchMode,
     match,
     normalize,
-    report_dict,
     score_by_trigger,
     score_headline,
+    trigger_rows,
     trigger_table,
 )
 from .ingest import ParsedHeadline, parse_conllu, parse_stanford_json
@@ -52,8 +52,10 @@ _FORM_NAMES = {
 
 
 def _read_config_file(path: str) -> dict[str, tuple[str, str]]:
-    """key -> (value, 'path:line' of the key) for each 'key = value' line."""
+    """key -> (value, 'path:line' of the key) for each 'key = value' line.
+    A key may be given once."""
     values = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(split_lines(read_text(path)), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -65,7 +67,9 @@ def _read_config_file(path: str) -> dict[str, tuple[str, str]]:
             raise FormatError(
                 f"{path}:{lineno}: unknown key {key!r} (known keys: {', '.join(SETTINGS)})"
             )
-        values[key] = (value, f"{path}:{lineno}")
+        if key in values:
+            raise FormatError(f"{path}:{lineno}: key {key!r} repeats line {first_line[key]}")
+        values[key], first_line[key] = (value, f"{path}:{lineno}"), lineno
     return values
 
 
@@ -352,7 +356,7 @@ def cmd_eval(args) -> int:
         mode=MatchMode(args.match_mode),
         jaccard_threshold=args.jaccard_threshold,
     )
-    headline_scores = []
+    rows = []
     alignments = []
     for annotation in gold:
         key = normalize(annotation.headline)
@@ -366,25 +370,25 @@ def cmd_eval(args) -> int:
             computed = []
         entry = labels.get(key, unlabeled)
         alignment = match(computed, annotation, cfg, entry["matched"], entry["incorrect"])
-        headline_scores.append(score_headline(alignment, headline=annotation.headline))
+        rows.append(score_headline(alignment, headline=annotation.headline))
         alignments.append(alignment)
-    trigger_scores = score_by_trigger(alignments)
-    report = report_dict(headline_scores, trigger_scores)
+    report = {"headlines": rows, "triggers": trigger_rows(score_by_trigger(alignments))}
+    table = trigger_table(report["triggers"])
     if args.out:
         Path(args.out).write_text(
             json.dumps(report, indent=2, ensure_ascii=False) + "\n", "utf-8"
         )
     if args.table:
-        Path(args.table).write_text(trigger_table(trigger_scores), "utf-8")
-    for s in headline_scores:
+        Path(args.table).write_text(table, "utf-8")
+    for row in rows:
         print(
-            f"{s.headline}\n  gold={s.gold_count} computed={s.computed_count} "
-            f"matched={s.matched_count} correct={s.percent_correct:.1f}% "
-            f"incorrect={s.percent_incorrect:.1f}%"
+            f"{row['headline']}\n  gold={row['gold']} computed={row['computed']} "
+            f"matched={row['matched']} correct={row['percent_correct']:.1f}% "
+            f"incorrect={row['percent_incorrect']:.1f}%"
         )
-    if trigger_scores:
+    if report["triggers"]:
         print()
-        print(trigger_table(trigger_scores), end="")
+        print(table, end="")
     return 0
 
 

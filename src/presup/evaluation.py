@@ -67,27 +67,6 @@ class Alignment:
 
 
 @dataclass(frozen=True)
-class HeadlineScore:
-    headline: str
-    gold_count: int
-    computed_count: int
-    matched_count: int
-    incorrect_count: int
-
-    @property
-    def percent_correct(self) -> float:
-        if self.gold_count == 0:
-            return 100.0 if self.computed_count == 0 else 0.0
-        return self.matched_count / self.gold_count * 100.0
-
-    @property
-    def percent_incorrect(self) -> float:
-        if self.computed_count == 0:
-            return 0.0
-        return self.incorrect_count / self.computed_count * 100.0
-
-
-@dataclass(frozen=True)
 class TriggerScore:
     trigger: str
     computed_count: int
@@ -95,26 +74,6 @@ class TriggerScore:
     incorrect_count: int
     tagged_gold_count: int
     missing_count: int
-
-    @property
-    def percent_accurate(self) -> float | None:
-        if self.computed_count == 0:
-            return None
-        return self.matched_count / self.computed_count * 100.0
-
-    @property
-    def percent_inaccurate(self) -> float | None:
-        if self.computed_count == 0:
-            return None
-        return self.incorrect_count / self.computed_count * 100.0
-
-    @property
-    def percent_missing(self) -> float | None:
-        """None when no gold inference carries this trigger tag (unavailable,
-        not zero)."""
-        if self.tagged_gold_count == 0:
-            return None
-        return self.missing_count / self.tagged_gold_count * 100.0
 
 
 _CAN_FAMILY = re.compile(r"\bcan be\s*/\s*can have\b")
@@ -225,15 +184,26 @@ def match(
     )
 
 
-def score_headline(alignment: Alignment, headline: str = "") -> HeadlineScore:
-    """Table-style percentages for one headline."""
-    return HeadlineScore(
-        headline=headline,
-        gold_count=alignment.gold_count,
-        computed_count=alignment.computed_count,
-        matched_count=alignment.matched_count,
-        incorrect_count=len(alignment.incorrect),
-    )
+def _percent(part: int, whole: int, if_empty: float | None) -> float | None:
+    """``part`` of ``whole`` as every output shows it, rounded to one place;
+    ``if_empty`` when ``whole`` is 0."""
+    return if_empty if whole == 0 else round(part / whole * 100, 1)
+
+
+def score_headline(alignment: Alignment, headline: str = "") -> dict:
+    """One headline's report row: its counts and table-style percentages.
+    With no gold, a headline is all correct when nothing was computed."""
+    gold, computed = alignment.gold_count, alignment.computed_count
+    matched, incorrect = alignment.matched_count, len(alignment.incorrect)
+    return {
+        "headline": headline,
+        "gold": gold,
+        "computed": computed,
+        "matched": matched,
+        "incorrect": incorrect,
+        "percent_correct": _percent(matched, gold, 100.0 if computed == 0 else 0.0),
+        "percent_incorrect": _percent(incorrect, computed, 0.0),
+    }
 
 
 def score_by_trigger(alignments: Iterable[Alignment]) -> list[TriggerScore]:
@@ -273,55 +243,28 @@ def score_by_trigger(alignments: Iterable[Alignment]) -> list[TriggerScore]:
     ]
 
 
-def _round(value: float | None) -> float | None:
-    return None if value is None else round(value, 1)
+def trigger_rows(scores: list[TriggerScore]) -> list[dict]:
+    """The report row of each trigger.  A percentage is None when nothing
+    counts toward it; missing is None when no gold inference carries the
+    trigger tag (unavailable, not zero)."""
+    return [
+        {
+            "trigger": s.trigger,
+            "computed": s.computed_count,
+            "percent_accurate": _percent(s.matched_count, s.computed_count, None),
+            "percent_inaccurate": _percent(s.incorrect_count, s.computed_count, None),
+            "percent_missing": _percent(s.missing_count, s.tagged_gold_count, None),
+        }
+        for s in scores
+    ]
 
 
-def report_dict(
-    headline_scores: list[HeadlineScore], trigger_scores: list[TriggerScore]
-) -> dict:
-    return {
-        "headlines": [
-            {
-                "headline": s.headline,
-                "gold": s.gold_count,
-                "computed": s.computed_count,
-                "matched": s.matched_count,
-                "incorrect": s.incorrect_count,
-                "percent_correct": _round(s.percent_correct),
-                "percent_incorrect": _round(s.percent_incorrect),
-            }
-            for s in headline_scores
-        ],
-        "triggers": [
-            {
-                "trigger": s.trigger,
-                "computed": s.computed_count,
-                "percent_accurate": _round(s.percent_accurate),
-                "percent_inaccurate": _round(s.percent_inaccurate),
-                "percent_missing": _round(s.percent_missing),
-            }
-            for s in trigger_scores
-        ],
-    }
-
-
-def trigger_table(trigger_scores: list[TriggerScore]) -> str:
-    """TSV table: trigger, accurate %, inaccurate %, missing %."""
-
-    def cell(value: float | None) -> str:
-        return "n/a" if value is None else f"{value:.1f}"
-
+def trigger_table(rows: list[dict]) -> str:
+    """TSV table of ``trigger_rows``: trigger, accurate %, inaccurate %,
+    missing %."""
+    keys = ("percent_accurate", "percent_inaccurate", "percent_missing")
     lines = ["trigger\taccurate\tinaccurate\tmissing"]
-    for s in trigger_scores:
-        lines.append(
-            "\t".join(
-                [
-                    s.trigger,
-                    cell(s.percent_accurate),
-                    cell(s.percent_inaccurate),
-                    cell(s.percent_missing),
-                ]
-            )
-        )
+    for row in rows:
+        cells = ("n/a" if row[k] is None else f"{row[k]:.1f}" for k in keys)
+        lines.append("\t".join([row["trigger"], *cells]))
     return "\n".join(lines) + "\n"

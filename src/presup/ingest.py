@@ -296,9 +296,19 @@ _TOKEN_KEYS = ("index", "word", "pos")
 _EDGE_KEYS = ("dep", "governor", "governorGloss", "dependent", "dependentGloss")
 _INT_KEYS = frozenset({"index", "governor", "dependent"})
 # What indexing raises on a record that is not an object or lacks a key, and
-# what int() raises on a JSON value that is not an integer ("x", null, a
-# list, NaN, Infinity).
+# what _integer raises on a JSON value that is not an integer ("x", null, a
+# list, true, 2.9, NaN, Infinity).
 _RECORD_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
+
+
+def _integer(value) -> int:
+    """A JSON integer, or a string of digits, as an int.  int() would take
+    true as 1 and truncate 2.9 to 2."""
+    if type(value) is int:  # nearly every value; the checks below cost ~10% of a parse
+        return value
+    if isinstance(value, (bool, float)):
+        raise ValueError(value)
+    return int(value)
 
 
 def _record_error(where: str, record, keys: tuple[str, ...]) -> ParseError:
@@ -311,7 +321,7 @@ def _record_error(where: str, record, keys: tuple[str, ...]) -> ParseError:
             return ParseError(f"{where}: missing key {key!r}")
         if key in _INT_KEYS:
             try:
-                int(record[key])
+                _integer(record[key])
             except _RECORD_ERRORS:
                 return ParseError(f"{where}: key {key!r} must be an integer, got {record[key]!r}")
     return ParseError(f"{where}: malformed record")
@@ -348,7 +358,7 @@ def parse_stanford_json(document: str | dict) -> ParsedHeadline:
     tokens = []
     for i, t in enumerate(_record_list(obj, "tokens"), start=1):
         try:
-            tokens.append(Token(int(t["index"]), str(t["word"]), str(t["pos"])))
+            tokens.append(Token(_integer(t["index"]), str(t["word"]), str(t["pos"])))
         except _RECORD_ERRORS:
             raise _record_error(f"token {i}", t, _TOKEN_KEYS) from None
     records = _record_list(obj, "dependencies")
@@ -362,9 +372,9 @@ def _edge_rows(records: list) -> Iterator[tuple[str, int, str, int, str]]:
         try:
             row = (
                 str(d["dep"]),
-                int(d["governor"]),
+                _integer(d["governor"]),
                 str(d["governorGloss"]),
-                int(d["dependent"]),
+                _integer(d["dependent"]),
                 str(d["dependentGloss"]),
             )
         except _RECORD_ERRORS:
@@ -414,17 +424,13 @@ def nouns_of(h: ParsedHeadline) -> list[Token]:
 
 
 def edges_with(
-    h: ParsedHeadline,
-    dep: str,
-    governor_gloss: str | None = None,
-    dependent_gloss: str | None = None,
+    h: ParsedHeadline, dep: str, dependent_gloss: str | None = None
 ) -> list[DependencyEdge]:
-    """Edges matching a label and optional (case-insensitive) gloss filters."""
+    """Edges with a label and, if given, a dependent gloss (compared
+    case-insensitively)."""
     out = []
     for e in h.edges:
         if e.dep != dep:
-            continue
-        if governor_gloss is not None and e.governor_gloss.lower() != governor_gloss.lower():
             continue
         if dependent_gloss is not None and e.dependent_gloss.lower() != dependent_gloss.lower():
             continue

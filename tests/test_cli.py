@@ -247,10 +247,47 @@ class TestInfer:
     ])
     def test_bad_config_value_names_file_and_line(self, tmp_path, capsys, key, complaint):
         cfg = tmp_path / "engine.cfg"
-        cfg.write_text(f"# engine settings\nrules = compound\n\n{key} = zz\n")
+        good = "verb_pattern = strict" if key == "rules" else "rules = compound"  # not repeated
+        cfg.write_text(f"# engine settings\n{good}\n\n{key} = zz\n")
         code, _ = run_infer(tmp_path, extra=["--config", str(cfg)])
         assert code == 1
         assert capsys.readouterr().err == f"error: {cfg}:4: {complaint}\n"
+
+    @pytest.mark.parametrize("line, complaint", [
+        ("rules = past", "key 'rules' repeats line 2"),
+        ("rules = compound", "key 'rules' repeats line 2"),
+        ("rules compound", "expected 'key = value'"),
+    ])
+    def test_bad_config_line_names_file_and_line(self, tmp_path, capsys, line, complaint):
+        cfg = tmp_path / "engine.cfg"
+        cfg.write_text(f"# engine settings\nrules = compound\n\n{line}\n")
+        code, out = run_infer(tmp_path, extra=["--config", str(cfg)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {cfg}:4: {complaint}\n"
+        assert not out.exists()
+
+    def test_bad_config_lexicon_names_its_own_file_and_line(self, tmp_path, capsys):
+        lexicon = tmp_path / "bad.tsv"
+        lexicon.write_text("factive\tregret\nbogus\tfoo\n")
+        cfg = tmp_path / "engine.cfg"
+        cfg.write_text(f"lexicon = {lexicon}\n")
+        code, _ = run_infer(tmp_path, extra=["--config", str(cfg)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {lexicon}:2: unknown class 'bogus'\n"
+
+    def test_empty_parses_file_skips_every_line(self, tmp_path, capsys):
+        parses = tmp_path / "p.jsonl"
+        parses.write_text("\n \n")
+        code, out = run_infer(tmp_path, extra=["--parses", str(parses)])
+        assert code == 0
+        assert out.read_bytes() == b""
+        manifest = json.loads((tmp_path / "out.jsonl.manifest.json").read_text())
+        records = read_dataset((FIXTURES / "basic_triggers_dataset.txt").read_text("utf-8"))
+        assert manifest["skipped"] == [
+            {"line": i, "headline": r.text, "reason": "no parse"}
+            for i, r in enumerate(records, start=1)
+        ]
+        assert capsys.readouterr().err.count("no parse for") == len(records) > 0
 
     @pytest.mark.parametrize("flag, name, line, complaint", [
         *(
@@ -685,6 +722,17 @@ class TestEval:
             (h["percent_correct"], h["percent_incorrect"]) for h in report["headlines"]
         ]
         assert got == [(40.0, 0.0), (75.0, 0.0), (16.7, 33.3)]
+
+    def test_output_is_pinned(self, tmp_path, capsys):
+        """The report, the table and stdout, byte for byte.  A change that
+        means to alter them rewrites the pinned files and says why."""
+        table = tmp_path / "table.tsv"
+        code, out = self.run_eval(tmp_path, extra=["--table", str(table)])
+        assert code == 0
+        pinned = FIXTURES / "pinned"
+        assert out.read_bytes() == (pinned / "scored_report.json").read_bytes()
+        assert table.read_bytes() == (pinned / "scored_table.tsv").read_bytes()
+        assert capsys.readouterr().out == (pinned / "scored_stdout.txt").read_text("utf-8")
 
     def test_empty_gold(self, tmp_path):
         gold = tmp_path / "gold.txt"

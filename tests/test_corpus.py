@@ -42,6 +42,11 @@ class TestParseDatasetLine:
         with pytest.raises(FormatError, match="no bracket here"):
             parse_dataset_line("no bracket here")
 
+    def test_empty_headline_is_error(self):
+        with pytest.raises(FormatError) as exc:
+            parse_dataset_line("   [source: BBC]")
+        assert str(exc.value) == "empty headline in line: '   [source: BBC]'"
+
     def test_read_dataset_skips_comments(self):
         doc = "# a comment\nX [source: BBC]\n\nY [source: Reuters]\n"
         assert [r.text for r in read_dataset(doc)] == ["X", "Y"]

@@ -13,6 +13,7 @@ from presup.evaluation import (
     normalize,
     score_by_trigger,
     score_headline,
+    trigger_rows,
     trigger_table,
 )
 from presup.rules import Inference, InferenceKind
@@ -145,38 +146,38 @@ def alignment_counts(gold_n, computed_n, matched_n, headline="h", incorrect=None
 
 class TestScoreHeadline:
     def test_row1(self):
-        score = score_headline(alignment_counts(5, 3, 2, incorrect=()))
-        assert round(score.percent_correct, 1) == 40.0
-        assert round(score.percent_incorrect, 1) == 0.0
+        row = score_headline(alignment_counts(5, 3, 2, incorrect=()))
+        assert row["percent_correct"] == 40.0
+        assert row["percent_incorrect"] == 0.0
 
     def test_row2(self):
-        score = score_headline(alignment_counts(4, 3, 3, incorrect=()))
-        assert round(score.percent_correct, 1) == 75.0
-        assert round(score.percent_incorrect, 1) == 0.0
+        row = score_headline(alignment_counts(4, 3, 3, incorrect=()))
+        assert row["percent_correct"] == 75.0
+        assert row["percent_incorrect"] == 0.0
 
     def test_row3(self):
         # "c1", computed index 1, is labeled incorrect.
-        score = score_headline(alignment_counts(6, 3, 1, incorrect=(1,)))
-        assert round(score.percent_correct, 1) == 16.7
-        assert round(score.percent_incorrect, 1) == 33.3
+        row = score_headline(alignment_counts(6, 3, 1, incorrect=(1,)))
+        assert row["percent_correct"] == 16.7
+        assert row["percent_incorrect"] == 33.3
 
     def test_automatic_mode_counts_unmatched_as_incorrect(self):
-        score = score_headline(alignment_counts(6, 3, 1))
-        assert score.incorrect_count == 2
+        row = score_headline(alignment_counts(6, 3, 1))
+        assert row["incorrect"] == 2
 
     def test_zero_gold(self):
-        assert score_headline(alignment_counts(0, 0, 0)).percent_correct == 100.0
-        assert score_headline(alignment_counts(0, 2, 0)).percent_correct == 0.0
+        assert score_headline(alignment_counts(0, 0, 0))["percent_correct"] == 100.0
+        assert score_headline(alignment_counts(0, 2, 0))["percent_correct"] == 0.0
 
     def test_zero_computed(self):
-        score = score_headline(alignment_counts(3, 0, 0))
-        assert score.percent_incorrect == 0.0
+        row = score_headline(alignment_counts(3, 0, 0))
+        assert row["percent_incorrect"] == 0.0
 
     def test_bounds(self):
-        score = score_headline(alignment_counts(5, 3, 2))
-        assert 0 <= score.percent_correct <= 100
-        assert 0 <= score.percent_incorrect <= 100
-        assert score.matched_count <= min(score.gold_count, score.computed_count)
+        row = score_headline(alignment_counts(5, 3, 2))
+        assert 0 <= row["percent_correct"] <= 100
+        assert 0 <= row["percent_incorrect"] <= 100
+        assert row["matched"] <= min(row["gold"], row["computed"])
 
 
 def eval_item(computed, gold, incorrect=None, judged=()):
@@ -192,11 +193,11 @@ class TestScoreByTrigger:
                 incorrect=frozenset(),
             )
         ]
-        (score,) = score_by_trigger(items)
-        assert score.trigger == "further"
-        assert score.percent_accurate == 100.0
-        assert score.percent_inaccurate == 0.0
-        assert score.percent_missing == 0.0
+        (row,) = trigger_rows(score_by_trigger(items))
+        assert row["trigger"] == "further"
+        assert row["percent_accurate"] == 100.0
+        assert row["percent_inaccurate"] == 0.0
+        assert row["percent_missing"] == 0.0
 
     def test_but_row_echo(self):
         # 13 computed but-inferences, 9 of which match their tagged gold;
@@ -211,10 +212,10 @@ class TestScoreByTrigger:
                     incorrect=frozenset(),
                 )
             )
-        (score,) = score_by_trigger(items)
-        assert round(score.percent_accurate, 1) == 69.2
-        assert score.percent_inaccurate == 0.0
-        assert round(score.percent_missing, 1) == 30.8
+        (row,) = trigger_rows(score_by_trigger(items))
+        assert row["percent_accurate"] == 69.2
+        assert row["percent_inaccurate"] == 0.0
+        assert row["percent_missing"] == 30.8
 
     def test_untagged_gold_makes_missing_unavailable(self):
         items = [
@@ -224,9 +225,9 @@ class TestScoreByTrigger:
                 incorrect=frozenset(),
             )
         ]
-        (score,) = score_by_trigger(items)
-        assert score.percent_accurate == 0.0
-        assert score.percent_missing is None
+        (row,) = trigger_rows(score_by_trigger(items))
+        assert row["percent_accurate"] == 0.0
+        assert row["percent_missing"] is None
 
     def test_trigger_absent_on_both_sides_omitted(self):
         items = [eval_item(computed_of(("x", "future")), gold_of(("x", "future")))]
@@ -234,7 +235,7 @@ class TestScoreByTrigger:
 
     def test_table_rendering(self):
         items = [eval_item(computed_of(("x", "future")), gold_of("y"))]
-        table = trigger_table(score_by_trigger(items))
+        table = trigger_table(trigger_rows(score_by_trigger(items)))
         assert table.splitlines()[0] == "trigger\taccurate\tinaccurate\tmissing"
         assert "n/a" in table
 
@@ -336,7 +337,7 @@ def test_headline_and_trigger_scores_count_one_verdict(headlines, mode):
     ]
     by_headline = [score_headline(a) for a in alignments]
     by_trigger = score_by_trigger(alignments)
-    for count in ("computed_count", "matched_count", "incorrect_count"):
-        assert sum(getattr(s, count) for s in by_trigger) == sum(
-            getattr(s, count) for s in by_headline
+    for count in ("computed", "matched", "incorrect"):
+        assert sum(getattr(s, f"{count}_count") for s in by_trigger) == sum(
+            row[count] for row in by_headline
         ), count

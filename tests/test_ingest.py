@@ -174,6 +174,12 @@ class TestParseStanfordJson:
         (lambda o: o["dependencies"][0].update(dependent=float("inf")),
          "dependency 1: key 'dependent' must be an integer, got inf"),
         (lambda o: o["dependencies"].append(None), "dependency 6: expected a JSON object, got NoneType"),
+        # int() would truncate a float and take a boolean as 0 or 1.
+        (lambda o: o["dependencies"][1].update(governor=2.9),
+         "dependency 2: key 'governor' must be an integer, got 2.9"),
+        (lambda o: o["dependencies"][1].update(dependent=3.0),
+         "dependency 2: key 'dependent' must be an integer, got 3.0"),
+        (lambda o: o["tokens"][0].update(index=True), "token 1: key 'index' must be an integer, got True"),
     ])
     def test_malformed_record_named(self, mutate, complaint):
         broken = json.loads(json.dumps(FIG7_JSON))
@@ -182,6 +188,15 @@ class TestParseStanfordJson:
             with pytest.raises(ParseError) as exc:
                 parse_stanford_json(document)
             assert str(exc.value) == complaint
+
+    def test_digit_string_keys_are_integers(self):
+        as_strings = json.loads(json.dumps(FIG7_JSON))
+        for t in as_strings["tokens"]:
+            t["index"] = str(t["index"])
+        for d in as_strings["dependencies"]:
+            d["governor"], d["dependent"] = str(d["governor"]), str(d["dependent"])
+        h = parse_stanford_json(as_strings)
+        assert h == parse_stanford_json(json.dumps(FIG7_JSON))
 
     def test_gloss_mismatch_is_consistency_error(self):
         broken = json.loads(json.dumps(FIG7_JSON))
@@ -384,8 +399,9 @@ class TestTokenQueries:
 
     def test_edges_with_gloss_filters(self, basic_triggers):
         h, _ = basic_triggers["nmod_of"]
-        assert len(edges_with(h, "nmod", "Bank", "England")) == 1
-        assert len(edges_with(h, "nmod", "bank", "ENGLAND")) == 1  # case-insensitive
+        assert len(edges_with(h, "nmod", dependent_gloss="England")) == 1
+        assert len(edges_with(h, "nmod", dependent_gloss="ENGLAND")) == 1  # case-insensitive
+        assert edges_with(h, "nmod", dependent_gloss="Bank") == []  # the governor's gloss
 
 
 @given(st.lists(st.sampled_from(["obj", "obl", "nn", "nsubj", "dobj", "conj", "cc",

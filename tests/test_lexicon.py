@@ -1,5 +1,8 @@
 """TriggerLexicon.verb_classes against the entry scan it replaced."""
 
+import pytest
+
+from presup.errors import FormatError
 from presup.ingest import ParsedHeadline, Token
 from presup.lexicon import VERB_CLASS_IDS, TriggerLexicon, default_lexicon, parse_lexicon
 from presup.morphology import VerbForm, conjugate, lemma
@@ -105,3 +108,9 @@ def test_parse_lexicon_lowercases_and_fills_classes():
     assert lex == TriggerLexicon(entries={"factive": {"regrets"}, "judging": {"blame"}})
     assert lex.words("iterative") == frozenset()
     assert "factive" in lex.verb_classes("regret", [])
+
+
+def test_parse_lexicon_line_without_tab_is_error():
+    with pytest.raises(FormatError) as exc:
+        parse_lexicon("# comment\nfactive\tregrets\nfactive regrets\n", "lex.tsv")
+    assert str(exc.value) == "lex.tsv:3: expected 'class<TAB>entry'"

@@ -328,6 +328,15 @@ class TestRuleLexical:
         (inf,) = rule_lexical(h, LEX, ("iterative",))
         assert inf.text == "HTC had been in Indian market previously"
 
+    def test_iterative_with_subject_and_complement(self):
+        h = make_headline(
+            "Company/NN repeats/VBZ selling/VBG shares/NNS",
+            [("nsubj", 2, 1), ("root", 0, 2), ("xcomp", 2, 3), ("dobj", 3, 4)],
+        )
+        (inf,) = rule_lexical(h, LEX, ("iterative",))
+        assert inf.text == "Company had sold shares previously"
+        assert inf.span == (1, 2, 3, 4)
+
     def test_no_recoverable_structure_yields_nothing(self):
         h = make_headline("stopped/VBD", [("root", 0, 1)])
         assert rule_lexical(h, LEX) == []
