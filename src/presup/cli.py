@@ -317,7 +317,8 @@ def _parse_inferences(obj: dict) -> list[Inference]:
         if not isinstance(d.get("trigger", ""), str):
             raise FormatError("inference 'trigger' must be a string")
         span = d.get("span", [])
-        if not (isinstance(span, list) and all(isinstance(i, int) for i in span)):
+        # type() rather than isinstance: JSON true is a bool, and bool is an int.
+        if not (isinstance(span, list) and all(type(i) is int for i in span)):
             raise FormatError("inference 'span' must be a list of integers")
     return [Inference.from_dict(d) for d in entries]
 

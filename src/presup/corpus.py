@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import FormatError, located, split_lines
 
@@ -60,8 +61,7 @@ class QuotedSpan:
     text: str  # verbatim substring between the quote characters
 
 
-@dataclass(frozen=True)
-class GoldInference:
+class GoldInference(NamedTuple):
     text: str
     trigger: str | None = None
 

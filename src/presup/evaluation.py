@@ -13,6 +13,8 @@ import re
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
+from typing import NamedTuple
 
 from .corpus import GoldAnnotation, clean
 
@@ -32,8 +34,7 @@ class MatchConfig:
             raise ValueError("jaccard_threshold must be within [0, 1]")
 
 
-@dataclass(frozen=True)
-class MatchPair:
+class MatchPair(NamedTuple):
     gold_index: int
     computed_index: int
     score: float
@@ -97,13 +98,6 @@ def _triggers(items) -> tuple[str | None, ...]:
     return tuple(getattr(item, "trigger", None) for item in items)
 
 
-def _jaccard(a: set[str], b: set[str]) -> float:
-    if not a and not b:
-        return 1.0
-    union = a | b
-    return len(a & b) / len(union) if union else 0.0
-
-
 def match(
     computed,
     gold,
@@ -119,62 +113,69 @@ def match(
     text) matches decided by a human and applied before any automatic phase.
     A computed inference is incorrect when its normalized text is one of
     ``incorrect_labels``, the human judgment; without labels, when it is
-    unmatched.
+    unmatched.  Each distinct text of the call is normalized once.
     """
     gold_items = gold.inferences if isinstance(gold, GoldAnnotation) else gold
-    ngold = tuple(normalize(t) for t in _texts(gold_items))
-    ncomp = tuple(normalize(t) for t in _texts(computed))
-    pairs: list[MatchPair] = []
-    used_g: set[int] = set()
-    used_c: set[int] = set()
+    gold_texts, comp_texts = _texts(gold_items), _texts(computed)
+    labels = () if incorrect_labels is None else incorrect_labels
+    norm = {
+        t: normalize(t)
+        for t in dict.fromkeys(chain(gold_texts, comp_texts, *judged_pairs, labels))
+    }
+    ngold = tuple(map(norm.__getitem__, gold_texts))
+    ncomp = tuple(map(norm.__getitem__, comp_texts))
+    # The free computed indices of each normalized text, ascending: the judged
+    # and exact phases take the first.
+    free_comp: dict[str, list[int]] = {}
+    for ci, ct in enumerate(ncomp):
+        free_comp.setdefault(ct, []).append(ci)
+    pair_of: list[MatchPair | None] = [None] * len(ngold)  # by gold index
 
-    def take(gi: int, ci: int, score: float) -> None:
-        pairs.append(MatchPair(gold_index=gi, computed_index=ci, score=score))
-        used_g.add(gi)
-        used_c.add(ci)
-
-    for g_text, c_text in judged_pairs:
-        ng, nc = normalize(g_text), normalize(c_text)
-        gi = next((i for i, t in enumerate(ngold) if i not in used_g and t == ng), None)
-        ci = next((i for i, t in enumerate(ncomp) if i not in used_c and t == nc), None)
-        if gi is not None and ci is not None:
-            take(gi, ci, 1.0)
+    if judged_pairs:
+        free_gold: dict[str, list[int]] = {}
+        for gi, gt in enumerate(ngold):
+            free_gold.setdefault(gt, []).append(gi)
+        for g_text, c_text in judged_pairs:
+            g_free, c_free = free_gold.get(norm[g_text]), free_comp.get(norm[c_text])
+            if g_free and c_free:
+                gi = g_free.pop(0)
+                pair_of[gi] = MatchPair(gi, c_free.pop(0), 1.0)
 
     for gi, gt in enumerate(ngold):
-        if gi in used_g:
-            continue
-        for ci, ct in enumerate(ncomp):
-            if ci not in used_c and gt == ct:
-                take(gi, ci, 1.0)
-                break
+        if pair_of[gi] is None and (c_free := free_comp.get(gt)):
+            pair_of[gi] = MatchPair(gi, c_free.pop(0), 1.0)
 
     if cfg.mode is MatchMode.TOKEN_JACCARD:
-        gold_tokens = [set(t.split()) for t in ngold]
-        comp_tokens = [set(t.split()) for t in ncomp]
+        comp_tokens = [
+            (ci, set(ncomp[ci].split())) for ci in chain.from_iterable(free_comp.values())
+        ]
         candidates = []
-        for gi in range(len(ngold)):
-            if gi in used_g:
-                continue
-            for ci in range(len(ncomp)):
-                if ci in used_c:
-                    continue
-                score = _jaccard(gold_tokens[gi], comp_tokens[ci])
-                if score >= cfg.jaccard_threshold:
-                    candidates.append((-score, gi, ci))
+        for gi, gt in enumerate(ngold):
+            if pair_of[gi] is None:
+                g_tokens = set(gt.split())
+                for ci, c_tokens in comp_tokens:
+                    shared = len(g_tokens & c_tokens)
+                    union = len(g_tokens) + len(c_tokens) - shared
+                    score = shared / union if union else 1.0  # two empty texts match
+                    if score >= cfg.jaccard_threshold:
+                        candidates.append((-score, gi, ci))
+        taken: set[int] = set()
         for neg_score, gi, ci in sorted(candidates):
-            if gi not in used_g and ci not in used_c:
-                take(gi, ci, -neg_score)
+            if pair_of[gi] is None and ci not in taken:
+                pair_of[gi] = MatchPair(gi, ci, -neg_score)
+                taken.add(ci)
 
-    pairs.sort(key=lambda p: (p.gold_index, p.computed_index))
-    unmatched_computed = tuple(i for i in range(len(ncomp)) if i not in used_c)
+    pairs = tuple(p for p in pair_of if p is not None)
+    matched = {p.computed_index for p in pairs}
+    unmatched_computed = tuple(ci for ci in range(len(ncomp)) if ci not in matched)
     if incorrect_labels is None:
         incorrect = unmatched_computed
     else:
-        labels = {normalize(t) for t in incorrect_labels}
-        incorrect = tuple(i for i, t in enumerate(ncomp) if t in labels)
+        wrong = {norm[t] for t in labels}
+        incorrect = tuple(ci for ci, ct in enumerate(ncomp) if ct in wrong)
     return Alignment(
-        pairs=tuple(pairs),
-        unmatched_gold=tuple(i for i in range(len(ngold)) if i not in used_g),
+        pairs=pairs,
+        unmatched_gold=tuple(gi for gi, p in enumerate(pair_of) if p is None),
         unmatched_computed=unmatched_computed,
         incorrect=incorrect,
         gold_texts=ngold,

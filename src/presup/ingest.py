@@ -202,6 +202,21 @@ def build_headline(
     )
 
 
+class _DigitStrings(dict):
+    """A string of ASCII digits to its int; ValueError for any other string.
+    int() would also take a sign, spaces, underscores and other scripts'
+    digits.  The common ones are stored, so reading a CoNLL-U ID or HEAD
+    cell is one lookup, cheaper than int()."""
+
+    def __missing__(self, text: str) -> int:
+        if not (text.isascii() and text.isdigit()):
+            raise ValueError(text)
+        return int(text)
+
+
+_DIGITS = _DigitStrings((str(i), i) for i in range(256))
+
+
 def parse_conllu(document: str, source: str | None = None) -> list[ParsedHeadline]:
     """Parse a 10-column CoNLL-U document into one ParsedHeadline per sentence.
 
@@ -278,11 +293,11 @@ def parse_conllu(document: str, source: str | None = None) -> list[ParsedHeadlin
         if "-" in tid or "." in tid:
             continue  # multi-word token / empty node
         try:
-            ids.append(int(tid))
+            ids.append(_DIGITS[tid])
         except ValueError:
             raise ParseError(f"{located(source, lineno)}: non-integer token id {tid!r}") from None
         try:
-            heads.append(int(head))
+            heads.append(_DIGITS[head])
         except ValueError:
             raise ParseError(f"{located(source, lineno)}: non-integer head {head!r}") from None
         forms.append(form)
@@ -302,12 +317,14 @@ _RECORD_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
 
 
 def _integer(value) -> int:
-    """A JSON integer, or a string of digits, as an int.  int() would take
-    true as 1 and truncate 2.9 to 2."""
+    """A JSON integer, or a string of ASCII digits, as an int.  int() would
+    take true as 1, truncate 2.9 to 2 and read '+2' as 2."""
     if type(value) is int:  # nearly every value; the checks below cost ~10% of a parse
         return value
     if isinstance(value, (bool, float)):
         raise ValueError(value)
+    if isinstance(value, str):
+        return _DIGITS[value]
     return int(value)
 
 

@@ -38,6 +38,9 @@ class InferenceKind(Enum):
     EXPLICIT_TRIPLE = "triple"
 
 
+_KIND_OF_VALUE = {kind.value: kind for kind in InferenceKind}  # cheaper than InferenceKind(value)
+
+
 @dataclass(frozen=True)
 class Inference:
     kind: InferenceKind
@@ -56,7 +59,7 @@ class Inference:
     @classmethod
     def from_dict(cls, obj: dict) -> "Inference":
         return cls(
-            kind=InferenceKind(obj["kind"]),
+            kind=_KIND_OF_VALUE[obj["kind"]],
             text=obj["text"],
             trigger=obj.get("trigger", ""),
             span=tuple(obj.get("span", ())),

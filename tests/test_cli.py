@@ -315,6 +315,13 @@ class TestInfer:
         ("--parses", "p.conllu", "3\tbad\trow", "expected 10 columns, got 3"),
         ("--parses", "p.conllu", "3\tdown\t_\t_\tRB\t_\tx\tadvmod\t_\t_",
          "non-integer head 'x'"),
+        # int() reads these as 0, 1 and 3; only ASCII digits are an index.
+        ("--parses", "p.conllu", "1\tdown\t_\t_\tRB\t_\t0_0\troot\t_\t_",
+         "non-integer head '0_0'"),
+        ("--parses", "p.conllu", "3\tdown\t_\t_\tRB\t_\t+1\tadvmod\t_\t_",
+         "non-integer head '+1'"),
+        ("--parses", "p.conllu", "+3\tdown\t_\t_\tRB\t_\t1\tadvmod\t_\t_",
+         "non-integer token id '+3'"),
         ("--parses", "p.conllu", "3\tdown\t_\t_\tRB\t_\t9\tadvmod\t_\t_",
          "sentence 2: head 9 of token 3 does not exist"),
         ("--dataset", "d.txt", "no bracket here", "no '[source:' bracket in line: 'no bracket here'"),
@@ -734,6 +741,20 @@ class TestEval:
         assert table.read_bytes() == (pinned / "scored_table.tsv").read_bytes()
         assert capsys.readouterr().out == (pinned / "scored_stdout.txt").read_text("utf-8")
 
+    def test_jaccard_output_is_pinned(self, tmp_path, capsys):
+        """Jaccard mode without labels at a low threshold, so that the Jaccard
+        phase pairs what exact matching leaves (3 of 5 gold on the first
+        headline, where exact mode pairs none): report and stdout, byte for
+        byte."""
+        extra = ["--match-mode", "jaccard", "--jaccard-threshold", "0.3"]
+        code, out = self.run_eval(tmp_path, labels=False, extra=extra)
+        assert code == 0
+        pinned = FIXTURES / "pinned"
+        assert out.read_bytes() == (pinned / "scored_jaccard_report.json").read_bytes()
+        stdout = capsys.readouterr().out
+        assert stdout == (pinned / "scored_jaccard_stdout.txt").read_text("utf-8")
+        assert json.loads(out.read_text())["headlines"][0]["matched"] == 3
+
     def test_empty_gold(self, tmp_path):
         gold = tmp_path / "gold.txt"
         gold.write_text("")
@@ -782,6 +803,11 @@ class TestEval:
                 ('"inferences": [{"kind": ">>", "text": "a", "trigger": 1}]}',
                  "inference 'trigger' must be a string"),
                 ('"inferences": [{"kind": ">>", "text": "a", "span": 3}]}',
+                 "inference 'span' must be a list of integers"),
+                # JSON true is a bool, which Python counts as an int.
+                ('"inferences": [{"kind": ">>", "text": "a", "span": [true]}]}',
+                 "inference 'span' must be a list of integers"),
+                ('"inferences": [{"kind": ">>", "text": "a", "span": [1, false]}]}',
                  "inference 'span' must be a list of integers"),
             ]
         ),

@@ -4,11 +4,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from presup import evaluation
 from presup.corpus import GoldAnnotation, GoldInference
 from presup.evaluation import (
     Alignment,
     MatchConfig,
     MatchMode,
+    MatchPair,
     match,
     normalize,
     score_by_trigger,
@@ -120,6 +122,27 @@ class TestMatch:
         assert labeled.incorrect == (1,)
         assert match(computed, gold, incorrect_labels=frozenset()).incorrect == ()
 
+    def test_each_distinct_text_is_normalized_once(self, monkeypatch):
+        """Through the module's own ``normalize``, so that a wrapper on it
+        sees every call."""
+        calls = []
+        real = evaluation.normalize
+        monkeypatch.setattr(evaluation, "normalize", lambda t: calls.append(t) or real(t))
+        alignment = match(
+            computed_of("a b", "Brexit can be campaign", "a b"),
+            gold_of("a b", "c", "c"),
+            judged_pairs=(("c", "a b"), ("absent", "a b")),
+            incorrect_labels={"Brexit can be campaign", "d"},
+        )
+        assert sorted(calls) == ["Brexit can be campaign", "a b", "absent", "c", "d"]
+        assert [(p.gold_index, p.computed_index) for p in alignment.pairs] == [(0, 2), (1, 0)]
+
+    def test_records_are_named_tuples(self):
+        pair = MatchPair(0, 1, 0.5)
+        assert pair == (0, 1, 0.5) and pair._replace(score=1.0) == (0, 1, 1.0)
+        assert GoldInference("a") == ("a", None)
+        assert GoldInference("a", "but")._replace(text="b") == GoldInference("b", "but")
+
     def test_threshold_range_validated(self):
         with pytest.raises(ValueError):
             MatchConfig(jaccard_threshold=1.5)
@@ -130,8 +153,6 @@ def alignment_counts(gold_n, computed_n, matched_n, headline="h", incorrect=None
     pairs = tuple(
         dict(gold_index=i, computed_index=i) for i in range(matched_n)
     )
-    from presup.evaluation import MatchPair
-
     return Alignment(
         pairs=tuple(MatchPair(p["gold_index"], p["computed_index"], 1.0) for p in pairs),
         unmatched_gold=tuple(range(matched_n, gold_n)),

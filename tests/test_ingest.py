@@ -74,6 +74,28 @@ class TestParseConllu:
         with pytest.raises(ParseError, match="non-integer head"):
             parse_conllu(doc)
 
+    # int() would take a sign, spaces, underscores and other scripts' digits.
+    @pytest.mark.parametrize("head", ["0_0", "+1", " 1", "1 ", "-1", "\u0661", ""])
+    def test_head_must_be_ascii_digits(self, head):
+        doc = f"1\tgo\t_\t_\tVB\t_\t0\troot\t_\t_\n2\tnow\t_\t_\tRB\t_\t{head}\tdep\t_\t_\n"
+        with pytest.raises(ParseError) as exc:
+            parse_conllu(doc, "s.conllu")
+        assert str(exc.value) == f"s.conllu:2: non-integer head {head!r}"
+
+    @pytest.mark.parametrize("tid", ["+1", "1_", "\u0661"])
+    def test_token_id_must_be_ascii_digits(self, tid):
+        doc = f"{tid}\tgo\t_\t_\tVB\t_\t0\troot\t_\t_\n"
+        with pytest.raises(ParseError) as exc:
+            parse_conllu(doc, "s.conllu")
+        assert str(exc.value) == f"s.conllu:1: non-integer token id {tid!r}"
+
+    def test_leading_zeros_and_large_ids_are_integers(self):
+        rows = ["001\tw\t_\t_\tNN\t_\t0\troot\t_\t_"]
+        rows += [f"{i}\tw\t_\t_\tNN\t_\t01\tdep\t_\t_" for i in range(2, 301)]
+        (h,) = parse_conllu("\n".join(rows) + "\n")
+        assert [t.index for t in h.tokens] == list(range(1, 301))
+        assert [e.governor for e in h.edges] == [0] + [1] * 299
+
     def test_sentence_error_names_its_first_line(self):
         doc = (
             "1\tgo\t_\t_\tVB\t_\t0\troot\t_\t_\n\n"
@@ -180,6 +202,12 @@ class TestParseStanfordJson:
         (lambda o: o["dependencies"][1].update(dependent=3.0),
          "dependency 2: key 'dependent' must be an integer, got 3.0"),
         (lambda o: o["tokens"][0].update(index=True), "token 1: key 'index' must be an integer, got True"),
+        # A digit string must be ASCII digits only.
+        (lambda o: o["dependencies"][1].update(governor="+2"),
+         "dependency 2: key 'governor' must be an integer, got '+2'"),
+        (lambda o: o["tokens"][1].update(index=" 2"), "token 2: key 'index' must be an integer, got ' 2'"),
+        (lambda o: o["tokens"][1].update(index="\u0662"),
+         "token 2: key 'index' must be an integer, got '\u0662'"),
     ])
     def test_malformed_record_named(self, mutate, complaint):
         broken = json.loads(json.dumps(FIG7_JSON))

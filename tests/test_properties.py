@@ -1,9 +1,9 @@
 """Cross-cutting engine properties: fuzzing over random dependency trees,
 format equivalence of the two ingest formats, parity of the parse readers
 with a reference copy on valid and one-defect parses, malformed-input fuzzing
-of the parse, gold and eval readers, rule-set monotonicity, rules that share
-a registry function, quoted spans under another tokenization and output
-determinism."""
+of the parse, gold and eval readers, parity of ``match`` with a reference
+copy, rule-set monotonicity, rules that share a registry function, quoted
+spans under another tokenization and output determinism."""
 
 import json
 import random
@@ -11,11 +11,13 @@ import re
 
 from hypothesis import example, given, strategies as st
 
+import evaluation_reference
 import ingest_reference as reference
 from conftest import load_fixture_corpus, make_headline
 from presup.cli import _read_inference_file, _read_labels_file
-from presup.corpus import parse_gold, preprocess
+from presup.corpus import GoldAnnotation, GoldInference, parse_gold, preprocess
 from presup.errors import FormatError, ParseError
+from presup.evaluation import MatchConfig, MatchMode, match
 from presup.ingest import (
     LABEL_MAP,
     DependencyEdge,
@@ -30,6 +32,8 @@ from presup.lexicon import TriggerLexicon, default_lexicon
 from presup.rules import (
     DEFAULT_RULES,
     EngineConfig,
+    Inference,
+    InferenceKind,
     RULE_IDS,
     generate_all,
     infer_all,
@@ -586,3 +590,47 @@ def test_readers_match_the_reference_copy(h, seed):
                 assert normalize_labels(edge_rows) == reference.normalize_labels(edge_rows)
             if len(case) == 1:
                 assert (error is None) == (case == ("none",)), (case, fmt, error)
+
+
+# Texts that repeat, spell one normalized text several ways, normalize to ""
+# or tie on token Jaccard ("a b" and "a c" against "a d").
+MATCH_TEXTS = st.sampled_from([
+    "Brexit can have campaign", "brexit can be/ can have campaign", "Brexit can be campaign.",
+    "Olympics has medals", "olympics has medals!", "years had medals",
+    "", "...", " - ", "a b", "a c", "b c", "a d", "a",
+]) | st.text(max_size=6)
+MATCH_TRIGGERS = st.sampled_from([None, "compound", "but"])
+
+
+@st.composite
+def _match_arguments(draw):
+    gold_texts = draw(st.lists(MATCH_TEXTS, max_size=6))
+    comp_texts = draw(st.lists(MATCH_TEXTS, max_size=6))
+    # Judged texts and labels are the call's own texts, or absent ones.
+    own = [*gold_texts, *comp_texts]
+    text = st.sampled_from(own) | MATCH_TEXTS if own else MATCH_TEXTS
+    judged = tuple(draw(st.lists(st.tuples(text, text), max_size=4)))
+    labels = draw(st.none() | st.frozensets(text, max_size=3))
+    gold = draw(st.sampled_from(["str", "inference", "annotation"]))
+    if gold != "str":
+        gold_texts = [GoldInference(t, draw(MATCH_TRIGGERS)) for t in gold_texts]
+        if gold == "annotation":
+            gold_texts = GoldAnnotation("h", tuple(gold_texts))
+    if draw(st.booleans()):
+        comp_texts = [
+            Inference(InferenceKind.PRESUPPOSITION, t, draw(MATCH_TRIGGERS) or "rule", (1,))
+            for t in comp_texts
+        ]
+    cfg = MatchConfig(
+        mode=draw(st.sampled_from(MatchMode)),
+        jaccard_threshold=draw(st.sampled_from([0.0, 1.0, 1 / 3, 0.5]) | st.floats(0, 1)),
+    )
+    return comp_texts, gold_texts, cfg, judged, labels
+
+
+@given(_match_arguments())
+def test_match_matches_the_reference_copy(arguments):
+    """``match`` gives the reference copy's ``Alignment``: the same pairs in
+    the same order with the same scores, the same unmatched and incorrect
+    indices, normalized texts and triggers."""
+    assert match(*arguments) == evaluation_reference.match(*arguments)
