@@ -152,10 +152,26 @@ def _item_line(text: str, k: int) -> int:
     return text.count("\n", 0, pos) + 1
 
 
+_LONE_SURROGATE = re.compile(r"[\ud800-\udfff]")
+
+
+def _check_encodable(h: ParsedHeadline) -> None:
+    """A ParseError for the first lone surrogate in the text or a token of
+    ``h``: only a JSON escape such as ``\\ud800`` can give one, and no UTF-8
+    output can hold it."""
+    texts = [("headline", h.raw_text)]
+    texts += ((f"token {t.index}", t.surface) for t in h.tokens)
+    for where, text in texts:
+        m = _LONE_SURROGATE.search(text)
+        if m:
+            raise ParseError(f"{where}: lone surrogate {m.group()!r} is not valid UTF-8")
+
+
 def load_parses(path: str) -> list[ParsedHeadline]:
     """Read a sidecar parse file: CoNLL-U by extension, else Stanford JSON
     (single object, array of objects, or JSON Lines).  Errors name
-    ``path:line``; in an array, the line its bad object starts on."""
+    ``path:line``; in an array, the line its bad object starts on.  Only
+    JSON text that holds a ``\\u`` escape is checked for lone surrogates."""
     text = read_text(path)
     if Path(path).suffix in (".conllu", ".conll"):
         return parse_conllu(text, path)
@@ -178,16 +194,23 @@ def load_parses(path: str) -> list[ParsedHeadline]:
         payload = [payload]
     parses = []
     if isinstance(payload, list):
+        escaped = "\\u" in text
         for k, obj in enumerate(payload):
             try:
-                parses.append(parse_stanford_json(obj))
+                h = parse_stanford_json(obj)
+                if escaped:
+                    _check_encodable(h)
+                parses.append(h)
             except ParseError as exc:
                 raise type(exc)(f"{path}:{_item_line(text, k)}: {exc}") from None
         return parses
     for lineno, line in enumerate(split_lines(stripped), start=first_line):
         if line.strip():
             try:
-                parses.append(parse_stanford_json(line))
+                h = parse_stanford_json(line)
+                if "\\u" in line:
+                    _check_encodable(h)
+                parses.append(h)
             except ParseError as exc:
                 raise type(exc)(f"{path}:{lineno}: {exc}") from None
     return parses
@@ -198,6 +221,28 @@ def _spans_for_tokens(h: ParsedHeadline, quotes) -> tuple[tuple[int, int], ...]:
     ``ParsedHeadline.quoted_spans`` and ``cmd_infer`` does not set it; the
     benchmark's rule timing still builds its headlines with it."""
     return tuple((span[0], span[-1]) for span in quoted_tokens(h, quotes) if span)
+
+
+# A string as json.dumps(..., ensure_ascii=False) writes it, through the C
+# encoder.
+_json_string = json.JSONEncoder(ensure_ascii=False).encode
+# An inference's JSON up to its text, for each kind: the values need no escaping.
+_RECORD_START = {kind: f'{{"kind": "{kind.value}", "text": ' for kind in InferenceKind}
+
+
+def _jsonl_record(headline: str, inferences: list[Inference]) -> str:
+    """``json.dumps({"headline": headline, "inferences": [inf.to_dict() for
+    inf in inferences]}, ensure_ascii=False)``, assembled from escaped
+    strings: the kind and the span's integers need no escaping."""
+    return "".join([
+        '{"headline": ', _json_string(headline), ', "inferences": [',
+        ", ".join([
+            f'{_RECORD_START[kind]}{_json_string(text)}, "trigger": {_json_string(trigger)}, '
+            f'"span": [{", ".join(map(str, span))}]}}'
+            for kind, text, trigger, span in inferences
+        ]),
+        "]}",
+    ])
 
 
 def cmd_infer(args) -> int:
@@ -226,15 +271,7 @@ def cmd_infer(args) -> int:
         h = ParsedHeadline(str(i), record.text, h.tokens, h.edges)
         inferences = infer_all(h, p, cfg)
         trigger_counts.update(inf.trigger for inf in inferences)
-        lines.append(
-            json.dumps(
-                {
-                    "headline": record.text,
-                    "inferences": [inf.to_dict() for inf in inferences],
-                },
-                ensure_ascii=False,
-            )
-        )
+        lines.append(_jsonl_record(record.text, inferences))
     out_path = Path(args.out)
     out_path.write_text("".join(line + "\n" for line in lines), "utf-8")
     manifest = {
@@ -262,10 +299,21 @@ def cmd_infer(args) -> int:
     return 0
 
 
-def _read_jsonl(path: str, parse) -> dict:
+def _normalized(keys: dict[str, str], text: str) -> str:
+    """``normalize(text)``, computed once per distinct text: ``keys`` maps
+    each text met so far to its normalized form."""
+    key = keys.get(text)
+    if key is None:
+        key = keys[text] = normalize(text)
+    return key
+
+
+def _read_jsonl(path: str, parse, keys: dict[str, str], gold: set[str]) -> dict:
     """{normalized headline: parse(record)} over a JSON Lines file of objects
     with a ``headline`` string.  ``parse`` raises FormatError without a
-    location.  A headline may repeat only with the same parsed content."""
+    location.  A headline may repeat only with the same parsed content.
+    ``keys`` is ``_normalized``'s map, shared by the readers of one eval
+    call; a record whose key is not in ``gold`` is warned about."""
     out: dict = {}
     first_line: dict[str, int] = {}
     for lineno, line in enumerate(split_lines(read_text(path)), start=1):
@@ -284,15 +332,18 @@ def _read_jsonl(path: str, parse) -> dict:
             value = parse(obj)
         except FormatError as exc:
             raise FormatError(f"{where}: {exc}") from None
-        key = normalize(obj["headline"])
+        key = _normalized(keys, obj["headline"])
         if key in out:
             if out[key] != value:
                 raise FormatError(
                     f"{where}: headline {obj['headline']!r} repeats line "
                     f"{first_line[key]} with different content"
                 )
-            continue
-        out[key], first_line[key] = value, lineno
+        else:
+            out[key], first_line[key] = value, lineno
+        if key not in gold:
+            print(f"warning: {where}: no gold block for {obj['headline']!r}; record ignored",
+                  file=sys.stderr)
     return out
 
 
@@ -307,6 +358,7 @@ def _parse_inferences(obj: dict) -> list[Inference]:
     entries = obj.get("inferences", [])
     if not isinstance(entries, list):
         raise FormatError("'inferences' must be a list")
+    out = []
     for d in entries:
         if not isinstance(d, dict):
             raise FormatError("each inference must be a JSON object")
@@ -320,7 +372,8 @@ def _parse_inferences(obj: dict) -> list[Inference]:
         # type() rather than isinstance: JSON true is a bool, and bool is an int.
         if not (isinstance(span, list) and all(type(i) is int for i in span)):
             raise FormatError("inference 'span' must be a list of integers")
-    return [Inference.from_dict(d) for d in entries]
+        out.append(Inference.from_dict(d))
+    return out
 
 
 def _parse_labels(obj: dict) -> dict:
@@ -339,18 +392,40 @@ def _parse_labels(obj: dict) -> dict:
     }
 
 
-def _read_inference_file(path: str) -> dict[str, list[Inference]]:
-    return _read_jsonl(path, _parse_inferences)
+def _read_inference_file(
+    path: str, keys: dict[str, str], gold: set[str]
+) -> dict[str, list[Inference]]:
+    return _read_jsonl(path, _parse_inferences, keys, gold)
 
 
-def _read_labels_file(path: str) -> dict[str, dict]:
-    return _read_jsonl(path, _parse_labels)
+def _read_labels_file(path: str, keys: dict[str, str], gold: set[str]) -> dict[str, dict]:
+    return _read_jsonl(path, _parse_labels, keys, gold)
+
+
+# One flat report row as json.dumps(..., indent=2) writes it inside a list,
+# but for its braces and the indent of its first key.
+_ROW_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",\n      ", ": "))
+
+
+def _report_json(report: dict[str, list[dict]]) -> str:
+    """``json.dumps(report, indent=2, ensure_ascii=False) + "\\n"`` for a
+    report of lists of flat, non-empty rows.  With ``indent`` json.dumps runs
+    its pure-Python encoder; each row here goes through the C one."""
+    parts = []
+    for name, rows in report.items():
+        items = ",\n".join(
+            ["    {\n      " + _ROW_ENCODER.encode(row)[1:-1] + "\n    }" for row in rows]
+        )
+        parts.append(f"  {_json_string(name)}: " + (f"[\n{items}\n  ]" if rows else "[]"))
+    return "{\n" + ",\n".join(parts) + "\n}\n"
 
 
 def cmd_eval(args) -> int:
     gold = parse_gold(read_text(args.gold), args.gold)
-    computed_by_headline = _read_inference_file(args.inferences)
-    labels = _read_labels_file(args.labels) if args.labels else {}
+    keys: dict[str, str] = {}  # each headline text of this call, normalized once
+    gold_keys = {_normalized(keys, annotation.headline) for annotation in gold}
+    computed_by_headline = _read_inference_file(args.inferences, keys, gold_keys)
+    labels = _read_labels_file(args.labels, keys, gold_keys) if args.labels else {}
     # With --labels, a headline the file leaves out has nothing incorrect.
     unlabeled = {"matched": (), "incorrect": frozenset() if args.labels else None}
     cfg = MatchConfig(
@@ -360,7 +435,7 @@ def cmd_eval(args) -> int:
     rows = []
     alignments = []
     for annotation in gold:
-        key = normalize(annotation.headline)
+        key = keys[annotation.headline]
         computed = computed_by_headline.get(key)
         if computed is None:
             print(
@@ -376,9 +451,7 @@ def cmd_eval(args) -> int:
     report = {"headlines": rows, "triggers": trigger_rows(score_by_trigger(alignments))}
     table = trigger_table(report["triggers"])
     if args.out:
-        Path(args.out).write_text(
-            json.dumps(report, indent=2, ensure_ascii=False) + "\n", "utf-8"
-        )
+        Path(args.out).write_text(_report_json(report), "utf-8")
     if args.table:
         Path(args.table).write_text(table, "utf-8")
     for row in rows:

@@ -173,7 +173,9 @@ def preprocess(text: str) -> tuple[QuotedSpan, ...]:
     )
 
 
-_TRIGGER_TAG = re.compile(r"^(.*?)\s*@([\w.:-]+)\s*$")
+# A trigger tag follows the last "@" of an inference line, which it cannot
+# hold, to the end of the line.
+_TRIGGER_TAG = re.compile(r"[\w.:-]+")
 
 
 def parse_gold(document: str, source: str | None = None) -> list[GoldAnnotation]:
@@ -201,9 +203,9 @@ def parse_gold(document: str, source: str | None = None) -> list[GoldAnnotation]
         elif line.startswith(">>"):
             body = line[2:].strip()
             trigger = None
-            m = _TRIGGER_TAG.match(body)
-            if m:
-                body, trigger = m.group(1).strip(), m.group(2)
+            text, at, tag = body.rpartition("@")
+            if at and _TRIGGER_TAG.fullmatch(tag):
+                body, trigger = text.strip(), tag
             if not body:
                 raise FormatError(f"{located(source, lineno)}: empty inference under {headline!r}")
             inferences.append(GoldInference(text=body, trigger=trigger))

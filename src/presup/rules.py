@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from itertools import accumulate
+from typing import NamedTuple
 
 from .corpus import QuotedSpan, letters, word_count
 from .ingest import (
@@ -41,8 +42,7 @@ class InferenceKind(Enum):
 _KIND_OF_VALUE = {kind.value: kind for kind in InferenceKind}  # cheaper than InferenceKind(value)
 
 
-@dataclass(frozen=True)
-class Inference:
+class Inference(NamedTuple):
     kind: InferenceKind
     text: str
     trigger: str
@@ -58,12 +58,13 @@ class Inference:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "Inference":
-        return cls(
-            kind=_KIND_OF_VALUE[obj["kind"]],
-            text=obj["text"],
-            trigger=obj.get("trigger", ""),
-            span=tuple(obj.get("span", ())),
-        )
+        # tuple.__new__ skips the Python-level __new__ of a NamedTuple.
+        return tuple.__new__(cls, (
+            _KIND_OF_VALUE[obj["kind"]],
+            obj["text"],
+            obj.get("trigger", ""),
+            tuple(obj.get("span", ())),
+        ))
 
 
 COMPOUND_MODES = ("both", "can_be", "can_have")

@@ -16,7 +16,9 @@ HERE = Path(__file__).parent
 
 def parse_obj(sent_id, headline, spec, edges):
     tokens = []
-    for i, item in enumerate(spec.split(), start=1):
+    # A list spec keeps a surface that holds whitespace (a tab, U+2028).
+    items = spec.split() if isinstance(spec, str) else spec
+    for i, item in enumerate(items, start=1):
         surface, pos = item.rsplit("/", 1)
         tokens.append({"index": i, "word": surface.replace("_", " "), "pos": pos})
     surfaces = {t["index"]: t["word"] for t in tokens}
@@ -371,6 +373,88 @@ How Russia Managed to Destroy Saudi Arabia ? [source: The Hindu October 05, 2017
 Britons were endlessly lied to during Brexit campaign [source: Reuters July 17, 2018 12:00 PM IST]
 """
 
+# Headlines and tokens that hold what a JSON writer must escape or may
+# leave raw: quotes, a backslash, a curly apostrophe, a tab, U+2028 and an
+# astral character.
+ESCAPES = [
+    parse_obj(
+        "quotes",
+        'Merkel says "no deal is better" again',
+        "Merkel/NNP says/VBZ no/DT deal/NN is/VBZ better/JJR again/RB",
+        [
+            ("nsubj", 2, 1),
+            ("root", 0, 2),
+            ("det", 4, 3),
+            ("nsubj", 6, 4),
+            ("cop", 6, 5),
+            ("ccomp", 2, 6),
+            ("advmod", 2, 7),
+        ],
+    ),
+    parse_obj(
+        "backslash",
+        "Hackers leak C:\\Users files again",
+        "Hackers/NNS leak/VBP C:\\Users/NNP files/NNS again/RB",
+        [
+            ("nsubj", 2, 1),
+            ("root", 0, 2),
+            ("compound", 4, 3),
+            ("dobj", 2, 4),
+            ("advmod", 2, 5),
+        ],
+    ),
+    parse_obj(
+        "apostrophe_emoji",
+        "Trump’s team will not ban 🚀 rockets",
+        "Trump/NNP ’s/POS team/NN will/MD not/RB ban/VB 🚀/NN rockets/NNS",
+        [
+            ("nmod:poss", 3, 1),
+            ("case", 1, 2),
+            ("nsubj", 6, 3),
+            ("aux", 6, 4),
+            ("neg", 6, 5),
+            ("root", 0, 6),
+            ("compound", 8, 7),
+            ("dobj", 6, 8),
+        ],
+    ),
+    parse_obj(
+        "tab",
+        "Oil\tprices rise again after Wall\tSt rally",
+        ["Oil/NN", "prices/NNS", "rise/VBP", "again/RB", "after/IN", "Wall\tSt/NNP",
+         "rally/NN"],
+        [
+            ("compound", 2, 1),
+            ("nsubj", 3, 2),
+            ("root", 0, 3),
+            ("advmod", 3, 4),
+            ("case", 7, 5),
+            ("compound", 7, 6),
+            ("nmod", 3, 7),
+        ],
+    ),
+    parse_obj(
+        "line_separator",
+        "Line\u2028break shares will fall further",
+        ["Line\u2028break/NNP", "shares/NNS", "will/MD", "fall/VB", "further/RB"],
+        [
+            ("compound", 2, 1),
+            ("nsubj", 4, 2),
+            ("aux", 4, 3),
+            ("root", 0, 4),
+            ("advmod", 4, 5),
+        ],
+    ),
+]
+
+ESCAPES_DATASET = """\
+Merkel says "no deal is better" again [source: Reuters March 29, 2017 09:00 AM IST]
+Hackers leak C:\\Users files again [source: BBC May 08, 2016 10:00 AM IST]
+Trump’s team will not ban 🚀 rockets [source: Reuters December 24, 2018 08:00 PM IST]
+Oil\tprices rise again after Wall\tSt rally [source: BBC June 30, 2017 08:00 AM IST]
+Line\u2028break shares will fall further [source: Reuters July 17, 2018 12:00 PM IST]
+"""
+
 SCORED_GOLD = """\
 IOC extends North Korea deadline for Pyeongchang games
 >> IOC has power to extend deadline
@@ -482,6 +566,8 @@ def main():
     (HERE / "combined_dataset.txt").write_text(COMBINED_DATASET, "utf-8")
     dump_json(HERE / "lexical_triggers.json", LEXICAL_TRIGGERS)
     (HERE / "lexical_triggers_dataset.txt").write_text(LEXICAL_TRIGGERS_DATASET, "utf-8")
+    dump_json(HERE / "escapes.json", ESCAPES)
+    (HERE / "escapes_dataset.txt").write_text(ESCAPES_DATASET, "utf-8")
     (HERE / "scored_gold.txt").write_text(SCORED_GOLD, "utf-8")
     dump_jsonl(HERE / "scored_computed.jsonl", SCORED_COMPUTED)
     dump_jsonl(HERE / "scored_labels.jsonl", SCORED_LABELS)

@@ -39,6 +39,9 @@ PINNED_RUNS = [
     ("basic_triggers", "basic_triggers.conllu"),
     ("combined", "combined.json"),
     ("lexical_triggers", "lexical_triggers.json"),
+    # Quotes, a backslash, '’', a tab, U+2028 and an emoji in headlines and
+    # tokens: what the writer escapes and what it leaves raw.
+    ("escapes", "escapes.json"),
 ]
 
 # The first fixture parse as one JSON Lines record.
@@ -591,6 +594,44 @@ class TestInfer:
         if flag == "--parses":
             assert len(read_jsonl(out)) == 2
 
+    @pytest.mark.parametrize("layout", ["p.jsonl", "p.json"])
+    def test_lone_surrogate_names_file_and_line(self, tmp_path, capsys, layout):
+        """A \\ud800 escape in a token's word and gloss passes the letters
+        check; it is an error at its line before anything is written."""
+        dataset = tmp_path / "d.txt"
+        dataset.write_text("Markets fall again [source: BBC]\n")
+        words = ["Markets\ud800", "fall", "again"]
+        edges = [("nsubj", 2, 1), ("root", 0, 2), ("advmod", 2, 3)]
+        obj = {
+            "sent_id": "1", "headline": "Markets fall again",
+            "tokens": [{"index": i, "word": w, "pos": pos}
+                       for i, (w, pos) in enumerate(zip(words, ["NNS", "VBP", "RB"]), 1)],
+            "dependencies": [{"dep": dep, "governor": gov, "governorGloss": ["ROOT", *words][gov],
+                              "dependent": dependent, "dependentGloss": words[dependent - 1]}
+                             for dep, gov, dependent in edges],
+        }
+        parses = tmp_path / layout
+        # Two JSON Lines records, so that the file is not read as one object.
+        lines = [json.dumps(obj)] * 2 if layout == "p.jsonl" else [json.dumps([obj])]
+        parses.write_text("\n" + "\n".join(lines))
+        assert "\\ud800" in parses.read_text()
+        out = tmp_path / "o.jsonl"
+        argv = ["infer", "--dataset", str(dataset), "--parses", str(parses), "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: {parses}:2: token 1: lone surrogate '\\ud800' is not valid UTF-8\n"
+        )
+        assert not out.exists()
+        # An escaped surrogate pair is one character, and an escaped
+        # backslash before a "u" is no escape of a character at all.
+        words[0] = "Markets\U0001F680\\u"
+        obj["tokens"][0]["word"] = obj["dependencies"][0]["dependentGloss"] = words[0]
+        parses.write_text(json.dumps(obj))
+        assert "\\ud83d\\ude80" in parses.read_text()
+        assert main(argv) == 0
+        (record,) = read_jsonl(out)
+        assert words[0] in record["inferences"][0]["text"]
+
     def test_deep_json_array_is_an_input_error(self, tmp_path, capsys):
         bad = tmp_path / "p.json"
         bad.write_text("\n" + "[" * 100_000 + "\n")
@@ -645,7 +686,8 @@ class TestLineEnds:
             "parses": (GOOD_PARSE + "\n\n" + GOOD_PARSE + "\n",
                        lambda p: len(load_parses(p)), 2),
             "inferences": ('{"headline": "A"}\n{"headline": "B", "inferences": []}\n',
-                           lambda p: sorted(_read_inference_file(p)), ["a", "b"]),
+                           lambda p: sorted(_read_inference_file(p, {}, {"a", "b"})),
+                           ["a", "b"]),
         }[reader]
         path.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
         assert read(str(path)) == want
@@ -872,6 +914,25 @@ class TestEval:
         lines = table.read_text().splitlines()
         assert lines[0] == "trigger\taccurate\tinaccurate\tmissing"
         assert any(line.startswith("compound\t") for line in lines)
+
+    def test_record_without_gold_block_warns_by_file_and_line(self, tmp_path, capsys):
+        """An inferences or labels record whose headline no gold block has is
+        named on stderr; the report is as without it and the exit code 0."""
+        orphan = '{"headline": "Markets fall again", "inferences": [], "incorrect": []}\n'
+        files = {}
+        for name in ("scored_computed.jsonl", "scored_labels.jsonl"):
+            files[name] = tmp_path / name
+            files[name].write_text((FIXTURES / name).read_text("utf-8") + "\n" + orphan)
+        out = tmp_path / "report.json"
+        code = main(["eval", "--inferences", str(files["scored_computed.jsonl"]),
+                     "--labels", str(files["scored_labels.jsonl"]),
+                     "--gold", str(FIXTURES / "scored_gold.txt"), "--out", str(out)])
+        assert code == 0
+        assert capsys.readouterr().err == "".join(
+            f"warning: {files[name]}:5: no gold block for 'Markets fall again'; record ignored\n"
+            for name in ("scored_computed.jsonl", "scored_labels.jsonl")
+        )
+        assert out.read_bytes() == (FIXTURES / "pinned" / "scored_report.json").read_bytes()
 
     def test_gold_without_computed_warns(self, tmp_path, capsys):
         gold = tmp_path / "gold.txt"

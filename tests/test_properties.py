@@ -1,22 +1,28 @@
 """Cross-cutting engine properties: fuzzing over random dependency trees,
 format equivalence of the two ingest formats, parity of the parse readers
 with a reference copy on valid and one-defect parses, malformed-input fuzzing
-of the parse, gold and eval readers, parity of ``match`` with a reference
-copy, rule-set monotonicity, rules that share a registry function, quoted
-spans under another tokenization and output determinism."""
+of the parse, gold and eval readers and of the dataset, lexicon and
+``--config`` readers through ``cli.main``, parity of ``match`` and of the gold
+tag split with reference copies, parity of both writers with ``json.dumps``,
+rule-set monotonicity, rules that share a registry function, quoted spans
+under another tokenization and output determinism."""
 
+import io
 import json
 import random
 import re
+from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
 from hypothesis import example, given, strategies as st
 
 import evaluation_reference
+import gold_reference
 import ingest_reference as reference
-from conftest import load_fixture_corpus, make_headline
-from presup.cli import _read_inference_file, _read_labels_file
+from conftest import FIXTURES, load_fixture_corpus, make_headline
+from presup.cli import _jsonl_record, _read_inference_file, _read_labels_file, _report_json, main
 from presup.corpus import GoldAnnotation, GoldInference, parse_gold, preprocess
-from presup.errors import FormatError, ParseError
+from presup.errors import FormatError, ParseError, split_lines
 from presup.evaluation import MatchConfig, MatchMode, match
 from presup.ingest import (
     LABEL_MAP,
@@ -314,6 +320,145 @@ def test_malformed_gold_raises_only_located_format_errors(text):
     _parse_or_located_format_error(lambda: parse_gold(text, "g.txt"), "g.txt", text)
 
 
+# An inference line's text after ">>": words, tags, "@" and the characters
+# that ``\s``, ``\w`` and ``str.strip`` might treat apart.
+TAG_LINES = st.lists(
+    st.sampled_from(["a b", " ", "@", "@but", "@lexical.iterative", "x@y", "@:-", "\t", "\r",
+                     "\x0b", "\x1c", "\u2028", "\u00a0", "\u0085", "é", "_", "1", "."])
+    | st.text(max_size=3).map(lambda t: t.replace("\n", "")),
+    max_size=6,
+).map("".join)
+
+
+@given(TAG_LINES)
+@example(" it rose  @future  ")
+@example("a @b @c")
+@example("@but")
+def test_parse_gold_splits_tags_as_the_reference_regex(text):
+    """``parse_gold`` splits an '@trigger' tag off as the old lazy regex
+    did, and rejects the lines whose text that leaves empty."""
+    document = f"Markets crashed\n>>{text}\n||\n"
+    body = split_lines(document)[1].strip()[2:].strip()
+    want_text, want_trigger = gold_reference.split_tag(body)
+    if not want_text:
+        with pytest.raises(FormatError, match="empty inference"):
+            parse_gold(document)
+        return
+    (annotation,) = parse_gold(document)
+    assert annotation.inferences == (GoldInference(want_text, want_trigger),)
+
+
+# Texts a JSON writer escapes or leaves raw: quotes, backslashes, control
+# characters, line separators, astral characters and lone surrogates.
+WRITER_TEXTS = st.text(
+    st.sampled_from(['"', "\\", "\x00", "\x1f", "\t", "\n", "\x7f", "\u2028", "\u2029",
+                     "\u0085", "’", "\U0001F680", "\ud800", "\udfff", " ", "a", "/"])
+    | st.characters(),
+    max_size=8,
+)
+INFERENCES = st.builds(
+    Inference, st.sampled_from(InferenceKind), WRITER_TEXTS,
+    WRITER_TEXTS | st.sampled_from(RULE_IDS), st.lists(st.integers()).map(tuple),
+)
+
+
+@given(WRITER_TEXTS, st.lists(INFERENCES, max_size=4))
+@example("", [])
+def test_infer_record_is_json_dumps_of_its_dicts(headline, inferences):
+    """``infer`` writes each record as ``json.dumps`` writes its dict."""
+    want = json.dumps(
+        {"headline": headline, "inferences": [inf.to_dict() for inf in inferences]},
+        ensure_ascii=False,
+    )
+    assert _jsonl_record(headline, inferences) == want
+
+
+REPORT_ROWS = st.lists(
+    st.dictionaries(
+        WRITER_TEXTS,
+        st.none() | st.booleans() | st.integers() | st.floats() | WRITER_TEXTS,
+        min_size=1, max_size=7,
+    ),
+    max_size=4,
+)
+
+
+@given(REPORT_ROWS, REPORT_ROWS)
+@example([], [])
+@example(
+    [{"headline": "a", "gold": 0, "computed": 1, "matched": 0, "incorrect": 1,
+      "percent_correct": 100.0, "percent_incorrect": 100.0}],
+    [{"trigger": "but", "accurate": None, "inaccurate": 33.3, "missing": float("nan")}],
+)
+def test_report_writer_is_json_dumps_indent_2(headlines, triggers):
+    """``eval --out`` writes the report as ``json.dumps(indent=2)`` does."""
+    report = {"headlines": headlines, "triggers": triggers}
+    assert _report_json(report) == json.dumps(report, indent=2, ensure_ascii=False) + "\n"
+
+
+def _main_fails_only_with_located_errors(argv, files: dict):
+    """``main(argv)`` raises nothing and returns 0, or 1 with one error line
+    that names one of ``files`` (path -> its bytes) and a line of it."""
+    err = io.StringIO()
+    with redirect_stderr(err), redirect_stdout(io.StringIO()):
+        code = main(argv)
+    if code:
+        assert code == 1
+        errors = [line for line in err.getvalue().splitlines() if line.startswith("error: ")]
+        assert len(errors) == 1, err.getvalue()
+        m = re.match(r"error: (.*?):(\d+): ", errors[0])
+        assert m and m.group(1) in files, errors[0]
+        assert 1 <= int(m.group(2)) <= files[m.group(1)].count(b"\n") + 1, errors[0]
+
+
+def _documents(lines):
+    """Files of ``lines`` joined by newlines, or of any bytes."""
+    return st.lists(lines, max_size=6).map(lambda ls: "\n".join(ls).encode("utf-8")) | st.binary(
+        max_size=20
+    )
+
+
+DATASET_LINES = st.sampled_from([
+    *(FIXTURES / "basic_triggers_dataset.txt").read_text("utf-8").splitlines()[:3],
+    "Markets crashed [source: BBC May 08, 2016]", "[source: BBC]", " [source:", "no bracket",
+    "# comment", "", " ", "A [source: ]]", "\u2028 [source: x]", "x\r [source: y 1]",
+]) | st.text(max_size=12)
+LEXICON_LINES = st.sampled_from([
+    "iterative\tagain", "factive\tknow that", "temporal\tbefore", "judging\t  ",
+    "iterative\t", "\t", "bogus\tx", "no tab", "# heads", "", "change_of_state\tstop x y",
+]) | st.text(max_size=12)
+
+
+@pytest.mark.parametrize("flag", ["--dataset", "--lexicon", "--config"])
+@given(data=st.data())
+def test_dataset_lexicon_and_config_readers_fail_only_at_a_located_line(
+    tmp_path_factory, flag, data
+):
+    """Through ``cli.main``, a fuzzed dataset, lexicon or ``--config`` file
+    infers, or exits 1 with one ``error: path:line:`` message; a config
+    names its own line, or the line of the bad lexicon it names."""
+    base = tmp_path_factory.getbasetemp()
+    path = base / f"fuzzed{flag}"
+    files = {}
+    lines = DATASET_LINES if flag == "--dataset" else LEXICON_LINES
+    if flag == "--config":
+        # A lexicon a config names is read from its own file.
+        for name, text in (("good.tsv", "iterative\tagain\n"), ("bad.tsv", "# heads\nbogus\tx\n")):
+            (base / name).write_text(text, "utf-8")
+            files[str(base / name)] = text.encode("utf-8")
+        lines = st.sampled_from([
+            "rules = all", "rules = ,", "rules = compound, zz", "rules=lexical",
+            "verb_pattern = strict", "verb_pattern = loose", "compound_mode = can_be",
+            "compound_mode = q", "lexicon =", f"lexicon = {base / 'good.tsv'}",
+            f"lexicon = {base / 'bad.tsv'}", "no equals", "x = 1", "= 3", "# c", "",
+        ]) | st.text(max_size=12).filter(lambda t: "lexicon" not in t)
+    files[str(path)] = data.draw(_documents(lines))
+    path.write_bytes(files[str(path)])
+    argv = ["infer", "--dataset", str(FIXTURES / "basic_triggers_dataset.txt"),
+            "--parses", str(FIXTURES / "basic_triggers.json"), "--out", str(base / "o.jsonl")]
+    _main_fails_only_with_located_errors([*argv, flag, str(path)], files)
+
+
 def _maybe(strategy):
     return strategy | JSON_VALUES
 
@@ -341,7 +486,7 @@ def test_malformed_eval_records_raise_only_located_format_errors(tmp_path_factor
     path.write_text("\n".join(lines), "utf-8")
     read = _read_inference_file if flag == "inferences" else _read_labels_file
     text = "\n".join(lines)
-    _parse_or_located_format_error(lambda: read(str(path)), str(path), text)
+    _parse_or_located_format_error(lambda: read(str(path), {}, set()), str(path), text)
 
 
 def test_rule_subset_monotonicity_on_fixture_corpus():
