@@ -10,6 +10,7 @@ import re
 import sys
 from collections import Counter
 from datetime import datetime, timezone
+from operator import attrgetter
 from pathlib import Path
 
 from . import __version__
@@ -132,6 +133,8 @@ def _build_engine_config(args) -> EngineConfig:
             raise  # a lexicon file names its own path:line
         except ValueError as exc:
             raise FormatError(f"{where}: {exc}") from exc
+        except OSError as exc:  # a lexicon path of no readable file
+            raise FormatError(f"{where}: {exc.filename}: {exc.strerror}") from exc
     return EngineConfig(
         rules=value["rules"],
         lexicon=value["lexicon"],
@@ -223,11 +226,12 @@ def _spans_for_tokens(h: ParsedHeadline, quotes) -> tuple[tuple[int, int], ...]:
     return tuple((span[0], span[-1]) for span in quoted_tokens(h, quotes) if span)
 
 
-# A string as json.dumps(..., ensure_ascii=False) writes it, through the C
-# encoder.
-_json_string = json.JSONEncoder(ensure_ascii=False).encode
+# A string as json.dumps(..., ensure_ascii=False) writes it: the C function
+# that json.JSONEncoder(ensure_ascii=False).encode calls for a str.
+_json_string = json.encoder.encode_basestring
 # An inference's JSON up to its text, for each kind: the values need no escaping.
 _RECORD_START = {kind: f'{{"kind": "{kind.value}", "text": ' for kind in InferenceKind}
+_TRIGGER = attrgetter("trigger")
 
 
 def _jsonl_record(headline: str, inferences: list[Inference]) -> str:
@@ -249,31 +253,34 @@ def cmd_infer(args) -> int:
     cfg = _build_engine_config(args)
     records = read_dataset(read_text(args.dataset), args.dataset)
     parses = load_parses(args.parses)
-    by_id = {}
-    for h in parses:
-        by_id.setdefault(h.headline_id, h)
+    by_id = {}  # each id to the position of its first parse
+    for k, h in enumerate(parses):
+        by_id.setdefault(h.headline_id, k)
+    paired = bytearray(len(parses))  # 1 for each parse a line was paired with
     skipped: list[dict] = []
     lines: list[str] = []
-    trigger_counts: Counter = Counter()
+    triggers: list[str] = []  # of every inference written, counted once at the end
     for i, record in enumerate(records, start=1):
-        h = by_id.get(str(i))
-        if h is None and i - 1 < len(parses):
-            h = parses[i - 1]  # by position
-        if h is None:
+        hid = str(i)
+        k = by_id.get(hid, i - 1)  # by id, else by position
+        if k >= len(parses):
             skipped.append({"line": i, "headline": record.text, "reason": "no parse"})
             continue
+        paired[k] = 1
+        h = parses[k]
         # Paired by id or by position, a parse must be of this line's text.
         if h.raw_text != record.text and letters(h.raw_text) != letters(record.text):
             skipped.append({"line": i, "headline": record.text, "reason": "mismatch",
                             "parse": h.raw_text})
             continue
         p = preprocess(record.text)
-        h = ParsedHeadline(str(i), record.text, h.tokens, h.edges)
+        if h.headline_id != hid or h.raw_text != record.text:
+            h = ParsedHeadline(hid, record.text, h.tokens, h.edges)
         inferences = infer_all(h, p, cfg)
-        trigger_counts.update(inf.trigger for inf in inferences)
+        triggers.extend(map(_TRIGGER, inferences))
         lines.append(_jsonl_record(record.text, inferences))
     out_path = Path(args.out)
-    out_path.write_text("".join(line + "\n" for line in lines), "utf-8")
+    out_path.write_text("\n".join([*lines, ""]), "utf-8")  # each line ends in a newline
     manifest = {
         "tool": "presup",
         "version": __version__,
@@ -283,8 +290,11 @@ def cmd_infer(args) -> int:
         "rules": list(cfg.rules),
         "headlines": len(records),
         "inferred": len(lines),
-        "inference_counts": dict(sorted(trigger_counts.items())),
+        "inference_counts": dict(sorted(Counter(triggers).items())),
         "skipped": skipped,
+        # The parses no line was paired with, by 1-based position in the file.
+        "unused_parses": [{"position": k + 1, "id": h.headline_id}
+                          for k, h in enumerate(parses) if not paired[k]],
         "generated_at": datetime.now(timezone.utc).isoformat(),
     }
     Path(str(out_path) + ".manifest.json").write_text(
@@ -293,6 +303,9 @@ def cmd_infer(args) -> int:
     for entry in skipped:
         what = f"parse of {entry['parse']!r} does not match" if "parse" in entry else "no parse for"
         print(f"warning: line {entry['line']}: {what} {entry['headline']!r}", file=sys.stderr)
+    if manifest["unused_parses"]:
+        print(f"warning: {args.parses}: {len(manifest['unused_parses'])} parse(s) paired with "
+              "no dataset line; see 'unused_parses' in the manifest", file=sys.stderr)
     if skipped and args.strict:
         print(f"error: {len(skipped)} headline(s) without a matching parse", file=sys.stderr)
         return 1
@@ -439,8 +452,8 @@ def cmd_eval(args) -> int:
         computed = computed_by_headline.get(key)
         if computed is None:
             print(
-                f"warning: no computed inferences for {annotation.headline!r}; "
-                "counting all gold as missing",
+                f"warning: {args.gold}:{annotation.line}: no computed inferences for "
+                f"{annotation.headline!r}; counting all gold as missing",
                 file=sys.stderr,
             )
             computed = []

@@ -11,7 +11,7 @@ blocks of a headline, ``>>`` inference lines and a closing ``||`` line.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import FormatError, located, split_lines
@@ -70,6 +70,10 @@ class GoldInference(NamedTuple):
 class GoldAnnotation:
     headline: str
     inferences: tuple[GoldInference, ...]
+    line: int = field(default=0, compare=False)  # the headline's line in its file
+
+
+_WORD = re.compile(r"\S+")
 
 
 def parse_dataset_line(line: str) -> HeadlineRecord:
@@ -90,13 +94,13 @@ def parse_dataset_line(line: str) -> HeadlineRecord:
     if close >= 0:
         rest = rest[:close]
     source, timestamp = rest.strip(), ""
-    for m in re.finditer(r"\S+", rest):
+    for m in _WORD.finditer(rest):
         token = m.group(0)
         if token.lower().rstrip(".,") in _MONTHS or token[0].isdigit():
             source = rest[: m.start()].strip()
             timestamp = rest[m.start():].strip()
             break
-    return HeadlineRecord(text=text, source=source, timestamp_raw=timestamp)
+    return HeadlineRecord(text, source, timestamp)
 
 
 def read_dataset(document: str, source: str | None = None) -> list[HeadlineRecord]:
@@ -210,7 +214,7 @@ def parse_gold(document: str, source: str | None = None) -> list[GoldAnnotation]
                 raise FormatError(f"{located(source, lineno)}: empty inference under {headline!r}")
             inferences.append(GoldInference(text=body, trigger=trigger))
         elif line == "||":
-            annotations.append(GoldAnnotation(headline=headline, inferences=tuple(inferences)))
+            annotations.append(GoldAnnotation(headline, tuple(inferences), headline_line))
             headline = None
         elif not line:
             continue

@@ -375,7 +375,7 @@ def parse_stanford_json(document: str | dict) -> ParsedHeadline:
     tokens = []
     for i, t in enumerate(_record_list(obj, "tokens"), start=1):
         try:
-            tokens.append(Token(_integer(t["index"]), str(t["word"]), str(t["pos"])))
+            tokens.append(_new(Token, (_integer(t["index"]), str(t["word"]), str(t["pos"]))))
         except _RECORD_ERRORS:
             raise _record_error(f"token {i}", t, _TOKEN_KEYS) from None
     records = _record_list(obj, "dependencies")
@@ -431,8 +431,11 @@ def is_noun_tag(pos: str) -> bool:
 
 
 def verbs_of(h: ParsedHeadline, strict: bool = False) -> list[Token]:
-    """Verb tokens in sentence order."""
-    return [t for t in h.tokens if is_verb_tag(t.pos, strict)]
+    """Verb tokens in sentence order: ``is_verb_tag``'s test, written out so
+    that no call is made per token."""
+    if strict:
+        return [t for t in h.tokens if t.pos[:1] == "V" and len(t.pos) >= 3]
+    return [t for t in h.tokens if t.pos[:1] == "V"]
 
 
 def nouns_of(h: ParsedHeadline) -> list[Token]:
@@ -445,14 +448,10 @@ def edges_with(
 ) -> list[DependencyEdge]:
     """Edges with a label and, if given, a dependent gloss (compared
     case-insensitively)."""
-    out = []
-    for e in h.edges:
-        if e.dep != dep:
-            continue
-        if dependent_gloss is not None and e.dependent_gloss.lower() != dependent_gloss.lower():
-            continue
-        out.append(e)
-    return out
+    if dependent_gloss is None:
+        return [e for e in h.edges if e.dep == dep]
+    wanted = dependent_gloss.lower()
+    return [e for e in h.edges if e.dep == dep and e.dependent_gloss.lower() == wanted]
 
 
 def edges_governed_by(

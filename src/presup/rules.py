@@ -78,6 +78,9 @@ _COMPOUND_CONNECTOR = {
 _SUBJ_MODS = ("compound", "amod", "nummod")
 _OBJ_MODS = ("compound", "amod", "nummod", "det")
 _PARTICLE_DEPS = ("compound:prt", "prt")
+# The dependents a triple renders with its verb: particles, auxiliaries and
+# "neg" (an advmod "not" is the other negator, see ``_is_negator``).
+_VERB_WORDS = frozenset({*_PARTICLE_DEPS, "aux", "auxpass", "neg"})
 _COMP_DEPS = ("xcomp", "ccomp")
 
 _SPEECH_VERBS = frozenset({"say", "tell", "claim", "add", "warn", "announce"})
@@ -101,64 +104,49 @@ _AUX_SURFACES = frozenset(
 
 
 def _merge(*spans: tuple[int, ...] | list[int]) -> tuple[int, ...]:
-    out: set[int] = set()
-    for s in spans:
-        out.update(s)
-    return tuple(sorted(out))
+    return tuple(sorted(set().union(*spans)))
+
+
+# Builds an Inference without its Python-level __new__.
+_new = tuple.__new__
 
 
 def _presupposition(text: str, trigger: str, *spans) -> Inference:
-    return Inference(InferenceKind.PRESUPPOSITION, text, trigger, _merge(*spans))
+    return _new(Inference, (InferenceKind.PRESUPPOSITION, text, trigger, _merge(*spans)))
 
 
 def _phrase(
     h: ParsedHeadline, head: int, mods: tuple[str, ...] = _SUBJ_MODS
 ) -> tuple[str, tuple[int, ...]]:
     """Head token with its flat premodifiers, in surface order."""
-    idxs = sorted(
-        [head] + [e.dependent for e in edges_governed_by(h, head) if e.dep in mods]
-    )
-    return " ".join(h.token_at(i).surface for i in idxs), tuple(idxs)
+    idxs = sorted([head] + [e.dependent for e in edges_governed_by(h, head) if e.dep in mods])
+    return " ".join([h.tokens[i - 1].surface for i in idxs]), tuple(idxs)
 
 
 def _is_negator(e) -> bool:
     return e.dep == "neg" or (e.dep == "advmod" and e.dependent_gloss.lower() == "not")
 
 
-def _dependents(
-    h: ParsedHeadline, head: int, keep, parts: tuple[tuple[int, str], ...] = ()
-) -> tuple[str, tuple[int, ...]]:
-    """``parts`` plus the dependents of ``head`` that ``keep`` accepts, as text
-    and span in surface order."""
-    found = [(e.dependent, e.dependent_gloss) for e in edges_governed_by(h, head) if keep(e)]
-    ordered = sorted([*parts, *found])
+def _words(found: list[tuple[int, str]]) -> tuple[str, tuple[int, ...]]:
+    """(index, word) pairs as text and span in surface order."""
+    ordered = sorted(found)
     return " ".join(s for _, s in ordered), tuple(i for i, _ in ordered)
 
 
-def _verb_surface(
-    h: ParsedHeadline, verb: int, with_aux: bool = False
-) -> tuple[str, tuple[int, ...]]:
-    """Verb as it appears in the headline, with particles (and optionally its
-    auxiliaries/negator) in surface order."""
-
-    def keep(e) -> bool:
-        return e.dep in _PARTICLE_DEPS or (
-            with_aux and (e.dep in ("aux", "auxpass") or _is_negator(e))
-        )
-
-    return _dependents(h, verb, keep, ((verb, h.token_at(verb).surface),))
-
-
 def _particle_tail(h: ParsedHeadline, verb: int) -> tuple[str, tuple[int, ...]]:
-    return _dependents(h, verb, lambda e: e.dep in _PARTICLE_DEPS)
+    return _words([(e.dependent, e.dependent_gloss)
+                   for e in edges_governed_by(h, verb) if e.dep in _PARTICLE_DEPS])
 
 
 def _nmod_attachments(
-    h: ParsedHeadline, head: int
+    h: ParsedHeadline, below: list
 ) -> list[tuple[str, str, tuple[int, ...]]]:
-    """(preposition, phrase, span) for each case-marked nmod under ``head``."""
+    """(preposition, phrase, span) for each case-marked nmod of ``below``,
+    the edges under one head."""
     out = []
-    for e in edges_governed_by(h, head, "nmod"):
+    for e in below:
+        if e.dep != "nmod":
+            continue
         cases = edges_governed_by(h, e.dependent, "case")
         if not cases:
             continue
@@ -178,7 +166,7 @@ def _object_tail(h: ParsedHeadline, verb: int) -> tuple[str, tuple[int, ...]]:
         p, s = _phrase(h, dobjs[0].dependent, _OBJ_MODS)
         parts.append(p)
         span = _merge(span, s)
-    for case_word, p, s in _nmod_attachments(h, verb):
+    for case_word, p, s in _nmod_attachments(h, edges_governed_by(h, verb)):
         parts.append(f"{case_word} {p}")
         span = _merge(span, s)
     return " ".join(parts), span
@@ -201,13 +189,12 @@ def _is_negated(h: ParsedHeadline, index: int) -> bool:
     return any(_is_negator(e) for e in edges_governed_by(h, index))
 
 
-def _joins_nouns(h: ParsedHeadline, e) -> bool:
-    """Both ends of ``e`` are noun tokens (the virtual root is not one)."""
-    return (
-        e.governor != 0
-        and h.token_at(e.governor).pos.startswith("N")
-        and h.token_at(e.dependent).pos.startswith("N")
-    )
+def _noun_edges(h: ParsedHeadline, dep: str) -> list:
+    """The ``dep`` edges whose ends are both noun tokens (the virtual root is
+    not one)."""
+    tokens = h.tokens
+    return [e for e in h.edges if e.dep == dep and e.governor
+            and tokens[e.governor - 1].pos[:1] == "N" and tokens[e.dependent - 1].pos[:1] == "N"]
 
 
 def _first(edges):
@@ -291,9 +278,7 @@ def rule_noun_compound(h: ParsedHeadline, mode: str = "both") -> list[Inference]
     """Noun compound N1 N2: N1 can be / can have N2."""
     connector = _COMPOUND_CONNECTOR[mode]
     out = []
-    for e in edges_with(h, "compound"):
-        if not _joins_nouns(h, e):
-            continue
+    for e in _noun_edges(h, "compound"):
         text = f"{e.dependent_gloss} {connector} {e.governor_gloss}"
         out.append(_presupposition(text, "compound", (e.governor, e.dependent)))
     return out
@@ -348,9 +333,7 @@ def rule_nmod_relaxed(h: ParsedHeadline) -> list[Inference]:
     Over-generates by design; ships disabled by default.
     """
     out = []
-    for e in edges_with(h, "nmod"):
-        if not _joins_nouns(h, e):
-            continue
+    for e in _noun_edges(h, "nmod"):
         text = f"{e.dependent_gloss} has {e.governor_gloss}"
         out.append(_presupposition(text, "nmod_relaxed", (e.governor, e.dependent)))
     return out
@@ -397,7 +380,7 @@ def _render_lexical(
         return presup(text, subj_s, obj_s)
 
     if class_id == "iterative":
-        attachments = _nmod_attachments(h, verb.index)
+        attachments = _nmod_attachments(h, edges_governed_by(h, verb.index))
         if subj is not None and comp is not None:
             form = VerbForm.PAST_PARTICIPLE
             return presup(*_clause(h, subj.dependent, comp.dependent, form, "had", "previously"))
@@ -574,39 +557,33 @@ def rule_quotes(
 
 def extract_triplets(h: ParsedHeadline, strict_verbs: bool = False) -> list[Inference]:
     """Subject-verb-object statements read directly off the parse: the bare
-    S-V-dobj triple plus one extension per case-marked nominal attachment."""
+    S-V-dobj triple plus one extension per case-marked nominal attachment.
+    A verb's dependents are read in one scan: the first subject and object,
+    the particles, auxiliaries and negators rendered with the verb, and the
+    attachments."""
     out = []
     for verb in verbs_of(h, strict_verbs):
-        subj = _first(edges_governed_by(h, verb.index, "nsubj"))
+        below = edges_governed_by(h, verb.index)
+        subj = _first([e for e in below if e.dep == "nsubj"])
         if subj is None:
             continue
         subj_p, subj_s = _phrase(h, subj.dependent)
-        verb_p, verb_s = _verb_surface(h, verb.index, with_aux=True)
+        verb_p, verb_s = _words([(verb.index, verb.surface)] + [
+            (e.dependent, e.dependent_gloss) for e in below
+            if e.dep in _VERB_WORDS or _is_negator(e)
+        ])
         obj_p, obj_s = "", ()
-        dobj = _first(edges_governed_by(h, verb.index, "dobj"))
+        dobj = _first([e for e in below if e.dep == "dobj"])
+        attachments = _nmod_attachments(h, below)
         if dobj is not None:
             obj_p, obj_s = _phrase(h, dobj.dependent, _OBJ_MODS)
-            out.append(
-                Inference(
-                    InferenceKind.EXPLICIT_TRIPLE,
-                    f"{subj_p} {verb_p} {obj_p}",
-                    "triple",
-                    _merge(subj_s, verb_s, obj_s),
-                )
-            )
-        attachments = _nmod_attachments(h, verb.index)
-        if dobj is not None:
-            attachments += _nmod_attachments(h, dobj.dependent)
-        for case_word, phrase, span in attachments:
-            stem = " ".join(filter(None, [subj_p, verb_p, obj_p]))
-            out.append(
-                Inference(
-                    InferenceKind.EXPLICIT_TRIPLE,
-                    f"{stem} {case_word} {phrase}",
-                    "triple",
-                    _merge(subj_s, verb_s, obj_s, span),
-                )
-            )
+            text, span = f"{subj_p} {verb_p} {obj_p}", _merge(subj_s, verb_s, obj_s)
+            out.append(_new(Inference, (InferenceKind.EXPLICIT_TRIPLE, text, "triple", span)))
+            attachments += _nmod_attachments(h, edges_governed_by(h, dobj.dependent))
+        stem = " ".join(filter(None, [subj_p, verb_p, obj_p]))
+        for case_word, phrase, phrase_s in attachments:
+            text, span = f"{stem} {case_word} {phrase}", _merge(subj_s, verb_s, obj_s, phrase_s)
+            out.append(_new(Inference, (InferenceKind.EXPLICIT_TRIPLE, text, "triple", span)))
     return out
 
 

@@ -278,6 +278,24 @@ class TestInfer:
         assert code == 1
         assert capsys.readouterr().err == f"error: {lexicon}:2: unknown class 'bogus'\n"
 
+    @pytest.mark.parametrize("name, complaint", [
+        ("nosuch.tsv", "No such file or directory"),
+        ("", "Is a directory"),
+    ])
+    def test_unreadable_config_lexicon_names_the_config_line(
+        self, tmp_path, capsys, name, complaint
+    ):
+        """A config line naming a lexicon path of no readable file is an
+        error at that line; the path is taken from the working directory,
+        as a flag's is."""
+        lexicon = tmp_path / name
+        cfg = tmp_path / "engine.cfg"
+        cfg.write_text(f"rules = all\nlexicon = {lexicon}\n")
+        code, out = run_infer(tmp_path, extra=["--config", str(cfg)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {cfg}:2: {lexicon}: {complaint}\n"
+        assert not out.exists()
+
     def test_empty_parses_file_skips_every_line(self, tmp_path, capsys):
         parses = tmp_path / "p.jsonl"
         parses.write_text("\n \n")
@@ -521,6 +539,70 @@ class TestInfer:
         assert main([*argv, "--strict"]) == 0
         (record,) = read_jsonl(out)
         assert "Markets has crashed" in [i["text"] for i in record["inferences"]]
+
+    def test_unused_parses_are_listed_and_warned_about_once(self, tmp_path, capsys):
+        """Parses no dataset line was paired with are listed in the manifest
+        by position and id, with one warning; the exit code stays 0, under
+        --strict too."""
+        dataset = tmp_path / "d.txt"
+        lines = (FIXTURES / "basic_triggers_dataset.txt").read_text("utf-8").splitlines()
+        dataset.write_text("\n".join(lines[:3]) + "\n")
+        parses = FIXTURES / "basic_triggers.json"
+        out = tmp_path / "o.jsonl"
+        code = main(["infer", "--strict", "--dataset", str(dataset), "--parses", str(parses),
+                     "--out", str(out)])
+        assert code == 0
+        assert len(read_jsonl(out)) == 3
+        manifest = json.loads((tmp_path / "o.jsonl.manifest.json").read_text())
+        ids = [h.headline_id for h in load_parses(str(parses))]
+        assert manifest["skipped"] == []
+        assert manifest["unused_parses"] == [
+            {"position": k, "id": ids[k - 1]} for k in range(4, 8)
+        ]
+        assert capsys.readouterr().err == (
+            f"warning: {parses}: 4 parse(s) paired with no dataset line; "
+            "see 'unused_parses' in the manifest\n"
+        )
+        # Every parse used: the key is empty and nothing is said.
+        code, _ = run_infer(tmp_path)
+        manifest = json.loads((tmp_path / "out.jsonl.manifest.json").read_text())
+        assert (code, manifest["unused_parses"], capsys.readouterr().err) == (0, [], "")
+
+    def test_parse_of_another_id_gets_the_line_id_and_text(self, tmp_path):
+        """A sentence without a sent_id, one whose id is not its line number
+        and one whose text differs from its line's only in punctuation all
+        infer as the same parses with the line's own id and text: the quote
+        is found in the line, and its tokens by the line's letters."""
+        rows = (
+            "1\tMerkel\t_\t_\tNNP\t_\t2\tdep\t_\t_\n"  # no speaker: the span is the quote's
+            "2\tsays\t_\t_\tVBZ\t_\t0\troot\t_\t_\n"
+            "3\tBrexit\t_\t_\tNNP\t_\t4\tcompound\t_\t_\n"
+            "4\ttalks\t_\t_\tNNS\t_\t2\tdobj\t_\t_\n"
+            "5\tstall\t_\t_\tVBP\t_\t2\tccomp\t_\t_\n\n"
+        )
+        text = 'Merkel says "Brexit talks stall"'
+        dataset = tmp_path / "d.txt"
+        dataset.write_text("".join(f"{text} [source: BBC]\n" for _ in range(3)))
+        matching = tmp_path / "matching.conllu"
+        matching.write_text("".join(f"# sent_id = {i}\n# text = {text}\n{rows}" for i in (1, 2, 3)))
+        other = tmp_path / "other.conllu"
+        other.write_text(
+            rows  # no sent_id: its id is its text
+            + f"# sent_id = b\n# text = {text}\n{rows}"
+            + f"# sent_id = 3\n# text = Merkel -- says Brexit talks stall\n{rows}"
+        )
+        outputs = []
+        for parses in (matching, other):
+            out = tmp_path / f"{parses.stem}.jsonl"
+            argv = ["infer", "--strict", "--rules", "all", "--dataset", str(dataset),
+                    "--parses", str(parses), "--out", str(out)]
+            assert main(argv) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        records = read_jsonl(out)
+        assert [r["headline"] for r in records] == [text] * 3
+        assert all({"trigger": "quotes", "text": "something is said", "span": [3, 4, 5],
+                    "kind": ">>"} in r["inferences"] for r in records)
 
     def test_conllu_translation_comment_does_not_replace_text(self, tmp_path):
         conllu = tmp_path / "p.conllu"
@@ -935,14 +1017,20 @@ class TestEval:
         assert out.read_bytes() == (FIXTURES / "pinned" / "scored_report.json").read_bytes()
 
     def test_gold_without_computed_warns(self, tmp_path, capsys):
+        """A gold block with no computed record is named by the gold file
+        and the line of its headline."""
         gold = tmp_path / "gold.txt"
-        gold.write_text("Unknown headline\n>> something\n||\n")
+        gold.write_text("# no record has this one\n\nUnknown headline\n>> something\n||\n"
+                        + (FIXTURES / "scored_gold.txt").read_text("utf-8"))
         code = main(
             ["eval", "--inferences", str(FIXTURES / "scored_computed.jsonl"),
              "--gold", str(gold)]
         )
         assert code == 0
-        assert "no computed inferences" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"warning: {gold}:3: no computed inferences for 'Unknown headline'; "
+            "counting all gold as missing\n"
+        )
 
 
 class TestMorphAndStats:

@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import make_headline
 from presup.corpus import (
+    GoldAnnotation,
+    GoldInference,
     QuotedSpan,
     clean,
     parse_dataset_line,
@@ -255,6 +257,14 @@ class TestParseGold:
         doc = "# comment\nH1\n||\n# another\nH2\n>> x\n||\n"
         annotations = parse_gold(doc)
         assert [a.headline for a in annotations] == ["H1", "H2"]
+        assert [a.line for a in annotations] == [2, 5]
+
+    def test_line_is_not_compared(self):
+        """A block keeps its headline's line for messages; equal blocks on
+        other lines stay equal."""
+        (a,) = parse_gold("\n\nH\n>> x\n||\n")
+        assert a.line == 3
+        assert a == GoldAnnotation("H", (GoldInference("x"),)) == parse_gold("H\n>> x\n||\n")[0]
 
     def test_round_trip(self):
         doc = "H1\n>> first one\n>> second @but\n||\nH2\n||\n"

@@ -3,9 +3,11 @@ format equivalence of the two ingest formats, parity of the parse readers
 with a reference copy on valid and one-defect parses, malformed-input fuzzing
 of the parse, gold and eval readers and of the dataset, lexicon and
 ``--config`` readers through ``cli.main``, parity of ``match`` and of the gold
-tag split with reference copies, parity of both writers with ``json.dumps``,
-rule-set monotonicity, rules that share a registry function, quoted spans
-under another tokenization and output determinism."""
+tag split with reference copies, parity of the triple rule, the dataset
+line splitter and the verb, edge and span helpers with reference copies,
+parity of both writers with ``json.dumps``, rule-set monotonicity, rules
+that share a registry function, quoted spans under another tokenization and
+output determinism."""
 
 import io
 import json
@@ -14,25 +16,36 @@ import re
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import evaluation_reference
 import gold_reference
+import infer_reference
 import ingest_reference as reference
 from conftest import FIXTURES, load_fixture_corpus, make_headline
 from presup.cli import _jsonl_record, _read_inference_file, _read_labels_file, _report_json, main
-from presup.corpus import GoldAnnotation, GoldInference, parse_gold, preprocess
+from presup.corpus import (
+    GoldAnnotation,
+    GoldInference,
+    parse_dataset_line,
+    parse_gold,
+    preprocess,
+)
 from presup.errors import FormatError, ParseError, split_lines
 from presup.evaluation import MatchConfig, MatchMode, match
 from presup.ingest import (
     LABEL_MAP,
     DependencyEdge,
+    ParsedHeadline,
     Token,
     build_headline,
+    edges_with,
+    is_verb_tag,
     normalize_labels,
     parse_conllu,
     parse_stanford_json,
     to_stanford_json,
+    verbs_of,
 )
 from presup.lexicon import TriggerLexicon, default_lexicon
 from presup.rules import (
@@ -41,6 +54,8 @@ from presup.rules import (
     Inference,
     InferenceKind,
     RULE_IDS,
+    _merge,
+    extract_triplets,
     generate_all,
     infer_all,
     rule_quotes,
@@ -436,7 +451,9 @@ def test_dataset_lexicon_and_config_readers_fail_only_at_a_located_line(
 ):
     """Through ``cli.main``, a fuzzed dataset, lexicon or ``--config`` file
     infers, or exits 1 with one ``error: path:line:`` message; a config
-    names its own line, or the line of the bad lexicon it names."""
+    names its own line, or the line of the bad lexicon it names.  A lexicon
+    path of no readable file (missing, a directory) is an error at the
+    config's line."""
     base = tmp_path_factory.getbasetemp()
     path = base / f"fuzzed{flag}"
     files = {}
@@ -450,8 +467,9 @@ def test_dataset_lexicon_and_config_readers_fail_only_at_a_located_line(
             "rules = all", "rules = ,", "rules = compound, zz", "rules=lexical",
             "verb_pattern = strict", "verb_pattern = loose", "compound_mode = can_be",
             "compound_mode = q", "lexicon =", f"lexicon = {base / 'good.tsv'}",
-            f"lexicon = {base / 'bad.tsv'}", "no equals", "x = 1", "= 3", "# c", "",
-        ]) | st.text(max_size=12).filter(lambda t: "lexicon" not in t)
+            f"lexicon = {base / 'bad.tsv'}", f"lexicon = {base / 'nosuch.tsv'}",
+            f"lexicon = {base}", "no equals", "x = 1", "= 3", "# c", "",
+        ]) | st.text(max_size=12)
     files[str(path)] = data.draw(_documents(lines))
     path.write_bytes(files[str(path)])
     argv = ["infer", "--dataset", str(FIXTURES / "basic_triggers_dataset.txt"),
@@ -779,3 +797,106 @@ def test_match_matches_the_reference_copy(arguments):
     the same order with the same scores, the same unmatched and incorrect
     indices, normalized texts and triggers."""
     assert match(*arguments) == evaluation_reference.match(*arguments)
+
+
+# The labels and tags a triple reads, and the negator "not" in both cases.
+TRIPLE_DEPS = ["nsubj"] * 3 + ["dobj"] * 3 + ["nmod", "case"] * 2 + [
+    "aux", "auxpass", "neg", "advmod", "prt", "compound:prt", "nummod", "amod", "det",
+    "compound", "dep"]
+TRIPLE_TAGS = ["VBD", "VBZ", "VB", "VBN", "NN", "NNS", "PRP", "IN", "RB", "DT", "CD"]
+
+
+def _triple_tree(seed):
+    """A random tree in which a token attaches to a verb, if one comes
+    before it in the shuffled order, four times in five."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 10)
+    tokens = [Token(k, rng.choice([*WORDS, "not", "NOT"]), rng.choice(TRIPLE_TAGS))
+              for k in range(1, n + 1)]
+    order = [t.index for t in tokens]
+    rng.shuffle(order)
+    glosses = ["ROOT", *(t.surface for t in tokens)]
+    edges = [DependencyEdge("root", 0, "ROOT", order[0], glosses[order[0]])]
+    for position in range(1, n):
+        verbs = [k for k in order[:position] if tokens[k - 1].pos.startswith("V")]
+        parent = rng.choice(verbs if verbs and rng.random() < 0.8 else order[:position])
+        node = order[position]
+        edges.append(DependencyEdge(rng.choice(TRIPLE_DEPS), parent, glosses[parent], node,
+                                    glosses[node]))
+    return build_headline("fuzz", " ".join(glosses[1:]), tokens, edges)
+
+
+@given(st.sampled_from([h for h, _ in FIXTURE_PAIRS]) | st.integers(0, 2**32).map(_triple_tree),
+       st.booleans())
+@settings(max_examples=400)  # about one tree in ten renders a triple
+def test_extract_triplets_matches_the_reference_copy(h, strict_verbs):
+    """``extract_triplets`` reads each verb's dependents in one scan and
+    renders the reference copy's triples, in its order, as Inferences."""
+    got = extract_triplets(h, strict_verbs)
+    assert got == infer_reference.extract_triplets(h, strict_verbs)
+    assert all(type(inf) is Inference for inf in got)
+
+
+def _record_or_error(parse, line):
+    try:
+        return parse(line)
+    except FormatError as exc:
+        return f"FormatError: {exc}"
+
+
+# Pieces of dataset lines: the bracket, separators that str.split and the
+# regex \s treat differently, month names with trailing '.' and ',', and
+# digits of other scripts.
+DATASET_PIECES = st.sampled_from([
+    "[source:", "]", " ", "\t", "\x1c", "\x1d", "\x1e", "\x1f", "\u2028", "\xa0", "\u3000",
+    "May", "may.,", "Sept.", "JAN,", "april.", "Decembers", "\u0663", "\uff11", "\xb2", "5",
+    "08,", "BBC", "The Hindu", "#", "Markets crashed",
+]) | st.text(max_size=3)
+
+
+@given(st.lists(DATASET_PIECES, max_size=10).map("".join))
+@example("Markets crashed [source: BBC\xa0May\x1c08, 2016]")
+@example("x [source: The Hindu \u0663 April., 2018]")
+@example("Markets\u2028crashed [source: BBC\xa0May., 08,\u2028 2016]")
+def test_parse_dataset_line_matches_the_reference_copy(line):
+    """``parse_dataset_line`` gives the reference copy's record, or its
+    error text."""
+    got = _record_or_error(parse_dataset_line, line)
+    assert got == _record_or_error(infer_reference.parse_dataset_line, line)
+
+
+TAG_TEXTS = st.sampled_from(["V", "VB", "VBD", "VBZ", "VBPX", "v", "vb", "NN", "", "Vx",
+                             "V\u0301", "\u01c5"]) | st.text(max_size=4)
+
+
+@given(st.lists(TAG_TEXTS, max_size=8), st.booleans())
+def test_verbs_of_takes_the_tokens_is_verb_tag_accepts(tags, strict):
+    """``verbs_of`` writes out ``is_verb_tag``'s test: the two cannot
+    drift apart, and both agree with the old definition."""
+    h = ParsedHeadline("x", "x", tuple(Token(k, "w", tag) for k, tag in enumerate(tags, 1)), ())
+    got = verbs_of(h, strict)
+    assert got == [t for t in h.tokens if is_verb_tag(t.pos, strict)]
+    assert got == infer_reference.verbs_of(h, strict)
+
+
+GLOSS_TEXTS = st.sampled_from(["will", "WILL", "Will", "again", "\u0130", "i\u0307", "\xdf",
+                               "SS", "\ufb01", "FI", ""]) | st.text(max_size=3)
+EDGE_LABELS = st.sampled_from(["aux", "advmod", "nmod"])
+
+
+@given(st.lists(st.tuples(EDGE_LABELS, GLOSS_TEXTS), max_size=6), EDGE_LABELS,
+       st.none() | GLOSS_TEXTS)
+@example([("aux", "will"), ("aux", "Will"), ("advmod", "WILL")], "aux", "WILL")
+@example([("nmod", "i\u0307"), ("nmod", "\u0130")], "nmod", "\u0130")
+def test_edges_with_matches_its_old_definition(rows, dep, gloss):
+    edges = tuple(DependencyEdge(d, 0, "ROOT", k, g) for k, (d, g) in enumerate(rows, 1))
+    h = ParsedHeadline("x", "x", (), edges)
+    assert edges_with(h, dep, gloss) == infer_reference.edges_with(h, dep, gloss)
+
+
+SPANS = st.lists(st.integers(-3, 20), max_size=5)
+
+
+@given(st.lists(SPANS | SPANS.map(tuple), max_size=5))
+def test_merge_matches_its_old_definition(spans):
+    assert _merge(*spans) == infer_reference._merge(*spans)
