@@ -364,7 +364,7 @@ def _is_str_list(value) -> bool:
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
-_KINDS = tuple(k.value for k in InferenceKind)
+_KIND_OF_VALUE = {kind.value: kind for kind in InferenceKind}  # cheaper than InferenceKind(value)
 
 
 def _parse_inferences(obj: dict) -> list[Inference]:
@@ -375,17 +375,21 @@ def _parse_inferences(obj: dict) -> list[Inference]:
     for d in entries:
         if not isinstance(d, dict):
             raise FormatError("each inference must be a JSON object")
-        if d.get("kind") not in _KINDS:
-            raise FormatError(f"inference 'kind' must be one of {', '.join(_KINDS)}")
-        if not isinstance(d.get("text"), str):
+        kind = d.get("kind")
+        if not (isinstance(kind, str) and kind in _KIND_OF_VALUE):
+            raise FormatError(f"inference 'kind' must be one of {', '.join(_KIND_OF_VALUE)}")
+        text = d.get("text")
+        if not isinstance(text, str):
             raise FormatError("inference 'text' must be a string")
-        if not isinstance(d.get("trigger", ""), str):
+        trigger = d.get("trigger", "")
+        if not isinstance(trigger, str):
             raise FormatError("inference 'trigger' must be a string")
         span = d.get("span", [])
         # type() rather than isinstance: JSON true is a bool, and bool is an int.
         if not (isinstance(span, list) and all(type(i) is int for i in span)):
             raise FormatError("inference 'span' must be a list of integers")
-        out.append(Inference.from_dict(d))
+        # tuple.__new__ skips the Python-level __new__ of a NamedTuple.
+        out.append(tuple.__new__(Inference, (_KIND_OF_VALUE[kind], text, trigger, tuple(span))))
     return out
 
 

@@ -138,10 +138,10 @@ def _has_apostrophe(text: str) -> bool:
     return "'" in text or "’" in text
 
 
-def clean(text: str) -> str:
-    """Strip punctuation: hyphens become spaces, an apostrophe survives only
-    between letters or digits, the rest of the punctuation is deleted and
-    whitespace is collapsed."""
+def _clean_words(text: str) -> list[str]:
+    """The words of ``text`` with its punctuation stripped: hyphens become
+    spaces, an apostrophe survives only between letters or digits, the rest
+    of the punctuation is deleted, and whitespace separates words."""
     if _has_apostrophe(text):
         text = _STRAY_APOSTROPHE.sub("", text)
     if text.isascii():
@@ -149,7 +149,12 @@ def clean(text: str) -> str:
         text = text.encode("ascii").translate(_ASCII_TABLE, _ASCII_DELETE).decode("ascii")
     else:
         text = text.translate(_CLEAN_TABLE)
-    return " ".join(text.split())
+    return text.split()
+
+
+def clean(text: str) -> str:
+    """``text`` with its punctuation stripped and its whitespace collapsed."""
+    return " ".join(_clean_words(text))
 
 
 def letters(text: str) -> str:
@@ -158,15 +163,9 @@ def letters(text: str) -> str:
     return "".join(filter(str.isalnum, text.casefold()))
 
 
-_WORD_BREAK = re.compile(rf"[\s{re.escape(_HYPHENS)}]+")
-
-
 def word_count(text: str) -> int:
-    """The number of words ``clean`` leaves of ``text``: whitespace and
-    hyphens separate words, and a word of only deleted punctuation and
-    apostrophes is dropped."""
-    deleted = _OTHER_PUNCT + _APOSTROPHES
-    return sum(1 for word in _WORD_BREAK.split(text) if word.strip(deleted))
+    """The number of words ``clean`` leaves of ``text``."""
+    return len(_clean_words(text))
 
 
 def preprocess(text: str) -> tuple[QuotedSpan, ...]:

@@ -78,6 +78,8 @@ def _validate(
     ids: Sequence[int],
     tags: Sequence[str],
     labels: Sequence[str],
+    governors: Sequence[int],
+    dependents: Sequence[int],
     heads: Sequence[int],
     fault: str | None = None,
 ) -> None:
@@ -85,7 +87,9 @@ def _validate(
     given as columns, in this order: token k carries index k and a POS; one
     edge is labelled root; ``fault``, the first bad edge its reader found;
     every token reaches the root through ``heads`` (``heads[k - 1]``
-    governs token k, each in 0..n once the checks before hold)."""
+    governs token k, each in 0..n once the checks before hold); only the
+    root edge hangs from the root.  ``labels``, ``governors`` and
+    ``dependents`` are the edges' columns."""
     n = len(ids)
     # Rules look tokens up by index, so token k must carry index k.
     if not all(tags) or any(map(ne, ids, range(1, n + 1))):
@@ -113,6 +117,15 @@ def _validate(
                 if dependent == governor:
                     raise ConsistencyError(f"{headline_id}: self-loop on token {dependent}")
             raise ConsistencyError(f"{headline_id}: edges do not form a tree")
+    # The tree reaches the root, so some edge hangs from it; any other than
+    # the root edge breaks the rule.
+    if governors.count(0) != 1 or governors[labels.index("root")]:
+        for label, governor, dependent in zip(labels, governors, dependents):
+            if governor == 0 and label != "root":
+                raise ConsistencyError(
+                    f"{headline_id}: edge {label} of token {dependent} hangs from the root,"
+                    " which only the root edge may"
+                )
 
 
 def _labels(
@@ -195,7 +208,7 @@ def build_headline(
     elif fault is None and -1 in heads:
         missing = [k for k, head in enumerate(heads, start=1) if head < 0]
         fault = f"tokens {missing} attach nowhere"
-    _validate(headline_id, ids, tags, labels, heads, fault)
+    _validate(headline_id, ids, tags, labels, governors, dependents, heads, fault)
     edge_rows = zip(labels, governors, governor_glosses, dependents, dependent_glosses)
     return ParsedHeadline(
         headline_id, raw_text, tokens, tuple(map(_new, repeat(DependencyEdge), edge_rows))
@@ -254,7 +267,7 @@ def parse_conllu(document: str, source: str | None = None) -> list[ParsedHeadlin
             hid = sent_id or text  # without a sent_id the id is the text, as in Stanford JSON
             labels = _labels(deprels, heads, ids, forms)
             try:
-                _validate(hid, ids, tags, labels, heads)
+                _validate(hid, ids, tags, labels, heads, ids, heads)
             except ConsistencyError as exc:
                 raise ConsistencyError(f"{located(source, first_line)}: {exc}") from None
             glosses = [ROOT_GLOSS, *forms]
@@ -465,9 +478,7 @@ def edges_governed_by(
     ]
 
 
-def edge_for_dependent(h: ParsedHeadline, dependent: int) -> DependencyEdge | None:
-    """The unique edge a token hangs from."""
-    for e in h.edges:
-        if e.dependent == dependent:
-            return e
-    return None
+def edge_for_dependent(h: ParsedHeadline, dependent: int) -> DependencyEdge:
+    """The edge token ``dependent`` hangs from: each token of a parse from a
+    reader or ``build_headline`` has exactly one."""
+    return next(e for e in h.edges if e.dependent == dependent)

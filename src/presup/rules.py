@@ -8,7 +8,9 @@ headline's quoted spans or the trigger lexicon) to a list of Inference values.
 ``(h, p, cfg)``, and its order is the output order.  Adding a rule is adding
 one row to it; the ``lexical.*`` rows come from ``lexicon.VERB_CLASS_IDS``.
 ``infer_all`` runs the configured rules in registry order and deduplicates
-the rendered texts.
+the rendered texts.  Rules assume a tree from a reader or ``build_headline``:
+each token hangs from exactly one edge, and only the ``root`` edge hangs from
+the virtual root, so no other edge's governor is 0.
 """
 
 from __future__ import annotations
@@ -39,9 +41,6 @@ class InferenceKind(Enum):
     EXPLICIT_TRIPLE = "triple"
 
 
-_KIND_OF_VALUE = {kind.value: kind for kind in InferenceKind}  # cheaper than InferenceKind(value)
-
-
 class Inference(NamedTuple):
     kind: InferenceKind
     text: str
@@ -55,16 +54,6 @@ class Inference(NamedTuple):
             "trigger": self.trigger,
             "span": list(self.span),
         }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "Inference":
-        # tuple.__new__ skips the Python-level __new__ of a NamedTuple.
-        return tuple.__new__(cls, (
-            _KIND_OF_VALUE[obj["kind"]],
-            obj["text"],
-            obj.get("trigger", ""),
-            tuple(obj.get("span", ())),
-        ))
 
 
 COMPOUND_MODES = ("both", "can_be", "can_have")
@@ -190,10 +179,9 @@ def _is_negated(h: ParsedHeadline, index: int) -> bool:
 
 
 def _noun_edges(h: ParsedHeadline, dep: str) -> list:
-    """The ``dep`` edges whose ends are both noun tokens (the virtual root is
-    not one)."""
+    """The ``dep`` edges whose ends are both noun tokens."""
     tokens = h.tokens
-    return [e for e in h.edges if e.dep == dep and e.governor
+    return [e for e in h.edges if e.dep == dep
             and tokens[e.governor - 1].pos[:1] == "N" and tokens[e.dependent - 1].pos[:1] == "N"]
 
 
@@ -256,8 +244,6 @@ def rule_further(h: ParsedHeadline, strict_verbs: bool = False) -> list[Inferenc
     """advmod 'further' on a verb: the subject is already in that state."""
     out = []
     for d in edges_with(h, "advmod", dependent_gloss="further"):
-        if d.governor == 0:
-            continue
         verb = h.token_at(d.governor)
         if not is_verb_tag(verb.pos, strict_verbs):
             continue
@@ -290,8 +276,7 @@ def rule_past_tense(h: ParsedHeadline) -> list[Inference]:
     for t in h.tokens:
         if t.pos != "VBD":
             continue
-        incoming = edge_for_dependent(h, t.index)
-        if incoming is not None and incoming.dep in ("advcl", "ccomp"):
+        if edge_for_dependent(h, t.index).dep in ("advcl", "ccomp"):
             continue
         subj = _first(edges_governed_by(h, t.index, "nsubj"))
         if subj is None:
@@ -429,17 +414,17 @@ def rule_lexical(
     return out
 
 
-def rule_temporal(h: ParsedHeadline, lex: TriggerLexicon) -> list[Inference]:
+def rule_temporal(
+    h: ParsedHeadline, lex: TriggerLexicon, strict_verbs: bool = False
+) -> list[Inference]:
     """Temporal case/mark words presuppose the embedded thing existed/happened."""
     temporal = lex.words("temporal")
     out = []
     for e in h.edges:
-        if e.dep not in ("case", "mark"):
-            continue
-        if e.dependent_gloss.lower() not in temporal or e.governor == 0:
+        if e.dep not in ("case", "mark") or e.dependent_gloss.lower() not in temporal:
             continue
         gov = h.token_at(e.governor)
-        if is_verb_tag(gov.pos):
+        if is_verb_tag(gov.pos, strict_verbs):
             subj = _first(edges_governed_by(h, gov.index, "nsubj"))
             if subj is None:
                 continue
@@ -456,8 +441,7 @@ def rule_temporal(h: ParsedHeadline, lex: TriggerLexicon) -> list[Inference]:
 def _undo_inversion(h: ParsedHeadline, substitute: str, words: list[str]) -> list[str]:
     """``words``, the question's words, in statement order: the auxiliary
     (word 2) moves after the subject, the substitute to the end."""
-    aux_edge = edge_for_dependent(h, 2)
-    subj = None if aux_edge is None else _first(edges_governed_by(h, aux_edge.governor, "nsubj"))
+    subj = _first(edges_governed_by(h, edge_for_dependent(h, 2).governor, "nsubj"))
     if subj is None or subj.dependent <= 2:
         return [substitute] + words[1:]
     head = subj.dependent
@@ -606,7 +590,7 @@ RULES = {
     "nmod_of": lambda h, p, cfg: rule_nmod_of(h),
     "nmod_relaxed": lambda h, p, cfg: rule_nmod_relaxed(h),
     **{f"lexical.{c}": _lexical_group for c in VERB_CLASS_IDS},
-    "temporal": lambda h, p, cfg: rule_temporal(h, cfg.lexicon),
+    "temporal": lambda h, p, cfg: rule_temporal(h, cfg.lexicon, cfg.strict_verbs),
     "question": lambda h, p, cfg: rule_question(h),
     "quotes": lambda h, p, cfg: rule_quotes(h, p, cfg.strict_verbs),
     "triple": lambda h, p, cfg: extract_triplets(h, cfg.strict_verbs),

@@ -1,7 +1,10 @@
 """A frozen copy of the parse readers as they were before they became one
 pass: ``parse_conllu``, ``parse_stanford_json``, ``build_headline``,
 ``normalize_labels`` and ``_validate``.  ``test_properties.py`` checks that
-the package's readers give the same parses and the same error texts."""
+the package's readers give the same parses and the same error texts.  The
+copy predates the rule that only the root edge hangs from the root, which
+the package checks after every check here; the property expects that error
+on exactly the trees the copy accepts that break the rule."""
 
 from __future__ import annotations
 

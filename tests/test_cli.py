@@ -453,6 +453,33 @@ class TestInfer:
         (record,) = read_jsonl(out)
         assert "Markets has crashed" in [i["text"] for i in record["inferences"]]
 
+    @pytest.mark.parametrize("rows, edge", [
+        # nmod_of read the root as a noun: "Bank has ROOT".
+        ([("Bank", "NNP", 0, "nmod"), ("of", "IN", 1, "case"), ("England", "NNP", 4, "nsubj"),
+          ("acts", "VBZ", 0, "root")], "edge nmod of token 1"),
+        # future read the root as the last token: "race is not yet raced".
+        ([("Team", "NN", 3, "nsubj"), ("will", "MD", 0, "aux"), ("win", "VB", 0, "root"),
+          ("race", "NN", 0, "obj")], "edge aux of token 2"),
+    ])
+    def test_edge_other_than_the_root_edge_from_the_root_is_an_error(
+        self, tmp_path, capsys, rows, edge
+    ):
+        text = " ".join(form for form, *_ in rows)
+        conllu = tmp_path / "p.conllu"
+        conllu.write_text(f"# sent_id = 1\n# text = {text}\n" + "".join(
+            f"{k}\t{form}\t_\t_\t{pos}\t_\t{head}\t{deprel}\t_\t_\n"
+            for k, (form, pos, head, deprel) in enumerate(rows, start=1)
+        ) + "\n")
+        dataset = tmp_path / "d.txt"
+        dataset.write_text(f"{text} [source: BBC]\n")
+        code = main(["infer", "--strict", "--rules", "all", "--dataset", str(dataset),
+                     "--parses", str(conllu), "--out", str(tmp_path / "o.jsonl")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {conllu}:1: 1: {edge} hangs from the root, which only the root edge may\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.txt", "p.conllu"]
+
     def test_conllu_and_stanford_json_fixtures_infer_alike(self, tmp_path):
         """basic_triggers.conllu holds the trees of basic_triggers.json."""
         _, from_json = run_infer(tmp_path, ["--rules", "all"], name="json.jsonl")

@@ -1,13 +1,14 @@
 """Cross-cutting engine properties: fuzzing over random dependency trees,
 format equivalence of the two ingest formats, parity of the parse readers
-with a reference copy on valid and one-defect parses, malformed-input fuzzing
-of the parse, gold and eval readers and of the dataset, lexicon and
-``--config`` readers through ``cli.main``, parity of ``match`` and of the gold
-tag split with reference copies, parity of the triple rule, the dataset
-line splitter and the verb, edge and span helpers with reference copies,
-parity of both writers with ``json.dumps``, rule-set monotonicity, rules
-that share a registry function, quoted spans under another tokenization and
-output determinism."""
+with a reference copy on valid and one-defect parses, rejection by every
+reader of an edge other than the root edge hanging from the root,
+malformed-input fuzzing of the parse, gold and eval readers and of the
+dataset, lexicon and ``--config`` readers through ``cli.main``, parity of
+``match`` and of the gold tag split with reference copies, parity of the
+triple rule, the dataset line splitter and the verb, edge and span helpers
+with reference copies, parity of both writers with ``json.dumps``, rule-set
+monotonicity, rules that share a registry function, quoted spans under
+another tokenization and output determinism."""
 
 import io
 import json
@@ -23,7 +24,14 @@ import gold_reference
 import infer_reference
 import ingest_reference as reference
 from conftest import FIXTURES, load_fixture_corpus, make_headline
-from presup.cli import _jsonl_record, _read_inference_file, _read_labels_file, _report_json, main
+from presup.cli import (
+    _jsonl_record,
+    _read_inference_file,
+    _read_labels_file,
+    _report_json,
+    load_parses,
+    main,
+)
 from presup.corpus import (
     GoldAnnotation,
     GoldInference,
@@ -31,7 +39,7 @@ from presup.corpus import (
     parse_gold,
     preprocess,
 )
-from presup.errors import FormatError, ParseError, split_lines
+from presup.errors import ConsistencyError, FormatError, ParseError, split_lines
 from presup.evaluation import MatchConfig, MatchMode, match
 from presup.ingest import (
     LABEL_MAP,
@@ -607,9 +615,23 @@ def test_dedup_keeps_first_registered_trigger():
             seen.add(inf.text.lower())
 
 
-def _same_outcome(read, reference_read, document):
+def _root_rule_error(h, where=""):
+    """The error of a parse whose edges break the rule that only the root
+    edge hangs from the root, which the reference does not check: it names
+    the first other edge that does.  None for a parse that keeps the rule."""
+    root = next(e for e in h.edges if e.dep == "root")
+    if [e.governor for e in h.edges].count(0) == 1 and root.governor == 0:
+        return None
+    e = next(e for e in h.edges if e.governor == 0 and e.dep != "root")
+    return (f"{where}{h.headline_id}: edge {e.dep} of token {e.dependent} hangs from the root,"
+            " which only the root edge may")
+
+
+def _same_outcome(read, reference_read, document, root_rule_error=lambda want: None):
     """``read(document)`` gives what the reference gives: an equal result,
-    or an error of the same type with the same text."""
+    or an error of the same type with the same text.  Where the reference
+    accepts a parse whose edges break the root rule, ``root_rule_error`` of
+    its result is the text of the ConsistencyError ``read`` must raise."""
     try:
         want = reference_read(document)
     except ParseError as exc:
@@ -620,6 +642,12 @@ def _same_outcome(read, reference_read, document):
         else:
             raise AssertionError(f"no error, the reference raises {exc}")
         return str(exc)
+    error = root_rule_error(want)
+    if error is not None:
+        with pytest.raises(ConsistencyError) as got:
+            read(document)
+        assert str(got.value) == error
+        return error
     assert read(document) == want
     return None
 
@@ -716,7 +744,11 @@ def _stanford_object(hid, raw, tokens, edges) -> dict:
 def test_readers_match_the_reference_copy(h, seed):
     """Both readers, ``build_headline`` and ``normalize_labels`` give the
     reference copy's parses on valid trees and its exact error text on a
-    tree with one defect, whichever check finds it."""
+    tree with one defect, whichever check finds it.  The one check the
+    reference lacks, that only the root edge hangs from the root, comes
+    last: the package rejects exactly the trees the reference accepts that
+    break it, such as one with no root edge and a second one, which leaves
+    the root label on an edge from a token."""
     rng = random.Random(seed)
     relabel = {rng.choice(sorted(LABEL_MAP.values())): rng.choice(sorted(LABEL_MAP))}
     base_tokens = [list(t) for t in h.tokens]
@@ -728,6 +760,7 @@ def test_readers_match_the_reference_copy(h, seed):
     # Each defect alone, then two at once: the first check to fail names it.
     cases = [(defect,) for defect in DEFECTS]
     cases.append((rng.choice(DEFECTS[1:8]), rng.choice(DEFECTS[1:])))
+    cases.append(("no_root", "two_roots"))
     for case in cases:
         for fmt in ("conllu", "stanford"):
             tokens, edges = [list(t) for t in base_tokens], [list(e) for e in base_edges]
@@ -735,24 +768,78 @@ def test_readers_match_the_reference_copy(h, seed):
                 continue
             if fmt == "conllu":
                 with_id = rng.random() < 0.8
-                document = _conllu_block(h.headline_id, h.raw_text, tokens, edges, with_id)
-                if rng.random() < 0.5:  # a valid sentence before it
-                    document = to_conllu(prefix) + document
-                error = _same_outcome(parse_conllu, reference.parse_conllu, document)
+                before = to_conllu(prefix) if rng.random() < 0.5 else ""  # a valid sentence
+                document = before + _conllu_block(h.headline_id, h.raw_text, tokens, edges, with_id)
+                first_line = before.count("\n") + 1
+                error = _same_outcome(
+                    parse_conllu, reference.parse_conllu, document,
+                    lambda parses: _root_rule_error(parses[-1], f"line {first_line}: "),
+                )
             else:
                 rng.shuffle(edges)  # Stanford JSON lists the edges in any order
                 document = json.dumps(_stanford_object(h.headline_id, h.raw_text, tokens, edges))
-                error = _same_outcome(parse_stanford_json, reference.parse_stanford_json, document)
+                error = _same_outcome(parse_stanford_json, reference.parse_stanford_json, document,
+                                      _root_rule_error)
                 token_rows = [Token(*t) for t in tokens]
                 edge_rows = [DependencyEdge(*e) for e in edges]
                 _same_outcome(
                     lambda rows: build_headline("x", "y", *rows),
                     lambda rows: reference.build_headline("x", "y", *rows),
                     (token_rows, edge_rows),
+                    _root_rule_error,
                 )
                 assert normalize_labels(edge_rows) == reference.normalize_labels(edge_rows)
-            if len(case) == 1:
+            if case == ("no_root", "two_roots"):
+                # The root label moved to an edge from a token, or back.
+                restored = [e[0] for e in edges if e[1] == 0] == ["root"]
+                assert (error is None) == restored, (fmt, error)
+            elif len(case) == 1:
                 assert (error is None) == (case == ("none",)), (case, fmt, error)
+
+
+@given(st.integers(0, 2**32), st.booleans())
+def test_every_reader_rejects_a_second_edge_from_the_root(tmp_path_factory, seed, reroot):
+    """A tree whose one break is an edge other than the root edge hanging
+    from the root fails in every reader at its location: a non-root edge
+    re-hung from the root, or the root edge hung from a child of its token,
+    which then hangs from the root, so that the edges still form a tree."""
+    rng = random.Random(seed)
+    h = random_parse(rng)
+    while len(h.tokens) < 2:
+        h = random_parse(rng)
+    edges = [list(e) for e in sorted(h.edges, key=lambda e: e.dependent)]
+    root = next(e for e in edges if e[1] == 0)
+    if reroot:
+        moved = rng.choice([e for e in edges if e[1] == root[3]])
+        root[1], root[2] = moved[3], moved[4]
+    else:
+        moved = rng.choice([e for e in edges if e is not root])
+    moved[1], moved[2] = 0, "ROOT"
+    label = normalize_labels([DependencyEdge(*e) for e in edges])[moved[3] - 1].dep
+    error = (f"broken: edge {label} of token {moved[3]} hangs from the root,"
+             " which only the root edge may")
+
+    def fails_at(where, read, *args):
+        with pytest.raises(ConsistencyError) as got:
+            read(*args)
+        assert str(got.value) == where + error
+
+    # Each reader gets the valid tree, then the broken one.
+    valid = to_conllu(h)
+    broken = _conllu_block("broken", h.raw_text, h.tokens, edges, True)
+    line = valid.count("\n") + 1
+    fails_at(f"p.conllu:{line}: ", parse_conllu, valid + broken, "p.conllu")
+    valid = json.dumps(to_stanford_json(h))
+    broken = json.dumps(_stanford_object("broken", h.raw_text, h.tokens, edges))
+    jsonl = tmp_path_factory.getbasetemp() / "p.jsonl"
+    jsonl.write_text(f"{valid}\n{broken}\n")
+    array = tmp_path_factory.getbasetemp() / "p.json"
+    array.write_text(f"[\n{valid},\n{broken}\n]\n")
+    fails_at(f"{jsonl}:2: ", load_parses, str(jsonl))
+    fails_at(f"{array}:3: ", load_parses, str(array))
+    rows = [DependencyEdge(*e) for e in edges]
+    rng.shuffle(rows)
+    fails_at("", build_headline, "broken", h.raw_text, h.tokens, rows)
 
 
 # Texts that repeat, spell one normalized text several ways, normalize to ""

@@ -357,6 +357,19 @@ class TestRuleTemporal:
         h, _ = basic_triggers["nmod_of"]
         assert rule_temporal(h, LEX) == []
 
+    @pytest.mark.parametrize("strict_verbs, want", [
+        (False, []),  # a verb without a subject renders no clause
+        (True, ["There was Brexit vote"]),  # strict: bare VB is not a verb
+    ])
+    def test_verb_pattern_decides_the_reading_of_a_bare_vb(self, strict_verbs, want):
+        h = make_headline(
+            "Markets/NNS fell/VBD before/IN Brexit/NNP vote/VB",
+            [("root", 0, 2), ("nsubj", 2, 1), ("nmod", 2, 5), ("case", 5, 3), ("compound", 5, 4)],
+        )
+        assert texts(rule_temporal(h, LEX, strict_verbs)) == want
+        cfg = EngineConfig(rules=("temporal",), lexicon=LEX, strict_verbs=strict_verbs)
+        assert texts(infer_all(h, (), cfg)) == want
+
 
 class TestRuleQuestion:
     def test_wh_contraction(self, lexical_triggers):
