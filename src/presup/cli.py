@@ -143,56 +143,80 @@ def _build_engine_config(args) -> EngineConfig:
     )
 
 
+_DECODER = json.JSONDecoder()
+# The whitespace str.strip removes, as a pattern: re's \s is str.isspace.
+_SPACE = re.compile(r"\s*")
+_JSON_SPACE = re.compile(r"[ \t\n\r]*")  # what json.loads skips around a value
+
+
 def _item_line(text: str, k: int) -> int:
     """The 1-based line on which JSON value ``k`` of ``text`` starts: item
     ``k`` of an array, or the one object.  Only an error message needs it."""
-    pos = len(text) - len(text.lstrip())
+    pos = _SPACE.match(text).end()
     if text[pos] == "[":
-        decoder, skip = json.JSONDecoder(), re.compile(r"[\s,]*")
+        skip = re.compile(r"[\s,]*")
         pos = skip.match(text, pos + 1).end()
         for _ in range(k):
-            pos = skip.match(text, decoder.raw_decode(text, pos)[1]).end()
+            pos = skip.match(text, _DECODER.raw_decode(text, pos)[1]).end()
     return text.count("\n", 0, pos) + 1
 
 
 _LONE_SURROGATE = re.compile(r"[\ud800-\udfff]")
 
 
-def _check_encodable(h: ParsedHeadline) -> None:
-    """A ParseError for the first lone surrogate in the text or a token of
-    ``h``: only a JSON escape such as ``\\ud800`` can give one, and no UTF-8
+def _check_encodable(texts, error: type[ValueError] = ParseError) -> None:
+    """``error`` for the first lone surrogate in ``texts``, (where, text)
+    pairs: only a JSON escape such as ``\\ud800`` can give one, and no UTF-8
     output can hold it."""
-    texts = [("headline", h.raw_text)]
-    texts += ((f"token {t.index}", t.surface) for t in h.tokens)
     for where, text in texts:
         m = _LONE_SURROGATE.search(text)
         if m:
-            raise ParseError(f"{where}: lone surrogate {m.group()!r} is not valid UTF-8")
+            raise error(f"{where}: lone surrogate {m.group()!r} is not valid UTF-8")
+
+
+def _parse_texts(h: ParsedHeadline):
+    """The texts of ``h`` that its inferences and the manifest may write."""
+    yield "headline", h.raw_text
+    yield "id", h.headline_id
+    for t in h.tokens:
+        yield f"token {t.index}", t.surface
 
 
 def load_parses(path: str) -> list[ParsedHeadline]:
     """Read a sidecar parse file: CoNLL-U by extension, else Stanford JSON
-    (single object, array of objects, or JSON Lines).  Errors name
+    (single object, array of objects, or JSON Lines).  The document is the
+    file's text stripped of whitespace at both ends.  Errors name
     ``path:line``; in an array, the line its bad object starts on.  Only
-    JSON text that holds a ``\\u`` escape is checked for lone surrogates."""
+    JSON text that holds a ``\\u`` escape is checked for lone surrogates.
+    JSON Lines are read one at a time out of the one text."""
     text = read_text(path)
     if Path(path).suffix in (".conllu", ".conll"):
         return parse_conllu(text, path)
-    stripped = text.strip()
-    if not stripped:
+    # text[start:end] is text.strip(), found without copying the text.
+    start = _SPACE.match(text).end()
+    if start == len(text):
         return []
-    first_line = text[: len(text) - len(text.lstrip())].count("\n") + 1
+    end = len(text)
+    while text[end - 1].isspace():
+        end -= 1
+    lineno = text.count("\n", 0, start) + 1
     try:
-        payload = json.loads(stripped)
-    except (ValueError, RecursionError) as exc:  # as in parse_stanford_json
-        if stripped.startswith("["):
+        payload, stop = _DECODER.raw_decode(text, start)
+        # As json.loads(text[start:end]): only JSON whitespace may follow.
+        if _JSON_SPACE.match(text, stop).end() < end:
+            payload = None
+    except (ValueError, RecursionError):
+        payload = None
+    if payload is None and text[start] == "[":
+        try:
+            json.loads(text[start:end])  # for the error that json.loads gives
+        except (ValueError, RecursionError) as exc:  # as in parse_stanford_json
             # Nesting past the recursion limit or a too-long integer has no
             # position: name the "[".
-            lineno = first_line + getattr(exc, "lineno", 1) - 1
+            lineno += getattr(exc, "lineno", 1) - 1
             raise ParseError(
                 f"{path}:{lineno}: invalid JSON: {getattr(exc, 'msg', exc)}"
             ) from None
-        payload = None  # JSON Lines
     if isinstance(payload, dict):
         payload = [payload]
     parses = []
@@ -202,20 +226,26 @@ def load_parses(path: str) -> list[ParsedHeadline]:
             try:
                 h = parse_stanford_json(obj)
                 if escaped:
-                    _check_encodable(h)
+                    _check_encodable(_parse_texts(h))
                 parses.append(h)
             except ParseError as exc:
                 raise type(exc)(f"{path}:{_item_line(text, k)}: {exc}") from None
         return parses
-    for lineno, line in enumerate(split_lines(stripped), start=first_line):
-        if line.strip():
+    # JSON Lines.  A line ends at "\n" or "\r\n", as in split_lines.
+    while start < end:
+        newline = text.find("\n", start, end)
+        if newline < 0:
+            newline = end
+        line = text[start:newline - 1 if text[newline - 1] == "\r" else newline]
+        if line and not line.isspace():
             try:
                 h = parse_stanford_json(line)
                 if "\\u" in line:
-                    _check_encodable(h)
+                    _check_encodable(_parse_texts(h))
                 parses.append(h)
             except ParseError as exc:
                 raise type(exc)(f"{path}:{lineno}: {exc}") from None
+        start, lineno = newline + 1, lineno + 1
     return parses
 
 
@@ -384,6 +414,8 @@ def _parse_inferences(obj: dict) -> list[Inference]:
         trigger = d.get("trigger", "")
         if not isinstance(trigger, str):
             raise FormatError("inference 'trigger' must be a string")
+        if not trigger.isascii():  # the report, the table and stdout write it
+            _check_encodable([("inference 'trigger'", trigger)], FormatError)
         span = d.get("span", [])
         # type() rather than isinstance: JSON true is a bool, and bool is an int.
         if not (isinstance(span, list) and all(type(i) is int for i in span)):

@@ -175,7 +175,8 @@ def build_headline(
     """Map labels and check the structural invariants in one pass over
     ``edges``, (dep, governor, governor gloss, dependent, dependent gloss)
     rows: every index in range, no self-loop, each gloss that of its token,
-    each token a dependent exactly once, then ``_validate``."""
+    each token a dependent exactly once, then ``_validate``.  An edge's
+    glosses are its tokens' own strings (``ROOT_GLOSS`` for the root)."""
     tokens = tuple(tokens)
     n = len(tokens)
     ids, surfaces, tags = zip(*tokens) if tokens else ((), (), ())
@@ -201,7 +202,7 @@ def build_headline(
         else:
             heads[dependent - 1] = governor
     columns = tuple(zip(*rows)) if rows else ((),) * 5
-    deps, governors, governor_glosses, dependents, dependent_glosses = columns
+    deps, governors, _, dependents, dependent_glosses = columns
     labels = _labels(deps, governors, dependents, dependent_glosses)
     if isinstance(fault, int):
         fault = f"edge {labels[fault]} references token outside 1..{n}"
@@ -209,7 +210,9 @@ def build_headline(
         missing = [k for k, head in enumerate(heads, start=1) if head < 0]
         fault = f"tokens {missing} attach nowhere"
     _validate(headline_id, ids, tags, labels, governors, dependents, heads, fault)
-    edge_rows = zip(labels, governors, governor_glosses, dependents, dependent_glosses)
+    # The glosses equal their tokens' words: keep those strings, not the copies.
+    gloss = glosses.__getitem__
+    edge_rows = zip(labels, governors, map(gloss, governors), dependents, map(gloss, dependents))
     return ParsedHeadline(
         headline_id, raw_text, tokens, tuple(map(_new, repeat(DependencyEdge), edge_rows))
     )
@@ -368,9 +371,10 @@ def _record_list(obj: dict, key: str) -> list:
 def parse_stanford_json(document: str | dict) -> ParsedHeadline:
     """Parse one Stanford-style JSON object into a ParsedHeadline.
 
-    The dependency tuples keep their glosses byte for byte; labels are then
-    normalized.  Gloss/index mismatches raise ConsistencyError; a missing
-    key or a non-integer index names its token or dependency.
+    Each gloss must equal its token's word, and the edge keeps the word's
+    string; labels are then normalized.  Gloss/index mismatches raise
+    ConsistencyError; a missing key or a non-integer index names its token
+    or dependency.
     """
     if isinstance(document, str):
         try:

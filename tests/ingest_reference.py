@@ -4,13 +4,22 @@ pass: ``parse_conllu``, ``parse_stanford_json``, ``build_headline``,
 the package's readers give the same parses and the same error texts.  The
 copy predates the rule that only the root edge hangs from the root, which
 the package checks after every check here; the property expects that error
-on exactly the trees the copy accepts that break the rule."""
+on exactly the trees the copy accepts that break the rule.
+
+``load_parses`` is the layout logic of ``presup.cli.load_parses`` as it was
+before it read JSON Lines one at a time out of the file's text: it strips
+the whole text and splits every line up front.  It reads each record with
+the package's ``parse_stanford_json`` and lone-surrogate check."""
 
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
-from presup.errors import ConsistencyError, ParseError, located, split_lines
+from presup import cli
+from presup import ingest
+from presup.errors import ConsistencyError, ParseError, located, read_text, split_lines
 from presup.ingest import (
     LABEL_MAP,
     ROOT_GLOSS,
@@ -237,3 +246,60 @@ def parse_stanford_json(document: str | dict) -> ParsedHeadline:
         except _RECORD_ERRORS:
             raise _record_error(f"dependency {i}", d, _EDGE_KEYS) from None
     return build_headline(hid or headline, headline, tokens, edges)
+
+
+def _item_line(text: str, k: int) -> int:
+    """The 1-based line on which JSON value ``k`` of ``text`` starts: item
+    ``k`` of an array, or the one object.  Only an error message needs it."""
+    pos = len(text) - len(text.lstrip())
+    if text[pos] == "[":
+        decoder, skip = json.JSONDecoder(), re.compile(r"[\s,]*")
+        pos = skip.match(text, pos + 1).end()
+        for _ in range(k):
+            pos = skip.match(text, decoder.raw_decode(text, pos)[1]).end()
+    return text.count("\n", 0, pos) + 1
+
+
+def _read_record(document) -> ParsedHeadline:
+    h = ingest.parse_stanford_json(document)
+    cli._check_encodable(cli._parse_texts(h))
+    return h
+
+
+def load_parses(path: str) -> list[ParsedHeadline]:
+    """Read a sidecar parse file: CoNLL-U by extension, else Stanford JSON
+    (single object, array of objects, or JSON Lines).  Errors name
+    ``path:line``; in an array, the line its bad object starts on."""
+    text = read_text(path)
+    if Path(path).suffix in (".conllu", ".conll"):
+        return ingest.parse_conllu(text, path)
+    stripped = text.strip()
+    if not stripped:
+        return []
+    first_line = text[: len(text) - len(text.lstrip())].count("\n") + 1
+    try:
+        payload = json.loads(stripped)
+    except (ValueError, RecursionError) as exc:
+        if stripped.startswith("["):
+            lineno = first_line + getattr(exc, "lineno", 1) - 1
+            raise ParseError(
+                f"{path}:{lineno}: invalid JSON: {getattr(exc, 'msg', exc)}"
+            ) from None
+        payload = None  # JSON Lines
+    if isinstance(payload, dict):
+        payload = [payload]
+    parses = []
+    if isinstance(payload, list):
+        for k, obj in enumerate(payload):
+            try:
+                parses.append(_read_record(obj))
+            except ParseError as exc:
+                raise type(exc)(f"{path}:{_item_line(text, k)}: {exc}") from None
+        return parses
+    for lineno, line in enumerate(split_lines(stripped), start=first_line):
+        if line.strip():
+            try:
+                parses.append(_read_record(line))
+            except ParseError as exc:
+                raise type(exc)(f"{path}:{lineno}: {exc}") from None
+    return parses

@@ -1,5 +1,6 @@
 import gc
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ from presup.cli import (
 )
 from presup.corpus import parse_gold, read_dataset
 from presup.evaluation import normalize
-from presup.ingest import parse_conllu
+from presup.ingest import ROOT_GLOSS, build_headline, parse_conllu
 from presup.lexicon import parse_lexicon
 from presup.rules import RULE_IDS
 
@@ -706,7 +707,8 @@ class TestInfer:
     @pytest.mark.parametrize("layout", ["p.jsonl", "p.json"])
     def test_lone_surrogate_names_file_and_line(self, tmp_path, capsys, layout):
         """A \\ud800 escape in a token's word and gloss passes the letters
-        check; it is an error at its line before anything is written."""
+        check, and one in the id of a parse no line uses reaches the
+        manifest: each is an error at its line before anything is written."""
         dataset = tmp_path / "d.txt"
         dataset.write_text("Markets fall again [source: BBC]\n")
         words = ["Markets\ud800", "fall", "again"]
@@ -740,6 +742,19 @@ class TestInfer:
         assert main(argv) == 0
         (record,) = read_jsonl(out)
         assert words[0] in record["inferences"][0]["text"]
+        # The id of a parse no line uses, which unused_parses would write.
+        unused = dict(obj, sent_id="x\ud800")
+        if layout == "p.jsonl":
+            parses.write_text("\n".join(["", json.dumps(obj), json.dumps(unused)]))
+        else:
+            parses.write_text("\n".join(["[", json.dumps(obj) + ",", json.dumps(unused), "]"]))
+        out.unlink()
+        Path(f"{out}.manifest.json").unlink()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: {parses}:3: id: lone surrogate '\\ud800' is not valid UTF-8\n"
+        )
+        assert not out.exists() and not Path(f"{out}.manifest.json").exists()
 
     def test_deep_json_array_is_an_input_error(self, tmp_path, capsys):
         bad = tmp_path / "p.json"
@@ -984,6 +999,28 @@ class TestEval:
         err = capsys.readouterr().err
         assert f"{bad}:3: {complaint}" in err
 
+    def test_lone_surrogate_in_trigger_names_file_and_line(self, tmp_path, capsys):
+        """A trigger reaches the report, the table and stdout, which no
+        UTF-8 output can hold with a \\ud800 in it: an error at its line
+        before anything is written."""
+        inferences = tmp_path / "inferences.jsonl"
+        inferences.write_text(
+            (FIXTURES / "scored_computed.jsonl").read_text("utf-8").split("\n")[0] + "\n"
+            + json.dumps({"headline": "Second", "inferences": [
+                {"kind": ">>", "text": "a", "trigger": "pa\ud800st"}]}) + "\n"
+        )
+        out, table = tmp_path / "report.json", tmp_path / "table.tsv"
+        argv = ["eval", "--inferences", str(inferences), "--out", str(out), "--table", str(table),
+                "--gold", str(FIXTURES / "scored_gold.txt")]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {inferences}:2: inference 'trigger': lone surrogate '\\ud800' "
+            "is not valid UTF-8\n"
+        )
+        assert captured.out == ""
+        assert not out.exists() and not table.exists()
+
     @pytest.mark.parametrize("flag, first, second", [
         ("--inferences",
          '{"headline": "Same headline", "inferences": [{"kind": ">>", "text": "a"}]}',
@@ -1176,3 +1213,61 @@ class TestCollector:
             ]))
             assert len(json.loads(out.read_text("utf-8"))["headlines"]) == 3 * k
         assert found[1] == found[0]
+
+
+class TestParseMemory:
+    """What ``load_parses`` holds while it reads, and what its parses keep."""
+
+    @pytest.mark.parametrize("layout", ["p.jsonl", "p.json", "p.conllu", "build_headline"])
+    def test_edges_keep_their_tokens_strings(self, tmp_path, layout):
+        """An edge's glosses are its tokens' words, the same string objects,
+        or ``ROOT_GLOSS``: no equal copy of a word is kept."""
+        if layout == "p.jsonl":
+            parses = load_parses(json_lines(tmp_path, "basic_triggers.json", 1))
+        elif layout == "p.json":
+            parses = load_parses(str(FIXTURES / "basic_triggers.json"))
+        elif layout == "p.conllu":
+            parses = load_parses(str(FIXTURES / "basic_triggers.conllu"))
+        else:
+            def copy(text):
+                return text.encode("utf-8").decode("utf-8")  # an equal, new string
+
+            parses = [
+                build_headline(h.headline_id, h.raw_text, h.tokens, [
+                    (e.dep, e.governor, copy(e.governor_gloss), e.dependent,
+                     copy(e.dependent_gloss))
+                    for e in h.edges
+                ])
+                for h in load_parses(str(FIXTURES / "basic_triggers.json"))
+            ]
+        assert len(parses) == 7
+        for h in parses:
+            words = (ROOT_GLOSS, *(t.surface for t in h.tokens))
+            for e in h.edges:
+                assert e.governor_gloss is words[e.governor]
+                assert e.dependent_gloss is words[e.dependent]
+
+    def test_json_lines_are_read_out_of_one_text(self, tmp_path):
+        """Reading about 2.7 MB of JSON Lines, ``load_parses`` holds at most
+        the parses it has built and the file's text once: no stripped copy
+        of the text and no list of its lines."""
+        block = "".join(
+            json.dumps(record) + "\n"  # ASCII, so the text takes a byte a character
+            for name in ("basic_triggers.json", "combined.json", "lexical_triggers.json",
+                         "escapes.json")
+            for record in json.loads((FIXTURES / name).read_text("utf-8"))
+        )
+        copies = 2_700_000 // len(block) + 1
+        path = tmp_path / "p.jsonl"
+        path.write_text(block * copies, "utf-8")
+        size = path.stat().st_size
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            parses = load_parses(str(path))
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(parses) == block.count("\n") * copies
+        assert peak - base <= retained - base + 1.1 * size

@@ -842,6 +842,70 @@ def test_every_reader_rejects_a_second_edge_from_the_root(tmp_path_factory, seed
     fails_at("", build_headline, "broken", h.raw_text, h.tokens, rows)
 
 
+# Whitespace that str.strip removes: what JSON also skips, and what it does
+# not (NBSP, U+2028, \x1c, \f, \v), as at the two ends of a parse file.
+_STRIP_SPACE = st.lists(
+    st.sampled_from([" ", "\t", "\n", "\r\n", "\r", "\xa0", "\u2028", "\x1c", "\f", "\v"]),
+    max_size=3,
+).map("".join)
+# A record a parse file must reject: bad JSON, a non-object, a missing key,
+# a lone surrogate in the id or a token.
+_BAD_RECORDS = st.sampled_from([
+    "{bad", "   {bad", "[1, 2", "null", "5", '"text"', '{"headline": "x"}',
+    '{"headline": "x", "tokens": [], "dependencies": [], "sent_id": "x\\ud800"}',
+    '{"headline": "a", "tokens": [{"index": 1, "word": "a\\udfff", "pos": "NN"}],'
+    ' "dependencies": [{"dep": "root", "governor": 0, "governorGloss": "ROOT",'
+    ' "dependent": 1, "dependentGloss": "a\\udfff"}]}',
+])
+# What may come between two JSON Lines records: a line end, or a lone "\r",
+# which ends no line, then blank lines.
+_LINE_GAPS = st.tuples(
+    st.sampled_from(["\n", "\r\n", "\n", "\r\n", "\r"]),
+    st.lists(st.sampled_from(["", " ", "\t", "\xa0", "\u2028", "\x1c", "\f"]).map(
+        lambda blank: blank + "\n"), max_size=2).map("".join),
+).map("".join)
+_ARRAY_GAPS = st.sampled_from([",", ", ", ",\n", ",\r\n", ",\n\n"]) | _STRIP_SPACE.map(",".__add__)
+_RECORD = json.dumps(json.loads((FIXTURES / "basic_triggers.json").read_text("utf-8"))[0])
+
+
+@st.composite
+def _parse_documents(draw):
+    """A Stanford JSON parse file in one of the three layouts, whitespace at
+    both ends, with at most one bad record anywhere."""
+    records = [
+        json.dumps(to_stanford_json(random_parse(random.Random(seed))),
+                   ensure_ascii=draw(st.booleans()))
+        for seed in draw(st.lists(st.integers(0, 2**32), max_size=4))
+    ]
+    if draw(st.booleans()):
+        records.insert(draw(st.integers(0, len(records))), draw(_BAD_RECORDS))
+    layout = draw(st.sampled_from(["lines", "array", "object"]))
+    if layout == "object":
+        body = records[0] if records else ""
+    elif layout == "array":
+        body = "[" + "".join(
+            (draw(_ARRAY_GAPS) if k else draw(_STRIP_SPACE)) + r for k, r in enumerate(records)
+        ) + draw(_STRIP_SPACE) + "]"
+    else:
+        body = "".join((draw(_LINE_GAPS) if k else "") + r for k, r in enumerate(records))
+    return draw(_STRIP_SPACE) + body + draw(_STRIP_SPACE)
+
+
+@given(_parse_documents())
+# The document is the stripped text: its first line loses a leading NBSP...
+@example("\xa0" + _RECORD + "\n" + _RECORD)
+# ... and its first line's column 1 is that of the first non-space character.
+@example("   {bad\n" + _RECORD)
+# A "\r" before a "\n" is not part of the line, as the error's column shows.
+@example(_RECORD + "\r\n[1, 2\r\n" + _RECORD)
+def test_load_parses_matches_the_reference_copy(tmp_path_factory, document):
+    """``load_parses`` gives the reference copy's parses, or its exact error
+    text, on an object, an array or JSON Lines between any whitespace."""
+    path = tmp_path_factory.getbasetemp() / "p.json"
+    path.write_bytes(document.encode("utf-8"))
+    _same_outcome(load_parses, reference.load_parses, str(path))
+
+
 # Texts that repeat, spell one normalized text several ways, normalize to ""
 # or tie on token Jaccard ("a b" and "a c" against "a d").
 MATCH_TEXTS = st.sampled_from([
