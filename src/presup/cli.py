@@ -6,6 +6,7 @@ import argparse
 import gc
 import hashlib
 import json
+import os
 import re
 import sys
 from collections import Counter
@@ -14,7 +15,7 @@ from operator import attrgetter
 from pathlib import Path
 
 from . import __version__
-from .corpus import letters, parse_gold, preprocess, read_dataset
+from .corpus import HeadlineRecord, letters, parse_gold, preprocess, read_dataset
 from .errors import FormatError, ParseError, read_text, split_lines
 from .evaluation import (
     MatchConfig,
@@ -279,62 +280,80 @@ def _jsonl_record(headline: str, inferences: list[Inference]) -> str:
     ])
 
 
+def pair(records: list[HeadlineRecord], parses: list[ParsedHeadline]):
+    """Yield (i, record, parse, reason) for each record i, from 1.  Record i is
+    paired with the first parse whose id is str(i), else with parse i.  The
+    reason is "" to infer that parse, under the record's id and text;
+    "mismatch" if the parse lacks the record's ``letters``; "no parse" (parse
+    None).  Then yield (k, None, parse k, "unused") for each unpaired parse."""
+    by_id = {}  # each id to the position of its first parse
+    for k, h in enumerate(parses):
+        by_id.setdefault(h.headline_id, k)
+    paired = bytearray(len(parses))  # 1 for each parse a record was paired with
+    for i, record in enumerate(records, start=1):
+        hid, text = str(i), record.text
+        k = by_id.get(hid, i - 1)
+        if k >= len(parses):
+            yield i, record, None, "no parse"
+            continue
+        paired[k] = 1
+        h = parses[k]
+        if h.raw_text != text and letters(h.raw_text) != letters(text):
+            yield i, record, h, "mismatch"
+            continue
+        if h.headline_id != hid or h.raw_text != text:
+            h = ParsedHeadline(hid, text, h.tokens, h.edges)
+        yield i, record, h, ""
+    for k, h in enumerate(parses):
+        if not paired[k]:
+            yield k + 1, None, h, "unused"
+
+
+def _path_text(path: str) -> str:
+    """``path`` as UTF-8 can hold it: a byte that is not UTF-8 as ``\\xNN``."""
+    return os.fsencode(path).decode("utf-8", "backslashreplace")
+
+
 def cmd_infer(args) -> int:
     cfg = _build_engine_config(args)
     records = read_dataset(read_text(args.dataset), args.dataset)
     parses = load_parses(args.parses)
-    by_id = {}  # each id to the position of its first parse
-    for k, h in enumerate(parses):
-        by_id.setdefault(h.headline_id, k)
-    paired = bytearray(len(parses))  # 1 for each parse a line was paired with
-    skipped: list[dict] = []
-    lines: list[str] = []
+    skipped, unused, lines = [], [], []  # pair's verdicts, and the output lines
     triggers: list[str] = []  # of every inference written, counted once at the end
-    for i, record in enumerate(records, start=1):
-        hid = str(i)
-        k = by_id.get(hid, i - 1)  # by id, else by position
-        if k >= len(parses):
-            skipped.append({"line": i, "headline": record.text, "reason": "no parse"})
+    for verdict in pair(records, parses):
+        _, record, h, reason = verdict
+        if reason:
+            (unused if reason == "unused" else skipped).append(verdict)
             continue
-        paired[k] = 1
-        h = parses[k]
-        # Paired by id or by position, a parse must be of this line's text.
-        if h.raw_text != record.text and letters(h.raw_text) != letters(record.text):
-            skipped.append({"line": i, "headline": record.text, "reason": "mismatch",
-                            "parse": h.raw_text})
-            continue
-        p = preprocess(record.text)
-        if h.headline_id != hid or h.raw_text != record.text:
-            h = ParsedHeadline(hid, record.text, h.tokens, h.edges)
-        inferences = infer_all(h, p, cfg)
+        inferences = infer_all(h, preprocess(record.text), cfg)
         triggers.extend(map(_TRIGGER, inferences))
         lines.append(_jsonl_record(record.text, inferences))
     out_path = Path(args.out)
     out_path.write_text("\n".join([*lines, ""]), "utf-8")  # each line ends in a newline
+    dataset, parses_path = _path_text(args.dataset), _path_text(args.parses)
     manifest = {
         "tool": "presup",
         "version": __version__,
-        "dataset": str(args.dataset),
-        "parses": str(args.parses),
+        "dataset": dataset,
+        "parses": parses_path,
         "config_hash": hashlib.sha256(cfg.fingerprint().encode("utf-8")).hexdigest(),
         "rules": list(cfg.rules),
         "headlines": len(records),
         "inferred": len(lines),
         "inference_counts": dict(sorted(Counter(triggers).items())),
-        "skipped": skipped,
-        # The parses no line was paired with, by 1-based position in the file.
-        "unused_parses": [{"position": k + 1, "id": h.headline_id}
-                          for k, h in enumerate(parses) if not paired[k]],
+        "skipped": [{"line": i, "headline": record.text, "reason": reason}
+                    | ({"parse": h.raw_text} if h else {}) for i, record, h, reason in skipped],
+        "unused_parses": [{"position": k, "id": h.headline_id} for k, _, h, _ in unused],
         "generated_at": datetime.now(timezone.utc).isoformat(),
     }
     Path(str(out_path) + ".manifest.json").write_text(
         json.dumps(manifest, indent=2, ensure_ascii=False) + "\n", "utf-8"
     )
-    for entry in skipped:
-        what = f"parse of {entry['parse']!r} does not match" if "parse" in entry else "no parse for"
-        print(f"warning: line {entry['line']}: {what} {entry['headline']!r}", file=sys.stderr)
-    if manifest["unused_parses"]:
-        print(f"warning: {args.parses}: {len(manifest['unused_parses'])} parse(s) paired with "
+    for _, record, h, _ in skipped:
+        what = "no parse for" if h is None else f"parse of {h.raw_text!r} does not match"
+        print(f"warning: {dataset}:{record.line}: {what} {record.text!r}", file=sys.stderr)
+    if unused:
+        print(f"warning: {parses_path}: {len(unused)} parse(s) paired with "
               "no dataset line; see 'unused_parses' in the manifest", file=sys.stderr)
     if skipped and args.strict:
         print(f"error: {len(skipped)} headline(s) without a matching parse", file=sys.stderr)

@@ -52,6 +52,7 @@ class HeadlineRecord:
     text: str
     source: str
     timestamp_raw: str
+    line: int = field(default=0, compare=False)  # the record's line in its file
 
 
 @dataclass(frozen=True)
@@ -76,8 +77,9 @@ class GoldAnnotation:
 _WORD = re.compile(r"\S+")
 
 
-def parse_dataset_line(line: str) -> HeadlineRecord:
-    """Split one dataset line into headline, source and raw timestamp.
+def parse_dataset_line(line: str, lineno: int = 0) -> HeadlineRecord:
+    """Split one dataset line, line ``lineno`` of its file, into headline,
+    source and raw timestamp.
 
     The source/timestamp boundary is the first token of the bracketed rest
     that looks like the start of a date (month name or digit-initial token);
@@ -100,7 +102,7 @@ def parse_dataset_line(line: str) -> HeadlineRecord:
             source = rest[: m.start()].strip()
             timestamp = rest[m.start():].strip()
             break
-    return HeadlineRecord(text, source, timestamp)
+    return HeadlineRecord(text, source, timestamp, lineno)
 
 
 def read_dataset(document: str, source: str | None = None) -> list[HeadlineRecord]:
@@ -111,7 +113,7 @@ def read_dataset(document: str, source: str | None = None) -> list[HeadlineRecor
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         try:
-            records.append(parse_dataset_line(line))
+            records.append(parse_dataset_line(line, lineno))
         except FormatError as exc:
             raise FormatError(f"{located(source, lineno)}: {exc}") from None
     return records

@@ -2,14 +2,15 @@
 their calls were cut down: ``extract_triplets`` with one edge scan per
 dependent it reads, ``parse_dataset_line`` with ``re.finditer`` and keyword
 construction, and the old definitions of ``verbs_of``, ``edges_with`` and
-``_merge``.  ``test_properties.py`` checks that the package gives the same
-triples, records and query results."""
+``_merge``, and ``cmd_infer``'s pairing loop as it was before ``pair``
+took it over.  ``test_properties.py`` checks that the package gives the
+same triples, records, query results and pairing verdicts."""
 
 from __future__ import annotations
 
 import re
 
-from presup.corpus import _MONTHS, HeadlineRecord
+from presup.corpus import _MONTHS, HeadlineRecord, letters
 from presup.errors import FormatError
 from presup.ingest import ParsedHeadline, Token, edges_governed_by
 from presup.rules import Inference, InferenceKind
@@ -138,3 +139,34 @@ def extract_triplets(h: ParsedHeadline, strict_verbs: bool = False) -> list[Infe
                 )
             )
     return out
+
+
+def pair_lines(records, parses):
+    """``cmd_infer``'s pairing, without the inference: the manifest's
+    ``skipped`` entries, the headlines handed to ``infer_all`` and the
+    manifest's ``unused_parses``."""
+    by_id = {}  # each id to the position of its first parse
+    for k, h in enumerate(parses):
+        by_id.setdefault(h.headline_id, k)
+    paired = bytearray(len(parses))  # 1 for each parse a line was paired with
+    skipped: list[dict] = []
+    inferred: list[ParsedHeadline] = []
+    for i, record in enumerate(records, start=1):
+        hid = str(i)
+        k = by_id.get(hid, i - 1)  # by id, else by position
+        if k >= len(parses):
+            skipped.append({"line": i, "headline": record.text, "reason": "no parse"})
+            continue
+        paired[k] = 1
+        h = parses[k]
+        # Paired by id or by position, a parse must be of this line's text.
+        if h.raw_text != record.text and letters(h.raw_text) != letters(record.text):
+            skipped.append({"line": i, "headline": record.text, "reason": "mismatch",
+                            "parse": h.raw_text})
+            continue
+        if h.headline_id != hid or h.raw_text != record.text:
+            h = ParsedHeadline(hid, record.text, h.tokens, h.edges)
+        inferred.append(h)
+    unused = [{"position": k + 1, "id": h.headline_id}
+              for k, h in enumerate(parses) if not paired[k]]
+    return skipped, inferred, unused

@@ -1,5 +1,6 @@
 import gc
 import json
+import os
 import tracemalloc
 from pathlib import Path
 
@@ -514,7 +515,8 @@ class TestInfer:
         assert manifest["skipped"] == [{"line": 1, "headline": "A headline here",
                                         "reason": "mismatch", "parse": "Totally different"}]
         assert capsys.readouterr().err == (
-            "warning: line 1: parse of 'Totally different' does not match 'A headline here'\n"
+            f"warning: {dataset}:1: parse of 'Totally different' does not match "
+            "'A headline here'\n"
         )
         assert main([*argv, "--strict"]) == 1
         assert capsys.readouterr().err.endswith(
@@ -539,7 +541,7 @@ class TestInfer:
         assert manifest["skipped"] == [{"line": 1, "headline": "A headline here",
                                         "reason": "mismatch", "parse": "Markets crashed"}]
         assert capsys.readouterr().err == (
-            "warning: line 1: parse of 'Markets crashed' does not match 'A headline here'\n"
+            f"warning: {dataset}:1: parse of 'Markets crashed' does not match 'A headline here'\n"
             "error: 1 headline(s) without a matching parse\n"
         )
         # Paired by id with a line of the same letters, the parse is used.
@@ -547,6 +549,40 @@ class TestInfer:
         assert main([*argv, "--strict"]) == 0
         (record,) = read_jsonl(out)
         assert "Markets has crashed" in [i["text"] for i in record["inferences"]]
+
+    def test_warning_names_the_dataset_file_line(self, tmp_path, capsys):
+        """A skipped record is warned about at its line in the dataset file,
+        which counts comment and blank lines; the manifest keeps its record
+        number, the id a parse must carry."""
+        lines = (FIXTURES / "basic_triggers_dataset.txt").read_text("utf-8").splitlines()
+        dataset = tmp_path / "d.txt"
+        dataset.write_text("\n".join(["# two figure headlines", "", *lines[:2],
+                                      "Markets crashed [source: BBC]", ""]))
+        code, out = run_infer(tmp_path, extra=["--dataset", str(dataset)])
+        assert code == 0
+        assert len(read_jsonl(out)) == 2
+        manifest = json.loads((tmp_path / "out.jsonl.manifest.json").read_text())
+        parse = load_parses(str(FIXTURES / "basic_triggers.json"))[2].raw_text
+        assert manifest["skipped"] == [{"line": 3, "headline": "Markets crashed",
+                                        "reason": "mismatch", "parse": parse}]
+        assert capsys.readouterr().err.splitlines()[0] == (
+            f"warning: {dataset}:5: parse of {parse!r} does not match 'Markets crashed'"
+        )
+
+    def test_path_that_is_not_utf8_is_written_escaped(self, tmp_path):
+        """A path whose bytes are not UTF-8 is recorded in the manifest with
+        those bytes as \\xNN escapes, and the run succeeds."""
+        parses = os.path.join(os.fsencode(tmp_path), b"p\xff.json")
+        try:
+            with open(parses, "wb") as f:
+                f.write((FIXTURES / "basic_triggers.json").read_bytes())
+        except OSError:
+            pytest.skip("the filesystem refuses a name that is not UTF-8")
+        code, out = run_infer(tmp_path, extra=["--rules", "all", "--parses", os.fsdecode(parses)])
+        assert code == 0
+        assert out.read_bytes() == (FIXTURES / "pinned" / "basic_triggers.jsonl").read_bytes()
+        manifest = json.loads((tmp_path / "out.jsonl.manifest.json").read_text("utf-8"))
+        assert manifest["parses"].endswith("p\\xff.json")
 
     def test_conllu_sentence_without_sent_id_pairs_by_text(self, tmp_path, capsys):
         conllu = tmp_path / "p.conllu"

@@ -5,8 +5,9 @@ reader of an edge other than the root edge hanging from the root,
 malformed-input fuzzing of the parse, gold and eval readers and of the
 dataset, lexicon and ``--config`` readers through ``cli.main``, parity of
 ``match`` and of the gold tag split with reference copies, parity of the
-triple rule, the dataset line splitter and the verb, edge and span helpers
-with reference copies, parity of both writers with ``json.dumps``, rule-set
+triple rule, the dataset line splitter, the verb, edge and span helpers and
+the pairing of dataset records with parses with reference copies, parity of
+both writers with ``json.dumps``, rule-set
 monotonicity, rules that share a registry function, quoted spans under
 another tokenization and output determinism."""
 
@@ -31,10 +32,12 @@ from presup.cli import (
     _report_json,
     load_parses,
     main,
+    pair,
 )
 from presup.corpus import (
     GoldAnnotation,
     GoldInference,
+    HeadlineRecord,
     parse_dataset_line,
     parse_gold,
     preprocess,
@@ -420,18 +423,19 @@ def test_report_writer_is_json_dumps_indent_2(headlines, triggers):
 
 
 def _main_fails_only_with_located_errors(argv, files: dict):
-    """``main(argv)`` raises nothing and returns 0, or 1 with one error line
-    that names one of ``files`` (path -> its bytes) and a line of it."""
+    """``main(argv)`` raises nothing and returns 0, or 1 with a stderr of
+    one error line that names one of ``files`` (path -> its bytes) and a line
+    of it."""
     err = io.StringIO()
     with redirect_stderr(err), redirect_stdout(io.StringIO()):
         code = main(argv)
     if code:
         assert code == 1
-        errors = [line for line in err.getvalue().splitlines() if line.startswith("error: ")]
-        assert len(errors) == 1, err.getvalue()
-        m = re.match(r"error: (.*?):(\d+): ", errors[0])
-        assert m and m.group(1) in files, errors[0]
-        assert 1 <= int(m.group(2)) <= files[m.group(1)].count(b"\n") + 1, errors[0]
+        error = err.getvalue()
+        assert error.count("\n") == 1 and error.endswith("\n"), error
+        m = re.match(r"error: (.*?):(\d+): ", error)
+        assert m and m.group(1) in files, error
+        assert 1 <= int(m.group(2)) <= files[m.group(1)].count(b"\n") + 1, error
 
 
 def _documents(lines):
@@ -458,7 +462,7 @@ def test_dataset_lexicon_and_config_readers_fail_only_at_a_located_line(
     tmp_path_factory, flag, data
 ):
     """Through ``cli.main``, a fuzzed dataset, lexicon or ``--config`` file
-    infers, or exits 1 with one ``error: path:line:`` message; a config
+    infers, or exits 1 with one ``error: path:line:`` line on stderr; a config
     names its own line, or the line of the bad lexicon it names.  A lexicon
     path of no readable file (missing, a directory) is an error at the
     config's line."""
@@ -1051,3 +1055,51 @@ SPANS = st.lists(st.integers(-3, 20), max_size=5)
 @given(st.lists(SPANS | SPANS.map(tuple), max_size=5))
 def test_merge_matches_its_old_definition(spans):
     assert _merge(*spans) == infer_reference._merge(*spans)
+
+
+# Texts that differ in case or punctuation only, in their letters, or not at all.
+PAIR_TEXTS = st.sampled_from([
+    "Markets crashed", "markets CRASHED!", "Markets, crashed.", "Markets crash",
+    "Totally different", "1", "2", "b", "",
+])
+# Ids in and out of the records' range, numeric or not.
+PAIR_IDS = st.sampled_from(["1", "2", "3", "4", "7", "0", "-1", "01", " 1", "b"]) | st.text(
+    max_size=2
+)
+
+
+@st.composite
+def _records_and_parses(draw):
+    records = [HeadlineRecord(text, "BBC", "", line)
+               for line, text in enumerate(draw(st.lists(PAIR_TEXTS, max_size=6)), start=1)]
+    parses = []
+    for k, (text, hid) in enumerate(draw(st.lists(st.tuples(PAIR_TEXTS, PAIR_IDS | st.none()),
+                                                  max_size=6))):
+        # A parse without an id takes its text as its id; its one token tells
+        # the parses apart.
+        parses.append(ParsedHeadline(text if hid is None else hid, text,
+                                     (Token(1, f"w{k}", "NN"),), ()))
+    return records, parses
+
+
+@given(_records_and_parses())
+@example(([HeadlineRecord("Markets crashed", "BBC", "")] * 2,
+          [ParsedHeadline("2", "markets CRASHED!", (), ()),
+           ParsedHeadline("2", "Markets crashed", (), ())]))
+def test_pair_matches_the_reference_copy(records_and_parses):
+    """``pair`` gives, record by record, the skip entries and the headlines
+    to infer that ``cmd_infer``'s own loop gave, then its unused parses."""
+    records, parses = records_and_parses
+    verdicts = list(pair(records, parses))
+    by_record, rest = verdicts[:len(records)], verdicts[len(records):]
+    assert [(i, record) for i, record, _, _ in by_record] == list(enumerate(records, start=1))
+    skipped, inferred, unused = infer_reference.pair_lines(records, parses)
+    assert [{"line": i, "headline": record.text, "reason": reason}
+            | ({"parse": h.raw_text} if h else {})
+            for i, record, h, reason in by_record if reason] == skipped
+    assert [(h.headline_id, h.raw_text, h.tokens, h.edges)
+            for _, _, h, reason in by_record if not reason] == [
+        (h.headline_id, h.raw_text, h.tokens, h.edges) for h in inferred
+    ]
+    assert all(record is None and reason == "unused" for _, record, _, reason in rest)
+    assert [{"position": k, "id": h.headline_id} for k, _, h, _ in rest] == unused
