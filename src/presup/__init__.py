@@ -27,8 +27,10 @@ from .evaluation import (
 )
 from .ingest import (
     DependencyEdge,
+    EdgeView,
     ParsedHeadline,
     Token,
+    edge_view,
     edges_with,
     normalize_labels,
     nouns_of,

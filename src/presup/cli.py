@@ -6,7 +6,6 @@ import argparse
 import gc
 import hashlib
 import json
-import os
 import re
 import sys
 from collections import Counter
@@ -309,9 +308,14 @@ def pair(records: list[HeadlineRecord], parses: list[ParsedHeadline]):
             yield k + 1, None, h, "unused"
 
 
-def _path_text(path: str) -> str:
-    """``path`` as UTF-8 can hold it: a byte that is not UTF-8 as ``\\xNN``."""
-    return os.fsencode(path).decode("utf-8", "backslashreplace")
+# A byte of a path that is not UTF-8, as Python decodes it (surrogateescape).
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+
+
+def _path_text(text: str) -> str:
+    """``text``, a path or a message naming one, as UTF-8 can hold it: a
+    byte of a path that is not UTF-8 as ``\\xNN``."""
+    return _ESCAPED_BYTE.sub(lambda m: f"\\x{ord(m[0]) - 0xDC00:02x}", text)
 
 
 def cmd_infer(args) -> int:
@@ -597,12 +601,11 @@ def main(argv=None) -> int:
     # FormatError and ParseError are ValueErrors.
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc.filename}: file not found", file=sys.stderr)
-    except OSError as exc:  # a directory, no permission, ...
-        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+    except OSError as exc:  # no such file, a directory, no permission, ...
+        reason = "file not found" if isinstance(exc, FileNotFoundError) else exc.strerror
+        print(f"error: {_path_text(str(exc.filename))}: {reason}", file=sys.stderr)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_path_text(str(exc))}", file=sys.stderr)
     finally:
         if gc_was_enabled:
             gc.enable()

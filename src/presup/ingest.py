@@ -9,6 +9,7 @@ functions pure.
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import repeat
@@ -471,18 +472,27 @@ def edges_with(
     return [e for e in h.edges if e.dep == dep and e.dependent_gloss.lower() == wanted]
 
 
-def edges_governed_by(
-    h: ParsedHeadline, governor: int, dep: str | None = None
-) -> list[DependencyEdge]:
-    """Edges whose governor is the given token index."""
-    return [
-        e
-        for e in h.edges
-        if e.governor == governor and (dep is None or e.dep == dep)
-    ]
+class EdgeView(NamedTuple):
+    """A headline as the rules read it, built by ``edge_view`` in one pass
+    over its edges.  Each list keeps ``h.edges`` order, so the first
+    ``nsubj`` a rule finds in it is the first one in ``h.edges``."""
+
+    h: ParsedHeadline
+    tokens: tuple[Token, ...]
+    verbs: list[Token]  # verbs_of(h, strict_verbs)
+    below: list[list[DependencyEdge]]  # below[k]: the edges token k governs; 0 is the root
+    above: list[DependencyEdge | None]  # above[k]: the edge token k hangs from
+    labelled: defaultdict[str, list[DependencyEdge]]  # each label's edges; read with .get
 
 
-def edge_for_dependent(h: ParsedHeadline, dependent: int) -> DependencyEdge:
-    """The edge token ``dependent`` hangs from: each token of a parse from a
-    reader or ``build_headline`` has exactly one."""
-    return next(e for e in h.edges if e.dependent == dependent)
+def edge_view(h: ParsedHeadline, strict_verbs: bool = False) -> EdgeView:
+    """``h``'s edges grouped by governor, by dependent and by label, and its
+    verbs, for a parse from a reader or ``build_headline``."""
+    below = [[] for _ in range(len(h.tokens) + 1)]
+    above = [None] * (len(h.tokens) + 1)
+    labelled = defaultdict(list)
+    for e in h.edges:
+        below[e.governor].append(e)
+        above[e.dependent] = e
+        labelled[e.dep].append(e)
+    return _new(EdgeView, (h, h.tokens, verbs_of(h, strict_verbs), below, above, labelled))

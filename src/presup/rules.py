@@ -1,12 +1,15 @@
 """The inference rules: trigger matching over a parsed headline plus string
 realization of the licensed inferences.
 
-Each rule is a pure function from a ParsedHeadline (and, where needed, the
-headline's quoted spans or the trigger lexicon) to a list of Inference values.
-``RULES`` is the one rule registry: it maps each rule id, which is also the
-``trigger`` of the inferences the rule renders, to a function of
-``(h, p, cfg)``, and its order is the output order.  Adding a rule is adding
-one row to it; the ``lexical.*`` rows come from ``lexicon.VERB_CLASS_IDS``.
+``generate_all`` reads a headline's edges once, into an ``EdgeView``
+(``ingest.edge_view``), and every rule reads that view: no rule scans
+``h.edges`` itself.  Each rule is a pure function of ``(v, p, cfg)``, the
+view, the headline's quoted spans and the ``EngineConfig``, and returns its
+Inference values in output order: by span, and the lexical group by class,
+then span.  ``RULES`` is the one rule registry: it maps each rule id, which
+is also the ``trigger`` of the inferences the rule renders, to its rule
+function, and its order is the output order.  Adding a rule is adding one
+row to it; the ``lexical.*`` rows come from ``lexicon.VERB_CLASS_IDS``.
 ``infer_all`` runs the configured rules in registry order and deduplicates
 the rendered texts.  Rules assume a tree from a reader or ``build_headline``:
 each token hangs from exactly one edge, and only the ``root`` edge hangs from
@@ -15,21 +18,15 @@ the virtual root, so no other edge's governor is 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate
+from operator import itemgetter
 from typing import NamedTuple
 
 from .corpus import QuotedSpan, letters, word_count
 from .ingest import (
-    ParsedHeadline,
-    Token,
-    edge_for_dependent,
-    edges_governed_by,
-    edges_with,
-    is_verb_tag,
-    nouns_of,
-    verbs_of,
+    DependencyEdge, EdgeView, ParsedHeadline, Token, edge_view, is_verb_tag, nouns_of,
 )
 from .lexicon import VERB_CLASS_IDS, TriggerLexicon, default_lexicon
 from .morphology import VerbForm, conjugate, lemma
@@ -98,18 +95,33 @@ def _merge(*spans: tuple[int, ...] | list[int]) -> tuple[int, ...]:
 
 # Builds an Inference without its Python-level __new__.
 _new = tuple.__new__
+_SPAN = itemgetter(3)  # Inference.span
 
 
 def _presupposition(text: str, trigger: str, *spans) -> Inference:
     return _new(Inference, (InferenceKind.PRESUPPOSITION, text, trigger, _merge(*spans)))
 
 
+def _by_span(out: list[Inference]) -> list[Inference]:
+    """A rule's inferences in output order: by span, ties in rendering order."""
+    if len(out) > 1:
+        out.sort(key=_SPAN)
+    return out
+
+
+def _first(edges: list[DependencyEdge], dep: str) -> DependencyEdge | None:
+    for e in edges:
+        if e.dep == dep:
+            return e
+    return None
+
+
 def _phrase(
-    h: ParsedHeadline, head: int, mods: tuple[str, ...] = _SUBJ_MODS
+    v: EdgeView, head: int, mods: tuple[str, ...] = _SUBJ_MODS
 ) -> tuple[str, tuple[int, ...]]:
     """Head token with its flat premodifiers, in surface order."""
-    idxs = sorted([head] + [e.dependent for e in edges_governed_by(h, head) if e.dep in mods])
-    return " ".join([h.tokens[i - 1].surface for i in idxs]), tuple(idxs)
+    idxs = sorted([head] + [e.dependent for e in v.below[head] if e.dep in mods])
+    return " ".join([v.tokens[i - 1].surface for i in idxs]), tuple(idxs)
 
 
 def _is_negator(e) -> bool:
@@ -122,93 +134,73 @@ def _words(found: list[tuple[int, str]]) -> tuple[str, tuple[int, ...]]:
     return " ".join(s for _, s in ordered), tuple(i for i, _ in ordered)
 
 
-def _particle_tail(h: ParsedHeadline, verb: int) -> tuple[str, tuple[int, ...]]:
-    return _words([(e.dependent, e.dependent_gloss)
-                   for e in edges_governed_by(h, verb) if e.dep in _PARTICLE_DEPS])
-
-
-def _nmod_attachments(
-    h: ParsedHeadline, below: list
-) -> list[tuple[str, str, tuple[int, ...]]]:
+def _nmod_attachments(v: EdgeView, below: list) -> list[tuple[str, str, tuple[int, ...]]]:
     """(preposition, phrase, span) for each case-marked nmod of ``below``,
     the edges under one head."""
     out = []
     for e in below:
         if e.dep != "nmod":
             continue
-        cases = edges_governed_by(h, e.dependent, "case")
-        if not cases:
+        case = _first(v.below[e.dependent], "case")
+        if case is None:
             continue
-        phrase, span = _phrase(h, e.dependent)
-        out.append(
-            (cases[0].dependent_gloss, phrase, _merge(span, (cases[0].dependent,)))
-        )
+        phrase, span = _phrase(v, e.dependent)
+        out.append((case.dependent_gloss, phrase, _merge(span, (case.dependent,))))
     return out
 
 
-def _object_tail(h: ParsedHeadline, verb: int) -> tuple[str, tuple[int, ...]]:
+def _object_tail(v: EdgeView, verb: int) -> tuple[str, tuple[int, ...]]:
     """Direct object plus case-marked nominal attachments of a verb."""
     parts: list[str] = []
     span: tuple[int, ...] = ()
-    dobjs = edges_governed_by(h, verb, "dobj")
-    if dobjs:
-        p, s = _phrase(h, dobjs[0].dependent, _OBJ_MODS)
+    dobj = _first(v.below[verb], "dobj")
+    if dobj is not None:
+        p, s = _phrase(v, dobj.dependent, _OBJ_MODS)
         parts.append(p)
         span = _merge(span, s)
-    for case_word, p, s in _nmod_attachments(h, edges_governed_by(h, verb)):
+    for case_word, p, s in _nmod_attachments(v, v.below[verb]):
         parts.append(f"{case_word} {p}")
         span = _merge(span, s)
     return " ".join(parts), span
 
 
 def _clause(
-    h: ParsedHeadline, subj: int, verb: int, form: VerbForm, aux: str = "", after: str = ""
+    v: EdgeView, subj: int, verb: int, form: VerbForm, aux: str = "", after: str = ""
 ) -> tuple[str, tuple[int, ...]]:
     """Subject phrase, ``aux``, ``verb`` inflected to ``form``, the verb's
     object tail and ``after``, as text and span."""
-    subj_p, subj_s = _phrase(h, subj)
-    tok = h.token_at(verb)
+    subj_p, subj_s = _phrase(v, subj)
+    tok = v.tokens[verb - 1]
     inflected = conjugate(lemma(tok.surface, tok.pos), form)
-    tail, tail_s = _object_tail(h, verb)
+    tail, tail_s = _object_tail(v, verb)
     text = " ".join(filter(None, [subj_p, aux, inflected, tail, after]))
     return text, _merge(subj_s, tail_s, (verb,))
 
 
-def _is_negated(h: ParsedHeadline, index: int) -> bool:
-    return any(_is_negator(e) for e in edges_governed_by(h, index))
-
-
-def _noun_edges(h: ParsedHeadline, dep: str) -> list:
-    """The ``dep`` edges whose ends are both noun tokens."""
-    tokens = h.tokens
-    return [e for e in h.edges if e.dep == dep
-            and tokens[e.governor - 1].pos[:1] == "N" and tokens[e.dependent - 1].pos[:1] == "N"]
-
-
-def _first(edges):
-    return edges[0] if edges else None
-
-
-def rule_future(h: ParsedHeadline) -> list[Inference]:
+def rule_future(v: EdgeView, p, cfg) -> list[Inference]:
     """aux 'will' plus a co-governed direct object: the event is still ahead."""
     out = []
-    for d in edges_with(h, "aux", dependent_gloss="will"):
-        verb = h.token_at(d.governor)
+    for d in v.labelled.get("aux", ()):
+        if d.dependent_gloss.lower() != "will":
+            continue
+        verb = v.tokens[d.governor - 1]
         participle = conjugate(lemma(verb.surface, verb.pos), VerbForm.PAST_PARTICIPLE)
-        for nd in edges_governed_by(h, d.governor, "dobj"):
-            text = f"{nd.dependent_gloss} is not yet {participle}"
-            out.append(_presupposition(text, "future", (d.dependent, d.governor, nd.dependent)))
-    return out
+        for nd in v.below[d.governor]:
+            if nd.dep == "dobj":
+                text = f"{nd.dependent_gloss} is not yet {participle}"
+                out.append(_presupposition(text, "future", (d.dependent, d.governor, nd.dependent)))
+    return _by_span(out)
 
 
-def rule_but(h: ParsedHeadline) -> list[Inference]:
+def rule_but(v: EdgeView, p, cfg) -> list[Inference]:
     """conj:but carries the contrast implicature: the first conjunct raised an
     expectation about the second."""
     out = []
-    for d in edges_with(h, "conj:but"):
-        dep = h.token_at(d.dependent)
+    for d in v.labelled.get("conj:but", ()):
+        dep = v.tokens[d.dependent - 1]
         gerund = conjugate(lemma(dep.surface, dep.pos), VerbForm.GERUND)
-        expecting = "was not expecting" if _is_negated(h, d.dependent) else "was expecting"
+        negated = any(map(_is_negator, v.below[d.dependent]))
+        expecting = "was not expecting" if negated else "was expecting"
         text = f"being {d.governor_gloss} {expecting} {gerund}"
         out.append(
             Inference(
@@ -218,122 +210,124 @@ def rule_but(h: ParsedHeadline) -> list[Inference]:
                 _merge((d.governor, d.dependent)),
             )
         )
-    return out
+    return _by_span(out)
 
 
-def rule_again(h: ParsedHeadline) -> list[Inference]:
+def rule_again(v: EdgeView, p, cfg) -> list[Inference]:
     """advmod 'again' on a verb with a subject: it happened before."""
     out = []
-    for d in edges_with(h, "advmod", dependent_gloss="again"):
-        subj = _first(edges_governed_by(h, d.governor, "nsubj"))
+    for d in v.labelled.get("advmod", ()):
+        if d.dependent_gloss.lower() != "again":
+            continue
+        subj = _first(v.below[d.governor], "nsubj")
         if subj is None:
             continue
-        verb = h.token_at(d.governor)
-        subj_p, subj_s = _phrase(h, subj.dependent)
+        verb = v.tokens[d.governor - 1]
+        subj_p, subj_s = _phrase(v, subj.dependent)
         participle = conjugate(lemma(verb.surface, verb.pos), VerbForm.PAST_PARTICIPLE)
         obj_p, obj_s = "", ()
-        dobj = _first(edges_governed_by(h, d.governor, "dobj"))
+        dobj = _first(v.below[d.governor], "dobj")
         if dobj is not None:
-            obj_p, obj_s = _phrase(h, dobj.dependent)
+            obj_p, obj_s = _phrase(v, dobj.dependent)
         text = " ".join(filter(None, [subj_p, "has", participle, obj_p, "before"]))
         out.append(_presupposition(text, "again", subj_s, obj_s, (d.governor, d.dependent)))
-    return out
+    return _by_span(out)
 
 
-def rule_further(h: ParsedHeadline, strict_verbs: bool = False) -> list[Inference]:
+def rule_further(v: EdgeView, p, cfg) -> list[Inference]:
     """advmod 'further' on a verb: the subject is already in that state."""
     out = []
-    for d in edges_with(h, "advmod", dependent_gloss="further"):
-        verb = h.token_at(d.governor)
-        if not is_verb_tag(verb.pos, strict_verbs):
+    for d in v.labelled.get("advmod", ()):
+        if d.dependent_gloss.lower() != "further":
             continue
-        subj = _first(edges_governed_by(h, d.governor, "nsubj"))
+        verb = v.tokens[d.governor - 1]
+        if not is_verb_tag(verb.pos, cfg.strict_verbs):
+            continue
+        subj = _first(v.below[d.governor], "nsubj")
         if subj is not None:
             subj_gloss, subj_index = subj.dependent_gloss, subj.dependent
         else:
-            preceding = [t for t in nouns_of(h) if t.index < verb.index]
+            preceding = [t for t in nouns_of(v.h) if t.index < verb.index]
             if not preceding:
                 continue
             subj_gloss, subj_index = preceding[-1].surface, preceding[-1].index
         text = f"{subj_gloss} is already {lemma(verb.surface, verb.pos)}"
         out.append(_presupposition(text, "further", (subj_index, d.governor, d.dependent)))
-    return out
+    return _by_span(out)
 
 
-def rule_noun_compound(h: ParsedHeadline, mode: str = "both") -> list[Inference]:
+def rule_noun_compound(v: EdgeView, p, cfg) -> list[Inference]:
     """Noun compound N1 N2: N1 can be / can have N2."""
-    connector = _COMPOUND_CONNECTOR[mode]
+    connector = _COMPOUND_CONNECTOR[cfg.compound_mode]
+    tokens = v.tokens
     out = []
-    for e in _noun_edges(h, "compound"):
-        text = f"{e.dependent_gloss} {connector} {e.governor_gloss}"
-        out.append(_presupposition(text, "compound", (e.governor, e.dependent)))
-    return out
+    for e in v.labelled.get("compound", ()):
+        if tokens[e.governor - 1].pos[:1] == "N" == tokens[e.dependent - 1].pos[:1]:
+            text = f"{e.dependent_gloss} {connector} {e.governor_gloss}"
+            out.append(_presupposition(text, "compound", (e.governor, e.dependent)))
+    return _by_span(out)
 
 
-def rule_past_tense(h: ParsedHeadline) -> list[Inference]:
+def rule_past_tense(v: EdgeView, p, cfg) -> list[Inference]:
     """Main-clause simple past: the event already happened."""
     out = []
-    for t in h.tokens:
-        if t.pos != "VBD":
+    for t in v.tokens:
+        if t.pos != "VBD" or v.above[t.index].dep in ("advcl", "ccomp"):
             continue
-        if edge_for_dependent(h, t.index).dep in ("advcl", "ccomp"):
-            continue
-        subj = _first(edges_governed_by(h, t.index, "nsubj"))
+        below = v.below[t.index]
+        subj = _first(below, "nsubj")
         if subj is None:
             continue
         participle = conjugate(lemma(t.surface, t.pos), VerbForm.PAST_PARTICIPLE)
-        prt, prt_s = _particle_tail(h, t.index)
+        prt, prt_s = _words([(e.dependent, e.dependent_gloss)
+                             for e in below if e.dep in _PARTICLE_DEPS])
         obj_p, obj_s = "", ()
-        dobj = _first(edges_governed_by(h, t.index, "dobj"))
+        dobj = _first(below, "dobj")
         if dobj is not None:
-            obj_p, obj_s = _phrase(h, dobj.dependent, _OBJ_MODS)
+            obj_p, obj_s = _phrase(v, dobj.dependent, _OBJ_MODS)
         text = " ".join(
             filter(None, [subj.dependent_gloss, "has", participle, prt, obj_p])
         )
         out.append(_presupposition(text, "past", (subj.dependent, t.index), prt_s, obj_s))
-    return out
+    return _by_span(out)
 
 
-def rule_nmod_of(h: ParsedHeadline) -> list[Inference]:
+def rule_nmod_of(v: EdgeView, p, cfg) -> list[Inference]:
     """nmod with case 'of': the dependent has the governor."""
     out = []
-    for e in edges_with(h, "nmod"):
-        cases = [
-            c
-            for c in edges_governed_by(h, e.dependent, "case")
-            if c.dependent_gloss.lower() == "of"
-        ]
-        if not cases:
-            continue
-        text = f"{e.dependent_gloss} has {e.governor_gloss}"
-        out.append(
-            _presupposition(text, "nmod_of", (e.governor, e.dependent, cases[0].dependent))
-        )
-    return out
+    for e in v.labelled.get("nmod", ()):
+        for c in v.below[e.dependent]:
+            if c.dep == "case" and c.dependent_gloss.lower() == "of":
+                text = f"{e.dependent_gloss} has {e.governor_gloss}"
+                out.append(_presupposition(text, "nmod_of", (e.governor, e.dependent, c.dependent)))
+                break
+    return _by_span(out)
 
 
-def rule_nmod_relaxed(h: ParsedHeadline) -> list[Inference]:
+def rule_nmod_relaxed(v: EdgeView, p, cfg) -> list[Inference]:
     """Any noun-governed nmod between nouns: the dependent has the governor.
 
     Over-generates by design; ships disabled by default.
     """
+    tokens = v.tokens
     out = []
-    for e in _noun_edges(h, "nmod"):
-        text = f"{e.dependent_gloss} has {e.governor_gloss}"
-        out.append(_presupposition(text, "nmod_relaxed", (e.governor, e.dependent)))
-    return out
+    for e in v.labelled.get("nmod", ()):
+        if tokens[e.governor - 1].pos[:1] == "N" == tokens[e.dependent - 1].pos[:1]:
+            text = f"{e.dependent_gloss} has {e.governor_gloss}"
+            out.append(_presupposition(text, "nmod_relaxed", (e.governor, e.dependent)))
+    return _by_span(out)
 
 
-def _complement(h: ParsedHeadline, verb: int):
-    return _first([e for e in edges_governed_by(h, verb) if e.dep in _COMP_DEPS])
-
-
-def _render_lexical(
-    h: ParsedHeadline, class_id: str, verb: Token, vlemma: str
-) -> Inference | None:
-    subj = _first(edges_governed_by(h, verb.index, "nsubj"))
-    comp = _complement(h, verb.index)
-    dobj = _first(edges_governed_by(h, verb.index, "dobj"))
+def _render_lexical(v: EdgeView, class_id: str, verb: Token, vlemma: str) -> Inference | None:
+    # The first nsubj, xcomp/ccomp and dobj, in one pass over the verb's edges.
+    subj = comp = dobj = None
+    for e in v.below[verb.index]:
+        if e.dep == "nsubj":
+            subj = subj or e
+        elif e.dep == "dobj":
+            dobj = dobj or e
+        elif e.dep in _COMP_DEPS:
+            comp = comp or e
     trigger = f"lexical.{class_id}"
 
     def presup(text: str, *spans) -> Inference:
@@ -341,12 +335,12 @@ def _render_lexical(
 
     if class_id in ("factive", "implicative"):
         if comp is not None:
-            comp_subj = _first(edges_governed_by(h, comp.dependent, "nsubj")) or subj
+            comp_subj = _first(v.below[comp.dependent], "nsubj") or subj
             if comp_subj is None:
                 return None
-            return presup(*_clause(h, comp_subj.dependent, comp.dependent, VerbForm.PAST))
+            return presup(*_clause(v, comp_subj.dependent, comp.dependent, VerbForm.PAST))
         if class_id == "factive" and dobj is not None:
-            obj_p, obj_s = _phrase(h, dobj.dependent, _OBJ_MODS)
+            obj_p, obj_s = _phrase(v, dobj.dependent, _OBJ_MODS)
             return presup(f"There exists {obj_p}", obj_s)
         return None
 
@@ -354,31 +348,31 @@ def _render_lexical(
         if comp is None or subj is None:
             return None
         aux = "had been" if vlemma in _CESSATION_VERBS else "was"
-        return presup(*_clause(h, subj.dependent, comp.dependent, VerbForm.GERUND, aux))
+        return presup(*_clause(v, subj.dependent, comp.dependent, VerbForm.GERUND, aux))
 
     if class_id == "judging":
         if subj is None or dobj is None:
             return None
-        subj_p, subj_s = _phrase(h, subj.dependent)
-        obj_p, obj_s = _phrase(h, dobj.dependent, _OBJ_MODS)
+        subj_p, subj_s = _phrase(v, subj.dependent)
+        obj_p, obj_s = _phrase(v, dobj.dependent, _OBJ_MODS)
         text = f"{subj_p} thinks that {obj_p} is bad"
         return presup(text, subj_s, obj_s)
 
     if class_id == "iterative":
-        attachments = _nmod_attachments(h, edges_governed_by(h, verb.index))
+        attachments = _nmod_attachments(v, v.below[verb.index])
         if subj is not None and comp is not None:
             form = VerbForm.PAST_PARTICIPLE
-            return presup(*_clause(h, subj.dependent, comp.dependent, form, "had", "previously"))
+            return presup(*_clause(v, subj.dependent, comp.dependent, form, "had", "previously"))
         if subj is not None and attachments:
             _, phrase, span = attachments[0]
-            subj_p, subj_s = _phrase(h, subj.dependent)
+            subj_p, subj_s = _phrase(v, subj.dependent)
             text = f"{subj_p} had been in {phrase} previously"
             return presup(text, subj_s, span)
         if subj is not None:
-            subj_p, subj_s = _phrase(h, subj.dependent)
+            subj_p, subj_s = _phrase(v, subj.dependent)
             return presup(f"{subj_p} has happened before", subj_s)
         if dobj is not None:
-            obj_p, obj_s = _phrase(h, dobj.dependent)
+            obj_p, obj_s = _phrase(v, dobj.dependent)
             return presup(f"{obj_p} has happened before", obj_s)
         if attachments:
             _, phrase, span = attachments[0]
@@ -388,72 +382,73 @@ def _render_lexical(
     return None
 
 
-def rule_lexical(
-    h: ParsedHeadline,
-    lex: TriggerLexicon,
-    classes: tuple[str, ...] = VERB_CLASS_IDS,
-    strict_verbs: bool = False,
-) -> list[Inference]:
+def _lexical_order(inf: Inference) -> tuple:
+    return VERB_CLASS_IDS.index(inf.trigger[len("lexical."):]), inf.span
+
+
+def rule_lexical(v: EdgeView, p, cfg) -> list[Inference]:
     """Lexicon-driven triggers: a headline verb whose lemma heads an entry of
-    one of ``classes`` licenses that class's template over its
-    complement/objects.  One pass over the verbs, in verb order."""
+    one of ``cfg.lexical_classes`` licenses that class's template over its
+    complement/objects.  One pass over the verbs, in verb order; the output
+    by class, then span."""
+    lex, classes = cfg.lexicon, cfg.lexical_classes
     lowered = None
     out = []
-    for verb in verbs_of(h, strict_verbs):
+    for verb in v.verbs:
         vlemma = lemma(verb.surface, verb.pos)
         if vlemma not in lex.heads:
             continue
         if lowered is None:
-            lowered = [t.surface.lower() for t in h.tokens]
+            lowered = [t.surface.lower() for t in v.tokens]
         for class_id in lex.verb_classes(vlemma, lowered[verb.index :]):
             if class_id not in classes:
                 continue
-            inf = _render_lexical(h, class_id, verb, vlemma)
+            inf = _render_lexical(v, class_id, verb, vlemma)
             if inf is not None:
                 out.append(inf)
+    if len(out) > 1:
+        out.sort(key=_lexical_order)
     return out
 
 
-def rule_temporal(
-    h: ParsedHeadline, lex: TriggerLexicon, strict_verbs: bool = False
-) -> list[Inference]:
+def rule_temporal(v: EdgeView, p, cfg) -> list[Inference]:
     """Temporal case/mark words presuppose the embedded thing existed/happened."""
-    temporal = lex.words("temporal")
+    temporal = cfg.lexicon.words("temporal")
     out = []
-    for e in h.edges:
-        if e.dep not in ("case", "mark") or e.dependent_gloss.lower() not in temporal:
+    for e in [*v.labelled.get("case", ()), *v.labelled.get("mark", ())]:
+        if e.dependent_gloss.lower() not in temporal:
             continue
-        gov = h.token_at(e.governor)
-        if is_verb_tag(gov.pos, strict_verbs):
-            subj = _first(edges_governed_by(h, gov.index, "nsubj"))
+        gov = v.tokens[e.governor - 1]
+        if is_verb_tag(gov.pos, cfg.strict_verbs):
+            subj = _first(v.below[gov.index], "nsubj")
             if subj is None:
                 continue
-            text, span = _clause(h, subj.dependent, gov.index, VerbForm.PAST)
+            text, span = _clause(v, subj.dependent, gov.index, VerbForm.PAST)
             span = _merge(span, (e.dependent,))
         else:
-            phrase, p_span = _phrase(h, gov.index)
+            phrase, p_span = _phrase(v, gov.index)
             text = f"There was {phrase}"
             span = _merge(p_span, (e.dependent,))
         out.append(Inference(InferenceKind.PRESUPPOSITION, text, "temporal", span))
-    return out
+    return _by_span(out)
 
 
-def _undo_inversion(h: ParsedHeadline, substitute: str, words: list[str]) -> list[str]:
+def _undo_inversion(v: EdgeView, substitute: str, words: list[str]) -> list[str]:
     """``words``, the question's words, in statement order: the auxiliary
     (word 2) moves after the subject, the substitute to the end."""
-    subj = _first(edges_governed_by(h, edge_for_dependent(h, 2).governor, "nsubj"))
+    subj = _first(v.below[v.above[2].governor], "nsubj")
     if subj is None or subj.dependent <= 2:
         return [substitute] + words[1:]
     head = subj.dependent
     return words[2:head] + [words[1]] + words[head:] + [substitute]
 
 
-def rule_question(h: ParsedHeadline) -> list[Inference]:
+def rule_question(v: EdgeView, p, cfg) -> list[Inference]:
     """Wh-questions presuppose the indefinite counterpart; yes/no questions
     presuppose nothing."""
-    if "?" not in h.raw_text:
+    if "?" not in v.h.raw_text:
         return []
-    words = [t.surface for t in h.tokens]
+    words = [t.surface for t in v.tokens]
     while words and not words[-1].strip("?!."):
         words.pop()  # trailing sentence punctuation is not rendered
     if not words:
@@ -474,7 +469,7 @@ def rule_question(h: ParsedHeadline) -> list[Inference]:
     elif rest and rest[0].lower() in _IS_CLITICS:
         rendered = [substitute, "is"] + rest[1:]
     elif rest and rest[0].lower() in _AUX_SURFACES:
-        rendered = _undo_inversion(h, substitute, words)
+        rendered = _undo_inversion(v, substitute, words)
     else:
         rendered = [substitute] + rest
     return [
@@ -482,7 +477,7 @@ def rule_question(h: ParsedHeadline) -> list[Inference]:
             InferenceKind.PRESUPPOSITION,
             " ".join(rendered),
             "question",
-            tuple(t.index for t in h.tokens),
+            tuple(t.index for t in v.tokens),
         )
     ]
 
@@ -510,93 +505,87 @@ def quoted_tokens(
     return out
 
 
-def rule_quotes(
-    h: ParsedHeadline, quotes: tuple[QuotedSpan, ...], strict_verbs: bool = False
-) -> list[Inference]:
+def rule_quotes(v: EdgeView, p: tuple[QuotedSpan, ...], cfg) -> list[Inference]:
     """A quote of more than two words means something was said."""
-    quotes = [q for q in quotes if word_count(q.text) > 2]
+    quotes = [q for q in p if word_count(q.text) > 2]
     if not quotes:
         return []
     speaker = None
-    for verb in verbs_of(h, strict_verbs):
+    for verb in v.verbs:
         if lemma(verb.surface, verb.pos) not in _SPEECH_VERBS:
             continue
-        subj = _first(edges_governed_by(h, verb.index, "nsubj"))
+        subj = _first(v.below[verb.index], "nsubj")
         if subj is not None:
             speaker = (verb, subj)
             break
     out = []
-    for q, token_span in zip(quotes, quoted_tokens(h, quotes)):
+    for q, token_span in zip(quotes, quoted_tokens(v.h, quotes)):
         if speaker is not None:
             verb, subj = speaker
-            subj_p, subj_s = _phrase(h, subj.dependent)
+            subj_p, subj_s = _phrase(v, subj.dependent)
             text = f'{subj_p} says "{q.text}"'
             out.append(_presupposition(text, "quotes", subj_s, token_span, (verb.index,)))
         elif token_span:  # with no token of its own, it would name none
             out.append(
                 Inference(InferenceKind.PRESUPPOSITION, "something is said", "quotes", token_span)
             )
-    return out
+    return _by_span(out)
 
 
-def extract_triplets(h: ParsedHeadline, strict_verbs: bool = False) -> list[Inference]:
+def extract_triplets(v: EdgeView, p, cfg) -> list[Inference]:
     """Subject-verb-object statements read directly off the parse: the bare
     S-V-dobj triple plus one extension per case-marked nominal attachment.
-    A verb's dependents are read in one scan: the first subject and object,
-    the particles, auxiliaries and negators rendered with the verb, and the
-    attachments."""
+    A verb's dependents are read from its edges in the view: the first
+    subject and object, the attachments, and, only for a verb with an object
+    or an attachment, the particles, auxiliaries and negators rendered with
+    the verb."""
     out = []
-    for verb in verbs_of(h, strict_verbs):
-        below = edges_governed_by(h, verb.index)
-        subj = _first([e for e in below if e.dep == "nsubj"])
+    for verb in v.verbs:
+        below = v.below[verb.index]
+        subj = _first(below, "nsubj")
         if subj is None:
             continue
-        subj_p, subj_s = _phrase(h, subj.dependent)
+        dobj = _first(below, "dobj")
+        attachments = _nmod_attachments(v, below)
+        if dobj is None and not attachments:
+            continue
+        subj_p, subj_s = _phrase(v, subj.dependent)
         verb_p, verb_s = _words([(verb.index, verb.surface)] + [
             (e.dependent, e.dependent_gloss) for e in below
             if e.dep in _VERB_WORDS or _is_negator(e)
         ])
         obj_p, obj_s = "", ()
-        dobj = _first([e for e in below if e.dep == "dobj"])
-        attachments = _nmod_attachments(h, below)
         if dobj is not None:
-            obj_p, obj_s = _phrase(h, dobj.dependent, _OBJ_MODS)
+            obj_p, obj_s = _phrase(v, dobj.dependent, _OBJ_MODS)
             text, span = f"{subj_p} {verb_p} {obj_p}", _merge(subj_s, verb_s, obj_s)
             out.append(_new(Inference, (InferenceKind.EXPLICIT_TRIPLE, text, "triple", span)))
-            attachments += _nmod_attachments(h, edges_governed_by(h, dobj.dependent))
+            attachments += _nmod_attachments(v, v.below[dobj.dependent])
         stem = " ".join(filter(None, [subj_p, verb_p, obj_p]))
         for case_word, phrase, phrase_s in attachments:
             text, span = f"{stem} {case_word} {phrase}", _merge(subj_s, verb_s, obj_s, phrase_s)
             out.append(_new(Inference, (InferenceKind.EXPLICIT_TRIPLE, text, "triple", span)))
-    return out
+    return _by_span(out)
 
 
-def _lexical_group(h, p, cfg) -> list[Inference]:
-    """The one function of the five ``lexical.*`` rows: their enabled classes
-    in one pass."""
-    return rule_lexical(h, cfg.lexicon, cfg.lexical_classes, cfg.strict_verbs)
-
-
-# Rule id (the ``trigger`` of what the rule renders) -> rule(h, p, cfg), in
+# Rule id (the ``trigger`` of what the rule renders) -> rule(v, p, cfg), in
 # output order.  Rows may share a function, which then renders every enabled
 # id of its rows.
 RULES = {
-    "future": lambda h, p, cfg: rule_future(h),
-    "but": lambda h, p, cfg: rule_but(h),
-    "again": lambda h, p, cfg: rule_again(h),
-    "further": lambda h, p, cfg: rule_further(h, cfg.strict_verbs),
-    "compound": lambda h, p, cfg: rule_noun_compound(h, cfg.compound_mode),
-    "past": lambda h, p, cfg: rule_past_tense(h),
-    "nmod_of": lambda h, p, cfg: rule_nmod_of(h),
-    "nmod_relaxed": lambda h, p, cfg: rule_nmod_relaxed(h),
-    **{f"lexical.{c}": _lexical_group for c in VERB_CLASS_IDS},
-    "temporal": lambda h, p, cfg: rule_temporal(h, cfg.lexicon, cfg.strict_verbs),
-    "question": lambda h, p, cfg: rule_question(h),
-    "quotes": lambda h, p, cfg: rule_quotes(h, p, cfg.strict_verbs),
-    "triple": lambda h, p, cfg: extract_triplets(h, cfg.strict_verbs),
+    "future": rule_future,
+    "but": rule_but,
+    "again": rule_again,
+    "further": rule_further,
+    "compound": rule_noun_compound,
+    "past": rule_past_tense,
+    "nmod_of": rule_nmod_of,
+    "nmod_relaxed": rule_nmod_relaxed,
+    **{f"lexical.{c}": rule_lexical for c in VERB_CLASS_IDS},
+    "temporal": rule_temporal,
+    "question": rule_question,
+    "quotes": rule_quotes,
+    "triple": extract_triplets,
 }
 RULE_IDS = tuple(RULES)
-_POSITION = {rule_id: k for k, rule_id in enumerate(RULE_IDS)}
 
 # The relaxed any-nmod rule over-generates, so it is opt-in.
 DEFAULT_RULES = tuple(r for r in RULE_IDS if r != "nmod_relaxed")
@@ -638,11 +627,6 @@ class EngineConfig:
             self, "lexical_classes", tuple(c for c in VERB_CLASS_IDS if "lexical." + c in enabled)
         )
 
-    def __reduce__(self):
-        # ``rule_functions`` holds the registry's lambdas, which pickle cannot
-        # name, so a copy is built from the fields and resolves them anew.
-        return EngineConfig, tuple(getattr(self, f.name) for f in fields(self))
-
     def fingerprint(self) -> str:
         return "\n".join(
             [
@@ -654,19 +638,16 @@ class EngineConfig:
         )
 
 
-def _output_order(inf: Inference) -> tuple:
-    return _POSITION[inf.trigger], inf.span
-
-
 def generate_all(
     h: ParsedHeadline, p: tuple[QuotedSpan, ...], cfg: EngineConfig
 ) -> list[Inference]:
     """All enabled rules' outputs in registry order, each rule's by span,
-    before deduplication.  A function shared by rows runs once."""
+    before deduplication.  The rules share one ``EdgeView`` of ``h``, and a
+    function shared by rows runs once."""
+    v = edge_view(h, cfg.strict_verbs)
     out = []
     for rule in cfg.rule_functions:
-        out.extend(rule(h, p, cfg))
-    out.sort(key=_output_order)
+        out += rule(v, p, cfg)
     return out
 
 

@@ -12,8 +12,9 @@ import re
 
 from presup.corpus import _MONTHS, HeadlineRecord, letters
 from presup.errors import FormatError
-from presup.ingest import ParsedHeadline, Token, edges_governed_by
+from presup.ingest import ParsedHeadline, Token
 from presup.rules import Inference, InferenceKind
+from rules_reference import edges_governed_by
 
 _SUBJ_MODS = ("compound", "amod", "nummod")
 _OBJ_MODS = ("compound", "amod", "nummod", "det")

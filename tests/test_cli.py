@@ -584,6 +584,29 @@ class TestInfer:
         manifest = json.loads((tmp_path / "out.jsonl.manifest.json").read_text("utf-8"))
         assert manifest["parses"].endswith("p\\xff.json")
 
+    def test_error_line_writes_a_missing_path_that_is_not_utf8_escaped(self, tmp_path, capsys):
+        """An error line names a path as the manifest does: a byte that is
+        not UTF-8 as \\xNN, not as the surrogate Python decodes it to."""
+        missing = os.fsdecode(os.path.join(os.fsencode(tmp_path), b"nope\xff.txt"))
+        code, _ = run_infer(tmp_path, extra=["--dataset", missing])
+        assert code == 1
+        want = f"error: {tmp_path}{os.sep}nope\\xff.txt: file not found\n"
+        assert capsys.readouterr().err == want
+
+    def test_format_error_writes_its_path_that_is_not_utf8_escaped(self, tmp_path, capsys):
+        """A FormatError whose message holds a path that is not UTF-8 is
+        written with that path escaped too."""
+        dataset = os.path.join(os.fsencode(tmp_path), b"d\xff.txt")
+        try:
+            with open(dataset, "wb") as f:
+                f.write(b"# a first line\n\xff\xfe then bytes that are not UTF-8\n")
+        except OSError:
+            pytest.skip("the filesystem refuses a name that is not UTF-8")
+        code, _ = run_infer(tmp_path, extra=["--dataset", os.fsdecode(dataset)])
+        assert code == 1
+        want = f"error: {tmp_path}{os.sep}d\\xff.txt:2: not valid UTF-8\n"
+        assert capsys.readouterr().err == want
+
     def test_conllu_sentence_without_sent_id_pairs_by_text(self, tmp_path, capsys):
         conllu = tmp_path / "p.conllu"
         conllu.write_text(

@@ -5,7 +5,7 @@ reader of an edge other than the root edge hanging from the root,
 malformed-input fuzzing of the parse, gold and eval readers and of the
 dataset, lexicon and ``--config`` readers through ``cli.main``, parity of
 ``match`` and of the gold tag split with reference copies, parity of the
-triple rule, the dataset line splitter, the verb, edge and span helpers and
+rules and of the triple rule, the dataset line splitter, the verb, edge and span helpers and
 the pairing of dataset records with parses with reference copies, parity of
 both writers with ``json.dumps``, rule-set
 monotonicity, rules that share a registry function, quoted spans under
@@ -24,6 +24,7 @@ import evaluation_reference
 import gold_reference
 import infer_reference
 import ingest_reference as reference
+import rules_reference
 from conftest import FIXTURES, load_fixture_corpus, make_headline
 from presup.cli import (
     _jsonl_record,
@@ -60,16 +61,15 @@ from presup.ingest import (
 )
 from presup.lexicon import TriggerLexicon, default_lexicon
 from presup.rules import (
+    COMPOUND_MODES,
     DEFAULT_RULES,
     EngineConfig,
     Inference,
     InferenceKind,
     RULE_IDS,
     _merge,
-    extract_triplets,
     generate_all,
     infer_all,
-    rule_quotes,
 )
 
 WORDS = [
@@ -83,6 +83,7 @@ DEPS = ["nsubj", "dobj", "aux", "advmod", "nmod", "case", "compound", "conj",
         "cc", "mark", "neg", "det", "amod", "xcomp", "ccomp", "acl", "prt", "dep"]
 
 ALL_RULES_CFG = EngineConfig(rules=RULE_IDS)
+QUOTES_CFG = EngineConfig(rules=("quotes",))
 
 
 def random_parse(rng: random.Random):
@@ -218,8 +219,8 @@ def test_quotes_spans_stay_inside_the_quotes_of_a_ud_tokenization(seed):
     """The quotes rule renders the same texts from both tokenizations, and
     each UD span, less the speaker's tokens, lies inside the quotes."""
     text, flat, flat_inside, ud, ud_inside, ud_of = _two_tokenizations(seed)
-    flat_out = rule_quotes(flat, preprocess(text))
-    ud_out = rule_quotes(ud, preprocess(text))
+    flat_out = generate_all(flat, preprocess(text), QUOTES_CFG)
+    ud_out = generate_all(ud, preprocess(text), QUOTES_CFG)
     assert [i.text for i in ud_out] == [i.text for i in flat_out]
     for f, u in zip(flat_out, ud_out):
         speaker = {j for i in f.span if i not in flat_inside for j in ud_of[i]}
@@ -599,6 +600,45 @@ def test_rules_sharing_a_function_render_as_if_alone(pair, lexicon, strict_verbs
     assert full == [inf for rule_id in RULE_IDS for inf in alone[rule_id]]
     assert run(reversed(RULE_IDS)) == full
     assert run(subset) == [inf for inf in full if inf.trigger in subset]
+
+
+def _twinned_parse(seed):
+    """A ``random_parse`` tree, and in half the cases that tree with two new
+    leaves labelled nsubj and two labelled dobj under one head (a verb, if it
+    has one), and two labelled case under one head (a noun, if it has one)."""
+    rng = random.Random(seed)
+    h = random_parse(rng)
+    if rng.random() < 0.5:
+        return h
+    tokens, edges = list(h.tokens), list(h.edges)
+    for dep, tag in (("nsubj", "V"), ("dobj", "V"), ("case", "N")):
+        head = rng.choice([t for t in tokens if t.pos.startswith(tag)] or tokens)
+        for _ in range(2):
+            tokens.append(Token(len(tokens) + 1, rng.choice(WORDS), rng.choice(TAGS)))
+            edges.append(DependencyEdge(dep, head.index, head.surface, len(tokens),
+                                        tokens[-1].surface))
+    raw = " ".join(t.surface for t in tokens) + "?" * h.raw_text.endswith("?")
+    return build_headline(h.headline_id, raw, tokens, edges)
+
+
+@given(
+    st.sampled_from([h for h, _ in FIXTURE_PAIRS]) | st.integers(0, 2**32).map(_twinned_parse),
+    st.integers(0, 2**32),
+    st.sampled_from([default_lexicon(), FUZZ_LEXICON]),
+    st.booleans(),
+    st.sampled_from(COMPOUND_MODES),
+)
+@settings(max_examples=300)
+def test_generate_all_matches_the_reference_rules(h, quote_seed, lexicon, strict_verbs, mode):
+    """Rules that read one edge view per headline render what the reference
+    copy's rules, each scanning ``h.edges`` itself, render: the same
+    inferences in the same order, for each rule alone and for all rules."""
+    for rules in [(rule_id,) for rule_id in RULE_IDS] + [RULE_IDS]:
+        cfg = EngineConfig(rules=rules, lexicon=lexicon, strict_verbs=strict_verbs,
+                           compound_mode=mode)
+        for variant in _quoted_variants(h, random.Random(quote_seed)):
+            p = preprocess(variant.raw_text)
+            assert generate_all(variant, p, cfg) == rules_reference.generate_all(variant, p, cfg)
 
 
 def test_infer_all_deterministic():
@@ -985,10 +1025,11 @@ def _triple_tree(seed):
        st.booleans())
 @settings(max_examples=400)  # about one tree in ten renders a triple
 def test_extract_triplets_matches_the_reference_copy(h, strict_verbs):
-    """``extract_triplets`` reads each verb's dependents in one scan and
-    renders the reference copy's triples, in its order, as Inferences."""
-    got = extract_triplets(h, strict_verbs)
-    assert got == infer_reference.extract_triplets(h, strict_verbs)
+    """``extract_triplets`` reads each verb's dependents from the edge view
+    and renders the reference copy's triples, in span order, as Inferences."""
+    got = generate_all(h, (), EngineConfig(rules=("triple",), strict_verbs=strict_verbs))
+    want = infer_reference.extract_triplets(h, strict_verbs)
+    assert got == sorted(want, key=lambda inf: inf.span)
     assert all(type(inf) is Inference for inf in got)
 
 

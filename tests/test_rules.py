@@ -7,7 +7,7 @@ import pytest
 from conftest import make_headline
 from presup.corpus import preprocess
 from presup.evaluation import normalize
-from presup.ingest import parse_conllu
+from presup.ingest import edge_view, parse_conllu
 from presup.lexicon import VERB_CLASS_IDS, default_lexicon
 from presup.rules import (
     DEFAULT_RULES,
@@ -35,6 +35,12 @@ from presup.rules import (
 LEX = default_lexicon()
 
 
+def run(rule, h, p=(), **settings):
+    """``rule`` on ``h``'s edge view, under an EngineConfig of ``settings``."""
+    cfg = EngineConfig(**settings)
+    return rule(edge_view(h, cfg.strict_verbs), p, cfg)
+
+
 def texts(inferences):
     return [i.text for i in inferences]
 
@@ -60,7 +66,7 @@ RESCUE = parse_conllu(
 class TestRuleFuture:
     def test_broadcast_headline(self, basic_triggers):
         h, _ = basic_triggers["future"]
-        (inf,) = rule_future(h)
+        (inf,) = run(rule_future, h)
         assert inf.text == "Olympics is not yet broadcast"
         assert inf.kind is InferenceKind.PRESUPPOSITION
         assert inf.trigger == "future"
@@ -68,17 +74,17 @@ class TestRuleFuture:
 
     def test_will_without_dobj(self, basic_triggers):
         h, _ = basic_triggers["but"]  # "will they come" has no direct object
-        assert rule_future(h) == []
+        assert run(rule_future, h) == []
 
     def test_rescue_rules(self):
-        (inf,) = rule_future(RESCUE)
+        (inf,) = run(rule_future, RESCUE)
         assert inf.text == "Britain is not yet divided"
 
 
 class TestRuleBut:
     def test_ready_but_come(self, basic_triggers):
         h, _ = basic_triggers["but"]
-        (inf,) = rule_but(h)
+        (inf,) = run(rule_but, h)
         assert inf.text == "being ready was expecting coming"
         assert inf.kind is InferenceKind.CONVENTIONAL_IMPLICATURE
 
@@ -87,7 +93,7 @@ class TestRuleBut:
             "cheap/JJ and/CC fast/JJ",
             [("root", 0, 1), ("cc", 3, 2), ("conj", 1, 3)],
         )
-        assert rule_but(h) == []
+        assert run(rule_but, h) == []
 
     def test_cheap_but_slow(self):
         h = make_headline(
@@ -100,7 +106,7 @@ class TestRuleBut:
                 ("conj", 3, 5),
             ],
         )
-        (inf,) = rule_but(h)
+        (inf,) = run(rule_but, h)
         assert inf.text == "being cheap was expecting slowing"
 
     def test_negated_second_conjunct(self):
@@ -108,51 +114,51 @@ class TestRuleBut:
             "ready/JJ but/CC not/RB coming/VBG",
             [("root", 0, 1), ("cc", 1, 2), ("neg", 4, 3), ("conj", 1, 4)],
         )
-        (inf,) = rule_but(h)
+        (inf,) = run(rule_but, h)
         assert inf.text == "being ready was not expecting coming"
 
 
 class TestRuleAgain:
     def test_norway_regulator(self, basic_triggers):
         h, _ = basic_triggers["again"]
-        (inf,) = rule_again(h)
+        (inf,) = run(rule_again, h)
         assert inf.text == "Norway regulator has rejected Donut fish farm volume plan before"
 
     def test_again_without_subject(self):
         h = make_headline(
             "Rains/NNS again/RB", [("root", 0, 1), ("advmod", 1, 2)]
         )
-        assert rule_again(h) == []
+        assert run(rule_again, h) == []
 
     def test_talks_collapse_again(self):
         h = make_headline(
             "Talks/NNS collapse/VBP again/RB",
             [("nsubj", 2, 1), ("root", 0, 2), ("advmod", 2, 3)],
         )
-        (inf,) = rule_again(h)
+        (inf,) = run(rule_again, h)
         assert inf.text == "Talks has collapsed before"
 
 
 class TestRuleFurther:
     def test_uk_economy(self, basic_triggers):
         h, _ = basic_triggers["further"]
-        (inf,) = rule_further(h)
+        (inf,) = run(rule_further, h)
         assert inf.text == "economy is already slow"
 
     def test_strict_verb_mode_excludes_vb(self, basic_triggers):
         h, _ = basic_triggers["further"]  # "slow" is tagged VB
-        assert rule_further(h, strict_verbs=True) == []
+        assert run(rule_further, h, strict_verbs=True) == []
 
     def test_no_further_token(self, basic_triggers):
         h, _ = basic_triggers["nmod_of"]
-        assert rule_further(h) == []
+        assert run(rule_further, h) == []
 
     def test_prices_fall_further(self):
         h = make_headline(
             "Prices/NNS fall/VBP further/RB",
             [("nsubj", 2, 1), ("root", 0, 2), ("advmod", 2, 3)],
         )
-        (inf,) = rule_further(h)
+        (inf,) = run(rule_further, h)
         assert inf.text == "Prices is already fall"
 
     def test_possessive_marker_is_not_a_subject(self):
@@ -160,34 +166,34 @@ class TestRuleFurther:
             "Market/NN 's/POS further/RB falls/VBZ",
             [("dep", 4, 1), ("case", 1, 2), ("advmod", 4, 3), ("root", 0, 4)],
         )
-        (inf,) = rule_further(h)
+        (inf,) = run(rule_further, h)
         assert inf.text == "Market is already fall"
 
     def test_possessive_pronoun_is_not_a_subject(self):
         h = make_headline(
             "His/PRP$ further/RB falls/VBZ", [("dep", 3, 1), ("advmod", 3, 2), ("root", 0, 3)]
         )
-        assert rule_further(h) == []
+        assert run(rule_further, h) == []
 
     def test_predeterminer_is_not_a_subject(self):
         h = make_headline(
             "All/PDT further/RB cut/VB", [("dep", 3, 1), ("advmod", 3, 2), ("root", 0, 3)]
         )
-        assert rule_further(h) == []
+        assert run(rule_further, h) == []
 
     def test_nearest_preceding_noun_fallback(self):
         h = make_headline(
             "Economy/NN to/TO slow/VB further/RB",
             [("dep", 3, 1), ("mark", 3, 2), ("root", 0, 3), ("advmod", 3, 4)],
         )
-        (inf,) = rule_further(h)
+        (inf,) = run(rule_further, h)
         assert inf.text == "Economy is already slow"
 
 
 class TestRuleNounCompound:
     def test_olympic_ban(self, basic_triggers):
         h, _ = basic_triggers["compound"]
-        assert texts(rule_noun_compound(h)) == [
+        assert texts(run(rule_noun_compound, h)) == [
             "Olympic can be/can have ban",
             "reelection can be/can have hand",
         ]
@@ -196,50 +202,50 @@ class TestRuleNounCompound:
         h = make_headline(
             "Brexit/NNP campaign/NN", [("compound", 2, 1), ("root", 0, 2)]
         )
-        (inf,) = rule_noun_compound(h)
+        (inf,) = run(rule_noun_compound, h)
         assert inf.text == "Brexit can be/can have campaign"
 
     def test_rendering_modes(self):
         h = make_headline(
             "Brexit/NNP campaign/NN", [("compound", 2, 1), ("root", 0, 2)]
         )
-        assert texts(rule_noun_compound(h, "can_be")) == ["Brexit can be campaign"]
-        assert texts(rule_noun_compound(h, "can_have")) == ["Brexit can have campaign"]
+        assert texts(run(rule_noun_compound, h, compound_mode="can_be")) == ["Brexit can be campaign"]
+        assert texts(run(rule_noun_compound, h, compound_mode="can_have")) == ["Brexit can have campaign"]
 
     def test_no_compound_edges(self, basic_triggers):
         h, _ = basic_triggers["nmod_of"]
-        assert rule_noun_compound(h) == []
+        assert run(rule_noun_compound, h) == []
 
     def test_non_noun_compound_ignored(self):
         h = make_headline(
             "slow/JJ down/NN", [("compound", 2, 1), ("root", 0, 2)]
         )
-        assert rule_noun_compound(h) == []
+        assert run(rule_noun_compound, h) == []
 
 
 class TestRulePastTense:
     def test_released_video_main_clause_only(self, basic_triggers):
         h, _ = basic_triggers["past"]
-        (inf,) = rule_past_tense(h)
+        (inf,) = run(rule_past_tense, h)
         assert inf.text == "dude has released this video"
 
     def test_present_tense_does_not_fire(self, basic_triggers):
         h, _ = basic_triggers["again"]
-        assert rule_past_tense(h) == []
+        assert run(rule_past_tense, h) == []
 
     def test_markets_crashed(self):
         h = make_headline(
             "Markets/NNS crashed/VBD",
             [("nsubj", 2, 1), ("root", 0, 2)],
         )
-        (inf,) = rule_past_tense(h)
+        (inf,) = run(rule_past_tense, h)
         assert inf.text == "Markets has crashed"
 
 
 class TestRuleNmodOf:
     def test_bank_of_england(self, basic_triggers):
         h, _ = basic_triggers["nmod_of"]
-        (inf,) = rule_nmod_of(h)
+        (inf,) = run(rule_nmod_of, h)
         assert inf.text == "England has Bank"
 
     def test_wrong_case_marker(self):
@@ -247,43 +253,43 @@ class TestRuleNmodOf:
             "talks/NNS in/IN London/NNP",
             [("root", 0, 1), ("case", 3, 2), ("nmod", 1, 3)],
         )
-        assert rule_nmod_of(h) == []
+        assert run(rule_nmod_of, h) == []
 
     def test_rescue_rules(self):
-        (inf,) = rule_nmod_of(RESCUE)
+        (inf,) = run(rule_nmod_of, RESCUE)
         assert inf.text == "England has Bank"
 
 
 class TestRuleNmodRelaxed:
     def test_combined_example_nmod(self, combined_example):
         h, _ = combined_example
-        assert texts(rule_nmod_relaxed(h)) == ["Brexit has step"]
+        assert texts(run(rule_nmod_relaxed, h)) == ["Brexit has step"]
 
     def test_verb_governed_nmod_skipped(self, basic_triggers):
         h, _ = basic_triggers["future"]  # nmod(broadcast, team) has a verb governor
-        assert rule_nmod_relaxed(h) == []
+        assert run(rule_nmod_relaxed, h) == []
 
 
 class TestRuleLexical:
     def test_change_of_state_continued(self, lexical_triggers):
         h, _ = lexical_triggers["change_of_state_xcomp"]
-        (inf,) = rule_lexical(h, LEX, ("change_of_state",))
+        (inf,) = run(rule_lexical, h, rules=("lexical.change_of_state",))
         assert inf.text == "Britain was struggling with Brexit"
         assert inf.trigger == "lexical.change_of_state"
 
     def test_change_of_state_stopped(self, lexical_triggers):
         h, _ = lexical_triggers["change_of_state_cessation"]
-        (inf,) = rule_lexical(h, LEX, ("change_of_state",))
+        (inf,) = run(rule_lexical, h, rules=("lexical.change_of_state",))
         assert inf.text == "China had been stockpiling metals"
 
     def test_judging_blames(self, lexical_triggers):
         h, _ = lexical_triggers["judging"]
-        (inf,) = rule_lexical(h, LEX, ("judging",))
+        (inf,) = run(rule_lexical, h, rules=("lexical.judging",))
         assert inf.text == "Trump thinks that financial market disruption is bad"
 
     def test_factive_nominal_fallback(self, lexical_triggers):
         h, _ = lexical_triggers["factive_nominal"]
-        (inf,) = rule_lexical(h, LEX, ("factive",))
+        (inf,) = run(rule_lexical, h, rules=("lexical.factive",))
         assert inf.text == "There exists Labour MPs resignations"
 
     def test_factive_clausal_complement(self):
@@ -297,22 +303,22 @@ class TestRuleLexical:
                 ("ccomp", 2, 5),
             ],
         )
-        (inf,) = rule_lexical(h, LEX, ("factive",))
+        (inf,) = run(rule_lexical, h, rules=("lexical.factive",))
         assert inf.text == "Labour MPs resigned"
 
     def test_implicative_managed(self, lexical_triggers):
         h, _ = lexical_triggers["implicative"]
-        (inf,) = rule_lexical(h, LEX, ("implicative",))
+        (inf,) = run(rule_lexical, h, rules=("lexical.implicative",))
         assert inf.text == "Russia destroyed Saudi Arabia"
 
     def test_iterative_goal_fallback(self, lexical_triggers):
         h, _ = lexical_triggers["iterative_goal"]
-        (inf,) = rule_lexical(h, LEX, ("iterative",))
+        (inf,) = run(rule_lexical, h, rules=("lexical.iterative",))
         assert inf.text == "Indian market has happened before"
 
     def test_iterative_not_triggered_outside_lexicon(self, lexical_triggers):
         h, _ = lexical_triggers["iterative_unlisted"]  # "reassess" carries the meaning but is not listed
-        assert rule_lexical(h, LEX, ("iterative",)) == []
+        assert run(rule_lexical, h, rules=("lexical.iterative",)) == []
 
     def test_iterative_with_subject_and_goal(self):
         h = make_headline(
@@ -325,7 +331,7 @@ class TestRuleLexical:
                 ("nmod", 2, 5),
             ],
         )
-        (inf,) = rule_lexical(h, LEX, ("iterative",))
+        (inf,) = run(rule_lexical, h, rules=("lexical.iterative",))
         assert inf.text == "HTC had been in Indian market previously"
 
     def test_iterative_with_subject_and_complement(self):
@@ -333,29 +339,29 @@ class TestRuleLexical:
             "Company/NN repeats/VBZ selling/VBG shares/NNS",
             [("nsubj", 2, 1), ("root", 0, 2), ("xcomp", 2, 3), ("dobj", 3, 4)],
         )
-        (inf,) = rule_lexical(h, LEX, ("iterative",))
+        (inf,) = run(rule_lexical, h, rules=("lexical.iterative",))
         assert inf.text == "Company had sold shares previously"
         assert inf.span == (1, 2, 3, 4)
 
     def test_no_recoverable_structure_yields_nothing(self):
         h = make_headline("stopped/VBD", [("root", 0, 1)])
-        assert rule_lexical(h, LEX) == []
+        assert run(rule_lexical, h, rules=RULE_IDS) == []
 
 
 class TestRuleTemporal:
     def test_nominal_branch(self, lexical_triggers):
         h, _ = lexical_triggers["temporal_nominal"]
-        (inf,) = rule_temporal(h, LEX)
+        (inf,) = run(rule_temporal, h)
         assert inf.text == "There was Brexit campaign"
 
     def test_clausal_branch(self, basic_triggers):
         h, _ = basic_triggers["past"]
-        (inf,) = rule_temporal(h, LEX)
+        (inf,) = run(rule_temporal, h)
         assert inf.text == "he went on killing spree"
 
     def test_no_temporal_marker(self, basic_triggers):
         h, _ = basic_triggers["nmod_of"]
-        assert rule_temporal(h, LEX) == []
+        assert run(rule_temporal, h) == []
 
     @pytest.mark.parametrize("strict_verbs, want", [
         (False, []),  # a verb without a subject renders no clause
@@ -366,7 +372,7 @@ class TestRuleTemporal:
             "Markets/NNS fell/VBD before/IN Brexit/NNP vote/VB",
             [("root", 0, 2), ("nsubj", 2, 1), ("nmod", 2, 5), ("case", 5, 3), ("compound", 5, 4)],
         )
-        assert texts(rule_temporal(h, LEX, strict_verbs)) == want
+        assert texts(run(rule_temporal, h, strict_verbs=strict_verbs)) == want
         cfg = EngineConfig(rules=("temporal",), lexicon=LEX, strict_verbs=strict_verbs)
         assert texts(infer_all(h, (), cfg)) == want
 
@@ -374,16 +380,16 @@ class TestRuleTemporal:
 class TestRuleQuestion:
     def test_wh_contraction(self, lexical_triggers):
         h, _ = lexical_triggers["question_wh"]
-        (inf,) = rule_question(h)
+        (inf,) = run(rule_question, h)
         assert inf.text == "something is missing from your low carb breakfast"
 
     def test_yes_no_vacuous(self, lexical_triggers):
         h, _ = lexical_triggers["question_yesno"]
-        assert rule_question(h) == []
+        assert run(rule_question, h) == []
 
     def test_non_question(self, basic_triggers):
         h, _ = basic_triggers["nmod_of"]
-        assert rule_question(h) == []
+        assert run(rule_question, h) == []
 
     def test_inversion_undone(self):
         h = make_headline(
@@ -391,7 +397,7 @@ class TestRuleQuestion:
             [("advmod", 4, 1), ("aux", 4, 2), ("nsubj", 4, 3), ("root", 0, 4)],
             raw_text="Where did he go?",
         )
-        (inf,) = rule_question(h)
+        (inf,) = run(rule_question, h)
         assert inf.text == "he did go somewhere"
 
     def test_question_mark_token_is_not_rendered(self):
@@ -412,7 +418,7 @@ class TestRuleQuestion:
         ]
         for spec, raw_text, edges, want in cases:
             h = make_headline(spec, edges, raw_text=raw_text)
-            (inf,) = rule_question(h)
+            (inf,) = run(rule_question, h)
             assert inf.text == want
             assert inf.span == tuple(t.index for t in h.tokens)
 
@@ -431,7 +437,7 @@ class TestRuleQuestion:
                 raw_text=f"What{apostrophe}s next?",
             )
             for h in (one_token, split):
-                (inf,) = rule_question(h)
+                (inf,) = run(rule_question, h)
                 assert inf.text == "something is next", (apostrophe, len(h.tokens))
 
     def test_auxiliary_root_is_not_inverted(self):
@@ -441,23 +447,23 @@ class TestRuleQuestion:
             [("nsubj", 2, 1), ("root", 0, 2), ("det", 4, 3), ("dobj", 2, 4), ("punct", 2, 5)],
             raw_text="Who has the ball?",
         )
-        (inf,) = rule_question(h)
+        (inf,) = run(rule_question, h)
         assert inf.text == "someone has the ball"
 
     def test_punctuation_only_question(self):
         h = make_headline("?/.", [("root", 0, 1)], raw_text="?")
-        assert rule_question(h) == []
+        assert run(rule_question, h) == []
 
 
 class TestRuleQuotes:
     def test_merkel(self, lexical_triggers):
         h, p = lexical_triggers["quotes"]
-        (inf,) = rule_quotes(h, p)
+        (inf,) = run(rule_quotes, h, p)
         assert inf.text == 'Merkel says "not the breakthrough"'
 
     def test_short_quote_ignored(self, basic_triggers):
         h, p = basic_triggers["again"]  # "Donut" is one quoted word
-        assert rule_quotes(h, p) == []
+        assert run(rule_quotes, h, p) == []
 
     def test_no_speech_verb_fallback(self):
         h = make_headline(
@@ -472,7 +478,7 @@ class TestRuleQuotes:
             raw_text='Plan shows "real true grit"',
         )
         p = preprocess('Plan shows "real true grit"')
-        (inf,) = rule_quotes(h, p)
+        (inf,) = run(rule_quotes, h, p)
         assert inf.text == "something is said"
         assert inf.span == (3, 4, 5)
 
@@ -490,7 +496,7 @@ class TestRuleQuotes:
                 + [("punct", 2, 5 + tokens.count(" "))],
                 raw_text=f'Merkel says "{quoted}"',
             )
-            assert [i.span for i in rule_quotes(h, preprocess(h.raw_text))] == want
+            assert [i.span for i in run(rule_quotes, h, preprocess(h.raw_text))] == want
 
     def test_tokens_that_do_not_spell_the_headline_place_no_quote(self):
         """A tokenizer that wrote "&" as "and": no token is taken for the
@@ -500,11 +506,11 @@ class TestRuleQuotes:
                  ("compound", 6, 3), ("cc", 3, 4), ("conj", 3, 5)]
         h = make_headline("Band/NN says/VBZ rock/NN and/CC roll/NN lives/NNS", edges,
                           raw_text='Band says "rock & roll lives"')
-        (inf,) = rule_quotes(h, preprocess(h.raw_text))
+        (inf,) = run(rule_quotes, h, preprocess(h.raw_text))
         assert (inf.text, inf.span) == ('Band says "rock & roll lives"', (1, 2))
         h = make_headline("Band/NN shows/VBZ rock/NN and/CC roll/NN lives/NNS", edges,
                           raw_text='Band shows "rock & roll lives"')
-        assert rule_quotes(h, preprocess(h.raw_text)) == []
+        assert run(rule_quotes, h, preprocess(h.raw_text)) == []
 
     def test_symbols_are_words(self):
         """``clean`` keeps "&" and "♥", so they count as words of the quote,
@@ -513,11 +519,11 @@ class TestRuleQuotes:
                           [("nsubj", 2, 1), ("root", 0, 2), ("dobj", 2, 3),
                            ("cc", 3, 4), ("conj", 3, 5)],
                           raw_text='Fans chant "rock & roll"')
-        (inf,) = rule_quotes(h, preprocess(h.raw_text))
+        (inf,) = run(rule_quotes, h, preprocess(h.raw_text))
         assert (inf.text, inf.span) == ("something is said", (3, 4, 5))
         h = make_headline("I/PRP ♥/VBP NY/NNP", [("nsubj", 2, 1), ("root", 0, 2), ("dobj", 2, 3)],
                           raw_text='"I ♥ NY"')
-        (inf,) = rule_quotes(h, preprocess(h.raw_text))
+        (inf,) = run(rule_quotes, h, preprocess(h.raw_text))
         assert (inf.text, inf.span) == ("something is said", (1, 2, 3))
 
     def test_quote_without_letters_renders_no_spanless_inference(self):
@@ -525,13 +531,13 @@ class TestRuleQuotes:
         h = make_headline("Fans/NNS chant/VBP &/CC &/CC &/CC",
                           [("nsubj", 2, 1), ("root", 0, 2)] + [("dep", 2, k) for k in (3, 4, 5)],
                           raw_text='Fans chant "& & &"')
-        assert rule_quotes(h, preprocess(h.raw_text)) == []
+        assert run(rule_quotes, h, preprocess(h.raw_text)) == []
 
 
 class TestExtractTriplets:
     def test_combined_example(self, combined_example):
         h, _ = combined_example
-        assert set(texts(extract_triplets(h))) == {
+        assert set(texts(run(extract_triplets, h))) == {
             "Britain takes step",
             "Britain takes step towards Brexit",
             "Britain takes step with repeal bill",
@@ -550,7 +556,7 @@ class TestExtractTriplets:
             ],
             raw_text="How the company kept out 'subversives'",
         )
-        (inf,) = extract_triplets(h)
+        (inf,) = run(extract_triplets, h)
         assert normalize(inf.text) == normalize("company kept out 'subversives'")
         assert inf.kind is InferenceKind.EXPLICIT_TRIPLE
 
@@ -558,7 +564,7 @@ class TestExtractTriplets:
         h = make_headline(
             "Brexit/NNP campaign/NN", [("compound", 2, 1), ("root", 0, 2)]
         )
-        assert extract_triplets(h) == []
+        assert run(extract_triplets, h) == []
 
 
 class TestInferAll:
