@@ -10,6 +10,7 @@ import re
 import sys
 from collections import Counter
 from datetime import datetime, timezone
+from itertools import chain
 from operator import attrgetter
 from pathlib import Path
 
@@ -385,36 +386,31 @@ def _read_jsonl(path: str, parse, keys: dict[str, str], gold: set[str]) -> dict:
     for lineno, line in enumerate(split_lines(read_text(path)), start=1):
         if not line.strip():
             continue
-        where = f"{path}:{lineno}"
         try:
             obj = json.loads(line)
         except (ValueError, RecursionError) as exc:  # as in parse_stanford_json
-            raise FormatError(f"{where}: invalid JSON: {exc}") from exc
+            raise FormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
         if not isinstance(obj, dict):
-            raise FormatError(f"{where}: expected a JSON object")
+            raise FormatError(f"{path}:{lineno}: expected a JSON object")
         if not isinstance(obj.get("headline"), str):
-            raise FormatError(f"{where}: missing or non-string 'headline'")
+            raise FormatError(f"{path}:{lineno}: missing or non-string 'headline'")
         try:
             value = parse(obj)
         except FormatError as exc:
-            raise FormatError(f"{where}: {exc}") from None
+            raise FormatError(f"{path}:{lineno}: {exc}") from None
         key = _normalized(keys, obj["headline"])
         if key in out:
             if out[key] != value:
                 raise FormatError(
-                    f"{where}: headline {obj['headline']!r} repeats line "
+                    f"{path}:{lineno}: headline {obj['headline']!r} repeats line "
                     f"{first_line[key]} with different content"
                 )
         else:
             out[key], first_line[key] = value, lineno
         if key not in gold:
-            print(f"warning: {where}: no gold block for {obj['headline']!r}; record ignored",
-                  file=sys.stderr)
+            print(f"warning: {path}:{lineno}: no gold block for {obj['headline']!r}; "
+                  "record ignored", file=sys.stderr)
     return out
-
-
-def _is_str_list(value) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
 _KIND_OF_VALUE = {kind.value: kind for kind in InferenceKind}  # cheaper than InferenceKind(value)
@@ -437,11 +433,14 @@ def _parse_inferences(obj: dict) -> list[Inference]:
         trigger = d.get("trigger", "")
         if not isinstance(trigger, str):
             raise FormatError("inference 'trigger' must be a string")
-        if not trigger.isascii():  # the report, the table and stdout write it
+        # The report, the table and stdout write it; a tab or line break
+        # would split a table row.
+        if not trigger.isprintable():
             _check_encodable([("inference 'trigger'", trigger)], FormatError)
+            raise FormatError(f"inference 'trigger' must be printable, got {trigger!r}")
         span = d.get("span", [])
         # type() rather than isinstance: JSON true is a bool, and bool is an int.
-        if not (isinstance(span, list) and all(type(i) is int for i in span)):
+        if not (isinstance(span, list) and {int}.issuperset(map(type, span))):
             raise FormatError("inference 'span' must be a list of integers")
         # tuple.__new__ skips the Python-level __new__ of a NamedTuple.
         out.append(tuple.__new__(Inference, (_KIND_OF_VALUE[kind], text, trigger, tuple(span))))
@@ -451,17 +450,16 @@ def _parse_inferences(obj: dict) -> list[Inference]:
 def _parse_labels(obj: dict) -> dict:
     incorrect = obj.get("incorrect", [])
     matched = obj.get("matched", [])
-    if not _is_str_list(incorrect):
+    if not (isinstance(incorrect, list) and {str}.issuperset(map(type, incorrect))):
         raise FormatError("'incorrect' must be a list of strings")
     if not (
         isinstance(matched, list)
-        and all(_is_str_list(pair) and len(pair) == 2 for pair in matched)
+        and {list}.issuperset(map(type, matched))
+        and {2}.issuperset(map(len, matched))
+        and {str}.issuperset(map(type, chain.from_iterable(matched)))
     ):
         raise FormatError("'matched' must be a list of [gold, computed] string pairs")
-    return {
-        "incorrect": frozenset(incorrect),
-        "matched": tuple(tuple(pair) for pair in matched),
-    }
+    return {"incorrect": frozenset(incorrect), "matched": tuple(map(tuple, matched))}
 
 
 def _read_inference_file(
@@ -526,15 +524,12 @@ def cmd_eval(args) -> int:
         Path(args.out).write_text(_report_json(report), "utf-8")
     if args.table:
         Path(args.table).write_text(table, "utf-8")
-    for row in rows:
-        print(
-            f"{row['headline']}\n  gold={row['gold']} computed={row['computed']} "
-            f"matched={row['matched']} correct={row['percent_correct']:.1f}% "
-            f"incorrect={row['percent_incorrect']:.1f}%"
-        )
-    if report["triggers"]:
-        print()
-        print(table, end="")
+    sys.stdout.write("".join([
+        f"{row['headline']}\n  gold={row['gold']} computed={row['computed']} "
+        f"matched={row['matched']} correct={row['percent_correct']:.1f}% "
+        f"incorrect={row['percent_incorrect']:.1f}%\n"
+        for row in rows
+    ]) + ("\n" + table if report["triggers"] else ""))
     return 0
 
 

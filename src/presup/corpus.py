@@ -213,7 +213,8 @@ def parse_gold(document: str, source: str | None = None) -> list[GoldAnnotation]
                 body, trigger = text.strip(), tag
             if not body:
                 raise FormatError(f"{located(source, lineno)}: empty inference under {headline!r}")
-            inferences.append(GoldInference(text=body, trigger=trigger))
+            # tuple.__new__ skips the Python-level __new__ of a NamedTuple.
+            inferences.append(tuple.__new__(GoldInference, (body, trigger)))
         elif line == "||":
             annotations.append(GoldAnnotation(headline, tuple(inferences), headline_line))
             headline = None

@@ -40,8 +40,7 @@ class MatchPair(NamedTuple):
     score: float
 
 
-@dataclass(frozen=True)
-class Alignment:
+class Alignment(NamedTuple):
     """One headline's verdict: which gold and computed inferences match and
     which computed ones are incorrect.  Texts are normalized."""
 
@@ -95,7 +94,12 @@ def _texts(items) -> list[str]:
 
 
 def _triggers(items) -> tuple[str | None, ...]:
-    return tuple(getattr(item, "trigger", None) for item in items)
+    return tuple([getattr(item, "trigger", None) for item in items])
+
+
+# tuple.__new__ skips the Python-level __new__ of a NamedTuple; the fields
+# go in their declared order.
+_new = tuple.__new__
 
 
 def match(
@@ -139,13 +143,13 @@ def match(
             g_free, c_free = free_gold.get(norm[g_text]), free_comp.get(norm[c_text])
             if g_free and c_free:
                 gi = g_free.pop(0)
-                pair_of[gi] = MatchPair(gi, c_free.pop(0), 1.0)
+                pair_of[gi] = _new(MatchPair, (gi, c_free.pop(0), 1.0))
 
     for gi, gt in enumerate(ngold):
         if pair_of[gi] is None and (c_free := free_comp.get(gt)):
-            pair_of[gi] = MatchPair(gi, c_free.pop(0), 1.0)
+            pair_of[gi] = _new(MatchPair, (gi, c_free.pop(0), 1.0))
 
-    if cfg.mode is MatchMode.TOKEN_JACCARD:
+    if cfg.mode is MatchMode.TOKEN_JACCARD and None in pair_of:
         comp_tokens = [
             (ci, set(ncomp[ci].split())) for ci in chain.from_iterable(free_comp.values())
         ]
@@ -162,27 +166,27 @@ def match(
         taken: set[int] = set()
         for neg_score, gi, ci in sorted(candidates):
             if pair_of[gi] is None and ci not in taken:
-                pair_of[gi] = MatchPair(gi, ci, -neg_score)
+                pair_of[gi] = _new(MatchPair, (gi, ci, -neg_score))
                 taken.add(ci)
 
-    pairs = tuple(p for p in pair_of if p is not None)
+    pairs = tuple([p for p in pair_of if p is not None])
     matched = {p.computed_index for p in pairs}
-    unmatched_computed = tuple(ci for ci in range(len(ncomp)) if ci not in matched)
+    unmatched_computed = tuple([ci for ci in range(len(ncomp)) if ci not in matched])
     if incorrect_labels is None:
         incorrect = unmatched_computed
     else:
         wrong = {norm[t] for t in labels}
-        incorrect = tuple(ci for ci, ct in enumerate(ncomp) if ct in wrong)
-    return Alignment(
-        pairs=pairs,
-        unmatched_gold=tuple(gi for gi, p in enumerate(pair_of) if p is None),
-        unmatched_computed=unmatched_computed,
-        incorrect=incorrect,
-        gold_texts=ngold,
-        computed_texts=ncomp,
-        gold_triggers=_triggers(gold_items),
-        computed_triggers=_triggers(computed),
-    )
+        incorrect = tuple([ci for ci, ct in enumerate(ncomp) if ct in wrong])
+    return _new(Alignment, (
+        pairs,
+        tuple([gi for gi, p in enumerate(pair_of) if p is None]),  # unmatched gold
+        unmatched_computed,
+        incorrect,
+        ngold,
+        ncomp,
+        _triggers(gold_items),
+        _triggers(computed),
+    ))
 
 
 def _percent(part: int, whole: int, if_empty: float | None) -> float | None:

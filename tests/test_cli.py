@@ -1034,6 +1034,10 @@ class TestEval:
                  "inference 'span' must be a list of integers"),
                 ('"inferences": [{"kind": ">>", "text": "a", "span": [1, false]}]}',
                  "inference 'span' must be a list of integers"),
+                ('"inferences": [{"kind": ">>", "text": "a", "span": [1.0]}]}',
+                 "inference 'span' must be a list of integers"),
+                ('"inferences": [{"kind": ">>", "text": "a", "span": [1, "2"]}]}',
+                 "inference 'span' must be a list of integers"),
             ]
         ),
         *(
@@ -1045,6 +1049,9 @@ class TestEval:
                 ('"matched": "ab"}', "'matched' must be a list of"),
                 ('"incorrect": [3]}', "'incorrect' must be a list of strings"),
                 ('"incorrect": "a"}', "'incorrect' must be a list of strings"),
+                ('"incorrect": [null]}', "'incorrect' must be a list of strings"),
+                ('"matched": [["a", null]]}', "'matched' must be a list of"),
+                ('"matched": [["a", true]]}', "'matched' must be a list of"),
             ]
         ),
     ])
@@ -1076,6 +1083,27 @@ class TestEval:
         assert captured.err == (
             f"error: {inferences}:2: inference 'trigger': lone surrogate '\\ud800' "
             "is not valid UTF-8\n"
+        )
+        assert captured.out == ""
+        assert not out.exists() and not table.exists()
+
+    @pytest.mark.parametrize("trigger", ["pa\tst", "pa\rst", "pa\nst", "pa\x00st"])
+    def test_unprintable_trigger_names_file_and_line(self, tmp_path, capsys, trigger):
+        """A tab or a line break in a trigger would split its row of the
+        table: an error at its line before anything is written."""
+        inferences = tmp_path / "inferences.jsonl"
+        inferences.write_text(
+            (FIXTURES / "scored_computed.jsonl").read_text("utf-8").split("\n")[0] + "\n"
+            + json.dumps({"headline": "Second", "inferences": [
+                {"kind": ">>", "text": "a", "trigger": trigger}]}) + "\n"
+        )
+        out, table = tmp_path / "report.json", tmp_path / "table.tsv"
+        argv = ["eval", "--inferences", str(inferences), "--out", str(out), "--table", str(table),
+                "--gold", str(FIXTURES / "scored_gold.txt")]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {inferences}:2: inference 'trigger' must be printable, got {trigger!r}\n"
         )
         assert captured.out == ""
         assert not out.exists() and not table.exists()

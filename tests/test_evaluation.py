@@ -142,6 +142,9 @@ class TestMatch:
         assert pair == (0, 1, 0.5) and pair._replace(score=1.0) == (0, 1, 1.0)
         assert GoldInference("a") == ("a", None)
         assert GoldInference("a", "but")._replace(text="b") == GoldInference("b", "but")
+        alignment = alignment_counts(1, 1, 0)
+        assert alignment == tuple(alignment)
+        assert alignment._replace(incorrect=()).incorrect == ()
 
     def test_threshold_range_validated(self):
         with pytest.raises(ValueError):

@@ -44,7 +44,7 @@ from presup.corpus import (
     preprocess,
 )
 from presup.errors import ConsistencyError, FormatError, ParseError, split_lines
-from presup.evaluation import MatchConfig, MatchMode, match
+from presup.evaluation import Alignment, MatchConfig, MatchMode, MatchPair, match
 from presup.ingest import (
     LABEL_MAP,
     DependencyEdge,
@@ -373,6 +373,7 @@ def test_parse_gold_splits_tags_as_the_reference_regex(text):
         return
     (annotation,) = parse_gold(document)
     assert annotation.inferences == (GoldInference(want_text, want_trigger),)
+    assert type(annotation.inferences[0]) is GoldInference
 
 
 # Texts a JSON writer escapes or leaves raw: quotes, backslashes, control
@@ -990,8 +991,12 @@ def _match_arguments(draw):
 def test_match_matches_the_reference_copy(arguments):
     """``match`` gives the reference copy's ``Alignment``: the same pairs in
     the same order with the same scores, the same unmatched and incorrect
-    indices, normalized texts and triggers."""
-    assert match(*arguments) == evaluation_reference.match(*arguments)
+    indices, normalized texts and triggers.  NamedTuples compare equal to
+    plain tuples, so the record types are checked on their own."""
+    result = match(*arguments)
+    assert result == evaluation_reference.match(*arguments)
+    assert type(result) is Alignment
+    assert all(type(p) is MatchPair for p in result.pairs)
 
 
 # The labels and tags a triple reads, and the negator "not" in both cases.
