@@ -183,6 +183,22 @@ def _parse_texts(h: ParsedHeadline):
         yield f"token {t.index}", t.surface
 
 
+def _lines(text: str, start: int, end: int, lineno: int):
+    """Yield (line number, start, stop) of each line of ``text[start:end]``
+    but the blank ones (all ``str.isspace``), the first numbered ``lineno``.
+    As in split_lines, only "\\n" or "\\r\\n" ends a line."""
+    while start < end:
+        newline = text.find("\n", start, end)
+        if newline < 0:
+            stop = newline = end
+        else:
+            stop = newline - 1 if text.endswith("\r", start, newline) else newline
+        # Most lines show at their first character that they are not blank.
+        if not text[start].isspace() or _SPACE.match(text, start, stop).end() < stop:
+            yield lineno, start, stop
+        start, lineno = newline + 1, lineno + 1
+
+
 def load_parses(path: str) -> list[ParsedHeadline]:
     """Read a sidecar parse file: CoNLL-U by extension, else Stanford JSON
     (single object, array of objects, or JSON Lines).  The document is the
@@ -232,21 +248,15 @@ def load_parses(path: str) -> list[ParsedHeadline]:
             except ParseError as exc:
                 raise type(exc)(f"{path}:{_item_line(text, k)}: {exc}") from None
         return parses
-    # JSON Lines.  A line ends at "\n" or "\r\n", as in split_lines.
-    while start < end:
-        newline = text.find("\n", start, end)
-        if newline < 0:
-            newline = end
-        line = text[start:newline - 1 if text[newline - 1] == "\r" else newline]
-        if line and not line.isspace():
-            try:
-                h = parse_stanford_json(line)
-                if "\\u" in line:
-                    _check_encodable(_parse_texts(h))
-                parses.append(h)
-            except ParseError as exc:
-                raise type(exc)(f"{path}:{lineno}: {exc}") from None
-        start, lineno = newline + 1, lineno + 1
+    for lineno, start, stop in _lines(text, start, end, lineno):  # JSON Lines
+        line = text[start:stop]
+        try:
+            h = parse_stanford_json(line)
+            if "\\u" in line:
+                _check_encodable(_parse_texts(h))
+            parses.append(h)
+        except ParseError as exc:
+            raise type(exc)(f"{path}:{lineno}: {exc}") from None
     return parses
 
 
@@ -375,6 +385,24 @@ def _normalized(keys: dict[str, str], text: str) -> str:
     return key
 
 
+def _json_lines(path: str):
+    """Yield (line number, ``json.loads(line)``) for each line of the file at
+    ``path`` but the blank ones, decoded in place; invalid JSON is a
+    FormatError at ``path:line``."""
+    text = read_text(path)
+    for lineno, start, stop in _lines(text, 0, len(text), 1):
+        try:  # as json.loads: only JSON whitespace may follow on the line
+            value, end = _DECODER.raw_decode(text, start)
+            if end != stop and not _JSON_SPACE.fullmatch(text, end, stop):
+                raise ValueError
+        except (ValueError, RecursionError):
+            try:  # the value or the error of json.loads
+                value = json.loads(text[start:stop])
+            except (ValueError, RecursionError) as exc:  # as in parse_stanford_json
+                raise FormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+        yield lineno, value
+
+
 def _read_jsonl(path: str, parse, keys: dict[str, str], gold: set[str]) -> dict:
     """{normalized headline: parse(record)} over a JSON Lines file of objects
     with a ``headline`` string.  ``parse`` raises FormatError without a
@@ -383,13 +411,7 @@ def _read_jsonl(path: str, parse, keys: dict[str, str], gold: set[str]) -> dict:
     call; a record whose key is not in ``gold`` is warned about."""
     out: dict = {}
     first_line: dict[str, int] = {}
-    for lineno, line in enumerate(split_lines(read_text(path)), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except (ValueError, RecursionError) as exc:  # as in parse_stanford_json
-            raise FormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+    for lineno, obj in _json_lines(path):
         if not isinstance(obj, dict):
             raise FormatError(f"{path}:{lineno}: expected a JSON object")
         if not isinstance(obj.get("headline"), str):

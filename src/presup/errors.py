@@ -30,11 +30,14 @@ def split_lines(text: str) -> list[str]:
 
 def read_text(path) -> str:
     """The text of the input file at ``path``: its bytes decoded as UTF-8
-    with no newline translation, so that only split_lines ends a line.  Bytes
-    that are not UTF-8 are a FormatError at ``path:line``."""
+    with no newline translation, so that only split_lines ends a line, and
+    one leading byte-order mark dropped.  Bytes that are not UTF-8 are a
+    FormatError at ``path:line``."""
     data = Path(path).read_bytes()
     try:
-        return data.decode("utf-8")
+        # Not "utf-8-sig": its error offsets would not count the mark's bytes.
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         lineno = data.count(b"\n", 0, exc.start) + 1
         raise FormatError(f"{path}:{lineno}: not valid UTF-8") from None
+    return text.removeprefix("\ufeff")

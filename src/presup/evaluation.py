@@ -10,6 +10,7 @@ are incorrect, and the scores only count its verdict.
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
@@ -150,27 +151,33 @@ def match(
             pair_of[gi] = _new(MatchPair, (gi, c_free.pop(0), 1.0))
 
     if cfg.mode is MatchMode.TOKEN_JACCARD and None in pair_of:
-        comp_tokens = [
-            (ci, set(ncomp[ci].split())) for ci in chain.from_iterable(free_comp.values())
-        ]
+        # Each free computed text's tokens, once, with its free indices.
+        comp_tokens = [(set(ct.split()), cis) for ct, cis in free_comp.items() if cis]
         candidates = []
         for gi, gt in enumerate(ngold):
             if pair_of[gi] is None:
                 g_tokens = set(gt.split())
-                for ci, c_tokens in comp_tokens:
+                for c_tokens, cis in comp_tokens:
                     shared = len(g_tokens & c_tokens)
                     union = len(g_tokens) + len(c_tokens) - shared
                     score = shared / union if union else 1.0  # two empty texts match
                     if score >= cfg.jaccard_threshold:
-                        candidates.append((-score, gi, ci))
-        taken: set[int] = set()
-        for neg_score, gi, ci in sorted(candidates):
-            if pair_of[gi] is None and ci not in taken:
-                pair_of[gi] = _new(MatchPair, (gi, ci, -neg_score))
-                taken.add(ci)
+                        candidates.extend([(-score, gi, ci) for ci in cis])
+        if candidates:
+            candidates.sort()
+            taken: set[int] = set()
+            for neg_score, gi, ci in candidates:
+                if pair_of[gi] is None and ci not in taken:
+                    pair_of[gi] = _new(MatchPair, (gi, ci, -neg_score))
+                    taken.add(ci)
 
-    pairs = tuple([p for p in pair_of if p is not None])
-    matched = {p.computed_index for p in pairs}
+    pairs, unmatched_gold, matched = [], [], set()
+    for gi, p in enumerate(pair_of):
+        if p is None:
+            unmatched_gold.append(gi)
+        else:
+            pairs.append(p)
+            matched.add(p[1])
     unmatched_computed = tuple([ci for ci in range(len(ncomp)) if ci not in matched])
     if incorrect_labels is None:
         incorrect = unmatched_computed
@@ -178,8 +185,8 @@ def match(
         wrong = {norm[t] for t in labels}
         incorrect = tuple([ci for ci, ct in enumerate(ncomp) if ct in wrong])
     return _new(Alignment, (
-        pairs,
-        tuple([gi for gi, p in enumerate(pair_of) if p is None]),  # unmatched gold
+        tuple(pairs),
+        tuple(unmatched_gold),
         unmatched_computed,
         incorrect,
         ngold,
@@ -217,35 +224,22 @@ def score_by_trigger(alignments: Iterable[Alignment]) -> list[TriggerScore]:
     An inference, computed or gold, counts toward its trigger; one without
     a trigger (an untagged gold inference) counts toward none.
     """
-    computed_count: dict[str, int] = {}
-    matched: dict[str, int] = {}
-    incorrect: dict[str, int] = {}
-    tagged_gold: dict[str, int] = {}
-    missing: dict[str, int] = {}
-
-    def bump(d: dict[str, int], indices, triggers) -> None:
-        for i in indices:
-            if triggers[i] is not None:
-                d[triggers[i]] = d.get(triggers[i], 0) + 1
-
-    for a in alignments:
-        bump(computed_count, range(a.computed_count), a.computed_triggers)
-        bump(matched, (p.computed_index for p in a.pairs), a.computed_triggers)
-        bump(incorrect, a.incorrect, a.computed_triggers)
-        bump(tagged_gold, range(a.gold_count), a.gold_triggers)
-        bump(missing, a.unmatched_gold, a.gold_triggers)
-
-    return [
-        TriggerScore(
-            trigger=t,
-            computed_count=computed_count.get(t, 0),
-            matched_count=matched.get(t, 0),
-            incorrect_count=incorrect.get(t, 0),
-            tagged_gold_count=tagged_gold.get(t, 0),
-            missing_count=missing.get(t, 0),
-        )
-        for t in sorted(set(computed_count) | set(tagged_gold))
-    ]
+    # trigger -> [computed, matched, incorrect, tagged gold, missing]; the
+    # None of an untagged inference is counted, then dropped.
+    counts: defaultdict[str | None, list[int]] = defaultdict(lambda: [0, 0, 0, 0, 0])
+    for pairs, unmatched_gold, _, wrong, _, _, gold_triggers, computed_triggers in alignments:
+        for t in computed_triggers:
+            counts[t][0] += 1
+        for p in pairs:
+            counts[computed_triggers[p[1]]][1] += 1
+        for ci in wrong:
+            counts[computed_triggers[ci]][2] += 1
+        for t in gold_triggers:
+            counts[t][3] += 1
+        for gi in unmatched_gold:
+            counts[gold_triggers[gi]][4] += 1
+    counts.pop(None, None)
+    return [TriggerScore(t, *counts[t]) for t in sorted(counts)]
 
 
 def trigger_rows(scores: list[TriggerScore]) -> list[dict]:

@@ -1,12 +1,23 @@
-"""A frozen copy of ``evaluation.match`` as it was before it aligned by
-lookup: it normalizes every text where it meets it, finds free indices by
-scanning and sorts the pairs at the end.  ``test_properties.py`` checks that
-the package's ``match`` returns the same ``Alignment``."""
+"""Frozen copies of ``evaluation.match`` as it was before it aligned by
+lookup (it normalizes every text where it meets it, finds free indices by
+scanning and sorts the pairs at the end) and of ``score_by_trigger`` as it was
+when it counted each tally with a helper call per alignment.
+``test_properties.py`` checks that the package's functions return the same
+``Alignment`` and ``TriggerScore`` list."""
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 from presup.corpus import GoldAnnotation
-from presup.evaluation import Alignment, MatchConfig, MatchMode, MatchPair, normalize
+from presup.evaluation import (
+    Alignment,
+    MatchConfig,
+    MatchMode,
+    MatchPair,
+    TriggerScore,
+    normalize,
+)
 
 
 def _texts(items) -> list[str]:
@@ -92,3 +103,35 @@ def match(
         gold_triggers=_triggers(gold_items),
         computed_triggers=_triggers(computed),
     )
+
+
+def score_by_trigger(alignments: Iterable[Alignment]) -> list[TriggerScore]:
+    computed_count: dict[str, int] = {}
+    matched: dict[str, int] = {}
+    incorrect: dict[str, int] = {}
+    tagged_gold: dict[str, int] = {}
+    missing: dict[str, int] = {}
+
+    def bump(d: dict[str, int], indices, triggers) -> None:
+        for i in indices:
+            if triggers[i] is not None:
+                d[triggers[i]] = d.get(triggers[i], 0) + 1
+
+    for a in alignments:
+        bump(computed_count, range(a.computed_count), a.computed_triggers)
+        bump(matched, (p.computed_index for p in a.pairs), a.computed_triggers)
+        bump(incorrect, a.incorrect, a.computed_triggers)
+        bump(tagged_gold, range(a.gold_count), a.gold_triggers)
+        bump(missing, a.unmatched_gold, a.gold_triggers)
+
+    return [
+        TriggerScore(
+            trigger=t,
+            computed_count=computed_count.get(t, 0),
+            matched_count=matched.get(t, 0),
+            incorrect_count=incorrect.get(t, 0),
+            tagged_gold_count=tagged_gold.get(t, 0),
+            missing_count=missing.get(t, 0),
+        )
+        for t in sorted(set(computed_count) | set(tagged_gold))
+    ]

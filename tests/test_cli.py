@@ -17,8 +17,9 @@ from presup.cli import (
     main,
 )
 from presup.corpus import parse_gold, read_dataset
+from presup.errors import read_text
 from presup.evaluation import normalize
-from presup.ingest import ROOT_GLOSS, build_headline, parse_conllu
+from presup.ingest import ROOT_GLOSS, build_headline, parse_conllu, parse_stanford_json
 from presup.lexicon import parse_lexicon
 from presup.rules import RULE_IDS
 
@@ -848,6 +849,21 @@ DOCUMENT_READERS = {
         lambda x: f"# heads\nfactive\t{x}\n",
         lambda lexicon: min(lexicon.words("factive")),
     ),
+    "stanford json": (
+        parse_stanford_json,
+        lambda x: json.dumps({
+            "headline": f"{x} crashed",
+            "tokens": [{"index": 1, "word": x, "pos": "NNS"},
+                       {"index": 2, "word": "crashed", "pos": "VBD"}],
+            "dependencies": [
+                {"dep": "nsubj", "governor": 2, "governorGloss": "crashed",
+                 "dependent": 1, "dependentGloss": x},
+                {"dep": "root", "governor": 0, "governorGloss": "ROOT",
+                 "dependent": 2, "dependentGloss": "crashed"},
+            ],
+        }, indent=1, ensure_ascii=False),
+        lambda h: h.tokens[0].surface,
+    ),
 }
 
 
@@ -876,6 +892,42 @@ class TestLineEnds:
         assert read(str(path)) == want
 
 
+class TestByteOrderMark:
+    """One leading U+FEFF, which some editors write first, is not text."""
+
+    @pytest.mark.parametrize("reader", DOCUMENT_READERS)
+    def test_leading_mark_is_dropped(self, tmp_path, reader):
+        read, document, _ = DOCUMENT_READERS[reader]
+        path = tmp_path / "f"
+        path.write_bytes(b"\xef\xbb\xbf" + document("markets").encode("utf-8"))
+        assert read(read_text(str(path))) == read(document("markets"))
+
+    def test_only_the_first_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "f"
+        path.write_bytes(b"\xef\xbb\xbf\xef\xbb\xbfa\n\xef\xbb\xbf")
+        assert read_text(str(path)) == "\ufeffa\n\ufeff"
+
+    @pytest.mark.parametrize("parses", [
+        "basic_triggers.json", "basic_triggers.conllu", "basic_triggers.jsonl",
+    ])
+    def test_infer_from_marked_files_is_pinned(self, tmp_path, parses):
+        """A marked dataset and parse file give the pinned output: no U+FEFF
+        in the first headline, and no parse error on the first line."""
+        dataset = tmp_path / "d.txt"
+        source = FIXTURES / "basic_triggers_dataset.txt"
+        dataset.write_bytes(b"\xef\xbb\xbf" + source.read_bytes())
+        objs = json.loads((FIXTURES / "basic_triggers.json").read_text("utf-8"))
+        text = ("\n".join(map(json.dumps, objs)) if parses.endswith(".jsonl")
+                else (FIXTURES / parses).read_text("utf-8"))
+        marked = tmp_path / parses
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        out = tmp_path / "o.jsonl"
+        argv = ["infer", "--dataset", str(dataset), "--parses", str(marked),
+                "--out", str(out), "--rules", "all", "--strict"]
+        assert main(argv) == 0
+        assert out.read_bytes() == (FIXTURES / "pinned" / "basic_triggers.jsonl").read_bytes()
+
+
 class TestFileBytes:
     INFER = ["infer", "--dataset", str(FIXTURES / "basic_triggers_dataset.txt"),
              "--parses", str(FIXTURES / "basic_triggers.json")]
@@ -893,9 +945,12 @@ class TestFileBytes:
         ("eval", "--inferences", "i.jsonl"),
         ("eval", "--labels", "l.jsonl"),
     ])
-    def test_invalid_utf8_names_file_and_line(self, tmp_path, capsys, command, flag, name):
+    # A leading byte-order mark counts toward the line: a decoder that drops
+    # it before decoding would count 3 bytes short and name line 1.
+    @pytest.mark.parametrize("mark", [b"", b"\xef\xbb\xbf"])
+    def test_invalid_utf8_names_file_and_line(self, tmp_path, capsys, command, flag, name, mark):
         bad = tmp_path / name
-        bad.write_bytes(b"# a first line\n\xff\xfe then bytes that are not UTF-8\n")
+        bad.write_bytes(mark + b"# a first line\n\xff\xfe then bytes that are not UTF-8\n")
         argv = {"stats": ["stats"], "infer": [*self.INFER, "--out", str(tmp_path / "o.jsonl")],
                 "eval": self.EVAL}[command]
         assert main([*argv, flag, str(bad)]) == 1
@@ -979,6 +1034,35 @@ class TestEval:
         stdout = capsys.readouterr().out
         assert stdout == (pinned / "scored_jaccard_stdout.txt").read_text("utf-8")
         assert json.loads(out.read_text())["headlines"][0]["matched"] == 3
+
+    @pytest.mark.parametrize("labels, pinned", [
+        (True, ("scored_report.json", "scored_table.tsv", "scored_stdout.txt")),
+        (False, ("scored_jaccard_report.json", None, "scored_jaccard_stdout.txt")),
+    ])
+    def test_crlf_and_marked_inputs_are_pinned(self, tmp_path, capsys, labels, pinned):
+        """CRLF copies of the JSON Lines inputs and a gold file that starts
+        with a byte-order mark give the pinned report, table and stdout."""
+        files = {}
+        for name in ("scored_computed.jsonl", "scored_labels.jsonl"):
+            files[name] = tmp_path / name
+            files[name].write_bytes((FIXTURES / name).read_bytes().replace(b"\n", b"\r\n"))
+        gold = tmp_path / "gold.txt"
+        gold.write_bytes(b"\xef\xbb\xbf" + (FIXTURES / "scored_gold.txt").read_bytes())
+        out, table = tmp_path / "report.json", tmp_path / "table.tsv"
+        argv = ["eval", "--inferences", str(files["scored_computed.jsonl"]),
+                "--gold", str(gold), "--out", str(out), "--table", str(table)]
+        if labels:
+            argv += ["--labels", str(files["scored_labels.jsonl"])]
+        else:
+            argv += ["--match-mode", "jaccard", "--jaccard-threshold", "0.3"]
+        assert main(argv) == 0
+        report, pinned_table, stdout = (FIXTURES / "pinned" / n if n else None for n in pinned)
+        assert out.read_bytes() == report.read_bytes()
+        if pinned_table:
+            assert table.read_bytes() == pinned_table.read_bytes()
+        captured = capsys.readouterr()
+        assert captured.out == stdout.read_text("utf-8")
+        assert captured.err == ""
 
     def test_empty_gold(self, tmp_path):
         gold = tmp_path / "gold.txt"

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import evaluation_reference
 from presup import evaluation
 from presup.corpus import GoldAnnotation, GoldInference
 from presup.evaluation import (
@@ -97,6 +98,14 @@ class TestMatch:
         alignment = match(computed, gold, cfg)
         (pair,) = alignment.pairs
         assert (pair.gold_index, pair.computed_index) == (0, 0)
+
+    def test_jaccard_phase_pairs_each_free_copy_of_a_text(self):
+        # Both free "a b" take part, each with its own gold: J = 1/3 for all four.
+        computed = computed_of("a b", "a b")
+        cfg = MatchConfig(mode=MatchMode.TOKEN_JACCARD, jaccard_threshold=0.3)
+        alignment = match(computed, gold_of("a c", "b c"), cfg)
+        assert [p[:2] for p in alignment.pairs] == [(0, 0), (1, 1)]
+        assert alignment == evaluation_reference.match(computed, gold_of("a c", "b c"), cfg)
 
     def test_judged_pairs_override(self):
         alignment = match(
@@ -256,6 +265,14 @@ class TestScoreByTrigger:
     def test_trigger_absent_on_both_sides_omitted(self):
         items = [eval_item(computed_of(("x", "future")), gold_of(("x", "future")))]
         assert [s.trigger for s in score_by_trigger(items)] == ["future"]
+
+    def test_empty_trigger_counts_as_a_trigger(self):
+        # Only None is no trigger; "" names a row, as in the reference copy.
+        items = [eval_item(computed_of(("x", ""), ("y", "")), gold_of(("x", ""), ("z", "")))]
+        scores = score_by_trigger(items)
+        assert [(s.trigger, s.computed_count, s.matched_count, s.missing_count)
+                for s in scores] == [("", 2, 1, 1)]
+        assert scores == evaluation_reference.score_by_trigger(items)
 
     def test_table_rendering(self):
         items = [eval_item(computed_of(("x", "future")), gold_of("y"))]

@@ -27,6 +27,7 @@ import ingest_reference as reference
 import rules_reference
 from conftest import FIXTURES, load_fixture_corpus, make_headline
 from presup.cli import (
+    _json_lines,
     _jsonl_record,
     _read_inference_file,
     _read_labels_file,
@@ -43,8 +44,15 @@ from presup.corpus import (
     parse_gold,
     preprocess,
 )
-from presup.errors import ConsistencyError, FormatError, ParseError, split_lines
-from presup.evaluation import Alignment, MatchConfig, MatchMode, MatchPair, match
+from presup.errors import ConsistencyError, FormatError, ParseError, read_text, split_lines
+from presup.evaluation import (
+    Alignment,
+    MatchConfig,
+    MatchMode,
+    MatchPair,
+    match,
+    score_by_trigger,
+)
 from presup.ingest import (
     LABEL_MAP,
     DependencyEdge,
@@ -519,6 +527,68 @@ def test_malformed_eval_records_raise_only_located_format_errors(tmp_path_factor
     read = _read_inference_file if flag == "inferences" else _read_labels_file
     text = "\n".join(lines)
     _parse_or_located_format_error(lambda: read(str(path), {}, set()), str(path), text)
+
+
+def _split_json_lines(path):
+    """(line number, value) of each line that is not blank, as the eval
+    readers read JSON Lines before they decoded in place: split_lines, then
+    json.loads on each line."""
+    values = []
+    for lineno, line in enumerate(split_lines(read_text(path)), start=1):
+        if not line.strip():
+            continue
+        try:
+            values.append((lineno, json.loads(line)))
+        except (ValueError, RecursionError) as exc:
+            raise FormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+    return values
+
+
+def _values_or_error(read, path) -> str:
+    """The repr of ``read(path)``'s list, which tells NaN, -0.0 and key order
+    apart, or the text of its FormatError."""
+    try:
+        return repr(list(read(path)))
+    except FormatError as exc:
+        return f"FormatError: {exc}"
+
+
+_DEEP = "[" * 5000 + "]" * 5000  # past the recursion limit
+# What may stand on a line besides one JSON value: JSON whitespace around it,
+# a line split inside an object, trailing garbage, a BOM, deep nesting, a
+# number or literal cut short, a lone surrogate escape.
+_JSONL_BODIES = JSON_VALUES.map(lambda v: json.dumps(v, ensure_ascii=False)) | st.sampled_from([
+    '{"a":\n1}', '[1,\r\n2]', '{"a": 1} x', "1 2", "{}{}", "[1]]", "\ufeff{}", "\ufeff",
+    _DEEP, "[" * 50 + "]" * 50, '{"a": 1', "tru", "-", "1.", "12", "-0", "1e5", "1e",
+    '"\\ud800"', '"a\u2028b\x85c"', "\xa0{}", "{}\x0c", "\x0c1",
+])
+_JSONL_SPACE = st.sampled_from(["", "", " ", "\t", "\r", " \r", "\t \t"])
+# A line end, or a lone "\r", which ends no line.
+_JSONL_ENDS = st.sampled_from(["\n", "\r\n", "\n", "\r"])
+_JSONL_BLANKS = st.lists(
+    st.sampled_from(["", " ", "\u2028", "\x85", "\u3000", "\r", "\t\xa0"]).map(lambda b: b + "\n"),
+    max_size=2,
+).map("".join)
+_JSONL_SOUPS = st.lists(
+    st.tuples(_JSONL_BLANKS, _JSONL_SPACE, _JSONL_BODIES, _JSONL_SPACE, _JSONL_ENDS).map("".join),
+    max_size=5,
+).map("".join)
+
+
+@given(_JSONL_SOUPS)
+@example('{"a": 1}\r\n{"a": 1\r')  # a CR before the end of the file is in the line
+@example("{}\x0c")  # only JSON whitespace may follow a value
+@example('1\r\n\r2 \r\n\u3000\n\x85\n{"b":\r\n3}')
+@example("\ufeff1\n\ufeff2\n")  # the first mark is dropped, the second is an error
+@example("[]\n" + _DEEP + "\n")
+def test_in_place_json_lines_match_split_lines_and_json_loads(tmp_path_factory, document):
+    """The eval readers' line walk, which decodes each line in place, gives
+    the (line, value) list of split_lines and json.loads, or the same error
+    text at the same line."""
+    path = tmp_path_factory.getbasetemp() / "lines.jsonl"
+    path.write_bytes(document.encode("utf-8"))
+    assert (_values_or_error(_json_lines, str(path))
+            == _values_or_error(_split_json_lines, str(path)))
 
 
 def test_rule_subset_monotonicity_on_fixture_corpus():
@@ -997,6 +1067,16 @@ def test_match_matches_the_reference_copy(arguments):
     assert result == evaluation_reference.match(*arguments)
     assert type(result) is Alignment
     assert all(type(p) is MatchPair for p in result.pairs)
+
+
+@given(st.lists(_match_arguments(), max_size=6))
+def test_score_by_trigger_matches_the_reference_copy(calls):
+    """``score_by_trigger`` gives the reference copy's ``TriggerScore`` list
+    over the alignments ``match`` builds, untagged gold and computed texts
+    with no trigger included, reading them once."""
+    alignments = [match(*arguments) for arguments in calls]
+    assert (score_by_trigger(iter(alignments))
+            == evaluation_reference.score_by_trigger(alignments))
 
 
 # The labels and tags a triple reads, and the negator "not" in both cases.
