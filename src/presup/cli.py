@@ -200,14 +200,14 @@ def _lines(text: str, start: int, end: int, lineno: int):
 
 
 def load_parses(path: str) -> list[ParsedHeadline]:
-    """Read a sidecar parse file: CoNLL-U by extension, else Stanford JSON
-    (single object, array of objects, or JSON Lines).  The document is the
-    file's text stripped of whitespace at both ends.  Errors name
-    ``path:line``; in an array, the line its bad object starts on.  Only
+    """Read a sidecar parse file: CoNLL-U by extension, in any case, else
+    Stanford JSON (single object, array of objects, or JSON Lines).  The
+    document is the file's text stripped of whitespace at both ends.  Errors
+    name ``path:line``; in an array, the line its bad object starts on.  Only
     JSON text that holds a ``\\u`` escape is checked for lone surrogates.
     JSON Lines are read one at a time out of the one text."""
     text = read_text(path)
-    if Path(path).suffix in (".conllu", ".conll"):
+    if Path(path).suffix.lower() in (".conllu", ".conll"):
         return parse_conllu(text, path)
     # text[start:end] is text.strip(), found without copying the text.
     start = _SPACE.match(text).end()
@@ -329,9 +329,21 @@ def _path_text(text: str) -> str:
     return _ESCAPED_BYTE.sub(lambda m: f"\\x{ord(m[0]) - 0xDC00:02x}", text)
 
 
+def _read_records(path: str) -> list[HeadlineRecord]:
+    """The records of the dataset file at ``path``.  A '#' line that holds a
+    '[source:' bracket, a headline that starts with a hashtag perhaps, is
+    skipped as a comment with a warning at ``path:line``."""
+    commented: list[int] = []
+    records = read_dataset(read_text(path), path, commented=commented)
+    for lineno in commented:
+        print(f"warning: {_path_text(path)}:{lineno}: line starts with '#' but holds a "
+              "'[source:' bracket; skipped as a comment", file=sys.stderr)
+    return records
+
+
 def cmd_infer(args) -> int:
     cfg = _build_engine_config(args)
-    records = read_dataset(read_text(args.dataset), args.dataset)
+    records = _read_records(args.dataset)
     parses = load_parses(args.parses)
     skipped, unused, lines = [], [], []  # pair's verdicts, and the output lines
     triggers: list[str] = []  # of every inference written, counted once at the end
@@ -561,7 +573,7 @@ def cmd_morph(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    records = read_dataset(read_text(args.dataset), args.dataset)
+    records = _read_records(args.dataset)
     print(f"headlines: {len(records)}")
     for source, count in sorted(Counter(r.source for r in records).items()):
         print(f"  {source or '(unknown)'}: {count}")

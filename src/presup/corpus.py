@@ -105,12 +105,19 @@ def parse_dataset_line(line: str, lineno: int = 0) -> HeadlineRecord:
     return HeadlineRecord(text, source, timestamp, lineno)
 
 
-def read_dataset(document: str, source: str | None = None) -> list[HeadlineRecord]:
+def read_dataset(document: str, source: str | None = None, *,
+                 commented: list[int] | None = None) -> list[HeadlineRecord]:
     """All records of a dataset document; '#' comment and blank lines skipped.
-    Errors name ``source:line``."""
+    The number of each comment line that holds a '[source:' bracket, a
+    headline that starts with a hashtag perhaps, is appended to ``commented``
+    if given.  Errors name ``source:line``."""
     records = []
     for lineno, line in enumerate(split_lines(document), start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
+        if not line.strip():
+            continue
+        if line.lstrip().startswith("#"):
+            if commented is not None and "[source:" in line:
+                commented.append(lineno)
             continue
         try:
             records.append(parse_dataset_line(line, lineno))

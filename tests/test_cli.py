@@ -2,6 +2,7 @@ import gc
 import json
 import os
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -233,6 +234,7 @@ class TestInfer:
                                   dataset=f"{fixtures}_dataset.txt")
             assert code == 0
             manifest = json.loads((tmp_path / f"{name}.manifest.json").read_text())
+            assert len(read_jsonl(out)) == manifest["headlines"] > 0  # one line per headline
             return out.read_bytes(), manifest["config_hash"]
 
         by_flag = run("flag.jsonl", [flag, value])
@@ -490,6 +492,94 @@ class TestInfer:
                                    parses="basic_triggers.conllu", name="conllu.jsonl")
         assert len(read_jsonl(from_json)) == 7
         assert from_conllu.read_bytes() == from_json.read_bytes()
+
+    def test_conllu_extension_in_any_case(self, tmp_path):
+        parses = tmp_path / "x.CoNLLU"
+        parses.write_bytes((FIXTURES / "basic_triggers.conllu").read_bytes())
+        code, out = run_infer(tmp_path, ["--rules", "all", "--parses", str(parses)])
+        assert code == 0
+        assert out.read_bytes() == (FIXTURES / "pinned" / "basic_triggers.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("dataset", dict.fromkeys(d for d, _ in PINNED_RUNS))
+    def test_crlf_json_lines_with_blank_ends_are_pinned(self, tmp_path, dataset):
+        """The array fixture as JSON Lines with CRLF line ends and a blank
+        line at each end infers as the array does."""
+        records = json.loads((FIXTURES / f"{dataset}.json").read_text("utf-8"))
+        lines = [json.dumps(r, ensure_ascii=False) for r in records]
+        parses = tmp_path / f"{dataset}.jsonl"
+        parses.write_bytes("\r\n".join(["", *lines, "", ""]).encode("utf-8"))
+        code, out = run_infer(tmp_path, ["--rules", "all", "--parses", str(parses)],
+                              dataset=f"{dataset}_dataset.txt")
+        assert code == 0
+        assert out.read_bytes() == (FIXTURES / "pinned" / f"{dataset}.jsonl").read_bytes()
+
+    def test_parses_numbered_in_reverse_pair_by_id(self, tmp_path):
+        """Parses whose ids are their lines' numbers pair by id in any order:
+        the array reversed, ids 7..1, infers as the file in order does, and a
+        line past the last id has no parse."""
+        records = json.loads((FIXTURES / "basic_triggers.json").read_text("utf-8"))
+        parses = tmp_path / "reversed.json"
+        parses.write_text(json.dumps([{**r, "sent_id": str(i)}
+                                      for i, r in enumerate(records, start=1)][::-1]))
+        code, out = run_infer(tmp_path, ["--rules", "all", "--parses", str(parses)])
+        assert code == 0
+        assert out.read_bytes() == (FIXTURES / "pinned" / "basic_triggers.jsonl").read_bytes()
+        dataset = tmp_path / "eight.txt"
+        dataset.write_bytes((FIXTURES / "basic_triggers_dataset.txt").read_bytes()
+                            + b"Markets crashed [source: BBC]\n")
+        code, _ = run_infer(tmp_path, ["--rules", "all", "--parses", str(parses),
+                                       "--dataset", str(dataset)])
+        assert code == 0
+        manifest = json.loads((tmp_path / "out.jsonl.manifest.json").read_text())
+        assert manifest["skipped"] == [{"line": 8, "headline": "Markets crashed",
+                                        "reason": "no parse"}]
+
+    def test_each_lexical_rule_renders_its_own_inferences(self, tmp_path):
+        """The five lexical.* rules share one registry function: together
+        each renders its own inferences, and one id alone renders only it."""
+        def triggers(rules):
+            code, out = run_infer(tmp_path, ["--rules", rules], parses="lexical_triggers.json",
+                                  dataset="lexical_triggers_dataset.txt")
+            assert code == 0
+            return Counter(i["trigger"] for r in read_jsonl(out) for i in r["inferences"])
+
+        assert triggers("lexical") == {
+            "lexical.iterative": 1, "lexical.change_of_state": 2, "lexical.factive": 1,
+            "lexical.implicative": 1, "lexical.judging": 1,
+        }
+        assert triggers("lexical.judging") == {"lexical.judging": 1}
+
+    @pytest.mark.parametrize("command", ["infer", "stats"])
+    def test_hashtag_headline_is_warned_about(self, tmp_path, capsys, command):
+        """A line that starts with '#' is a comment, but one that holds a
+        '[source:' bracket is likely a headline that starts with a hashtag:
+        it is still skipped, with a warning at its line.  Record numbers are
+        unchanged."""
+        dataset = tmp_path / "d.txt"
+        dataset.write_text("# a comment\n#MeToo wave hits Hollywood [source: BBC May 08, 2016]\n"
+                           "Markets crashed [source: BBC]\n")
+        conllu = tmp_path / "p.conllu"
+        conllu.write_text(
+            "# sent_id = 1\n# text = Markets crashed\n"
+            "1\tMarkets\t_\t_\tNNS\t_\t2\tnsubj\t_\t_\n"
+            "2\tcrashed\t_\t_\tVBD\t_\t0\troot\t_\t_\n\n"
+        )
+        out = tmp_path / "o.jsonl"
+        argv = {"infer": ["infer", "--strict", "--parses", str(conllu), "--out", str(out)],
+                "stats": ["stats"]}[command]
+        assert main([*argv, "--dataset", str(dataset)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"warning: {dataset}:2: line starts with '#' but holds a '[source:' bracket; "
+            "skipped as a comment\n"
+        )
+        if command == "infer":
+            (record,) = read_jsonl(out)
+            assert record["headline"] == "Markets crashed"
+            manifest = json.loads((tmp_path / "o.jsonl.manifest.json").read_text())
+            assert (manifest["headlines"], manifest["skipped"]) == (1, [])
+        else:
+            assert captured.out.startswith("headlines: 1\n")
 
     def test_positional_parse_of_another_text_is_skipped(self, tmp_path, capsys):
         dataset = tmp_path / "d.txt"
