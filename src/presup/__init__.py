@@ -3,65 +3,40 @@
 __version__ = "0.1.0"
 
 from .corpus import (
-    GoldAnnotation,
-    GoldInference,
-    HeadlineRecord,
-    QuotedSpan,
-    parse_dataset_line,
-    parse_gold,
-    preprocess,
-    read_dataset,
-    render_gold,
+    GoldAnnotation, GoldInference, HeadlineRecord, QuotedSpan, parse_gold, preprocess, read_dataset,
 )
 from .errors import ConsistencyError, FormatError, ParseError
 from .evaluation import (
-    Alignment,
-    MatchConfig,
-    MatchMode,
-    TriggerScore,
-    match,
-    normalize,
-    score_by_trigger,
-    score_headline,
-    trigger_rows,
+    Alignment, MatchConfig, MatchMode, MatchPair, TriggerScore, match, normalize, score_by_trigger,
+    score_headline, trigger_rows,
 )
 from .ingest import (
-    DependencyEdge,
-    EdgeView,
-    ParsedHeadline,
-    Token,
-    edge_view,
-    edges_with,
-    normalize_labels,
-    nouns_of,
-    parse_conllu,
+    DependencyEdge, ParsedHeadline, Token, build_headline, normalize_labels, parse_conllu,
     parse_stanford_json,
-    to_stanford_json,
-    verbs_of,
 )
-from .lexicon import TriggerLexicon, default_lexicon, load_lexicon, parse_lexicon
-from .morphology import VerbForm, conjugate, irregular_table, lemma
+from .lexicon import TriggerLexicon, default_lexicon, load_lexicon
+from .morphology import VerbForm, conjugate, lemma
 from .rules import (
-    DEFAULT_RULES,
-    EngineConfig,
-    Inference,
-    InferenceKind,
-    RULE_IDS,
-    extract_triplets,
-    generate_all,
-    infer_all,
-    rule_again,
-    rule_but,
-    rule_further,
-    rule_future,
-    rule_lexical,
-    rule_nmod_of,
-    rule_nmod_relaxed,
-    rule_noun_compound,
-    rule_past_tense,
-    rule_question,
-    rule_quotes,
-    rule_temporal,
+    DEFAULT_RULES, RULE_IDS, EngineConfig, Inference, InferenceKind, generate_all, infer_all,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The public API, as the README's Library section lists it.  Every other
+# name is imported from its submodule (presup.rules.rule_future, ...).
+__all__ = [
+    # readers
+    "parse_stanford_json", "parse_conllu", "build_headline", "normalize_labels",
+    "read_dataset", "parse_gold", "preprocess",
+    # records
+    "Token", "DependencyEdge", "ParsedHeadline", "HeadlineRecord", "QuotedSpan",
+    "GoldAnnotation", "GoldInference", "Inference", "InferenceKind",
+    # engine
+    "EngineConfig", "infer_all", "generate_all", "RULE_IDS", "DEFAULT_RULES",
+    "TriggerLexicon", "default_lexicon", "load_lexicon",
+    # evaluation
+    "match", "MatchConfig", "MatchMode", "MatchPair", "Alignment", "score_headline",
+    "score_by_trigger", "trigger_rows", "TriggerScore", "normalize",
+    # morphology
+    "lemma", "conjugate", "VerbForm",
+    # errors
+    "FormatError", "ParseError", "ConsistencyError",
+]

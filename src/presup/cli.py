@@ -204,8 +204,8 @@ def load_parses(path: str) -> list[ParsedHeadline]:
     Stanford JSON (single object, array of objects, or JSON Lines).  The
     document is the file's text stripped of whitespace at both ends.  Errors
     name ``path:line``; in an array, the line its bad object starts on.  Only
-    JSON text that holds a ``\\u`` escape is checked for lone surrogates.
-    JSON Lines are read one at a time out of the one text."""
+    a file that holds a ``\\u`` escape has its parses checked for lone
+    surrogates.  JSON Lines are read one at a time out of the one text."""
     text = read_text(path)
     if Path(path).suffix.lower() in (".conllu", ".conll"):
         return parse_conllu(text, path)
@@ -236,27 +236,23 @@ def load_parses(path: str) -> list[ParsedHeadline]:
             ) from None
     if isinstance(payload, dict):
         payload = [payload]
+    escaped = "\\u" in text  # only a \u escape can give a lone surrogate
+    array = isinstance(payload, list)
+    if array:  # keyed by position: only an error looks up the item's line
+        items = enumerate(payload)
+    else:  # JSON Lines, keyed by line number
+        lines = _lines(text, start, end, lineno)
+        items = ((lineno, text[start:stop]) for lineno, start, stop in lines)
     parses = []
-    if isinstance(payload, list):
-        escaped = "\\u" in text
-        for k, obj in enumerate(payload):
-            try:
-                h = parse_stanford_json(obj)
-                if escaped:
-                    _check_encodable(_parse_texts(h))
-                parses.append(h)
-            except ParseError as exc:
-                raise type(exc)(f"{path}:{_item_line(text, k)}: {exc}") from None
-        return parses
-    for lineno, start, stop in _lines(text, start, end, lineno):  # JSON Lines
-        line = text[start:stop]
+    for key, item in items:
         try:
-            h = parse_stanford_json(line)
-            if "\\u" in line:
+            h = parse_stanford_json(item)
+            if escaped:
                 _check_encodable(_parse_texts(h))
-            parses.append(h)
         except ParseError as exc:
-            raise type(exc)(f"{path}:{lineno}: {exc}") from None
+            line = _item_line(text, key) if array else key
+            raise type(exc)(f"{path}:{line}: {exc}") from None
+        parses.append(h)
     return parses
 
 
@@ -329,6 +325,16 @@ def _path_text(text: str) -> str:
     return _ESCAPED_BYTE.sub(lambda m: f"\\x{ord(m[0]) - 0xDC00:02x}", text)
 
 
+def _write(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8.  An error names ``path``, also
+    one that only closing the file meets (a full disk), which has no name."""
+    try:
+        Path(path).write_text(text, "utf-8")
+    except OSError as exc:
+        exc.filename = exc.filename or path
+        raise
+
+
 def _read_records(path: str) -> list[HeadlineRecord]:
     """The records of the dataset file at ``path``.  A '#' line that holds a
     '[source:' bracket, a headline that starts with a hashtag perhaps, is
@@ -355,8 +361,7 @@ def cmd_infer(args) -> int:
         inferences = infer_all(h, preprocess(record.text), cfg)
         triggers.extend(map(_TRIGGER, inferences))
         lines.append(_jsonl_record(record.text, inferences))
-    out_path = Path(args.out)
-    out_path.write_text("\n".join([*lines, ""]), "utf-8")  # each line ends in a newline
+    _write(args.out, "\n".join([*lines, ""]))  # each line ends in a newline
     dataset, parses_path = _path_text(args.dataset), _path_text(args.parses)
     manifest = {
         "tool": "presup",
@@ -373,9 +378,7 @@ def cmd_infer(args) -> int:
         "unused_parses": [{"position": k, "id": h.headline_id} for k, _, h, _ in unused],
         "generated_at": datetime.now(timezone.utc).isoformat(),
     }
-    Path(str(out_path) + ".manifest.json").write_text(
-        json.dumps(manifest, indent=2, ensure_ascii=False) + "\n", "utf-8"
-    )
+    _write(args.out + ".manifest.json", json.dumps(manifest, indent=2, ensure_ascii=False) + "\n")
     for _, record, h, _ in skipped:
         what = "no parse for" if h is None else f"parse of {h.raw_text!r} does not match"
         print(f"warning: {dataset}:{record.line}: {what} {record.text!r}", file=sys.stderr)
@@ -555,9 +558,9 @@ def cmd_eval(args) -> int:
     report = {"headlines": rows, "triggers": trigger_rows(score_by_trigger(alignments))}
     table = trigger_table(report["triggers"])
     if args.out:
-        Path(args.out).write_text(_report_json(report), "utf-8")
+        _write(args.out, _report_json(report))
     if args.table:
-        Path(args.table).write_text(table, "utf-8")
+        _write(args.table, table)
     sys.stdout.write("".join([
         f"{row['headline']}\n  gold={row['gold']} computed={row['computed']} "
         f"matched={row['matched']} correct={row['percent_correct']:.1f}% "
@@ -632,7 +635,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except OSError as exc:  # no such file, a directory, no permission, ...
         reason = "file not found" if isinstance(exc, FileNotFoundError) else exc.strerror
-        print(f"error: {_path_text(str(exc.filename))}: {reason}", file=sys.stderr)
+        where = "" if exc.filename is None else f"{_path_text(str(exc.filename))}: "
+        print(f"error: {where}{reason}", file=sys.stderr)
     except ValueError as exc:
         print(f"error: {_path_text(str(exc))}", file=sys.stderr)
     finally:

@@ -237,13 +237,3 @@ def parse_gold(document: str, source: str | None = None) -> list[GoldAnnotation]
         )
     return annotations
 
-
-def render_gold(annotations: list[GoldAnnotation]) -> str:
-    """Inverse of parse_gold for annotations without '@' in inference texts."""
-    lines = []
-    for a in annotations:
-        lines.append(a.headline)
-        for inf in a.inferences:
-            lines.append(f">> {inf.text}" + (f" @{inf.trigger}" if inf.trigger else ""))
-        lines.append("||")
-    return "\n".join(lines) + ("\n" if lines else "")

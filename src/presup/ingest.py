@@ -167,6 +167,22 @@ def normalize_labels(edges: Iterable[DependencyEdge]) -> list[DependencyEdge]:
     return [e if e.dep == dep else e._replace(dep=dep) for e, dep in zip(edges, labels)]
 
 
+def _check_strings(where: str, keys: tuple[str, ...], columns: tuple[Sequence, ...]) -> None:
+    """ParseError for the first value of ``columns`` that is not a string,
+    naming its row (``where`` k, from 1) and its key.  ``str.join`` makes
+    the check in C, with no Python call per value."""
+    try:
+        for column in columns:
+            "".join(column)
+    except TypeError:
+        for k, row in enumerate(zip(*columns), start=1):
+            for key, value in zip(keys, row):
+                if not isinstance(value, str):
+                    raise ParseError(
+                        f"{where} {k}: key {key!r} must be a string, got {value!r}"
+                    ) from None
+
+
 def build_headline(
     headline_id: str,
     raw_text: str,
@@ -177,10 +193,13 @@ def build_headline(
     ``edges``, (dep, governor, governor gloss, dependent, dependent gloss)
     rows: every index in range, no self-loop, each gloss that of its token,
     each token a dependent exactly once, then ``_validate``.  An edge's
-    glosses are its tokens' own strings (``ROOT_GLOSS`` for the root)."""
+    glosses are its tokens' own strings (``ROOT_GLOSS`` for the root).  A
+    word, POS, label or gloss that is not a string is a ParseError naming
+    the token or dependency and its Stanford JSON key."""
     tokens = tuple(tokens)
     n = len(tokens)
     ids, surfaces, tags = zip(*tokens) if tokens else ((), (), ())
+    _check_strings("token", ("word", "pos"), (surfaces, tags))
     glosses = (ROOT_GLOSS, *surfaces)  # the gloss an edge must give for each index
     heads = [-1] * n
     rows = []
@@ -203,7 +222,9 @@ def build_headline(
         else:
             heads[dependent - 1] = governor
     columns = tuple(zip(*rows)) if rows else ((),) * 5
-    deps, governors, _, dependents, dependent_glosses = columns
+    deps, governors, governor_glosses, dependents, dependent_glosses = columns
+    texts = (deps, governor_glosses, dependent_glosses)
+    _check_strings("dependency", ("dep", "governorGloss", "dependentGloss"), texts)
     labels = _labels(deps, governors, dependents, dependent_glosses)
     if isinstance(fault, int):
         fault = f"edge {labels[fault]} references token outside 1..{n}"
@@ -374,8 +395,8 @@ def parse_stanford_json(document: str | dict) -> ParsedHeadline:
 
     Each gloss must equal its token's word, and the edge keeps the word's
     string; labels are then normalized.  Gloss/index mismatches raise
-    ConsistencyError; a missing key or a non-integer index names its token
-    or dependency.
+    ConsistencyError; a missing key, a non-integer index or a text that is
+    not a string names its token or dependency.
     """
     if isinstance(document, str):
         try:
@@ -388,12 +409,14 @@ def parse_stanford_json(document: str | dict) -> ParsedHeadline:
         raise ParseError("expected a JSON object per headline")
     if "headline" not in obj:
         raise ParseError("headline object: missing key 'headline'")
-    headline = str(obj["headline"])
+    headline = obj["headline"]
+    if type(headline) is not str:
+        raise ParseError(f"headline object: key 'headline' must be a string, got {headline!r}")
     hid = str(obj.get("sent_id") or obj.get("id") or "")
     tokens = []
     for i, t in enumerate(_record_list(obj, "tokens"), start=1):
         try:
-            tokens.append(_new(Token, (_integer(t["index"]), str(t["word"]), str(t["pos"]))))
+            tokens.append(_new(Token, (_integer(t["index"]), t["word"], t["pos"])))
         except _RECORD_ERRORS:
             raise _record_error(f"token {i}", t, _TOKEN_KEYS) from None
     records = _record_list(obj, "dependencies")
@@ -406,34 +429,15 @@ def _edge_rows(records: list) -> Iterator[tuple[str, int, str, int, str]]:
     for i, d in enumerate(records, start=1):
         try:
             row = (
-                str(d["dep"]),
+                d["dep"],
                 _integer(d["governor"]),
-                str(d["governorGloss"]),
+                d["governorGloss"],
                 _integer(d["dependent"]),
-                str(d["dependentGloss"]),
+                d["dependentGloss"],
             )
         except _RECORD_ERRORS:
             raise _record_error(f"dependency {i}", d, _EDGE_KEYS) from None
         yield row
-
-
-def to_stanford_json(h: ParsedHeadline) -> dict:
-    """Render back to the Stanford-style JSON shape (round-trips edges/tokens)."""
-    return {
-        "headline": h.raw_text,
-        "sent_id": h.headline_id,
-        "tokens": [{"index": t.index, "word": t.surface, "pos": t.pos} for t in h.tokens],
-        "dependencies": [
-            {
-                "dep": e.dep,
-                "governor": e.governor,
-                "governorGloss": e.governor_gloss,
-                "dependent": e.dependent,
-                "dependentGloss": e.dependent_gloss,
-            }
-            for e in h.edges
-        ],
-    }
 
 
 def is_verb_tag(pos: str, strict: bool = False) -> bool:
@@ -459,17 +463,6 @@ def verbs_of(h: ParsedHeadline, strict: bool = False) -> list[Token]:
 def nouns_of(h: ParsedHeadline) -> list[Token]:
     """Noun and pronoun tokens in sentence order."""
     return [t for t in h.tokens if is_noun_tag(t.pos)]
-
-
-def edges_with(
-    h: ParsedHeadline, dep: str, dependent_gloss: str | None = None
-) -> list[DependencyEdge]:
-    """Edges with a label and, if given, a dependent gloss (compared
-    case-insensitively)."""
-    if dependent_gloss is None:
-        return [e for e in h.edges if e.dep == dep]
-    wanted = dependent_gloss.lower()
-    return [e for e in h.edges if e.dep == dep and e.dependent_gloss.lower() == wanted]
 
 
 class EdgeView(NamedTuple):

@@ -1,4 +1,5 @@
-"""Shared fixtures: fixture-file loaders and a compact parse builder."""
+"""Shared fixtures: fixture-file loaders, a compact parse builder, and the
+writers that the round-trip tests invert the readers with."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from presup.cli import load_parses
-from presup.corpus import preprocess, read_dataset
+from presup.corpus import GoldAnnotation, preprocess, read_dataset
 from presup.ingest import DependencyEdge, ParsedHeadline, Token, build_headline
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -36,6 +37,37 @@ def make_headline(spec: str, edges, raw_text: str | None = None) -> ParsedHeadli
     ]
     text = raw_text if raw_text is not None else " ".join(t.surface for t in tokens)
     return build_headline("test", text, tokens, built)
+
+
+def to_stanford_json(h: ParsedHeadline) -> dict:
+    """``h`` in the Stanford-style JSON shape that ``parse_stanford_json`` reads."""
+    return {
+        "headline": h.raw_text,
+        "sent_id": h.headline_id,
+        "tokens": [{"index": t.index, "word": t.surface, "pos": t.pos} for t in h.tokens],
+        "dependencies": [
+            {
+                "dep": e.dep,
+                "governor": e.governor,
+                "governorGloss": e.governor_gloss,
+                "dependent": e.dependent,
+                "dependentGloss": e.dependent_gloss,
+            }
+            for e in h.edges
+        ],
+    }
+
+
+def render_gold(annotations: list[GoldAnnotation]) -> str:
+    """The gold file that ``parse_gold`` reads back as ``annotations``, for
+    annotations without '@' in inference texts."""
+    lines = []
+    for a in annotations:
+        lines.append(a.headline)
+        for inf in a.inferences:
+            lines.append(f">> {inf.text}" + (f" @{inf.trigger}" if inf.trigger else ""))
+        lines.append("||")
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def load_fixture_corpus(parses_name: str, dataset_name: str):

@@ -1,10 +1,10 @@
 """A frozen copy of the infer path's per-headline helpers as they were before
 their calls were cut down: ``extract_triplets`` with one edge scan per
 dependent it reads, ``parse_dataset_line`` with ``re.finditer`` and keyword
-construction, and the old definitions of ``verbs_of``, ``edges_with`` and
-``_merge``, and ``cmd_infer``'s pairing loop as it was before ``pair``
-took it over.  ``test_properties.py`` checks that the package gives the
-same triples, records, query results and pairing verdicts."""
+construction, the old definitions of ``verbs_of`` and ``_merge``, and
+``cmd_infer``'s pairing loop as it was before ``pair`` took it over.
+``test_properties.py`` checks that the package gives the same triples,
+records, query results and pairing verdicts."""
 
 from __future__ import annotations
 
@@ -50,17 +50,6 @@ def is_verb_tag(pos: str, strict: bool = False) -> bool:
 
 def verbs_of(h: ParsedHeadline, strict: bool = False) -> list[Token]:
     return [t for t in h.tokens if is_verb_tag(t.pos, strict)]
-
-
-def edges_with(h: ParsedHeadline, dep: str, dependent_gloss: str | None = None) -> list:
-    out = []
-    for e in h.edges:
-        if e.dep != dep:
-            continue
-        if dependent_gloss is not None and e.dependent_gloss.lower() != dependent_gloss.lower():
-            continue
-        out.append(e)
-    return out
 
 
 def _merge(*spans) -> tuple[int, ...]:

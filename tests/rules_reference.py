@@ -10,13 +10,20 @@ from __future__ import annotations
 from itertools import accumulate
 
 from presup.corpus import QuotedSpan, letters, word_count
-from presup.ingest import ParsedHeadline, Token, edges_with, is_verb_tag, nouns_of, verbs_of
+from presup.ingest import ParsedHeadline, Token, is_verb_tag, nouns_of, verbs_of
 from presup.lexicon import VERB_CLASS_IDS, TriggerLexicon
 from presup.morphology import VerbForm, conjugate, lemma
 from presup.rules import Inference, InferenceKind
 
 
-# The two edge queries the package no longer has.
+# The three edge queries the package no longer has.
+def edges_with(h: ParsedHeadline, dep: str, dependent_gloss: str | None = None) -> list:
+    if dependent_gloss is None:
+        return [e for e in h.edges if e.dep == dep]
+    wanted = dependent_gloss.lower()
+    return [e for e in h.edges if e.dep == dep and e.dependent_gloss.lower() == wanted]
+
+
 def edges_governed_by(h: ParsedHeadline, governor: int, dep: str | None = None) -> list:
     return [e for e in h.edges if e.governor == governor and (dep is None or e.dep == dep)]
 

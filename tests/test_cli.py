@@ -377,6 +377,36 @@ class TestInfer:
         assert err.startswith(f"error: {bad}:3: {complaint}")
         assert err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("name", ["p.jsonl", "p.json"])
+    def test_null_word_and_gloss_are_an_error(self, tmp_path, capsys, name):
+        """A null word with a null gloss read as 'None' both, agreed, and
+        rendered 'None rescues economy' with exit status 0."""
+        parse = {
+            "headline": "Plan rescues economy",
+            "tokens": [{"index": 1, "word": None, "pos": "NN"},
+                       {"index": 2, "word": "rescues", "pos": "VBZ"},
+                       {"index": 3, "word": "economy", "pos": "NN"}],
+            "dependencies": [
+                {"dep": "nsubj", "governor": 2, "governorGloss": "rescues",
+                 "dependent": 1, "dependentGloss": None},
+                {"dep": "root", "governor": 0, "governorGloss": "ROOT",
+                 "dependent": 2, "dependentGloss": "rescues"},
+                {"dep": "dobj", "governor": 2, "governorGloss": "rescues",
+                 "dependent": 3, "dependentGloss": "economy"},
+            ],
+        }
+        parses = tmp_path / name
+        parses.write_text(f"\n{json.dumps(parse)}\n")
+        dataset = tmp_path / "d.txt"
+        dataset.write_text("Plan rescues economy [source: BBC]\n")
+        out = tmp_path / "o.jsonl"
+        argv = ["infer", "--dataset", str(dataset), "--parses", str(parses), "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: {parses}:2: token 1: key 'word' must be a string, got None\n"
+        )
+        assert not out.exists()
+
     def test_bad_object_in_array_names_its_first_line(self, tmp_path, capsys):
         items = json.loads((FIXTURES / "basic_triggers.json").read_text("utf-8"))
         del items[2]["tokens"][0]["index"]
@@ -1059,6 +1089,30 @@ class TestFileBytes:
         argv = ["infer", "--dataset", str(dataset), "--parses", str(conllu), "--out", str(out)]
         assert main([*argv, "--strict"]) == 0
         assert len(read_jsonl(out)) == 1
+
+    # Writing to /dev/full fails when the file is flushed, and that error
+    # carries no file name.
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("argv, written", [
+        ([*INFER, "--out", "/dev/full"], "/dev/full"),
+        ([*INFER, "--out", "{tmp}/o.jsonl"], "{tmp}/o.jsonl.manifest.json"),
+        ([*EVAL, "--out", "/dev/full"], "/dev/full"),
+        ([*EVAL, "--out", "{tmp}/r.json", "--table", "/dev/full"], "/dev/full"),
+    ], ids=["infer-out", "infer-manifest", "eval-out", "eval-table"])
+    def test_full_disk_names_the_file_written(self, tmp_path, capsys, argv, written):
+        (tmp_path / "o.jsonl.manifest.json").symlink_to("/dev/full")
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {written.format(tmp=tmp_path)}: No space left on device\n"
+
+    def test_os_error_without_a_file_names_no_file(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise OSError(5, "Input/output error")
+
+        monkeypatch.setattr(cli, "read_dataset", fail)
+        assert main(["stats", "--dataset", str(FIXTURES / "basic_triggers_dataset.txt")]) == 1
+        assert capsys.readouterr().err == "error: Input/output error\n"
 
 
 class TestSettings:

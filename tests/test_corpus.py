@@ -3,7 +3,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_headline
+from conftest import make_headline, render_gold
 from presup.corpus import (
     GoldAnnotation,
     GoldInference,
@@ -13,7 +13,6 @@ from presup.corpus import (
     parse_gold,
     preprocess,
     read_dataset,
-    render_gold,
     word_count,
 )
 from presup.errors import FormatError

@@ -3,18 +3,16 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import make_headline
+from conftest import make_headline, to_stanford_json
 from presup.errors import ConsistencyError, ParseError
 from presup.ingest import (
     DependencyEdge,
     Token,
-    edges_with,
     is_noun_tag,
     normalize_labels,
     nouns_of,
     parse_conllu,
     parse_stanford_json,
-    to_stanford_json,
     verbs_of,
 )
 
@@ -167,7 +165,7 @@ FIG7_JSON = {
 class TestParseStanfordJson:
     def test_tuple_fields_kept_verbatim(self):
         h = parse_stanford_json(json.dumps(FIG7_JSON))
-        dobj = edges_with(h, "dobj")[0]
+        (dobj,) = [e for e in h.edges if e.dep == "dobj"]
         assert (dobj.governor, dobj.governor_gloss) == (4, "plans")
         assert (dobj.dependent, dobj.dependent_gloss) == (5, "rescue")
 
@@ -216,6 +214,30 @@ class TestParseStanfordJson:
             with pytest.raises(ParseError) as exc:
                 parse_stanford_json(document)
             assert str(exc.value) == complaint
+
+    @pytest.mark.parametrize("value", [None, True, 7, [], {}], ids=repr)
+    @pytest.mark.parametrize("where, key, complaint", [
+        ("headline", "headline", "headline object"),
+        ("tokens", "word", "token 2"),
+        ("tokens", "pos", "token 2"),
+        ("dependencies", "dep", "dependency 2"),
+        ("dependencies", "governorGloss", "dependency 2"),
+        ("dependencies", "dependentGloss", "dependency 2"),
+    ])
+    def test_text_that_is_not_a_string_named(self, where, key, complaint, value):
+        """str() would read null as 'None', so a word and its gloss given
+        null would both read 'None' and agree."""
+        broken = json.loads(json.dumps(FIG7_JSON))
+        (broken if where == "headline" else broken[where][1])[key] = value
+        for document in (broken, json.dumps(broken)):
+            with pytest.raises(ParseError) as exc:
+                parse_stanford_json(document)
+            assert str(exc.value) == f"{complaint}: key {key!r} must be a string, got {value!r}"
+
+    @pytest.mark.parametrize("key", ["sent_id", "id"])
+    def test_integer_ids_are_read_as_text(self, key):
+        h = parse_stanford_json({**FIG7_JSON, key: 7})
+        assert h.headline_id == "7"
 
     def test_digit_string_keys_are_integers(self):
         as_strings = json.loads(json.dumps(FIG7_JSON))
@@ -415,21 +437,6 @@ class TestTokenQueries:
             h = make_headline(f"w/{tag}", [("root", 0, 1)])
             assert not (verbs_of(h) and nouns_of(h)), tag
             assert t  # keep the token binding used above
-
-    def test_edges_with_aux_will(self, basic_triggers):
-        h, _ = basic_triggers["future"]
-        (e,) = edges_with(h, "aux", dependent_gloss="will")
-        assert e.governor_gloss == "broadcast"
-
-    def test_edges_with_no_match(self, basic_triggers):
-        h, _ = basic_triggers["future"]
-        assert edges_with(h, "xcomp") == []
-
-    def test_edges_with_gloss_filters(self, basic_triggers):
-        h, _ = basic_triggers["nmod_of"]
-        assert len(edges_with(h, "nmod", dependent_gloss="England")) == 1
-        assert len(edges_with(h, "nmod", dependent_gloss="ENGLAND")) == 1  # case-insensitive
-        assert edges_with(h, "nmod", dependent_gloss="Bank") == []  # the governor's gloss
 
 
 @given(st.lists(st.sampled_from(["obj", "obl", "nn", "nsubj", "dobj", "conj", "cc",

@@ -25,7 +25,7 @@ import gold_reference
 import infer_reference
 import ingest_reference as reference
 import rules_reference
-from conftest import FIXTURES, load_fixture_corpus, make_headline
+from conftest import FIXTURES, load_fixture_corpus, make_headline, to_stanford_json
 from presup.cli import (
     _json_lines,
     _jsonl_record,
@@ -59,12 +59,10 @@ from presup.ingest import (
     ParsedHeadline,
     Token,
     build_headline,
-    edges_with,
     is_verb_tag,
     normalize_labels,
     parse_conllu,
     parse_stanford_json,
-    to_stanford_json,
     verbs_of,
 )
 from presup.lexicon import TriggerLexicon, default_lexicon
@@ -1158,21 +1156,6 @@ def test_verbs_of_takes_the_tokens_is_verb_tag_accepts(tags, strict):
     got = verbs_of(h, strict)
     assert got == [t for t in h.tokens if is_verb_tag(t.pos, strict)]
     assert got == infer_reference.verbs_of(h, strict)
-
-
-GLOSS_TEXTS = st.sampled_from(["will", "WILL", "Will", "again", "\u0130", "i\u0307", "\xdf",
-                               "SS", "\ufb01", "FI", ""]) | st.text(max_size=3)
-EDGE_LABELS = st.sampled_from(["aux", "advmod", "nmod"])
-
-
-@given(st.lists(st.tuples(EDGE_LABELS, GLOSS_TEXTS), max_size=6), EDGE_LABELS,
-       st.none() | GLOSS_TEXTS)
-@example([("aux", "will"), ("aux", "Will"), ("advmod", "WILL")], "aux", "WILL")
-@example([("nmod", "i\u0307"), ("nmod", "\u0130")], "nmod", "\u0130")
-def test_edges_with_matches_its_old_definition(rows, dep, gloss):
-    edges = tuple(DependencyEdge(d, 0, "ROOT", k, g) for k, (d, g) in enumerate(rows, 1))
-    h = ParsedHeadline("x", "x", (), edges)
-    assert edges_with(h, dep, gloss) == infer_reference.edges_with(h, dep, gloss)
 
 
 SPANS = st.lists(st.integers(-3, 20), max_size=5)
