@@ -70,27 +70,18 @@ class ParsedHeadline:
     edges: tuple[DependencyEdge, ...]
     quoted_spans: tuple[tuple[int, int], ...] = ()
 
-    def token_at(self, index: int) -> Token:
-        return self.tokens[index - 1]
-
 
 def _validate(
-    headline_id: str,
-    ids: Sequence[int],
-    tags: Sequence[str],
-    labels: Sequence[str],
-    governors: Sequence[int],
-    dependents: Sequence[int],
-    heads: Sequence[int],
-    fault: str | None = None,
+    headline_id: str, ids: Sequence[int], tags: Sequence[str], labels: Sequence[str],
+    heads: Sequence[int], fault: str | None = None, listed: Sequence[int] = (),
 ) -> None:
     """Raise ConsistencyError for the first broken invariant of a sentence
     given as columns, in this order: token k carries index k and a POS; one
     edge is labelled root; ``fault``, the first bad edge its reader found;
-    every token reaches the root through ``heads`` (``heads[k - 1]``
-    governs token k, each in 0..n once the checks before hold); only the
-    root edge hangs from the root.  ``labels``, ``governors`` and
-    ``dependents`` are the edges' columns."""
+    every token reaches the root through ``heads``; only the root edge hangs
+    from the root.  Past the fault, ``labels[k - 1]`` and ``heads[k - 1]``
+    are token k's edge's.  Of two edges from the root, the error names the
+    first in ``listed`` (dependents as a file lists them), else the leftmost."""
     n = len(ids)
     # Rules look tokens up by index, so token k must carry index k.
     if not all(tags) or any(map(ne, ids, range(1, n + 1))):
@@ -120,13 +111,27 @@ def _validate(
             raise ConsistencyError(f"{headline_id}: edges do not form a tree")
     # The tree reaches the root, so some edge hangs from it; any other than
     # the root edge breaks the rule.
-    if governors.count(0) != 1 or governors[labels.index("root")]:
-        for label, governor, dependent in zip(labels, governors, dependents):
-            if governor == 0 and label != "root":
+    if heads.count(0) != 1 or heads[labels.index("root")]:
+        for dependent in listed or ids:
+            if heads[dependent - 1] == 0 and labels[dependent - 1] != "root":
                 raise ConsistencyError(
-                    f"{headline_id}: edge {label} of token {dependent} hangs from the root,"
-                    " which only the root edge may"
+                    f"{headline_id}: edge {labels[dependent - 1]} of token {dependent} hangs"
+                    " from the root, which only the root edge may"
                 )
+
+
+def _assemble(
+    headline_id: str, raw_text: str, tokens: tuple[Token, ...], ids: Sequence[int],
+    forms: Sequence[str], tags: Sequence[str], labels: Sequence[str], heads: Sequence[int],
+    fault: str | None = None, listed: Sequence[int] = (),
+) -> ParsedHeadline:
+    """The parse of a sentence given as ``_validate``'s columns, which it
+    checks: ``edges[k - 1]`` is token k's edge, its glosses the words'."""
+    _validate(headline_id, ids, tags, labels, heads, fault, listed)
+    glosses = (ROOT_GLOSS, *forms)
+    edge_rows = zip(labels, heads, map(glosses.__getitem__, heads), ids, forms)
+    edges = tuple(map(_new, repeat(DependencyEdge), edge_rows))
+    return ParsedHeadline(headline_id, raw_text, tokens, edges)
 
 
 def _labels(
@@ -191,9 +196,9 @@ def build_headline(
 ) -> ParsedHeadline:
     """Map labels and check the structural invariants in one pass over
     ``edges``, (dep, governor, governor gloss, dependent, dependent gloss)
-    rows: every index in range, no self-loop, each gloss that of its token,
-    each token a dependent exactly once, then ``_validate``.  An edge's
-    glosses are its tokens' own strings (``ROOT_GLOSS`` for the root).  A
+    rows in any order: every index in range, no self-loop, each gloss that
+    of its token, each token a dependent exactly once, then ``_validate``.
+    The parse lists the edges by dependent, as ``_assemble`` builds them.  A
     word, POS, label or gloss that is not a string is a ParseError naming
     the token or dependency and its Stanford JSON key."""
     tokens = tuple(tokens)
@@ -202,13 +207,14 @@ def build_headline(
     _check_strings("token", ("word", "pos"), (surfaces, tags))
     glosses = (ROOT_GLOSS, *surfaces)  # the gloss an edge must give for each index
     heads = [-1] * n
+    placed = [""] * n  # placed[k - 1]: the label of the edge token k hangs from
     rows = []
     fault: str | int | None = None  # an int: the row whose index is out of range
     for row in edges:
         rows.append(row)
         if fault is not None:
             continue
-        _, governor, governor_gloss, dependent, dependent_gloss = row
+        dep, governor, governor_gloss, dependent, dependent_gloss = row
         if governor < 0 or governor > n or not 1 <= dependent <= n:
             fault = len(rows) - 1  # its message names the mapped label
         elif dependent == governor:
@@ -221,23 +227,22 @@ def build_headline(
             fault = f"token {dependent} is a dependent twice"
         else:
             heads[dependent - 1] = governor
+            placed[dependent - 1] = dep
     columns = tuple(zip(*rows)) if rows else ((),) * 5
     deps, governors, governor_glosses, dependents, dependent_glosses = columns
     texts = (deps, governor_glosses, dependent_glosses)
     _check_strings("dependency", ("dep", "governorGloss", "dependentGloss"), texts)
-    labels = _labels(deps, governors, dependents, dependent_glosses)
-    if isinstance(fault, int):
-        fault = f"edge {labels[fault]} references token outside 1..{n}"
-    elif fault is None and -1 in heads:
-        missing = [k for k, head in enumerate(heads, start=1) if head < 0]
-        fault = f"tokens {missing} attach nowhere"
-    _validate(headline_id, ids, tags, labels, governors, dependents, heads, fault)
-    # The glosses equal their tokens' words: keep those strings, not the copies.
-    gloss = glosses.__getitem__
-    edge_rows = zip(labels, governors, map(gloss, governors), dependents, map(gloss, dependents))
-    return ParsedHeadline(
-        headline_id, raw_text, tokens, tuple(map(_new, repeat(DependencyEdge), edge_rows))
-    )
+    if fault is None and -1 not in heads:  # each row placed one token's edge
+        labels = _labels(placed, heads, range(1, n + 1), surfaces)
+    else:  # the rows as given name the fault
+        labels = _labels(deps, governors, dependents, dependent_glosses)
+        if isinstance(fault, int):
+            fault = f"edge {labels[fault]} references token outside 1..{n}"
+        elif fault is None:
+            missing = [k for k, head in enumerate(heads, start=1) if head < 0]
+            fault = f"tokens {missing} attach nowhere"
+    return _assemble(headline_id, raw_text, tokens, ids, surfaces, tags, labels, heads, fault,
+                     dependents)
 
 
 class _DigitStrings(dict):
@@ -291,20 +296,11 @@ def parse_conllu(document: str, source: str | None = None) -> list[ParsedHeadlin
             text = sent_text if sent_text is not None else " ".join(forms)
             hid = sent_id or text  # without a sent_id the id is the text, as in Stanford JSON
             labels = _labels(deprels, heads, ids, forms)
+            tokens = tuple(map(_new, repeat(Token), zip(ids, forms, tags)))
             try:
-                _validate(hid, ids, tags, labels, heads, ids, heads)
+                headlines.append(_assemble(hid, text, tokens, ids, forms, tags, labels, heads))
             except ConsistencyError as exc:
                 raise ConsistencyError(f"{located(source, first_line)}: {exc}") from None
-            glosses = [ROOT_GLOSS, *forms]
-            edge_rows = zip(labels, heads, map(glosses.__getitem__, heads), ids, forms)
-            headlines.append(
-                ParsedHeadline(
-                    hid,
-                    text,
-                    tuple(map(_new, repeat(Token), zip(ids, forms, tags))),
-                    tuple(map(_new, repeat(DependencyEdge), edge_rows)),
-                )
-            )
         ids, forms, tags, heads, deprels = [], [], [], [], []
         sent_id, sent_text, first_line = None, None, 0
 
@@ -393,10 +389,10 @@ def _record_list(obj: dict, key: str) -> list:
 def parse_stanford_json(document: str | dict) -> ParsedHeadline:
     """Parse one Stanford-style JSON object into a ParsedHeadline.
 
-    Each gloss must equal its token's word, and the edge keeps the word's
-    string; labels are then normalized.  Gloss/index mismatches raise
-    ConsistencyError; a missing key, a non-integer index or a text that is
-    not a string names its token or dependency.
+    Dependencies may come in any order.  Each gloss must equal its token's
+    word, kept as the edge's string; labels are then normalized.  Gloss or
+    index mismatches raise ConsistencyError; a missing key, a non-integer
+    index or a text that is not a string names its token or dependency.
     """
     if isinstance(document, str):
         try:
@@ -412,7 +408,12 @@ def parse_stanford_json(document: str | dict) -> ParsedHeadline:
     headline = obj["headline"]
     if type(headline) is not str:
         raise ParseError(f"headline object: key 'headline' must be a string, got {headline!r}")
-    hid = str(obj.get("sent_id") or obj.get("id") or "")
+    key = "id" if obj.get("sent_id") in (None, "") else "sent_id"
+    hid = obj.get(key)
+    if hid is not None and type(hid) not in (str, int):  # nor a bool
+        raise ParseError(
+            f"headline object: key {key!r} must be a string or an integer, got {hid!r}"
+        )
     tokens = []
     for i, t in enumerate(_record_list(obj, "tokens"), start=1):
         try:
@@ -420,7 +421,8 @@ def parse_stanford_json(document: str | dict) -> ParsedHeadline:
         except _RECORD_ERRORS:
             raise _record_error(f"token {i}", t, _TOKEN_KEYS) from None
     records = _record_list(obj, "dependencies")
-    return build_headline(hid or headline, headline, tokens, _edge_rows(records))
+    hid = headline if hid in (None, "") else str(hid)
+    return build_headline(hid, headline, tokens, _edge_rows(records))
 
 
 def _edge_rows(records: list) -> Iterator[tuple[str, int, str, int, str]]:
@@ -467,25 +469,22 @@ def nouns_of(h: ParsedHeadline) -> list[Token]:
 
 class EdgeView(NamedTuple):
     """A headline as the rules read it, built by ``edge_view`` in one pass
-    over its edges.  Each list keeps ``h.edges`` order, so the first
-    ``nsubj`` a rule finds in it is the first one in ``h.edges``."""
+    over its edges, which are in dependent order (``h.edges[k - 1]`` is token
+    k's).  Each list keeps it: the first ``nsubj`` a rule finds is leftmost."""
 
     h: ParsedHeadline
     tokens: tuple[Token, ...]
     verbs: list[Token]  # verbs_of(h, strict_verbs)
     below: list[list[DependencyEdge]]  # below[k]: the edges token k governs; 0 is the root
-    above: list[DependencyEdge | None]  # above[k]: the edge token k hangs from
     labelled: defaultdict[str, list[DependencyEdge]]  # each label's edges; read with .get
 
 
 def edge_view(h: ParsedHeadline, strict_verbs: bool = False) -> EdgeView:
-    """``h``'s edges grouped by governor, by dependent and by label, and its
-    verbs, for a parse from a reader or ``build_headline``."""
+    """``h``'s edges grouped by governor and by label, and its verbs, for a
+    parse from a reader or ``build_headline``."""
     below = [[] for _ in range(len(h.tokens) + 1)]
-    above = [None] * (len(h.tokens) + 1)
     labelled = defaultdict(list)
     for e in h.edges:
         below[e.governor].append(e)
-        above[e.dependent] = e
         labelled[e.dep].append(e)
-    return _new(EdgeView, (h, h.tokens, verbs_of(h, strict_verbs), below, above, labelled))
+    return _new(EdgeView, (h, h.tokens, verbs_of(h, strict_verbs), below, labelled))

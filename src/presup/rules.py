@@ -12,8 +12,8 @@ function, and its order is the output order.  Adding a rule is adding one
 row to it; the ``lexical.*`` rows come from ``lexicon.VERB_CLASS_IDS``.
 ``infer_all`` runs the configured rules in registry order and deduplicates
 the rendered texts.  Rules assume a tree from a reader or ``build_headline``:
-each token hangs from exactly one edge, and only the ``root`` edge hangs from
-the virtual root, so no other edge's governor is 0.
+token k hangs from one edge, ``h.edges[k - 1]``, so the first ``nsubj`` a rule
+finds is the leftmost, and only the ``root`` edge has governor 0, the root.
 """
 
 from __future__ import annotations
@@ -272,7 +272,7 @@ def rule_past_tense(v: EdgeView, p, cfg) -> list[Inference]:
     """Main-clause simple past: the event already happened."""
     out = []
     for t in v.tokens:
-        if t.pos != "VBD" or v.above[t.index].dep in ("advcl", "ccomp"):
+        if t.pos != "VBD" or v.h.edges[t.index - 1].dep in ("advcl", "ccomp"):
             continue
         below = v.below[t.index]
         subj = _first(below, "nsubj")
@@ -436,7 +436,7 @@ def rule_temporal(v: EdgeView, p, cfg) -> list[Inference]:
 def _undo_inversion(v: EdgeView, substitute: str, words: list[str]) -> list[str]:
     """``words``, the question's words, in statement order: the auxiliary
     (word 2) moves after the subject, the substitute to the end."""
-    subj = _first(v.below[v.above[2].governor], "nsubj")
+    subj = _first(v.below[v.h.edges[1].governor], "nsubj")  # edges[1]: word 2's edge
     if subj is None or subj.dependent <= 2:
         return [substitute] + words[1:]
     head = subj.dependent

@@ -67,7 +67,7 @@ def _phrase(h, head, mods=_SUBJ_MODS):
     idxs = sorted(
         [head] + [e.dependent for e in edges_governed_by(h, head) if e.dep in mods]
     )
-    return " ".join(h.token_at(i).surface for i in idxs), tuple(idxs)
+    return " ".join(h.tokens[i - 1].surface for i in idxs), tuple(idxs)
 
 
 def _is_negator(e) -> bool:
@@ -80,7 +80,7 @@ def _verb_surface(h, verb):
         for e in edges_governed_by(h, verb)
         if e.dep in _PARTICLE_DEPS or e.dep in ("aux", "auxpass") or _is_negator(e)
     ]
-    ordered = sorted([(verb, h.token_at(verb).surface), *found])
+    ordered = sorted([(verb, h.tokens[verb - 1].surface), *found])
     return " ".join(s for _, s in ordered), tuple(i for i, _ in ordered)
 
 

@@ -142,7 +142,7 @@ def _clause(
     """Subject phrase, ``aux``, ``verb`` inflected to ``form``, the verb's
     object tail and ``after``, as text and span."""
     subj_p, subj_s = _phrase(h, subj)
-    tok = h.token_at(verb)
+    tok = h.tokens[verb - 1]
     inflected = conjugate(lemma(tok.surface, tok.pos), form)
     tail, tail_s = _object_tail(h, verb)
     text = " ".join(filter(None, [subj_p, aux, inflected, tail, after]))
@@ -168,7 +168,7 @@ def rule_future(h: ParsedHeadline) -> list[Inference]:
     """aux 'will' plus a co-governed direct object: the event is still ahead."""
     out = []
     for d in edges_with(h, "aux", dependent_gloss="will"):
-        verb = h.token_at(d.governor)
+        verb = h.tokens[d.governor - 1]
         participle = conjugate(lemma(verb.surface, verb.pos), VerbForm.PAST_PARTICIPLE)
         for nd in edges_governed_by(h, d.governor, "dobj"):
             text = f"{nd.dependent_gloss} is not yet {participle}"
@@ -181,7 +181,7 @@ def rule_but(h: ParsedHeadline) -> list[Inference]:
     expectation about the second."""
     out = []
     for d in edges_with(h, "conj:but"):
-        dep = h.token_at(d.dependent)
+        dep = h.tokens[d.dependent - 1]
         gerund = conjugate(lemma(dep.surface, dep.pos), VerbForm.GERUND)
         expecting = "was not expecting" if _is_negated(h, d.dependent) else "was expecting"
         text = f"being {d.governor_gloss} {expecting} {gerund}"
@@ -203,7 +203,7 @@ def rule_again(h: ParsedHeadline) -> list[Inference]:
         subj = _first(edges_governed_by(h, d.governor, "nsubj"))
         if subj is None:
             continue
-        verb = h.token_at(d.governor)
+        verb = h.tokens[d.governor - 1]
         subj_p, subj_s = _phrase(h, subj.dependent)
         participle = conjugate(lemma(verb.surface, verb.pos), VerbForm.PAST_PARTICIPLE)
         obj_p, obj_s = "", ()
@@ -219,7 +219,7 @@ def rule_further(h: ParsedHeadline, strict_verbs: bool = False) -> list[Inferenc
     """advmod 'further' on a verb: the subject is already in that state."""
     out = []
     for d in edges_with(h, "advmod", dependent_gloss="further"):
-        verb = h.token_at(d.governor)
+        verb = h.tokens[d.governor - 1]
         if not is_verb_tag(verb.pos, strict_verbs):
             continue
         subj = _first(edges_governed_by(h, d.governor, "nsubj"))
@@ -398,7 +398,7 @@ def rule_temporal(
     for e in h.edges:
         if e.dep not in ("case", "mark") or e.dependent_gloss.lower() not in temporal:
             continue
-        gov = h.token_at(e.governor)
+        gov = h.tokens[e.governor - 1]
         if is_verb_tag(gov.pos, strict_verbs):
             subj = _first(edges_governed_by(h, gov.index, "nsubj"))
             if subj is None:

@@ -71,9 +71,9 @@ def _references(tree: ast.AST, skip: ast.AST) -> set[str]:
 
 def test_no_dead_source():
     """A definition counts as used when the README names it, or when code
-    in src/, perfbench/ or a frozen reference copy in tests/ (which keeps
-    ``ParsedHeadline.token_at`` in use) refers to it outside its own body.
-    Imports do not count, so neither does a re-export."""
+    in src/, perfbench/ or a frozen reference copy in tests/ refers to it
+    outside its own body.  Imports do not count, so neither does a
+    re-export."""
     sources = [
         *sorted((ROOT / "src").rglob("*.py")),
         *sorted((ROOT / "perfbench").glob("*.py")),

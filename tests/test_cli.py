@@ -1,6 +1,9 @@
 import gc
 import json
 import os
+import re
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -46,6 +49,29 @@ PINNED_RUNS = [
     # Quotes, a backslash, '’', a tab, U+2028 and an emoji in headlines and
     # tokens: what the writer escapes and what it leaves raw.
     ("escapes", "escapes.json"),
+]
+
+# Each run of `python -m presup.cli` that must write the same bytes under
+# any string-hash seed, and the files it writes into "{out}": every pinned
+# `infer --rules all` run, and `eval --labels --table` on the scored fixtures.
+HASH_SEED_RUNS = [
+    *(
+        pytest.param(
+            ["infer", "--rules", "all", "--dataset", str(FIXTURES / f"{dataset}_dataset.txt"),
+             "--parses", str(FIXTURES / parses), "--out", "{out}/out.jsonl"],
+            ["out.jsonl", "out.jsonl.manifest.json"],
+            id=f"infer-{parses}",
+        )
+        for dataset, parses in PINNED_RUNS
+    ),
+    pytest.param(
+        ["eval", "--inferences", str(FIXTURES / "scored_computed.jsonl"),
+         "--gold", str(FIXTURES / "scored_gold.txt"),
+         "--labels", str(FIXTURES / "scored_labels.jsonl"),
+         "--out", "{out}/report.json", "--table", "{out}/table.tsv"],
+        ["report.json", "table.tsv"],
+        id="eval-scored",
+    ),
 ]
 
 # The first fixture parse as one JSON Lines record.
@@ -151,6 +177,26 @@ class TestInfer:
         m2 = json.loads((tmp_path / "b.jsonl.manifest.json").read_text())
         m1.pop("generated_at"), m2.pop("generated_at")
         assert m1 == m2
+
+    @pytest.mark.parametrize("argv, written", HASH_SEED_RUNS)
+    def test_other_string_hash_seeds_write_the_same_bytes(self, tmp_path, argv, written):
+        """A run in another process, under another string-hash seed, writes
+        the same files and stdout, byte for byte, but the manifest's
+        ``generated_at``.  The child inherits the rest of the environment,
+        so it runs the presup that this process imports."""
+        outputs = []
+        for seed in ("0", "1"):
+            out = tmp_path / seed
+            out.mkdir()
+            done = subprocess.run(
+                [sys.executable, "-m", "presup.cli", *(a.format(out=out) for a in argv)],
+                env={**os.environ, "PYTHONHASHSEED": seed}, capture_output=True, check=True,
+            )
+            files = [(out / name).read_bytes() for name in written]
+            outputs.append((done.stdout, [re.sub(rb'\n *"generated_at": [^\n]*', b"", data)
+                                          for data in files]))
+        assert outputs[0] == outputs[1]
+        assert all(outputs[0][1])
 
     def test_config_file(self, tmp_path):
         cfg = tmp_path / "engine.cfg"

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import make_headline, to_stanford_json
+from presup.cli import load_parses
 from presup.errors import ConsistencyError, ParseError
 from presup.ingest import (
     DependencyEdge,
@@ -239,6 +240,37 @@ class TestParseStanfordJson:
         h = parse_stanford_json({**FIG7_JSON, key: 7})
         assert h.headline_id == "7"
 
+    @pytest.mark.parametrize("ids, hid", [
+        ({"sent_id": 0}, "0"),
+        ({"id": 0}, "0"),
+        ({"sent_id": 0, "id": "b"}, "0"),
+        ({"sent_id": None, "id": 0}, "0"),
+        ({"sent_id": "", "id": "b"}, "b"),
+        ({"sent_id": None, "id": ""}, "Bank of England plans rescue"),
+        ({}, "Bank of England plans rescue"),
+    ])
+    def test_id_is_the_first_string_or_integer_given(self, ids, hid):
+        """0 is an id; a key that is absent, null or "" gives none, and
+        without one the headline is the id."""
+        assert parse_stanford_json({**FIG7_JSON, **ids}).headline_id == hid
+
+    @pytest.mark.parametrize("key", ["sent_id", "id"])
+    @pytest.mark.parametrize("value", [True, False, 1.5, 0.0, float("nan"), [1], {}], ids=repr)
+    def test_id_that_is_neither_a_string_nor_an_integer_named(self, tmp_path, key, value):
+        """str() would read true as 'True' and [1] as '[1]'.  The reader
+        names the key, and ``load_parses`` the record's line."""
+        complaint = f"key {key!r} must be a string or an integer, got {value!r}"
+        broken = {**FIG7_JSON, key: value}
+        for document in (broken, json.dumps(broken)):
+            with pytest.raises(ParseError) as exc:
+                parse_stanford_json(document)
+            assert str(exc.value) == f"headline object: {complaint}"
+        path = tmp_path / "parses.jsonl"
+        path.write_text(json.dumps(FIG7_JSON) + "\n" + json.dumps(broken) + "\n")
+        with pytest.raises(ParseError) as exc:
+            load_parses(str(path))
+        assert str(exc.value) == f"{path}:2: headline object: {complaint}"
+
     def test_digit_string_keys_are_integers(self):
         as_strings = json.loads(json.dumps(FIG7_JSON))
         for t in as_strings["tokens"]:
@@ -301,6 +333,32 @@ class TestParseStanfordJson:
                 }
             )
 
+
+    def test_two_edges_from_the_root_name_the_first_listed(self):
+        """The parse lists its edges by dependent, but of two edges other
+        than the root edge that hang from the root, the error names the one
+        the file lists first."""
+        tokens = [{"index": i, "word": w, "pos": "NN"} for i, w in enumerate(["a", "b", "c"], 1)]
+        edges = [
+            {"dep": "root", "governor": 1, "governorGloss": "a", "dependent": 3, "dependentGloss": "c"},
+            {"dep": "obj", "governor": 0, "governorGloss": "ROOT", "dependent": 2, "dependentGloss": "b"},
+            {"dep": "nsubj", "governor": 0, "governorGloss": "ROOT", "dependent": 1, "dependentGloss": "a"},
+        ]
+        for listed, named in ((edges, "dobj of token 2"), (edges[::-1], "nsubj of token 1")):
+            with pytest.raises(ConsistencyError) as exc:
+                parse_stanford_json({"headline": "a b c", "tokens": tokens, "dependencies": listed})
+            assert str(exc.value) == (
+                f"a b c: edge {named} hangs from the root, which only the root edge may"
+            )
+
+    def test_edges_are_listed_by_dependent(self):
+        """``h.edges[k - 1]`` is the edge token k hangs from, in whatever
+        order the file lists the dependencies."""
+        listed = json.loads(json.dumps(FIG7_JSON))
+        listed["dependencies"].reverse()
+        h = parse_stanford_json(listed)
+        assert [e.dependent for e in h.edges] == list(range(1, len(h.tokens) + 1))
+        assert h == parse_stanford_json(FIG7_JSON)
 
     def test_edge_outside_the_tokens_names_its_mapped_label(self):
         """The message names the label the rules would see: a conj edge

@@ -1,5 +1,6 @@
 """Cross-cutting engine properties: fuzzing over random dependency trees,
-format equivalence of the two ingest formats, parity of the parse readers
+format equivalence of the two ingest formats, also with the edges of the
+Stanford JSON shuffled, parity of the parse readers
 with a reference copy on valid and one-defect parses, rejection by every
 reader of an edge other than the root edge hanging from the root,
 malformed-input fuzzing of the parse, gold and eval readers and of the
@@ -11,6 +12,7 @@ both writers with ``json.dumps``, rule-set
 monotonicity, rules that share a registry function, quoted spans under
 another tokenization and output determinism."""
 
+import dataclasses
 import io
 import json
 import random
@@ -263,6 +265,70 @@ def test_conllu_and_stanford_json_parse_alike(seeds):
         assert [i.to_dict() for i in infer_all(a, p, ALL_RULES_CFG)] == [
             i.to_dict() for i in infer_all(b, p, ALL_RULES_CFG)
         ]
+
+
+# The fixture parses that CoNLL-U can hold: a tab in a word would split its
+# row.
+CONLLU_FIXTURE_PARSES = [
+    h for path in sorted(FIXTURES.glob("*.json")) for h in load_parses(str(path))
+    if "\t" not in h.raw_text
+]
+# Police/NNS fans/NNS clashed/VBD with two nsubj edges, listed root-first as
+# CoreNLP lists them.  Its CoNLL-U lists Police's edge first.
+POLICE_FANS = {
+    "headline": "Police fans clashed",
+    "tokens": [{"index": 1, "word": "Police", "pos": "NNS"},
+               {"index": 2, "word": "fans", "pos": "NNS"},
+               {"index": 3, "word": "clashed", "pos": "VBD"}],
+    "dependencies": [
+        {"dep": "root", "governor": 0, "governorGloss": "ROOT", "dependent": 3,
+         "dependentGloss": "clashed"},
+        {"dep": "nsubj", "governor": 3, "governorGloss": "clashed", "dependent": 2,
+         "dependentGloss": "fans"},
+        {"dep": "nsubj", "governor": 3, "governorGloss": "clashed", "dependent": 1,
+         "dependentGloss": "Police"},
+    ],
+}
+
+
+@given(st.lists(st.integers(0, 2**32), max_size=4), st.integers(0, 2**32))
+@settings(max_examples=20)
+def test_shuffled_stanford_json_infers_as_its_conllu(tmp_path_factory, seeds, shuffle_seed):
+    """However a tree's Stanford JSON lists its edges, ``infer --rules all``
+    writes the JSONL of the tree's CoNLL-U, which lists one edge per token
+    in token order: for every fixture parse and ``random_parse`` tree with
+    its dependencies shuffled, and for the Police/fans tree listed
+    root-first.  Both readers list the edges by dependent."""
+    rng = random.Random(shuffle_seed)
+    trees = [parse_stanford_json(POLICE_FANS), *CONLLU_FIXTURE_PARSES,
+             *(random_parse(random.Random(seed)) for seed in seeds)]
+    trees = [dataclasses.replace(h, headline_id=str(i)) for i, h in enumerate(trees, start=1)]
+    objects = [to_stanford_json(h) for h in trees]
+    objects[0]["dependencies"] = POLICE_FANS["dependencies"]
+    for obj in objects[1:]:
+        rng.shuffle(obj["dependencies"])
+    base = tmp_path_factory.mktemp("shuffled")
+    dataset = base / "dataset.txt"
+    dataset.write_text("".join(f"{h.raw_text} [source: x]\n" for h in trees), "utf-8")
+    documents = {
+        "trees.json": "".join(json.dumps(obj) + "\n" for obj in objects),
+        "trees.conllu": "".join(to_conllu(h) for h in trees),
+    }
+    written = []
+    for name, document in documents.items():
+        parses, out = base / name, base / f"{name}.jsonl"
+        parses.write_text(document, "utf-8")
+        assert all(e.dependent == k for h in load_parses(str(parses))
+                   for k, e in enumerate(h.edges, start=1))
+        argv = ["infer", "--rules", "all", "--dataset", str(dataset), "--parses", str(parses),
+                "--out", str(out)]
+        assert main(argv) == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+    records = [json.loads(line) for line in split_lines(written[0].decode("utf-8")) if line]
+    assert len(records) == len(trees)
+    assert {"kind": ">>", "text": "Police has clashed", "trigger": "past",
+            "span": [1, 3]} in records[0]["inferences"]
 
 
 # Any JSON value, NaN and Infinity included (json.loads reads them).
@@ -740,11 +806,18 @@ def _root_rule_error(h, where=""):
             " which only the root edge may")
 
 
-def _same_outcome(read, reference_read, document, root_rule_error=lambda want: None):
-    """``read(document)`` gives what the reference gives: an equal result,
-    or an error of the same type with the same text.  Where the reference
-    accepts a parse whose edges break the root rule, ``root_rule_error`` of
-    its result is the text of the ConsistencyError ``read`` must raise."""
+def _by_dependent(h):
+    """``h`` with its edges in dependent order, as the package lists them."""
+    return dataclasses.replace(h, edges=tuple(sorted(h.edges, key=lambda e: e.dependent)))
+
+
+def _same_outcome(read, reference_read, document, root_rule_error=lambda want: None,
+                  expected=lambda want: want):
+    """``read(document)`` gives what the reference gives: ``expected`` of
+    its result, or an error of the same type with the same text.  Where the
+    reference accepts a parse whose edges break the root rule,
+    ``root_rule_error`` of its result is the text of the ConsistencyError
+    ``read`` must raise."""
     try:
         want = reference_read(document)
     except ParseError as exc:
@@ -761,7 +834,7 @@ def _same_outcome(read, reference_read, document, root_rule_error=lambda want: N
             read(document)
         assert str(got.value) == error
         return error
-    assert read(document) == want
+    assert read(document) == expected(want)
     return None
 
 
@@ -856,7 +929,8 @@ def _stanford_object(hid, raw, tokens, edges) -> dict:
 @example(make_headline("a/NN but/CC c/NN", [("root", 0, 1), ("cc", 1, 2), ("conj", 1, 3)]), 17)
 def test_readers_match_the_reference_copy(h, seed):
     """Both readers, ``build_headline`` and ``normalize_labels`` give the
-    reference copy's parses on valid trees and its exact error text on a
+    reference copy's parses on valid trees, with their edges in dependent
+    order where the reference keeps the file's, and its exact error text on a
     tree with one defect, whichever check finds it.  The one check the
     reference lacks, that only the root edge hangs from the root, comes
     last: the package rejects exactly the trees the reference accepts that
@@ -892,7 +966,7 @@ def test_readers_match_the_reference_copy(h, seed):
                 rng.shuffle(edges)  # Stanford JSON lists the edges in any order
                 document = json.dumps(_stanford_object(h.headline_id, h.raw_text, tokens, edges))
                 error = _same_outcome(parse_stanford_json, reference.parse_stanford_json, document,
-                                      _root_rule_error)
+                                      _root_rule_error, _by_dependent)
                 token_rows = [Token(*t) for t in tokens]
                 edge_rows = [DependencyEdge(*e) for e in edges]
                 _same_outcome(
@@ -900,6 +974,7 @@ def test_readers_match_the_reference_copy(h, seed):
                     lambda rows: reference.build_headline("x", "y", *rows),
                     (token_rows, edge_rows),
                     _root_rule_error,
+                    _by_dependent,
                 )
                 assert normalize_labels(edge_rows) == reference.normalize_labels(edge_rows)
             if case == ("no_root", "two_roots"):
