@@ -15,7 +15,7 @@ from operator import attrgetter
 from pathlib import Path
 
 from . import __version__
-from .corpus import HeadlineRecord, letters, parse_gold, preprocess, read_dataset
+from .corpus import HeadlineRecord, letters, parse_gold, preprocess, read_dataset, source_of
 from .errors import FormatError, ParseError, read_text, split_lines
 from .evaluation import (
     MatchConfig,
@@ -199,13 +199,31 @@ def _lines(text: str, start: int, end: int, lineno: int):
         start, lineno = newline + 1, lineno + 1
 
 
+def _json_lines(text: str, start: int, end: int, lineno: int, path: str,
+                error: type[ValueError] = FormatError):
+    """Yield (line number, ``json.loads(line)``) for each line of
+    ``text[start:end]`` but the blank ones, the first numbered ``lineno``,
+    decoded in place; invalid JSON is an ``error`` at ``path:line``."""
+    for lineno, start, stop in _lines(text, start, end, lineno):
+        try:  # as json.loads: only JSON whitespace may follow on the line
+            value, after = _DECODER.raw_decode(text, start)
+            if after != stop and not _JSON_SPACE.fullmatch(text, after, stop):
+                raise ValueError
+        except (ValueError, RecursionError):
+            try:  # the value or the error of json.loads
+                value = json.loads(text[start:stop])
+            except (ValueError, RecursionError) as exc:  # as in parse_stanford_json
+                raise error(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+        yield lineno, value
+
+
 def load_parses(path: str) -> list[ParsedHeadline]:
     """Read a sidecar parse file: CoNLL-U by extension, in any case, else
     Stanford JSON (single object, array of objects, or JSON Lines).  The
     document is the file's text stripped of whitespace at both ends.  Errors
     name ``path:line``; in an array, the line its bad object starts on.  Only
     a file that holds a ``\\u`` escape has its parses checked for lone
-    surrogates.  JSON Lines are read one at a time out of the one text."""
+    surrogates.  JSON Lines are decoded one at a time in the one text."""
     text = read_text(path)
     if Path(path).suffix.lower() in (".conllu", ".conll"):
         return parse_conllu(text, path)
@@ -241,11 +259,13 @@ def load_parses(path: str) -> list[ParsedHeadline]:
     if array:  # keyed by position: only an error looks up the item's line
         items = enumerate(payload)
     else:  # JSON Lines, keyed by line number
-        lines = _lines(text, start, end, lineno)
-        items = ((lineno, text[start:stop]) for lineno, start, stop in lines)
+        items = _json_lines(text, start, end, lineno, path, ParseError)
     parses = []
     for key, item in items:
         try:
+            # A line that holds a JSON string holds no object, not a document.
+            if not array and type(item) is str:
+                raise ParseError("expected a JSON object per headline")
             h = parse_stanford_json(item)
             if escaped:
                 _check_encodable(_parse_texts(h))
@@ -400,24 +420,6 @@ def _normalized(keys: dict[str, str], text: str) -> str:
     return key
 
 
-def _json_lines(path: str):
-    """Yield (line number, ``json.loads(line)``) for each line of the file at
-    ``path`` but the blank ones, decoded in place; invalid JSON is a
-    FormatError at ``path:line``."""
-    text = read_text(path)
-    for lineno, start, stop in _lines(text, 0, len(text), 1):
-        try:  # as json.loads: only JSON whitespace may follow on the line
-            value, end = _DECODER.raw_decode(text, start)
-            if end != stop and not _JSON_SPACE.fullmatch(text, end, stop):
-                raise ValueError
-        except (ValueError, RecursionError):
-            try:  # the value or the error of json.loads
-                value = json.loads(text[start:stop])
-            except (ValueError, RecursionError) as exc:  # as in parse_stanford_json
-                raise FormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-        yield lineno, value
-
-
 def _read_jsonl(path: str, parse, keys: dict[str, str], gold: set[str]) -> dict:
     """{normalized headline: parse(record)} over a JSON Lines file of objects
     with a ``headline`` string.  ``parse`` raises FormatError without a
@@ -426,7 +428,8 @@ def _read_jsonl(path: str, parse, keys: dict[str, str], gold: set[str]) -> dict:
     call; a record whose key is not in ``gold`` is warned about."""
     out: dict = {}
     first_line: dict[str, int] = {}
-    for lineno, obj in _json_lines(path):
+    text = read_text(path)
+    for lineno, obj in _json_lines(text, 0, len(text), 1, path):
         if not isinstance(obj, dict):
             raise FormatError(f"{path}:{lineno}: expected a JSON object")
         if not isinstance(obj.get("headline"), str):
@@ -578,7 +581,7 @@ def cmd_morph(args) -> int:
 def cmd_stats(args) -> int:
     records = _read_records(args.dataset)
     print(f"headlines: {len(records)}")
-    for source, count in sorted(Counter(r.source for r in records).items()):
+    for source, count in sorted(Counter(source_of(r.bracket) for r in records).items()):
         print(f"  {source or '(unknown)'}: {count}")
     return 0
 

@@ -1,11 +1,13 @@
 """Dataset records, headline preprocessing and gold-annotation parsing.
 
 The dataset format is one record per line, ``<headline> [source: <source>
-<timestamp>]``.  Preprocessing finds the double-quoted spans of a headline,
-as character offsets, which the quotation trigger needs later; it leaves the
-text as it is.  ``clean`` strips punctuation for evaluation, and ``letters``
-is what a headline shares with any tokenization of it.  Gold files are
-blocks of a headline, ``>>`` inference lines and a closing ``||`` line.
+<timestamp>]``.  A record keeps the bracket as written; only ``source_of``,
+for ``presup stats``, splits out the source.  Preprocessing finds the
+double-quoted spans of a headline, as character offsets, which the quotation
+trigger needs later; it leaves the text as it is.  ``clean`` strips
+punctuation for evaluation, and ``letters`` is what a headline shares with
+any tokenization of it.  Gold files are blocks of a headline, ``>>``
+inference lines and a closing ``||`` line.
 """
 
 from __future__ import annotations
@@ -50,8 +52,7 @@ _MONTHS.add("sept")
 @dataclass(frozen=True)
 class HeadlineRecord:
     text: str
-    source: str
-    timestamp_raw: str
+    bracket: str  # what follows '[source:', up to the last ']', stripped
     line: int = field(default=0, compare=False)  # the record's line in its file
 
 
@@ -74,35 +75,34 @@ class GoldAnnotation:
     line: int = field(default=0, compare=False)  # the headline's line in its file
 
 
-_WORD = re.compile(r"\S+")
-
-
 def parse_dataset_line(line: str, lineno: int = 0) -> HeadlineRecord:
-    """Split one dataset line, line ``lineno`` of its file, into headline,
-    source and raw timestamp.
-
-    The source/timestamp boundary is the first token of the bracketed rest
-    that looks like the start of a date (month name or digit-initial token);
-    without one the whole rest is the source.
-    """
+    """The headline and the bracket of one dataset line, line ``lineno`` of
+    its file; the bracket is kept as written."""
     marker = line.rfind("[source:")
     if marker < 0:
         raise FormatError(f"no '[source:' bracket in line: {line!r}")
     text = line[:marker].strip()
     if not text:
         raise FormatError(f"empty headline in line: {line!r}")
-    rest = line[marker + len("[source:"):]
-    close = rest.rfind("]")
+    bracket = line[marker + len("[source:"):]
+    close = bracket.rfind("]")
     if close >= 0:
-        rest = rest[:close]
-    source, timestamp = rest.strip(), ""
-    for m in _WORD.finditer(rest):
+        bracket = bracket[:close]
+    return HeadlineRecord(text, bracket.strip(), lineno)
+
+
+_WORD = re.compile(r"\S+")
+
+
+def source_of(bracket: str) -> str:
+    """The source a record's bracket names: its words before the first that
+    looks like the start of a date (a month name or abbreviation, or a word
+    that starts with a digit); without one, the whole bracket."""
+    for m in _WORD.finditer(bracket):
         token = m.group(0)
         if token.lower().rstrip(".,") in _MONTHS or token[0].isdigit():
-            source = rest[: m.start()].strip()
-            timestamp = rest[m.start():].strip()
-            break
-    return HeadlineRecord(text, source, timestamp, lineno)
+            return bracket[: m.start()].strip()
+    return bracket
 
 
 def read_dataset(document: str, source: str | None = None, *,

@@ -92,7 +92,9 @@ _PAST_SPECIAL = {"were": "be"}
 _CACHE_SIZE = 4096
 
 
-def _load_table() -> list[tuple[str, str, str]]:
+@lru_cache(maxsize=1)
+def irregular_table() -> tuple[tuple[str, str, str], ...]:
+    """(base, past, participle) triples from the bundled table."""
     entries = []
     text = resources.files(__package__).joinpath("data/irregular_verbs.tsv").read_text("utf-8")
     for raw in split_lines(text):
@@ -103,13 +105,7 @@ def _load_table() -> list[tuple[str, str, str]]:
         if len(parts) != 3:
             raise ValueError(f"irregular verb table: expected 3 columns, got {line!r}")
         entries.append((parts[0], parts[1], parts[2]))
-    return entries
-
-
-@lru_cache(maxsize=1)
-def irregular_table() -> tuple[tuple[str, str, str], ...]:
-    """(base, past, participle) triples from the bundled table."""
-    return tuple(_load_table())
+    return tuple(entries)
 
 
 @lru_cache(maxsize=1)

@@ -424,12 +424,10 @@ def rule_temporal(v: EdgeView, p, cfg) -> list[Inference]:
             if subj is None:
                 continue
             text, span = _clause(v, subj.dependent, gov.index, VerbForm.PAST)
-            span = _merge(span, (e.dependent,))
         else:
-            phrase, p_span = _phrase(v, gov.index)
+            phrase, span = _phrase(v, gov.index)
             text = f"There was {phrase}"
-            span = _merge(p_span, (e.dependent,))
-        out.append(Inference(InferenceKind.PRESUPPOSITION, text, "temporal", span))
+        out.append(_presupposition(text, "temporal", span, (e.dependent,)))
     return _by_span(out)
 
 
@@ -472,14 +470,7 @@ def rule_question(v: EdgeView, p, cfg) -> list[Inference]:
         rendered = _undo_inversion(v, substitute, words)
     else:
         rendered = [substitute] + rest
-    return [
-        Inference(
-            InferenceKind.PRESUPPOSITION,
-            " ".join(rendered),
-            "question",
-            tuple(t.index for t in v.tokens),
-        )
-    ]
+    return [_presupposition(" ".join(rendered), "question", [t.index for t in v.tokens])]
 
 
 def quoted_tokens(
@@ -526,9 +517,7 @@ def rule_quotes(v: EdgeView, p: tuple[QuotedSpan, ...], cfg) -> list[Inference]:
             text = f'{subj_p} says "{q.text}"'
             out.append(_presupposition(text, "quotes", subj_s, token_span, (verb.index,)))
         elif token_span:  # with no token of its own, it would name none
-            out.append(
-                Inference(InferenceKind.PRESUPPOSITION, "something is said", "quotes", token_span)
-            )
+            out.append(_presupposition("something is said", "quotes", token_span))
     return _by_span(out)
 
 

@@ -1,16 +1,16 @@
 """A frozen copy of the infer path's per-headline helpers as they were before
 their calls were cut down: ``extract_triplets`` with one edge scan per
-dependent it reads, ``parse_dataset_line`` with ``re.finditer`` and keyword
-construction, the old definitions of ``verbs_of`` and ``_merge``, and
-``cmd_infer``'s pairing loop as it was before ``pair`` took it over.
-``test_properties.py`` checks that the package gives the same triples,
-records, query results and pairing verdicts."""
+dependent it reads, ``parse_dataset_line`` with ``re.finditer`` and the
+source split out of the bracket, the old definitions of ``verbs_of`` and
+``_merge``, and ``cmd_infer``'s pairing loop as it was before ``pair`` took
+it over.  ``test_properties.py`` checks that the package gives the same
+triples, headlines and sources, query results and pairing verdicts."""
 
 from __future__ import annotations
 
 import re
 
-from presup.corpus import _MONTHS, HeadlineRecord, letters
+from presup.corpus import _MONTHS, letters
 from presup.errors import FormatError
 from presup.ingest import ParsedHeadline, Token
 from presup.rules import Inference, InferenceKind
@@ -21,7 +21,7 @@ _OBJ_MODS = ("compound", "amod", "nummod", "det")
 _PARTICLE_DEPS = ("compound:prt", "prt")
 
 
-def parse_dataset_line(line: str) -> HeadlineRecord:
+def parse_dataset_line(line: str) -> tuple[str, str]:
     marker = line.rfind("[source:")
     if marker < 0:
         raise FormatError(f"no '[source:' bracket in line: {line!r}")
@@ -32,14 +32,13 @@ def parse_dataset_line(line: str) -> HeadlineRecord:
     close = rest.rfind("]")
     if close >= 0:
         rest = rest[:close]
-    source, timestamp = rest.strip(), ""
+    source = rest.strip()
     for m in re.finditer(r"\S+", rest):
         token = m.group(0)
         if token.lower().rstrip(".,") in _MONTHS or token[0].isdigit():
             source = rest[: m.start()].strip()
-            timestamp = rest[m.start():].strip()
             break
-    return HeadlineRecord(text=text, source=source, timestamp_raw=timestamp)
+    return text, source
 
 
 def is_verb_tag(pos: str, strict: bool = False) -> bool:

@@ -50,23 +50,55 @@ def _definitions(tree: ast.Module):
                 )
 
 
+def _walk(tree: ast.AST, skip: ast.AST):
+    """The nodes of ``tree``, leaving out ``skip``'s subtree."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is not skip:
+            yield node
+            stack.extend(ast.iter_child_nodes(node))
+
+
 def _references(tree: ast.AST, skip: ast.AST) -> set[str]:
     """The names, attributes and string constants (a getattr or trace
     target) in ``tree``, leaving out ``skip``'s subtree."""
     found: set[str] = set()
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if node is skip:
-            continue
+    for node in _walk(tree, skip):
         if isinstance(node, ast.Name):
             found.add(node.id)
         elif isinstance(node, ast.Attribute):
             found.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             found.add(node.value)
-        stack.extend(ast.iter_child_nodes(node))
     return found
+
+
+def _reads(tree: ast.AST, skip: ast.AST) -> set[str]:
+    """The attributes ``tree`` loads and its string constants (a getattr,
+    attrgetter or trace target), leaving out ``skip``'s subtree.  A keyword
+    argument or an attribute assigned is a write, not a read."""
+    found: set[str] = set()
+    for node in _walk(tree, skip):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+def _trees() -> dict[Path, ast.Module]:
+    """The code that may use the package's source: src/, perfbench/ and the
+    frozen reference copies in tests/."""
+    sources = [
+        *sorted((ROOT / "src").rglob("*.py")),
+        *sorted((ROOT / "perfbench").glob("*.py")),
+        *sorted((ROOT / "tests").glob("*_reference.py")),
+    ]
+    return {path: ast.parse(path.read_text("utf-8")) for path in sources}
+
+
+README_WORDS = set(re.findall(r"\w+", README))
 
 
 def test_no_dead_source():
@@ -74,19 +106,45 @@ def test_no_dead_source():
     in src/, perfbench/ or a frozen reference copy in tests/ refers to it
     outside its own body.  Imports do not count, so neither does a
     re-export."""
-    sources = [
-        *sorted((ROOT / "src").rglob("*.py")),
-        *sorted((ROOT / "perfbench").glob("*.py")),
-        *sorted((ROOT / "tests").glob("*_reference.py")),
-    ]
-    trees = {path: ast.parse(path.read_text("utf-8")) for path in sources}
-    readme_words = set(re.findall(r"\w+", README))
+    trees = _trees()
     dead = []
     for path in sorted((ROOT / "src" / "presup").glob("*.py")):
         for definition in _definitions(trees[path]):
             name = definition.name
-            if name in readme_words:
+            if name in README_WORDS:
                 continue
             if not any(name in _references(tree, definition) for tree in trees.values()):
                 dead.append(f"{path.name}: {name}")
     assert dead == []
+
+
+def _record_fields(tree: ast.Module):
+    """(class, field) for each annotated field of each dataclass or
+    NamedTuple class of ``tree``."""
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators) or any(
+            isinstance(base, ast.Name) and base.id == "NamedTuple" for base in node.bases
+        ):
+            for sub in node.body:
+                if isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name):
+                    yield node, sub
+
+
+def test_no_unread_record_field():
+    """A field of a record is read when the README names it, or when code in
+    src/, perfbench/ or a frozen reference copy in tests/ loads it as an
+    attribute or names it in a string, outside its own annotation line.
+    Building a record writes its fields, by keyword or by position."""
+    trees = _trees()
+    unread = []
+    for path in sorted((ROOT / "src" / "presup").glob("*.py")):
+        for cls, annotation in _record_fields(trees[path]):
+            name = annotation.target.id
+            if name in README_WORDS:
+                continue
+            if not any(name in _reads(tree, annotation) for tree in trees.values()):
+                unread.append(f"{path.name}: {cls.name}.{name}")
+    assert unread == []

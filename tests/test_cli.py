@@ -1472,15 +1472,41 @@ class TestMorphAndStats:
             main(["morph", "go", "pluperfect"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("name, want", [
+        ("basic_triggers_dataset.txt", "headlines: 7\n  BBC: 3\n  Reuters: 4\n"),
+        ("lexical_triggers_dataset.txt",
+         "headlines: 11\n  BBC: 3\n  Reuters: 6\n  The Hindu: 2\n"),
+    ])
+    def test_stats_output_on_fixtures_is_pinned(self, capsys, name, want):
+        assert main(["stats", "--dataset", str(FIXTURES / name)]) == 0
+        assert capsys.readouterr().out == want
+
     def test_stats(self, tmp_path, capsys):
+        """The source is the bracket's words before the first that starts a
+        date: a month name or abbreviation, with '.' or ',' after it, in any
+        case, or a word that starts with a digit."""
         dataset = tmp_path / "d.txt"
         dataset.write_text(
-            "A [source: BBC]\nB [source: Reuters]\nC [source: BBC]\n"
+            "A [source: BBC]\n"  # no timestamp
+            "B [source: Reuters Sept. 5, 2018 01:00 PM IST]\n"
+            "C [source: The Hindu may., 2018]\n"
+            "D [source: Al Jazeera 2018-05-01]\n"  # a word that starts with a digit
+            "E [source: Decembers Post 12:00]\n"  # not a month name
+            "F [source: BBC  June 1\n"  # no ']'
+            "G [source: March 3, 2018]\n"  # a date first: no source
+            "H [source: ]\n",
+            "utf-8",
         )
         assert main(["stats", "--dataset", str(dataset)]) == 0
-        out = capsys.readouterr().out
-        assert "headlines: 3" in out
-        assert "BBC: 2" in out
+        assert capsys.readouterr().out == (
+            "headlines: 8\n"
+            "  (unknown): 2\n"
+            "  Al Jazeera: 1\n"
+            "  BBC: 2\n"
+            "  Decembers Post: 1\n"
+            "  Reuters: 1\n"
+            "  The Hindu: 1\n"
+        )
 
 
 @pytest.fixture

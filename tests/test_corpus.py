@@ -13,6 +13,7 @@ from presup.corpus import (
     parse_gold,
     preprocess,
     read_dataset,
+    source_of,
     word_count,
 )
 from presup.errors import FormatError
@@ -27,17 +28,23 @@ class TestParseDatasetLine:
             "[source: Reuters June 23, 2017 07:18 PM IST]"
         )
         assert record.text == 'Schaeuble says British were "deceived" in Brexit campaign'
-        assert record.source == "Reuters"
-        assert record.timestamp_raw == "June 23, 2017 07:18 PM IST"
+        assert record.bracket == "Reuters June 23, 2017 07:18 PM IST"
+        assert source_of(record.bracket) == "Reuters"
 
     def test_source_only(self):
         record = parse_dataset_line("X [source: BBC]")
-        assert (record.text, record.source, record.timestamp_raw) == ("X", "BBC", "")
+        assert (record.text, record.bracket, source_of(record.bracket)) == ("X", "BBC", "BBC")
 
     def test_multiword_source(self):
         record = parse_dataset_line("X [source: The Hindu April 10, 2018 11:00 AM IST]")
-        assert record.source == "The Hindu"
-        assert record.timestamp_raw.startswith("April 10")
+        assert record.bracket == "The Hindu April 10, 2018 11:00 AM IST"
+        assert source_of(record.bracket) == "The Hindu"
+
+    def test_bracket_is_kept_as_written_up_to_the_last_close(self):
+        record = parse_dataset_line("X [source:  BBC\t[live]  May 5 ] tail")
+        assert record.bracket == "BBC\t[live]  May 5"
+        assert source_of(record.bracket) == "BBC\t[live]"
+        assert parse_dataset_line("X [source: BBC May 5").bracket == "BBC May 5"
 
     def test_no_bracket_is_error(self):
         with pytest.raises(FormatError, match="no bracket here"):

@@ -45,6 +45,7 @@ from presup.corpus import (
     parse_dataset_line,
     parse_gold,
     preprocess,
+    source_of,
 )
 from presup.errors import ConsistencyError, FormatError, ParseError, read_text, split_lines
 from presup.evaluation import (
@@ -608,6 +609,13 @@ def _split_json_lines(path):
     return values
 
 
+def _in_place_json_lines(path):
+    """(line number, value) of each line that is not blank, as the parse and
+    eval readers read JSON Lines: decoded in place in the file's text."""
+    text = read_text(path)
+    return _json_lines(text, 0, len(text), 1, path)
+
+
 def _values_or_error(read, path) -> str:
     """The repr of ``read(path)``'s list, which tells NaN, -0.0 and key order
     apart, or the text of its FormatError."""
@@ -651,7 +659,7 @@ def test_in_place_json_lines_match_split_lines_and_json_loads(tmp_path_factory, 
     text at the same line."""
     path = tmp_path_factory.getbasetemp() / "lines.jsonl"
     path.write_bytes(document.encode("utf-8"))
-    assert (_values_or_error(_json_lines, str(path))
+    assert (_values_or_error(_in_place_json_lines, str(path))
             == _values_or_error(_split_json_lines, str(path)))
 
 
@@ -1086,6 +1094,9 @@ def _parse_documents(draw):
 @example("   {bad\n" + _RECORD)
 # A "\r" before a "\n" is not part of the line, as the error's column shows.
 @example(_RECORD + "\r\n[1, 2\r\n" + _RECORD)
+# A line's JSON string is a value that is no object, not a document to decode.
+@example('"text"')
+@example(_RECORD + "\n" + json.dumps(_RECORD))
 def test_load_parses_matches_the_reference_copy(tmp_path_factory, document):
     """``load_parses`` gives the reference copy's parses, or its exact error
     text, on an object, an array or JSON Lines between any whitespace."""
@@ -1213,9 +1224,11 @@ DATASET_PIECES = st.sampled_from([
 @example("x [source: The Hindu \u0663 April., 2018]")
 @example("Markets\u2028crashed [source: BBC\xa0May., 08,\u2028 2016]")
 def test_parse_dataset_line_matches_the_reference_copy(line):
-    """``parse_dataset_line`` gives the reference copy's record, or its
-    error text."""
+    """``parse_dataset_line`` and ``source_of`` give the reference copy's
+    headline and source, or its error text."""
     got = _record_or_error(parse_dataset_line, line)
+    if isinstance(got, HeadlineRecord):
+        got = (got.text, source_of(got.bracket))
     assert got == _record_or_error(infer_reference.parse_dataset_line, line)
 
 
@@ -1254,7 +1267,7 @@ PAIR_IDS = st.sampled_from(["1", "2", "3", "4", "7", "0", "-1", "01", " 1", "b"]
 
 @st.composite
 def _records_and_parses(draw):
-    records = [HeadlineRecord(text, "BBC", "", line)
+    records = [HeadlineRecord(text, "BBC", line)
                for line, text in enumerate(draw(st.lists(PAIR_TEXTS, max_size=6)), start=1)]
     parses = []
     for k, (text, hid) in enumerate(draw(st.lists(st.tuples(PAIR_TEXTS, PAIR_IDS | st.none()),
@@ -1267,7 +1280,7 @@ def _records_and_parses(draw):
 
 
 @given(_records_and_parses())
-@example(([HeadlineRecord("Markets crashed", "BBC", "")] * 2,
+@example(([HeadlineRecord("Markets crashed", "BBC")] * 2,
           [ParsedHeadline("2", "markets CRASHED!", (), ()),
            ParsedHeadline("2", "Markets crashed", (), ())]))
 def test_pair_matches_the_reference_copy(records_and_parses):
