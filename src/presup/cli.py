@@ -263,8 +263,9 @@ def load_parses(path: str) -> list[ParsedHeadline]:
     parses = []
     for key, item in items:
         try:
-            # A line that holds a JSON string holds no object, not a document.
-            if not array and type(item) is str:
+            # An item or line that is a JSON string holds no object, not a
+            # document to decode again.
+            if type(item) is str:
                 raise ParseError("expected a JSON object per headline")
             h = parse_stanford_json(item)
             if escaped:

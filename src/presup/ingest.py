@@ -442,21 +442,15 @@ def _edge_rows(records: list) -> Iterator[tuple[str, int, str, int, str]]:
         yield row
 
 
-def is_verb_tag(pos: str, strict: bool = False) -> bool:
-    """V-prefixed Penn tags; strict mode drops the bare VB tag."""
-    if not pos.startswith("V"):
-        return False
-    return len(pos) >= 3 if strict else True
-
-
 def is_noun_tag(pos: str) -> bool:
     """Noun and personal-pronoun Penn tags: N* and PRP (not PRP$, POS or PDT)."""
     return pos.startswith("N") or pos == "PRP"
 
 
 def verbs_of(h: ParsedHeadline, strict: bool = False) -> list[Token]:
-    """Verb tokens in sentence order: ``is_verb_tag``'s test, written out so
-    that no call is made per token."""
+    """Verb tokens in sentence order: V-prefixed Penn tags; strict mode drops
+    the bare VB tag.  The one definition of a verb: the rules read it as
+    ``EdgeView.verbs``."""
     if strict:
         return [t for t in h.tokens if t.pos[:1] == "V" and len(t.pos) >= 3]
     return [t for t in h.tokens if t.pos[:1] == "V"]

@@ -25,9 +25,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .corpus import QuotedSpan, letters, word_count
-from .ingest import (
-    DependencyEdge, EdgeView, ParsedHeadline, Token, edge_view, is_verb_tag, nouns_of,
-)
+from .ingest import DependencyEdge, EdgeView, ParsedHeadline, Token, edge_view, nouns_of
 from .lexicon import VERB_CLASS_IDS, TriggerLexicon, default_lexicon
 from .morphology import VerbForm, conjugate, lemma
 
@@ -53,12 +51,12 @@ class Inference(NamedTuple):
         }
 
 
-COMPOUND_MODES = ("both", "can_be", "can_have")
 _COMPOUND_CONNECTOR = {
     "both": "can be/can have",
     "can_be": "can be",
     "can_have": "can have",
 }
+COMPOUND_MODES = tuple(_COMPOUND_CONNECTOR)
 
 
 _SUBJ_MODS = ("compound", "amod", "nummod")
@@ -241,7 +239,7 @@ def rule_further(v: EdgeView, p, cfg) -> list[Inference]:
         if d.dependent_gloss.lower() != "further":
             continue
         verb = v.tokens[d.governor - 1]
-        if not is_verb_tag(verb.pos, cfg.strict_verbs):
+        if verb not in v.verbs:
             continue
         subj = _first(v.below[d.governor], "nsubj")
         if subj is not None:
@@ -388,10 +386,10 @@ def _lexical_order(inf: Inference) -> tuple:
 
 def rule_lexical(v: EdgeView, p, cfg) -> list[Inference]:
     """Lexicon-driven triggers: a headline verb whose lemma heads an entry of
-    one of ``cfg.lexical_classes`` licenses that class's template over its
-    complement/objects.  One pass over the verbs, in verb order; the output
-    by class, then span."""
-    lex, classes = cfg.lexicon, cfg.lexical_classes
+    a class whose ``lexical.<class>`` id is in ``cfg.rules`` licenses that
+    class's template over its complement/objects.  One pass over the verbs,
+    in verb order; the output by class, then span."""
+    lex, rules = cfg.lexicon, cfg.rules
     lowered = None
     out = []
     for verb in v.verbs:
@@ -401,7 +399,7 @@ def rule_lexical(v: EdgeView, p, cfg) -> list[Inference]:
         if lowered is None:
             lowered = [t.surface.lower() for t in v.tokens]
         for class_id in lex.verb_classes(vlemma, lowered[verb.index :]):
-            if class_id not in classes:
+            if "lexical." + class_id not in rules:
                 continue
             inf = _render_lexical(v, class_id, verb, vlemma)
             if inf is not None:
@@ -419,7 +417,7 @@ def rule_temporal(v: EdgeView, p, cfg) -> list[Inference]:
         if e.dependent_gloss.lower() not in temporal:
             continue
         gov = v.tokens[e.governor - 1]
-        if is_verb_tag(gov.pos, cfg.strict_verbs):
+        if gov in v.verbs:
             subj = _first(v.below[gov.index], "nsubj")
             if subj is None:
                 continue
@@ -597,9 +595,10 @@ def check_compound_mode(mode: str) -> str:
 @dataclass(frozen=True)
 class EngineConfig:
     """The engine settings.  ``__post_init__`` resolves ``rules`` once into
-    ``rule_functions``, the distinct rule functions in registry order, and
-    ``lexical_classes``, the enabled ``lexical.*`` classes; these are not
-    fields, and ``dataclasses.replace`` resolves them anew."""
+    ``rule_functions``, the distinct rule functions in registry order; it is
+    not a field, and ``dataclasses.replace`` resolves it anew.
+    ``strict_verbs`` is applied once, by ``edge_view``, through the view's
+    ``verbs``."""
 
     rules: tuple[str, ...] = DEFAULT_RULES
     lexicon: TriggerLexicon = field(default_factory=default_lexicon)
@@ -612,9 +611,6 @@ class EngineConfig:
         enabled = set(self.rules)
         functions = dict.fromkeys(fn for rule_id, fn in RULES.items() if rule_id in enabled)
         object.__setattr__(self, "rule_functions", tuple(functions))
-        object.__setattr__(
-            self, "lexical_classes", tuple(c for c in VERB_CLASS_IDS if "lexical." + c in enabled)
-        )
 
     def fingerprint(self) -> str:
         return "\n".join(

@@ -88,12 +88,12 @@ def _reads(tree: ast.AST, skip: ast.AST) -> set[str]:
 
 
 def _trees() -> dict[Path, ast.Module]:
-    """The code that may use the package's source: src/, perfbench/ and the
-    frozen reference copies in tests/."""
+    """The code that may use the package's source: src/ and perfbench/.  A
+    frozen reference copy in tests/ keeps its own copy of what it needs, so
+    its use keeps nothing of the package alive."""
     sources = [
         *sorted((ROOT / "src").rglob("*.py")),
         *sorted((ROOT / "perfbench").glob("*.py")),
-        *sorted((ROOT / "tests").glob("*_reference.py")),
     ]
     return {path: ast.parse(path.read_text("utf-8")) for path in sources}
 
@@ -103,9 +103,8 @@ README_WORDS = set(re.findall(r"\w+", README))
 
 def test_no_dead_source():
     """A definition counts as used when the README names it, or when code
-    in src/, perfbench/ or a frozen reference copy in tests/ refers to it
-    outside its own body.  Imports do not count, so neither does a
-    re-export."""
+    in src/ or perfbench/ refers to it outside its own body.  Imports do
+    not count, so neither does a re-export."""
     trees = _trees()
     dead = []
     for path in sorted((ROOT / "src" / "presup").glob("*.py")):
@@ -135,8 +134,8 @@ def _record_fields(tree: ast.Module):
 
 def test_no_unread_record_field():
     """A field of a record is read when the README names it, or when code in
-    src/, perfbench/ or a frozen reference copy in tests/ loads it as an
-    attribute or names it in a string, outside its own annotation line.
+    src/ or perfbench/ loads it as an attribute or names it in a string,
+    outside its own annotation line.
     Building a record writes its fields, by keyword or by position."""
     trees = _trees()
     unread = []

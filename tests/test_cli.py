@@ -384,6 +384,10 @@ class TestInfer:
         ("--parses", "p.json", GOOD_PARSE[:-1] + ', "tokens": [null]}',
          "token 1: expected a JSON object, got NoneType"),
         ("--parses", "p.json", '{"headline": }', "invalid JSON: Expecting value"),
+        # An array item that is a JSON string is not decoded a second time.
+        ("--parses", "p.json", '"text"', "expected a JSON object per headline"),
+        pytest.param("--parses", "p.json", json.dumps(GOOD_PARSE),
+                     "expected a JSON object per headline", id="--parses-p.json-string-record"),
         ("--parses", "p.conllu", "3\tbad\trow", "expected 10 columns, got 3"),
         ("--parses", "p.conllu", "3\tdown\t_\t_\tRB\t_\tx\tadvmod\t_\t_",
          "non-integer head 'x'"),

@@ -62,7 +62,6 @@ from presup.ingest import (
     ParsedHeadline,
     Token,
     build_headline,
-    is_verb_tag,
     normalize_labels,
     parse_conllu,
     parse_stanford_json,
@@ -1097,12 +1096,36 @@ def _parse_documents(draw):
 # A line's JSON string is a value that is no object, not a document to decode.
 @example('"text"')
 @example(_RECORD + "\n" + json.dumps(_RECORD))
+# So is an array item's, which the reference decodes as a document.
+@example("[\n" + _RECORD + ',\n"text"]')
+@example("[" + json.dumps(_RECORD) + "]")
 def test_load_parses_matches_the_reference_copy(tmp_path_factory, document):
     """``load_parses`` gives the reference copy's parses, or its exact error
-    text, on an object, an array or JSON Lines between any whitespace."""
+    text, on an object, an array or JSON Lines between any whitespace.  An
+    array item that is a JSON string is an error at its line, as a JSON
+    Lines line that holds one is; the reference decodes it again."""
     path = tmp_path_factory.getbasetemp() / "p.json"
     path.write_bytes(document.encode("utf-8"))
-    _same_outcome(load_parses, reference.load_parses, str(path))
+    k = _first_string_item(document)
+    if k is None:
+        _same_outcome(load_parses, reference.load_parses, str(path))
+        return
+    with pytest.raises(ParseError) as got:
+        load_parses(str(path))
+    line = reference._item_line(document, k)
+    assert str(got.value) == f"{path}:{line}: expected a JSON object per headline"
+
+
+def _first_string_item(document: str) -> int | None:
+    """The position of the first JSON string item of ``document``, if it is
+    an array that holds one."""
+    try:
+        payload = json.loads(document.strip())
+    except ValueError:
+        return None
+    if isinstance(payload, list):
+        return next((k for k, item in enumerate(payload) if type(item) is str), None)
+    return None
 
 
 # Texts that repeat, spell one normalized text several ways, normalize to ""
@@ -1238,11 +1261,11 @@ TAG_TEXTS = st.sampled_from(["V", "VB", "VBD", "VBZ", "VBPX", "v", "vb", "NN", "
 
 @given(st.lists(TAG_TEXTS, max_size=8), st.booleans())
 def test_verbs_of_takes_the_tokens_is_verb_tag_accepts(tags, strict):
-    """``verbs_of`` writes out ``is_verb_tag``'s test: the two cannot
-    drift apart, and both agree with the old definition."""
+    """``verbs_of``, the package's one verb test, takes the tokens that the
+    old ``is_verb_tag`` accepts."""
     h = ParsedHeadline("x", "x", tuple(Token(k, "w", tag) for k, tag in enumerate(tags, 1)), ())
     got = verbs_of(h, strict)
-    assert got == [t for t in h.tokens if is_verb_tag(t.pos, strict)]
+    assert got == [t for t in h.tokens if infer_reference.is_verb_tag(t.pos, strict)]
     assert got == infer_reference.verbs_of(h, strict)
 
 

@@ -640,15 +640,11 @@ class TestRegistry:
             assert set(functions) == {RULES[r] for r in rules}
             first = [min(RULE_IDS.index(r) for r in rules if RULES[r] is fn) for fn in functions]
             assert first == sorted(first)
-            classes = cfg.lexical_classes
-            assert {f"lexical.{c}" for c in classes} == {r for r in rules if r.startswith("lexical.")}
-            assert list(classes) == sorted(classes, key=VERB_CLASS_IDS.index)
 
     def test_plan_is_not_a_setting(self):
         cfg = EngineConfig(rules=("future",))
-        for name in ("rule_functions", "lexical_classes"):
-            assert name not in {f.name for f in fields(EngineConfig)}
-            assert name not in repr(cfg) and name not in cfg.fingerprint()
+        assert "rule_functions" not in {f.name for f in fields(EngineConfig)}
+        assert "rule_functions" not in repr(cfg) and "rule_functions" not in cfg.fingerprint()
 
     def test_config_pickles(self):
         cfg = EngineConfig(rules=("lexical.judging", "triple"), strict_verbs=True,
@@ -656,7 +652,6 @@ class TestRegistry:
         copied = pickle.loads(pickle.dumps(cfg))
         assert copied == cfg and copied.fingerprint() == cfg.fingerprint()
         assert copied.rule_functions == cfg.rule_functions
-        assert copied.lexical_classes == cfg.lexical_classes
 
     def test_replaced_config_runs_its_own_rules(self, lexical_triggers):
         cases = list(lexical_triggers.values())
