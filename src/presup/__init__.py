@@ -7,8 +7,8 @@ from .corpus import (
 )
 from .errors import ConsistencyError, FormatError, ParseError
 from .evaluation import (
-    Alignment, MatchConfig, MatchMode, MatchPair, TriggerScore, match, normalize, score_by_trigger,
-    score_headline, trigger_rows,
+    Alignment, MatchConfig, MatchMode, MatchPair, match, normalize, score_by_trigger,
+    score_headline,
 )
 from .ingest import (
     DependencyEdge, ParsedHeadline, Token, build_headline, normalize_labels, parse_conllu,
@@ -34,7 +34,7 @@ __all__ = [
     "TriggerLexicon", "default_lexicon", "load_lexicon",
     # evaluation
     "match", "MatchConfig", "MatchMode", "MatchPair", "Alignment", "score_headline",
-    "score_by_trigger", "trigger_rows", "TriggerScore", "normalize",
+    "score_by_trigger", "normalize",
     # morphology
     "lemma", "conjugate", "VerbForm",
     # errors

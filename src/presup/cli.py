@@ -24,7 +24,6 @@ from .evaluation import (
     normalize,
     score_by_trigger,
     score_headline,
-    trigger_rows,
     trigger_table,
 )
 from .ingest import ParsedHeadline, parse_conllu, parse_stanford_json
@@ -183,10 +182,12 @@ def _parse_texts(h: ParsedHeadline):
         yield f"token {t.index}", t.surface
 
 
-def _lines(text: str, start: int, end: int, lineno: int):
-    """Yield (line number, start, stop) of each line of ``text[start:end]``
-    but the blank ones (all ``str.isspace``), the first numbered ``lineno``.
-    As in split_lines, only "\\n" or "\\r\\n" ends a line."""
+def _json_lines(text: str, start: int, end: int, lineno: int, path: str,
+                error: type[ValueError] = FormatError):
+    """Yield (line number, ``json.loads(line)``) for each line of
+    ``text[start:end]`` but the blank ones (all ``str.isspace``), the first
+    numbered ``lineno``, decoded in place; invalid JSON is an ``error`` at
+    ``path:line``.  As in split_lines, only "\\n" or "\\r\\n" ends a line."""
     while start < end:
         newline = text.find("\n", start, end)
         if newline < 0:
@@ -195,26 +196,17 @@ def _lines(text: str, start: int, end: int, lineno: int):
             stop = newline - 1 if text.endswith("\r", start, newline) else newline
         # Most lines show at their first character that they are not blank.
         if not text[start].isspace() or _SPACE.match(text, start, stop).end() < stop:
-            yield lineno, start, stop
+            try:  # as json.loads: only JSON whitespace may follow on the line
+                value, after = _DECODER.raw_decode(text, start)
+                if after != stop and not _JSON_SPACE.fullmatch(text, after, stop):
+                    raise ValueError
+            except (ValueError, RecursionError):
+                try:  # the value or the error of json.loads
+                    value = json.loads(text[start:stop])
+                except (ValueError, RecursionError) as exc:  # as in parse_stanford_json
+                    raise error(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+            yield lineno, value
         start, lineno = newline + 1, lineno + 1
-
-
-def _json_lines(text: str, start: int, end: int, lineno: int, path: str,
-                error: type[ValueError] = FormatError):
-    """Yield (line number, ``json.loads(line)``) for each line of
-    ``text[start:end]`` but the blank ones, the first numbered ``lineno``,
-    decoded in place; invalid JSON is an ``error`` at ``path:line``."""
-    for lineno, start, stop in _lines(text, start, end, lineno):
-        try:  # as json.loads: only JSON whitespace may follow on the line
-            value, after = _DECODER.raw_decode(text, start)
-            if after != stop and not _JSON_SPACE.fullmatch(text, after, stop):
-                raise ValueError
-        except (ValueError, RecursionError):
-            try:  # the value or the error of json.loads
-                value = json.loads(text[start:stop])
-            except (ValueError, RecursionError) as exc:  # as in parse_stanford_json
-                raise error(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-        yield lineno, value
 
 
 def load_parses(path: str) -> list[ParsedHeadline]:
@@ -289,7 +281,7 @@ def _spans_for_tokens(h: ParsedHeadline, quotes) -> tuple[tuple[int, int], ...]:
 _json_string = json.encoder.encode_basestring
 # An inference's JSON up to its text, for each kind: the values need no escaping.
 _RECORD_START = {kind: f'{{"kind": "{kind.value}", "text": ' for kind in InferenceKind}
-_TRIGGER = attrgetter("trigger")
+_TRIGGER, _TEXT = attrgetter("trigger"), attrgetter("text")
 
 
 def _jsonl_record(headline: str, inferences: list[Inference]) -> str:
@@ -421,14 +413,15 @@ def _normalized(keys: dict[str, str], text: str) -> str:
     return key
 
 
-def _read_jsonl(path: str, parse, keys: dict[str, str], gold: set[str]) -> dict:
+def _read_jsonl(path: str, parse, keys: dict[str, str], gold: set[str],
+                first_line: dict[str, int]) -> dict:
     """{normalized headline: parse(record)} over a JSON Lines file of objects
     with a ``headline`` string.  ``parse`` raises FormatError without a
     location.  A headline may repeat only with the same parsed content.
     ``keys`` is ``_normalized``'s map, shared by the readers of one eval
-    call; a record whose key is not in ``gold`` is warned about."""
+    call; a record whose key is not in ``gold`` is warned about.
+    ``first_line`` gets the line of each key's first record."""
     out: dict = {}
-    first_line: dict[str, int] = {}
     text = read_text(path)
     for lineno, obj in _json_lines(text, 0, len(text), 1, path):
         if not isinstance(obj, dict):
@@ -449,8 +442,8 @@ def _read_jsonl(path: str, parse, keys: dict[str, str], gold: set[str]) -> dict:
         else:
             out[key], first_line[key] = value, lineno
         if key not in gold:
-            print(f"warning: {path}:{lineno}: no gold block for {obj['headline']!r}; "
-                  "record ignored", file=sys.stderr)
+            print(f"warning: {_path_text(path)}:{lineno}: no gold block for "
+                  f"{obj['headline']!r}; record ignored", file=sys.stderr)
     return out
 
 
@@ -506,11 +499,32 @@ def _parse_labels(obj: dict) -> dict:
 def _read_inference_file(
     path: str, keys: dict[str, str], gold: set[str]
 ) -> dict[str, list[Inference]]:
-    return _read_jsonl(path, _parse_inferences, keys, gold)
+    return _read_jsonl(path, _parse_inferences, keys, gold, {})
 
 
-def _read_labels_file(path: str, keys: dict[str, str], gold: set[str]) -> dict[str, dict]:
-    return _read_jsonl(path, _parse_labels, keys, gold)
+def _read_labels_file(
+    path: str, keys: dict[str, str], gold: set[str], lines: dict[str, int]
+) -> dict[str, dict]:
+    return _read_jsonl(path, _parse_labels, keys, gold, lines)
+
+
+def _unnamed_labels(entry: dict, annotation, computed: list[Inference], alignment) -> set:
+    """(what it is, text, side) of each text of a labels ``entry`` that
+    normalizes to none of the ``side`` inferences of one gold block and its
+    computed record, which ``match`` ignores (with its pair); ``alignment``
+    is its verdict on them.  Most labels copy an inference's text: only the
+    others are normalized."""
+    gold, comp = alignment.gold_texts, alignment.computed_texts
+    unnamed = set()
+    for g, c in entry["matched"]:
+        if not (g in map(_TEXT, annotation.inferences) or normalize(g) in gold):
+            unnamed.add(("matched gold text", g, "gold"))
+        if not (c in map(_TEXT, computed) or normalize(c) in comp):
+            unnamed.add(("matched computed text", c, "computed"))
+    for text in entry["incorrect"]:
+        if not (text in map(_TEXT, computed) or normalize(text) in comp):
+            unnamed.add(("incorrect label", text, "computed"))
+    return unnamed
 
 
 # One flat report row as json.dumps(..., indent=2) writes it inside a list,
@@ -536,7 +550,8 @@ def cmd_eval(args) -> int:
     keys: dict[str, str] = {}  # each headline text of this call, normalized once
     gold_keys = {_normalized(keys, annotation.headline) for annotation in gold}
     computed_by_headline = _read_inference_file(args.inferences, keys, gold_keys)
-    labels = _read_labels_file(args.labels, keys, gold_keys) if args.labels else {}
+    label_lines: dict[str, int] = {}  # the line of each key's labels record
+    labels = _read_labels_file(args.labels, keys, gold_keys, label_lines) if args.labels else {}
     # With --labels, a headline the file leaves out has nothing incorrect.
     unlabeled = {"matched": (), "incorrect": frozenset() if args.labels else None}
     cfg = MatchConfig(
@@ -545,21 +560,33 @@ def cmd_eval(args) -> int:
     )
     rows = []
     alignments = []
+    unnamed: dict[str, tuple[str, set]] = {}  # labels key -> (headline, texts naming nothing)
     for annotation in gold:
         key = keys[annotation.headline]
         computed = computed_by_headline.get(key)
         if computed is None:
             print(
-                f"warning: {args.gold}:{annotation.line}: no computed inferences for "
+                f"warning: {_path_text(args.gold)}:{annotation.line}: no computed inferences for "
                 f"{annotation.headline!r}; counting all gold as missing",
                 file=sys.stderr,
             )
             computed = []
+            label_lines.pop(key, None)  # warned about: its labels go unchecked
         entry = labels.get(key, unlabeled)
         alignment = match(computed, annotation, cfg, entry["matched"], entry["incorrect"])
+        if key in label_lines:  # a text names nothing if it does in no gold block of its key
+            texts = _unnamed_labels(entry, annotation, computed, alignment)
+            if key in unnamed:
+                unnamed[key][1].intersection_update(texts)
+            else:
+                unnamed[key] = annotation.headline, texts
         rows.append(score_headline(alignment, headline=annotation.headline))
         alignments.append(alignment)
-    report = {"headlines": rows, "triggers": trigger_rows(score_by_trigger(alignments))}
+    for key, (headline, texts) in unnamed.items():
+        for what, text, side in sorted(texts):  # sorted: a set's order changes from run to run
+            print(f"warning: {_path_text(args.labels)}:{label_lines[key]}: {what} {text!r} "
+                  f"names no {side} inference of {headline!r}; ignored", file=sys.stderr)
+    report = {"headlines": rows, "triggers": score_by_trigger(alignments)}
     table = trigger_table(report["triggers"])
     if args.out:
         _write(args.out, _report_json(report))

@@ -142,16 +142,12 @@ def _double_quote_pairs(text: str) -> list[tuple[int, int]]:
     return sorted(pairs)
 
 
-def _has_apostrophe(text: str) -> bool:
-    """Whether _STRAY_APOSTROPHE can match; cheaper than a search."""
-    return "'" in text or "’" in text
-
-
 def _clean_words(text: str) -> list[str]:
     """The words of ``text`` with its punctuation stripped: hyphens become
     spaces, an apostrophe survives only between letters or digits, the rest
     of the punctuation is deleted, and whitespace separates words."""
-    if _has_apostrophe(text):
+    # Whether _STRAY_APOSTROPHE can match: cheaper than a search.
+    if "'" in text or "’" in text:
         text = _STRAY_APOSTROPHE.sub("", text)
     if text.isascii():
         # Decoded before splitting: str.split also breaks on \x1c-\x1f.

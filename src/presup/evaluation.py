@@ -67,16 +67,6 @@ class Alignment(NamedTuple):
         return len(self.computed_texts)
 
 
-@dataclass(frozen=True)
-class TriggerScore:
-    trigger: str
-    computed_count: int
-    matched_count: int
-    incorrect_count: int
-    tagged_gold_count: int
-    missing_count: int
-
-
 _CAN_FAMILY = re.compile(r"\bcan be\s*/\s*can have\b")
 _CAN_HAVE = re.compile(r"\bcan (?:have|be)\b")
 
@@ -218,11 +208,14 @@ def score_headline(alignment: Alignment, headline: str = "") -> dict:
     }
 
 
-def score_by_trigger(alignments: Iterable[Alignment]) -> list[TriggerScore]:
-    """Aggregate per-trigger accuracy over a corpus of alignments.
+def score_by_trigger(alignments: Iterable[Alignment]) -> list[dict]:
+    """The report row of each trigger over a corpus of alignments, in trigger
+    order: its computed count and accurate, inaccurate and missing percentages.
 
     An inference, computed or gold, counts toward its trigger; one without
-    a trigger (an untagged gold inference) counts toward none.
+    a trigger (an untagged gold inference) counts toward none.  A percentage
+    is None when nothing counts toward it; missing is None when no gold
+    inference carries the trigger tag (unavailable, not zero).
     """
     # trigger -> [computed, matched, incorrect, tagged gold, missing]; the
     # None of an untagged inference is counted, then dropped.
@@ -239,28 +232,21 @@ def score_by_trigger(alignments: Iterable[Alignment]) -> list[TriggerScore]:
         for gi in unmatched_gold:
             counts[gold_triggers[gi]][4] += 1
     counts.pop(None, None)
-    return [TriggerScore(t, *counts[t]) for t in sorted(counts)]
-
-
-def trigger_rows(scores: list[TriggerScore]) -> list[dict]:
-    """The report row of each trigger.  A percentage is None when nothing
-    counts toward it; missing is None when no gold inference carries the
-    trigger tag (unavailable, not zero)."""
     return [
         {
-            "trigger": s.trigger,
-            "computed": s.computed_count,
-            "percent_accurate": _percent(s.matched_count, s.computed_count, None),
-            "percent_inaccurate": _percent(s.incorrect_count, s.computed_count, None),
-            "percent_missing": _percent(s.missing_count, s.tagged_gold_count, None),
+            "trigger": t,
+            "computed": computed,
+            "percent_accurate": _percent(matched, computed, None),
+            "percent_inaccurate": _percent(incorrect, computed, None),
+            "percent_missing": _percent(missing, tagged_gold, None),
         }
-        for s in scores
+        for t, (computed, matched, incorrect, tagged_gold, missing) in sorted(counts.items())
     ]
 
 
 def trigger_table(rows: list[dict]) -> str:
-    """TSV table of ``trigger_rows``: trigger, accurate %, inaccurate %,
-    missing %."""
+    """TSV table of ``score_by_trigger``'s rows: trigger, accurate %,
+    inaccurate %, missing %."""
     keys = ("percent_accurate", "percent_inaccurate", "percent_missing")
     lines = ["trigger\taccurate\tinaccurate\tmissing"]
     for row in rows:

@@ -1,13 +1,15 @@
 """Frozen copies of ``evaluation.match`` as it was before it aligned by
 lookup (it normalizes every text where it meets it, finds free indices by
-scanning and sorts the pairs at the end) and of ``score_by_trigger`` as it was
-when it counted each tally with a helper call per alignment.
-``test_properties.py`` checks that the package's functions return the same
-``Alignment`` and ``TriggerScore`` list."""
+scanning and sorts the pairs at the end), of ``score_by_trigger`` as it was
+when it counted each tally with a helper call per alignment into a
+``TriggerScore`` list, and of ``trigger_rows``, which turned that list into
+the report's per-trigger rows.  ``test_properties.py`` checks that the
+package's functions return the same ``Alignment`` and the same rows."""
 
 from __future__ import annotations
 
 from collections.abc import Iterable
+from dataclasses import dataclass
 
 from presup.corpus import GoldAnnotation
 from presup.evaluation import (
@@ -15,9 +17,18 @@ from presup.evaluation import (
     MatchConfig,
     MatchMode,
     MatchPair,
-    TriggerScore,
     normalize,
 )
+
+
+@dataclass(frozen=True)
+class TriggerScore:
+    trigger: str
+    computed_count: int
+    matched_count: int
+    incorrect_count: int
+    tagged_gold_count: int
+    missing_count: int
 
 
 def _texts(items) -> list[str]:
@@ -134,4 +145,21 @@ def score_by_trigger(alignments: Iterable[Alignment]) -> list[TriggerScore]:
             missing_count=missing.get(t, 0),
         )
         for t in sorted(set(computed_count) | set(tagged_gold))
+    ]
+
+
+def _percent(part: int, whole: int) -> float | None:
+    return None if whole == 0 else round(part / whole * 100, 1)
+
+
+def trigger_rows(scores: list[TriggerScore]) -> list[dict]:
+    return [
+        {
+            "trigger": s.trigger,
+            "computed": s.computed_count,
+            "percent_accurate": _percent(s.matched_count, s.computed_count),
+            "percent_inaccurate": _percent(s.incorrect_count, s.computed_count),
+            "percent_missing": _percent(s.missing_count, s.tagged_gold_count),
+        }
+        for s in scores
     ]

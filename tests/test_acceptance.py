@@ -20,7 +20,6 @@ from presup.evaluation import (
     match,
     normalize,
     score_by_trigger,
-    trigger_rows,
 )
 from presup.morphology import VerbForm, conjugate, irregular_table, lemma
 from presup.rules import (
@@ -226,8 +225,7 @@ def test_trigger_statistics_substitute():
     """Criterion 4: synthetic 20-headline corpus scored exactly as the
     hand-computed/oracle percentages; the but-row echo lands on 69.2/0/30.8."""
     items = _synthetic_corpus()
-    scores = score_by_trigger(item.alignment for item in items)
-    rows = {r["trigger"]: r for r in trigger_rows(scores)}
+    rows = {r["trigger"]: r for r in score_by_trigger(item.alignment for item in items)}
     hand_computed = {
         "future": (75.0, 25.0, 25.0),
         "but": (50.0, 0.0, 50.0),
@@ -256,7 +254,7 @@ def test_trigger_statistics_substitute():
             inferences=(GoldInference(gold_text, "but"),),
         )
         echo_items.append(match(computed, gold, incorrect_labels=frozenset()))
-    (echo,) = trigger_rows(score_by_trigger(echo_items))
+    (echo,) = score_by_trigger(echo_items)
     assert echo["percent_accurate"] == 69.2
     assert echo["percent_inaccurate"] == 0.0
     assert echo["percent_missing"] == 30.8

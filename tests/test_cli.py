@@ -1461,6 +1461,114 @@ class TestEval:
             "counting all gold as missing\n"
         )
 
+    def run_with_labels(self, tmp_path, capsys, records, gold=FIXTURES / "scored_gold.txt"):
+        """Eval on the scored inferences with ``records`` as the labels file:
+        (exit code, report bytes, stderr, labels path)."""
+        labels, out = tmp_path / "labels.jsonl", tmp_path / "report.json"
+        labels.write_text("".join(json.dumps(r) + "\n" for r in records), "utf-8")
+        code = main(["eval", "--inferences", str(FIXTURES / "scored_computed.jsonl"),
+                     "--gold", str(gold), "--labels", str(labels), "--out", str(out)])
+        return code, out.read_bytes(), capsys.readouterr().err, labels
+
+    @pytest.mark.parametrize("line, field, extra, warning", [
+        (1, "matched", ["No such gold text", "Korea can have deadline"],
+         "matched gold text 'No such gold text' names no gold inference of {h!r}; ignored"),
+        (1, "matched", ["There exists North Korea", "no such computed text"],
+         "matched computed text 'no such computed text' names no computed inference of {h!r}; "
+         "ignored"),
+        (3, "incorrect", "nobody said this",
+         "incorrect label 'nobody said this' names no computed inference of {h!r}; ignored"),
+    ], ids=["gold-side", "computed-side", "incorrect"])
+    def test_label_that_names_nothing_warns(self, tmp_path, capsys, line, field, extra, warning):
+        """A judged pair's side or an incorrect label that normalizes to none
+        of its headline's inferences is warned about at its record's line;
+        exit code and report are as without it."""
+        records = read_jsonl(FIXTURES / "scored_labels.jsonl")
+        records[line - 1].setdefault(field, []).append(extra)
+        code, report, err, labels = self.run_with_labels(tmp_path, capsys, records)
+        assert code == 0
+        headline = records[line - 1]["headline"]
+        assert err == f"warning: {labels}:{line}: {warning.format(h=headline)}\n"
+        assert report == (FIXTURES / "pinned" / "scored_report.json").read_bytes()
+
+    def test_labels_that_name_nothing_warn_once_each_in_sorted_order(self, tmp_path, capsys):
+        """Each text is warned about once, however many pairs hold it, and a
+        record's warnings come sorted, whatever the order of a set."""
+        records = read_jsonl(FIXTURES / "scored_labels.jsonl")
+        records[0]["matched"] += [["gone", computed] for computed in
+                                  ("Korea can have deadline", "Pyeongchang has games")]
+        records[0]["incorrect"] = ["zeta", "alpha"]
+        code, report, err, labels = self.run_with_labels(tmp_path, capsys, records)
+        assert code == 0
+        h = records[0]["headline"]
+        assert err == "".join(f"warning: {labels}:1: {w} of {h!r}; ignored\n" for w in [
+            "incorrect label 'alpha' names no computed inference",
+            "incorrect label 'zeta' names no computed inference",
+            "matched gold text 'gone' names no gold inference",
+        ])
+
+    def test_label_that_names_a_taken_text_is_not_warned_about(self, tmp_path, capsys):
+        """A pair whose texts an earlier pair took names them: no warning,
+        and the report is as without it."""
+        records = read_jsonl(FIXTURES / "scored_labels.jsonl")
+        records[0]["matched"].append(records[0]["matched"][0])
+        records[2]["incorrect"].append("Campaign has deceived.")  # the same text, normalized
+        code, report, err, _ = self.run_with_labels(tmp_path, capsys, records)
+        assert (code, err) == (0, "")
+        assert report == (FIXTURES / "pinned" / "scored_report.json").read_bytes()
+
+    def test_labels_of_a_headline_already_warned_about_warn_no_more(self, tmp_path, capsys):
+        """No label warning for a headline with no computed record or no gold
+        block, and one for a record that two gold blocks share, whose gold
+        texts may name an inference of either block."""
+        gold = tmp_path / "gold.txt"
+        gold.write_text("Unknown headline\n>> something\n||\n"
+                        + (FIXTURES / "scored_gold.txt").read_text("utf-8")
+                        + "IOC extends North Korea deadline for Pyeongchang games\n>> x\n||\n")
+        records = read_jsonl(FIXTURES / "scored_labels.jsonl")
+        records[0]["incorrect"] = ["nobody said this"]
+        records[0]["matched"] += [["x", "Games has deadline"],  # "x": the second block's
+                                  ["in neither block", "Games has deadline"]]
+        records += [{"headline": "Unknown headline", "incorrect": ["nobody said this"]},
+                    {"headline": "Orphan", "incorrect": ["nobody said this"]}]
+        code, _, err, labels = self.run_with_labels(tmp_path, capsys, records, gold)
+        assert code == 0
+        assert err == (
+            f"warning: {labels}:5: no gold block for 'Orphan'; record ignored\n"
+            f"warning: {gold}:1: no computed inferences for 'Unknown headline'; "
+            "counting all gold as missing\n"
+            f"warning: {labels}:1: incorrect label 'nobody said this' names no computed "
+            "inference of 'IOC extends North Korea deadline for Pyeongchang games'; ignored\n"
+            f"warning: {labels}:1: matched gold text 'in neither block' names no gold "
+            "inference of 'IOC extends North Korea deadline for Pyeongchang games'; ignored\n"
+        )
+
+    def test_warnings_write_paths_that_are_not_utf8_escaped(self, tmp_path, capsys):
+        """The eval warnings name a gold or labels path as every other line
+        does: a byte that is not UTF-8 as \\xNN."""
+        gold = os.path.join(os.fsencode(tmp_path), b"g\xff.txt")
+        labels = os.path.join(os.fsencode(tmp_path), b"l\xff.jsonl")
+        records = [{"headline": "Orphan"}, *read_jsonl(FIXTURES / "scored_labels.jsonl")]
+        records[3]["incorrect"] = ["z"]
+        unknown = b"Unknown headline\n>> x\n||\n"
+        try:
+            with open(gold, "wb") as f:
+                f.write(unknown + (FIXTURES / "scored_gold.txt").read_bytes())
+            with open(labels, "wb") as f:
+                f.write("".join(json.dumps(r) + "\n" for r in records).encode("utf-8"))
+        except OSError:
+            pytest.skip("the filesystem refuses a name that is not UTF-8")
+        code = main(["eval", "--inferences", str(FIXTURES / "scored_computed.jsonl"),
+                     "--gold", os.fsdecode(gold), "--labels", os.fsdecode(labels)])
+        assert code == 0
+        gold_text, labels_text = (f"{tmp_path}{os.sep}{n}" for n in ("g\\xff.txt", "l\\xff.jsonl"))
+        assert capsys.readouterr().err == (
+            f"warning: {labels_text}:1: no gold block for 'Orphan'; record ignored\n"
+            f"warning: {gold_text}:1: no computed inferences for 'Unknown headline'; "
+            "counting all gold as missing\n"
+            f"warning: {labels_text}:4: incorrect label 'z' names no computed inference of "
+            f"{records[3]['headline']!r}; ignored\n"
+        )
 
 class TestMorphAndStats:
     def test_morph_regular(self, capsys):

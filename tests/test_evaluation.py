@@ -16,7 +16,6 @@ from presup.evaluation import (
     normalize,
     score_by_trigger,
     score_headline,
-    trigger_rows,
     trigger_table,
 )
 from presup.rules import Inference, InferenceKind
@@ -226,7 +225,7 @@ class TestScoreByTrigger:
                 incorrect=frozenset(),
             )
         ]
-        (row,) = trigger_rows(score_by_trigger(items))
+        (row,) = score_by_trigger(items)
         assert row["trigger"] == "further"
         assert row["percent_accurate"] == 100.0
         assert row["percent_inaccurate"] == 0.0
@@ -245,7 +244,7 @@ class TestScoreByTrigger:
                     incorrect=frozenset(),
                 )
             )
-        (row,) = trigger_rows(score_by_trigger(items))
+        (row,) = score_by_trigger(items)
         assert row["percent_accurate"] == 69.2
         assert row["percent_inaccurate"] == 0.0
         assert row["percent_missing"] == 30.8
@@ -258,25 +257,26 @@ class TestScoreByTrigger:
                 incorrect=frozenset(),
             )
         ]
-        (row,) = trigger_rows(score_by_trigger(items))
+        (row,) = score_by_trigger(items)
         assert row["percent_accurate"] == 0.0
         assert row["percent_missing"] is None
 
     def test_trigger_absent_on_both_sides_omitted(self):
         items = [eval_item(computed_of(("x", "future")), gold_of(("x", "future")))]
-        assert [s.trigger for s in score_by_trigger(items)] == ["future"]
+        assert [row["trigger"] for row in score_by_trigger(items)] == ["future"]
 
     def test_empty_trigger_counts_as_a_trigger(self):
         # Only None is no trigger; "" names a row, as in the reference copy.
         items = [eval_item(computed_of(("x", ""), ("y", "")), gold_of(("x", ""), ("z", "")))]
-        scores = score_by_trigger(items)
-        assert [(s.trigger, s.computed_count, s.matched_count, s.missing_count)
-                for s in scores] == [("", 2, 1, 1)]
-        assert scores == evaluation_reference.score_by_trigger(items)
+        rows = score_by_trigger(items)
+        assert rows == [{"trigger": "", "computed": 2, "percent_accurate": 50.0,
+                         "percent_inaccurate": 50.0, "percent_missing": 50.0}]
+        reference = evaluation_reference.score_by_trigger(items)
+        assert rows == evaluation_reference.trigger_rows(reference)
 
     def test_table_rendering(self):
         items = [eval_item(computed_of(("x", "future")), gold_of("y"))]
-        table = trigger_table(trigger_rows(score_by_trigger(items)))
+        table = trigger_table(score_by_trigger(items))
         assert table.splitlines()[0] == "trigger\taccurate\tinaccurate\tmissing"
         assert "n/a" in table
 
@@ -377,7 +377,10 @@ def test_headline_and_trigger_scores_count_one_verdict(headlines, mode):
         for computed, gold, labels in headlines
     ]
     by_headline = [score_headline(a) for a in alignments]
-    by_trigger = score_by_trigger(alignments)
+    # The rows hold no matched or incorrect count: those are the reference
+    # copy's, whose rows are the package's.
+    by_trigger = evaluation_reference.score_by_trigger(alignments)
+    assert score_by_trigger(alignments) == evaluation_reference.trigger_rows(by_trigger)
     for count in ("computed", "matched", "incorrect"):
         assert sum(getattr(s, f"{count}_count") for s in by_trigger) == sum(
             row[count] for row in by_headline
