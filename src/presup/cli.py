@@ -281,7 +281,7 @@ def _spans_for_tokens(h: ParsedHeadline, quotes) -> tuple[tuple[int, int], ...]:
 _json_string = json.encoder.encode_basestring
 # An inference's JSON up to its text, for each kind: the values need no escaping.
 _RECORD_START = {kind: f'{{"kind": "{kind.value}", "text": ' for kind in InferenceKind}
-_TRIGGER, _TEXT = attrgetter("trigger"), attrgetter("text")
+_TRIGGER = attrgetter("trigger")
 
 
 def _jsonl_record(headline: str, inferences: list[Inference]) -> str:
@@ -508,25 +508,6 @@ def _read_labels_file(
     return _read_jsonl(path, _parse_labels, keys, gold, lines)
 
 
-def _unnamed_labels(entry: dict, annotation, computed: list[Inference], alignment) -> set:
-    """(what it is, text, side) of each text of a labels ``entry`` that
-    normalizes to none of the ``side`` inferences of one gold block and its
-    computed record, which ``match`` ignores (with its pair); ``alignment``
-    is its verdict on them.  Most labels copy an inference's text: only the
-    others are normalized."""
-    gold, comp = alignment.gold_texts, alignment.computed_texts
-    unnamed = set()
-    for g, c in entry["matched"]:
-        if not (g in map(_TEXT, annotation.inferences) or normalize(g) in gold):
-            unnamed.add(("matched gold text", g, "gold"))
-        if not (c in map(_TEXT, computed) or normalize(c) in comp):
-            unnamed.add(("matched computed text", c, "computed"))
-    for text in entry["incorrect"]:
-        if not (text in map(_TEXT, computed) or normalize(text) in comp):
-            unnamed.add(("incorrect label", text, "computed"))
-    return unnamed
-
-
 # One flat report row as json.dumps(..., indent=2) writes it inside a list,
 # but for its braces and the indent of its first key.
 _ROW_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",\n      ", ": "))
@@ -573,9 +554,11 @@ def cmd_eval(args) -> int:
             computed = []
             label_lines.pop(key, None)  # warned about: its labels go unchecked
         entry = labels.get(key, unlabeled)
-        alignment = match(computed, annotation, cfg, entry["matched"], entry["incorrect"])
-        if key in label_lines:  # a text names nothing if it does in no gold block of its key
-            texts = _unnamed_labels(entry, annotation, computed, alignment)
+        texts = set() if key in label_lines else None  # the texts of entry naming nothing
+        alignment = match(
+            computed, annotation, cfg, entry["matched"], entry["incorrect"], unnamed=texts
+        )
+        if texts is not None:  # a text names nothing if it does in no gold block of its key
             if key in unnamed:
                 unnamed[key][1].intersection_update(texts)
             else:

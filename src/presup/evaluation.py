@@ -4,7 +4,8 @@ and per-trigger accuracy statistics.
 Matching is a greedy one-to-one alignment: human-judged pairs (when supplied)
 first, then exact matches on normalized text, then optionally highest token
 Jaccard above a threshold.  ``match`` also decides which computed inferences
-are incorrect, and the scores only count its verdict.
+are incorrect, and the scores only count its verdict.  It reports the human
+labels that name no inference, which it ignores.
 """
 
 from __future__ import annotations
@@ -99,6 +100,8 @@ def match(
     cfg: MatchConfig = MatchConfig(),
     judged_pairs: tuple[tuple[str, str], ...] = (),
     incorrect_labels: set[str] | frozenset[str] | None = None,
+    *,
+    unnamed: set | None = None,
 ) -> Alignment:
     """Greedy one-to-one alignment of computed inferences against gold ones.
 
@@ -109,6 +112,9 @@ def match(
     A computed inference is incorrect when its normalized text is one of
     ``incorrect_labels``, the human judgment; without labels, when it is
     unmatched.  Each distinct text of the call is normalized once.
+    A judged side or label that normalizes to none of its side's texts names
+    nothing and is ignored (with its pair); when ``unnamed`` is a set,
+    ``match`` adds ``(what, text, side)`` to it for each such text.
     """
     gold_items = gold.inferences if isinstance(gold, GoldAnnotation) else gold
     gold_texts, comp_texts = _texts(gold_items), _texts(computed)
@@ -135,6 +141,11 @@ def match(
             if g_free and c_free:
                 gi = g_free.pop(0)
                 pair_of[gi] = _new(MatchPair, (gi, c_free.pop(0), 1.0))
+            elif unnamed is not None:  # None: no inference has the text
+                if g_free is None:
+                    unnamed.add(("matched gold text", g_text, "gold"))
+                if c_free is None:
+                    unnamed.add(("matched computed text", c_text, "computed"))
 
     for gi, gt in enumerate(ngold):
         if pair_of[gi] is None and (c_free := free_comp.get(gt)):
@@ -174,6 +185,9 @@ def match(
     else:
         wrong = {norm[t] for t in labels}
         incorrect = tuple([ci for ci, ct in enumerate(ncomp) if ct in wrong])
+        if unnamed is not None:
+            unnamed.update([("incorrect label", t, "computed")
+                            for t in labels if norm[t] not in free_comp])
     return _new(Alignment, (
         tuple(pairs),
         tuple(unmatched_gold),

@@ -375,7 +375,6 @@ def _render_lexical(v: EdgeView, class_id: str, verb: Token, vlemma: str) -> Inf
         if attachments:
             _, phrase, span = attachments[0]
             return presup(f"{phrase} has happened before", span)
-        return None
 
     return None
 

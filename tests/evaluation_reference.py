@@ -3,8 +3,11 @@ lookup (it normalizes every text where it meets it, finds free indices by
 scanning and sorts the pairs at the end), of ``score_by_trigger`` as it was
 when it counted each tally with a helper call per alignment into a
 ``TriggerScore`` list, and of ``trigger_rows``, which turned that list into
-the report's per-trigger rows.  ``test_properties.py`` checks that the
-package's functions return the same ``Alignment`` and the same rows."""
+the report's per-trigger rows.  ``unnamed_labels`` is ``cli._unnamed_labels``,
+the check of which labels name no inference that ``eval`` made after
+``match`` before ``match`` made it.  ``test_properties.py`` checks that the
+package's functions return the same ``Alignment``, the same rows and the
+same labels."""
 
 from __future__ import annotations
 
@@ -114,6 +117,24 @@ def match(
         gold_triggers=_triggers(gold_items),
         computed_triggers=_triggers(computed),
     )
+
+
+def unnamed_labels(entry: dict, gold_texts, computed_texts, alignment) -> set:
+    """(what it is, text, side) of each text of a labels ``entry`` that
+    normalizes to none of the ``side`` texts of one ``match`` call, which
+    ``match`` ignores (with its pair); ``alignment`` is its verdict on them.
+    ``gold_texts`` and ``computed_texts`` are the call's texts as given."""
+    gold, comp = alignment.gold_texts, alignment.computed_texts
+    unnamed = set()
+    for g, c in entry["matched"]:
+        if not (g in gold_texts or normalize(g) in gold):
+            unnamed.add(("matched gold text", g, "gold"))
+        if not (c in computed_texts or normalize(c) in comp):
+            unnamed.add(("matched computed text", c, "computed"))
+    for text in entry["incorrect"]:
+        if not (text in computed_texts or normalize(text) in comp):
+            unnamed.add(("incorrect label", text, "computed"))
+    return unnamed
 
 
 def score_by_trigger(alignments: Iterable[Alignment]) -> list[TriggerScore]:

@@ -1,6 +1,7 @@
 """The package's surface: ``presup.__all__`` is the README's list, the
-README's library example runs as written, and every function, class and
-method of the package is used somewhere outside its own definition."""
+README's library example runs as written, and every function, class,
+method and module-level name of the package is used somewhere outside its
+own definition."""
 
 import ast
 import json
@@ -38,16 +39,24 @@ def test_readme_library_example_runs(tmp_path, capsys, monkeypatch):
 
 
 def _definitions(tree: ast.Module):
-    """Each module-level function and class, and each method of such a
-    class but the dunder ones."""
+    """(name, statement) for each module-level function and class, each
+    method of such a class, and each name that a module-level assignment
+    binds, but the dunder methods and names."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node
+            yield node.name, node
             if isinstance(node, ast.ClassDef):
                 yield from (
-                    sub for sub in node.body
+                    (sub.name, sub) for sub in node.body
                     if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("__")
                 )
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (
+                (name.id, node) for target in targets for name in ast.walk(target)
+                if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)
+                and not name.id.startswith("__")
+            )
 
 
 def _walk(tree: ast.AST, skip: ast.AST):
@@ -102,14 +111,14 @@ README_WORDS = set(re.findall(r"\w+", README))
 
 
 def test_no_dead_source():
-    """A definition counts as used when the README names it, or when code
-    in src/ or perfbench/ refers to it outside its own body.  Imports do
-    not count, so neither does a re-export."""
+    """A definition, or a name bound by a module-level assignment, counts as
+    used when the README names it, or when code in src/ or perfbench/
+    refers to it outside its own body or statement.  Imports do not count,
+    so neither does a re-export."""
     trees = _trees()
     dead = []
     for path in sorted((ROOT / "src" / "presup").glob("*.py")):
-        for definition in _definitions(trees[path]):
-            name = definition.name
+        for name, definition in _definitions(trees[path]):
             if name in README_WORDS:
                 continue
             if not any(name in _references(tree, definition) for tree in trees.values()):

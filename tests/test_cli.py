@@ -72,7 +72,23 @@ HASH_SEED_RUNS = [
         ["report.json", "table.tsv"],
         id="eval-scored",
     ),
+    pytest.param(
+        ["eval", "--inferences", str(FIXTURES / "scored_computed.jsonl"),
+         "--gold", str(FIXTURES / "scored_gold.txt"),
+         "--labels", "{tmp}/unnamed_labels.jsonl", "--out", "{out}/report.json"],
+        ["report.json"],
+        id="eval-labels-naming-nothing",
+    ),
 ]
+
+# A labels record with four texts that name none of its headline's
+# inferences: eval warns about each, in sorted order.
+UNNAMED_LABELS = json.dumps({
+    "headline": "IOC extends North Korea deadline for Pyeongchang games",
+    "incorrect": ["nobody said this", "Games has deadline", "zebras have stripes"],
+    "matched": [["North Korea has deadline", "no such computed text"],
+                ["no such gold text", "Korea can have deadline"]],
+}) + "\n"
 
 # The first fixture parse as one JSON Lines record.
 GOOD_PARSE = json.dumps(json.loads((FIXTURES / "basic_triggers.json").read_text("utf-8"))[0])
@@ -181,22 +197,26 @@ class TestInfer:
     @pytest.mark.parametrize("argv, written", HASH_SEED_RUNS)
     def test_other_string_hash_seeds_write_the_same_bytes(self, tmp_path, argv, written):
         """A run in another process, under another string-hash seed, writes
-        the same files and stdout, byte for byte, but the manifest's
+        the same files, stdout and stderr, byte for byte, but the manifest's
         ``generated_at``.  The child inherits the rest of the environment,
-        so it runs the presup that this process imports."""
+        so it runs the presup that this process imports.  Inputs written
+        here sit outside the per-seed directories, so that both runs name
+        the same paths."""
+        (tmp_path / "unnamed_labels.jsonl").write_text(UNNAMED_LABELS, "utf-8")
         outputs = []
         for seed in ("0", "1"):
             out = tmp_path / seed
             out.mkdir()
             done = subprocess.run(
-                [sys.executable, "-m", "presup.cli", *(a.format(out=out) for a in argv)],
+                [sys.executable, "-m", "presup.cli",
+                 *(a.format(out=out, tmp=tmp_path) for a in argv)],
                 env={**os.environ, "PYTHONHASHSEED": seed}, capture_output=True, check=True,
             )
             files = [(out / name).read_bytes() for name in written]
-            outputs.append((done.stdout, [re.sub(rb'\n *"generated_at": [^\n]*', b"", data)
-                                          for data in files]))
+            outputs.append((done.stdout, done.stderr,
+                            [re.sub(rb'\n *"generated_at": [^\n]*', b"", data) for data in files]))
         assert outputs[0] == outputs[1]
-        assert all(outputs[0][1])
+        assert all(outputs[0][2])
 
     def test_config_file(self, tmp_path):
         cfg = tmp_path / "engine.cfg"

@@ -1,11 +1,14 @@
 import string
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+from presup import morphology
 from presup.morphology import (
     MODALS,
     VerbForm,
+    _irregular_maps,
     conjugate,
     irregular_table,
     lemma,
@@ -103,6 +106,28 @@ def test_irregular_table_shape():
     for verb in ("say", "go", "come", "take", "give", "keep", "know", "be", "have",
                  "broadcast", "meet"):
         assert verb in bases
+
+
+def test_irregular_table_line_without_three_columns_is_error(tmp_path, monkeypatch):
+    """A table line that does not hold three tab-separated columns is an
+    error that quotes the line.  The table is served from ``tmp_path``; the
+    caches are cleared before and after, so that this call reads the patched
+    file and later calls read the bundled table again."""
+    (tmp_path / "data").mkdir()
+    (tmp_path / "data" / "irregular_verbs.tsv").write_text(
+        "# base\tpast\tparticiple\nsay\tsaid\tsaid\ngo\twent\n", "utf-8"
+    )
+    monkeypatch.setattr(morphology, "resources", SimpleNamespace(files=lambda package: tmp_path))
+    irregular_table.cache_clear()
+    _irregular_maps.cache_clear()
+    try:
+        with pytest.raises(ValueError) as caught:
+            irregular_table()
+        assert str(caught.value) == "irregular verb table: expected 3 columns, got 'go\\twent'"
+    finally:
+        monkeypatch.undo()
+        irregular_table.cache_clear()
+        _irregular_maps.cache_clear()
 
 
 def test_irregular_round_trip_all_forms():

@@ -1166,15 +1166,30 @@ def _match_arguments(draw):
 
 
 @given(_match_arguments())
+# A judged pair with an absent side, one whose texts an earlier pair took,
+# and an absent label.
+@example((["a c"], ["a b"], MatchConfig(),
+          (("a b", "zz"), ("a b", "a c"), ("a b", "a c"), ("yy", "a c")),
+          frozenset({"a c", "nope"})))
 def test_match_matches_the_reference_copy(arguments):
     """``match`` gives the reference copy's ``Alignment``: the same pairs in
     the same order with the same scores, the same unmatched and incorrect
     indices, normalized texts and triggers.  NamedTuples compare equal to
-    plain tuples, so the record types are checked on their own."""
+    plain tuples, so the record types are checked on their own.  Given an
+    ``unnamed`` set, it returns the same ``Alignment`` and adds the labels
+    that the reference copy of the label check finds naming nothing."""
     result = match(*arguments)
     assert result == evaluation_reference.match(*arguments)
     assert type(result) is Alignment
     assert all(type(p) is MatchPair for p in result.pairs)
+    unnamed = set()
+    assert match(*arguments, unnamed=unnamed) == result
+    computed, gold, _, judged, labels = arguments
+    gold = gold.inferences if isinstance(gold, GoldAnnotation) else gold
+    texts = evaluation_reference._texts
+    entry = {"matched": judged, "incorrect": () if labels is None else labels}
+    reference = evaluation_reference.unnamed_labels(entry, texts(gold), texts(computed), result)
+    assert unnamed == reference
 
 
 @given(st.lists(_match_arguments(), max_size=6))
