@@ -328,14 +328,19 @@ def pair(records: list[HeadlineRecord], parses: list[ParsedHeadline]):
             yield k + 1, None, h, "unused"
 
 
-# A byte of a path that is not UTF-8, as Python decodes it (surrogateescape).
-_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
-
-
 def _path_text(text: str) -> str:
     """``text``, a path or a message naming one, as UTF-8 can hold it: a
-    byte of a path that is not UTF-8 as ``\\xNN``."""
-    return _ESCAPED_BYTE.sub(lambda m: f"\\x{ord(m[0]) - 0xDC00:02x}", text)
+    byte of a path that is not UTF-8 (U+DC80-U+DCFF, as surrogateescape
+    decodes it) as ``\\xNN``, any other lone surrogate as ``\\uNNNN``."""
+    return _LONE_SURROGATE.sub(lambda m: (
+        f"\\x{c - 0xDC00:02x}" if 0xDC80 <= (c := ord(m[0])) <= 0xDCFF else f"\\u{c:04x}"
+    ), text)
+
+
+def _report(level: str, message: str) -> None:
+    """Write ``level: message`` to stderr, the one writer of a ``warning:``
+    or ``error:`` line, every lone surrogate escaped (``_path_text``)."""
+    print(f"{level}: {_path_text(message)}", file=sys.stderr)
 
 
 def _write(path: str, text: str) -> None:
@@ -355,8 +360,8 @@ def _read_records(path: str) -> list[HeadlineRecord]:
     commented: list[int] = []
     records = read_dataset(read_text(path), path, commented=commented)
     for lineno in commented:
-        print(f"warning: {_path_text(path)}:{lineno}: line starts with '#' but holds a "
-              "'[source:' bracket; skipped as a comment", file=sys.stderr)
+        _report("warning", f"{path}:{lineno}: line starts with '#' but holds a "
+                "'[source:' bracket; skipped as a comment")
     return records
 
 
@@ -375,12 +380,11 @@ def cmd_infer(args) -> int:
         triggers.extend(map(_TRIGGER, inferences))
         lines.append(_jsonl_record(record.text, inferences))
     _write(args.out, "\n".join([*lines, ""]))  # each line ends in a newline
-    dataset, parses_path = _path_text(args.dataset), _path_text(args.parses)
     manifest = {
         "tool": "presup",
         "version": __version__,
-        "dataset": dataset,
-        "parses": parses_path,
+        "dataset": _path_text(args.dataset),
+        "parses": _path_text(args.parses),
         "config_hash": hashlib.sha256(cfg.fingerprint().encode("utf-8")).hexdigest(),
         "rules": list(cfg.rules),
         "headlines": len(records),
@@ -394,13 +398,12 @@ def cmd_infer(args) -> int:
     _write(args.out + ".manifest.json", json.dumps(manifest, indent=2, ensure_ascii=False) + "\n")
     for _, record, h, _ in skipped:
         what = "no parse for" if h is None else f"parse of {h.raw_text!r} does not match"
-        print(f"warning: {dataset}:{record.line}: {what} {record.text!r}", file=sys.stderr)
+        _report("warning", f"{args.dataset}:{record.line}: {what} {record.text!r}")
     if unused:
-        print(f"warning: {parses_path}: {len(unused)} parse(s) paired with "
-              "no dataset line; see 'unused_parses' in the manifest", file=sys.stderr)
+        _report("warning", f"{args.parses}: {len(unused)} parse(s) paired with "
+                "no dataset line; see 'unused_parses' in the manifest")
     if skipped and args.strict:
-        print(f"error: {len(skipped)} headline(s) without a matching parse", file=sys.stderr)
-        return 1
+        raise ValueError(f"{len(skipped)} headline(s) without a matching parse")
     return 0
 
 
@@ -442,8 +445,8 @@ def _read_jsonl(path: str, parse, keys: dict[str, str], gold: set[str],
         else:
             out[key], first_line[key] = value, lineno
         if key not in gold:
-            print(f"warning: {_path_text(path)}:{lineno}: no gold block for "
-                  f"{obj['headline']!r}; record ignored", file=sys.stderr)
+            _report("warning", f"{path}:{lineno}: no gold block for "
+                    f"{obj['headline']!r}; record ignored")
     return out
 
 
@@ -527,6 +530,7 @@ def _report_json(report: dict[str, list[dict]]) -> str:
 
 
 def cmd_eval(args) -> int:
+    cfg = MatchConfig(mode=MatchMode(args.match_mode), jaccard_threshold=args.jaccard_threshold)
     gold = parse_gold(read_text(args.gold), args.gold)
     keys: dict[str, str] = {}  # each headline text of this call, normalized once
     gold_keys = {_normalized(keys, annotation.headline) for annotation in gold}
@@ -535,10 +539,6 @@ def cmd_eval(args) -> int:
     labels = _read_labels_file(args.labels, keys, gold_keys, label_lines) if args.labels else {}
     # With --labels, a headline the file leaves out has nothing incorrect.
     unlabeled = {"matched": (), "incorrect": frozenset() if args.labels else None}
-    cfg = MatchConfig(
-        mode=MatchMode(args.match_mode),
-        jaccard_threshold=args.jaccard_threshold,
-    )
     rows = []
     alignments = []
     unnamed: dict[str, tuple[str, set]] = {}  # labels key -> (headline, texts naming nothing)
@@ -546,11 +546,8 @@ def cmd_eval(args) -> int:
         key = keys[annotation.headline]
         computed = computed_by_headline.get(key)
         if computed is None:
-            print(
-                f"warning: {_path_text(args.gold)}:{annotation.line}: no computed inferences for "
-                f"{annotation.headline!r}; counting all gold as missing",
-                file=sys.stderr,
-            )
+            _report("warning", f"{args.gold}:{annotation.line}: no computed inferences for "
+                    f"{annotation.headline!r}; counting all gold as missing")
             computed = []
             label_lines.pop(key, None)  # warned about: its labels go unchecked
         entry = labels.get(key, unlabeled)
@@ -567,8 +564,8 @@ def cmd_eval(args) -> int:
         alignments.append(alignment)
     for key, (headline, texts) in unnamed.items():
         for what, text, side in sorted(texts):  # sorted: a set's order changes from run to run
-            print(f"warning: {_path_text(args.labels)}:{label_lines[key]}: {what} {text!r} "
-                  f"names no {side} inference of {headline!r}; ignored", file=sys.stderr)
+            _report("warning", f"{args.labels}:{label_lines[key]}: {what} {text!r} "
+                    f"names no {side} inference of {headline!r}; ignored")
     report = {"headlines": rows, "triggers": score_by_trigger(alignments)}
     table = trigger_table(report["triggers"])
     if args.out:
@@ -649,10 +646,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except OSError as exc:  # no such file, a directory, no permission, ...
         reason = "file not found" if isinstance(exc, FileNotFoundError) else exc.strerror
-        where = "" if exc.filename is None else f"{_path_text(str(exc.filename))}: "
-        print(f"error: {where}{reason}", file=sys.stderr)
+        where = "" if exc.filename is None else f"{exc.filename}: "
+        _report("error", f"{where}{reason}")
     except ValueError as exc:
-        print(f"error: {_path_text(str(exc))}", file=sys.stderr)
+        _report("error", str(exc))
     finally:
         if gc_was_enabled:
             gc.enable()

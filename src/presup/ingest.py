@@ -264,7 +264,9 @@ def parse_conllu(document: str, source: str | None = None) -> list[ParsedHeadlin
     """Parse a 10-column CoNLL-U document into one ParsedHeadline per sentence.
 
     The XPOS column supplies Penn tags; "_" falls back to a UPOS mapping.
-    Multi-word-token and empty-node lines are skipped.  Errors name
+    Multi-word-token and empty-node lines are skipped.  A ``# sent_id`` or
+    ``# text`` line after a sentence's first token row is an error: it would
+    rename the sentence it is in.  Errors name
     ``source:line`` (``line N`` without a source); a sentence's errors name
     its first line.  Each token row gives exactly one edge, so of the checks
     of ``build_headline`` a sentence needs only that every head exists.
@@ -313,6 +315,11 @@ def parse_conllu(document: str, source: str | None = None) -> list[ParsedHeadlin
         if line.startswith("#"):
             key, eq, value = line[1:].partition("=")
             key = key.strip()
+            if ids and eq and key in ("sent_id", "text"):
+                raise ParseError(
+                    f"{located(source, lineno)}: '# {key}' line inside sentence "
+                    f"{sent_id or len(headlines) + 1}; a blank line must end the sentence first"
+                )
             if eq and key == "sent_id":
                 sent_id = value.strip()
             elif eq and key == "text":

@@ -1,7 +1,7 @@
 """The package's surface: ``presup.__all__`` is the README's list, the
-README's library example runs as written, and every function, class,
+README's library example runs as written, every function, class,
 method and module-level name of the package is used somewhere outside its
-own definition."""
+own definition, and only ``cli._report`` writes to stderr."""
 
 import ast
 import json
@@ -156,3 +156,22 @@ def test_no_unread_record_field():
             if not any(name in _reads(tree, annotation) for tree in trees.values()):
                 unread.append(f"{path.name}: {cls.name}.{name}")
     assert unread == []
+
+
+def test_only_report_writes_to_stderr():
+    """Every ``warning:`` and ``error:`` line goes through ``cli._report``:
+    no other code in src/presup names ``stderr`` or ``__stderr__``, as an
+    attribute, a name, an import or a string."""
+    trees = _trees()
+    cli = trees[ROOT / "src" / "presup" / "cli.py"]
+    (report,) = [node for node in cli.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_report"]
+    stderr = {"stderr", "__stderr__"}
+    assert stderr & _references(report, None)
+    writers = []
+    for path in sorted((ROOT / "src" / "presup").glob("*.py")):
+        tree = trees[path]
+        imported = {alias.name for alias in _walk(tree, report) if isinstance(alias, ast.alias)}
+        if stderr & (_references(tree, report) | imported):
+            writers.append(path.name)
+    assert writers == []

@@ -798,6 +798,77 @@ class TestInfer:
         want = f"error: {tmp_path}{os.sep}d\\xff.txt:2: not valid UTF-8\n"
         assert capsys.readouterr().err == want
 
+    def test_infer_warnings_and_strict_error_write_paths_that_are_not_utf8_escaped(
+        self, tmp_path, capsys
+    ):
+        """Every line infer writes to stderr names a dataset or parses path
+        as the manifest does: a byte that is not UTF-8 as \\xNN."""
+        dataset = os.path.join(os.fsencode(tmp_path), b"d\xff.txt")
+        parses = os.path.join(os.fsencode(tmp_path), b"p\xff.jsonl")
+
+        def parse(hid, first, second):
+            return json.dumps({
+                "sent_id": hid, "headline": f"{first} {second}",
+                "tokens": [{"index": 1, "word": first, "pos": "NNS"},
+                           {"index": 2, "word": second, "pos": "VBD"}],
+                "dependencies": [
+                    {"dep": "root", "governor": 0, "governorGloss": "ROOT",
+                     "dependent": 2, "dependentGloss": second},
+                    {"dep": "nsubj", "governor": 2, "governorGloss": second,
+                     "dependent": 1, "dependentGloss": first},
+                ],
+            }) + "\n"
+
+        try:
+            with open(dataset, "wb") as f:
+                f.write(b"#MeToo wave [source: BBC]\nA headline here [source: BBC]\n"
+                        b"Markets crashed [source: BBC]\nNothing parsed [source: BBC]\n")
+            # Records 1 and 2 both pair with the first parse, by position and
+            # by id; record 3 has none, and the second parse is left over.
+            with open(parses, "wb") as f:
+                f.write((parse("2", "Markets", "crashed") + parse("x", "Extra", "parse"))
+                        .encode("utf-8"))
+        except OSError:
+            pytest.skip("the filesystem refuses a name that is not UTF-8")
+        code, out = run_infer(tmp_path, extra=["--strict", "--dataset", os.fsdecode(dataset),
+                                               "--parses", os.fsdecode(parses)])
+        assert code == 1
+        assert [r["headline"] for r in read_jsonl(out)] == ["Markets crashed"]
+        dataset_text, parses_text = (f"{tmp_path}{os.sep}{name}"
+                                     for name in ("d\\xff.txt", "p\\xff.jsonl"))
+        assert capsys.readouterr().err == (
+            f"warning: {dataset_text}:1: line starts with '#' but holds a '[source:' bracket; "
+            "skipped as a comment\n"
+            f"warning: {dataset_text}:2: parse of 'Markets crashed' does not match "
+            "'A headline here'\n"
+            f"warning: {dataset_text}:4: no parse for 'Nothing parsed'\n"
+            f"warning: {parses_text}: 1 parse(s) paired with no dataset line; "
+            "see 'unused_parses' in the manifest\n"
+            "error: 2 headline(s) without a matching parse\n"
+        )
+
+    def test_conllu_comment_that_renames_a_sentence_is_an_input_error(self, tmp_path, capsys):
+        """A '# sent_id' line with no blank line before it would give the
+        first sentence's tokens the second one's id and text, and pair them
+        with the second dataset line: it is an error at its line."""
+        conllu = tmp_path / "p.conllu"
+        conllu.write_text(
+            "# sent_id = 1\n# text = Hello world\n"
+            "1\tHello\t_\tINTJ\tUH\t_\t0\troot\t_\t_\n"
+            "# sent_id = 2\n# text = Bye\n"
+            "2\tworld\t_\tNOUN\tNN\t_\t1\tvocative\t_\t_\n\n"
+        )
+        dataset = tmp_path / "d.txt"
+        dataset.write_text("Hello world [source: BBC]\nBye [source: BBC]\n")
+        out = tmp_path / "o.jsonl"
+        assert main(["infer", "--dataset", str(dataset), "--parses", str(conllu),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {conllu}:4: '# sent_id' line inside sentence 1; "
+            "a blank line must end the sentence first\n"
+        )
+        assert not out.exists()
+
     def test_conllu_sentence_without_sent_id_pairs_by_text(self, tmp_path, capsys):
         conllu = tmp_path / "p.conllu"
         conllu.write_text(
@@ -1005,6 +1076,32 @@ class TestInfer:
             f"error: {parses}:3: id: lone surrogate '\\ud800' is not valid UTF-8\n"
         )
         assert not out.exists() and not Path(f"{out}.manifest.json").exists()
+
+    @staticmethod
+    def surrogate_id_run(tmp_path):
+        """(argv, its stderr) of an infer run whose parse is no tree and has
+        the id 'x\\ud800': the error quotes the id as read."""
+        dataset, parses = tmp_path / "d.txt", tmp_path / "p.json"
+        dataset.write_text("x [source: BBC]\n")
+        parses.write_text(json.dumps({"headline": "x", "sent_id": "x\ud800", "dependencies": [],
+                                      "tokens": [{"index": 1, "word": "x", "pos": "NN"}]}))
+        argv = ["infer", "--dataset", str(dataset), "--parses", str(parses),
+                "--out", str(tmp_path / "o.jsonl")]
+        return argv, f"error: {parses}:1: x\\ud800: expected one root edge, got 0\n"
+
+    def test_error_line_escapes_a_lone_surrogate_of_a_message(self, tmp_path, capsys):
+        """The error line is valid UTF-8 on any stream: a lone surrogate
+        other than an escaped path byte is written \\uNNNN."""
+        argv, err = self.surrogate_id_run(tmp_path)
+        assert main(argv) == 1
+        assert capsys.readouterr().err == err
+
+    def test_error_line_with_a_lone_surrogate_in_a_child(self, tmp_path):
+        """Run as a program, the line has the bytes that stderr's own
+        ``backslashreplace`` would write for the unescaped message."""
+        argv, err = self.surrogate_id_run(tmp_path)
+        done = subprocess.run([sys.executable, "-m", "presup.cli", *argv], capture_output=True)
+        assert (done.returncode, done.stdout, done.stderr) == (1, b"", err.encode("utf-8"))
 
     def test_deep_json_array_is_an_input_error(self, tmp_path, capsys):
         bad = tmp_path / "p.json"
@@ -1445,6 +1542,17 @@ class TestEval:
         lines = table.read_text().splitlines()
         assert lines[0] == "trigger\taccurate\tinaccurate\tmissing"
         assert any(line.startswith("compound\t") for line in lines)
+
+    def test_bad_threshold_is_an_error_before_any_file_is_read(self, tmp_path, capsys):
+        """eval checks its flags before it reads an input, as infer does: no
+        warning about the inputs comes before the error, and a missing
+        input goes unnamed."""
+        orphan = tmp_path / "orphan.jsonl"
+        orphan.write_text('{"headline": "Markets fall again", "inferences": []}\n')
+        for inferences in (orphan, tmp_path / "nope.jsonl"):
+            assert main(["eval", "--inferences", str(inferences), "--jaccard-threshold", "1.5",
+                         "--gold", str(FIXTURES / "scored_gold.txt")]) == 1
+            assert capsys.readouterr().err == "error: jaccard_threshold must be within [0, 1]\n"
 
     def test_record_without_gold_block_warns_by_file_and_line(self, tmp_path, capsys):
         """An inferences or labels record whose headline no gold block has is

@@ -135,6 +135,26 @@ class TestParseConllu:
         assert h.raw_text == "Markets crashed"
         assert h.headline_id == (sent_id or "Markets crashed")
 
+    @pytest.mark.parametrize("key", ["sent_id", "text"])
+    def test_sent_id_or_text_inside_a_sentence_is_error(self, key):
+        """With no blank line between two sentences, the second one's
+        comment would rename the first: it is an error at its line.  Other
+        comments inside a sentence are still ignored."""
+        rows = "1\tHello\t_\tINTJ\tUH\t_\t0\troot\t_\t_\n# text_en = Hi\n"
+        doc = f"# sent_id = s1\n# text = Hello world\n{rows}# {key} = 2\n"
+        with pytest.raises(ParseError) as exc:
+            parse_conllu(doc, "p.conllu")
+        assert str(exc.value) == (
+            f"p.conllu:5: '# {key}' line inside sentence s1; "
+            "a blank line must end the sentence first"
+        )
+        # A sentence without a sent_id is named by its position.
+        with pytest.raises(ParseError) as exc:
+            parse_conllu(f"{rows}\n{rows}# {key} = 2\n")
+        assert str(exc.value) == (
+            f"line 6: '# {key}' line inside sentence 2; a blank line must end the sentence first"
+        )
+
     def test_upos_fallback_when_xpos_missing(self):
         doc = (
             "1\tdogs\t_\tNOUN\t_\t_\t2\tnsubj\t_\t_\n"
