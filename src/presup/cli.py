@@ -416,14 +416,13 @@ def _normalized(keys: dict[str, str], text: str) -> str:
     return key
 
 
-def _read_jsonl(path: str, parse, keys: dict[str, str], gold: set[str],
-                first_line: dict[str, int]) -> dict:
-    """{normalized headline: parse(record)} over a JSON Lines file of objects
-    with a ``headline`` string.  ``parse`` raises FormatError without a
-    location.  A headline may repeat only with the same parsed content.
-    ``keys`` is ``_normalized``'s map, shared by the readers of one eval
-    call; a record whose key is not in ``gold`` is warned about.
-    ``first_line`` gets the line of each key's first record."""
+def _read_jsonl(path: str, parse, keys: dict[str, str], gold: set[str]) -> dict:
+    """{normalized headline: (parse(record), line)} over a JSON Lines file of
+    objects with a ``headline`` string; each key keeps the line of its first
+    record.  ``parse`` raises FormatError without a location.  A headline may
+    repeat only with the same parsed content.  ``keys`` is ``_normalized``'s
+    map, shared by the readers of one eval call; a record whose key is not in
+    ``gold`` is warned about."""
     out: dict = {}
     text = read_text(path)
     for lineno, obj in _json_lines(text, 0, len(text), 1, path):
@@ -437,13 +436,13 @@ def _read_jsonl(path: str, parse, keys: dict[str, str], gold: set[str],
             raise FormatError(f"{path}:{lineno}: {exc}") from None
         key = _normalized(keys, obj["headline"])
         if key in out:
-            if out[key] != value:
+            if out[key][0] != value:
                 raise FormatError(
                     f"{path}:{lineno}: headline {obj['headline']!r} repeats line "
-                    f"{first_line[key]} with different content"
+                    f"{out[key][1]} with different content"
                 )
         else:
-            out[key], first_line[key] = value, lineno
+            out[key] = value, lineno
         if key not in gold:
             _report("warning", f"{path}:{lineno}: no gold block for "
                     f"{obj['headline']!r}; record ignored")
@@ -484,7 +483,7 @@ def _parse_inferences(obj: dict) -> list[Inference]:
     return out
 
 
-def _parse_labels(obj: dict) -> dict:
+def _parse_labels(obj: dict) -> tuple[tuple[tuple[str, str], ...], frozenset[str]]:
     incorrect = obj.get("incorrect", [])
     matched = obj.get("matched", [])
     if not (isinstance(incorrect, list) and {str}.issuperset(map(type, incorrect))):
@@ -496,19 +495,15 @@ def _parse_labels(obj: dict) -> dict:
         and {str}.issuperset(map(type, chain.from_iterable(matched)))
     ):
         raise FormatError("'matched' must be a list of [gold, computed] string pairs")
-    return {"incorrect": frozenset(incorrect), "matched": tuple(map(tuple, matched))}
+    return tuple(map(tuple, matched)), frozenset(incorrect)
 
 
-def _read_inference_file(
-    path: str, keys: dict[str, str], gold: set[str]
-) -> dict[str, list[Inference]]:
-    return _read_jsonl(path, _parse_inferences, keys, gold, {})
+def _read_inference_file(path: str, keys: dict[str, str], gold: set[str]) -> dict[str, tuple]:
+    return _read_jsonl(path, _parse_inferences, keys, gold)
 
 
-def _read_labels_file(
-    path: str, keys: dict[str, str], gold: set[str], lines: dict[str, int]
-) -> dict[str, dict]:
-    return _read_jsonl(path, _parse_labels, keys, gold, lines)
+def _read_labels_file(path: str, keys: dict[str, str], gold: set[str]) -> dict[str, tuple]:
+    return _read_jsonl(path, _parse_labels, keys, gold)
 
 
 # One flat report row as json.dumps(..., indent=2) writes it inside a list,
@@ -534,37 +529,32 @@ def cmd_eval(args) -> int:
     gold = parse_gold(read_text(args.gold), args.gold)
     keys: dict[str, str] = {}  # each headline text of this call, normalized once
     gold_keys = {_normalized(keys, annotation.headline) for annotation in gold}
+    # Each record keeps the line of its headline's first record in its file.
     computed_by_headline = _read_inference_file(args.inferences, keys, gold_keys)
-    label_lines: dict[str, int] = {}  # the line of each key's labels record
-    labels = _read_labels_file(args.labels, keys, gold_keys, label_lines) if args.labels else {}
+    labels = _read_labels_file(args.labels, keys, gold_keys) if args.labels else {}
     # With --labels, a headline the file leaves out has nothing incorrect.
-    unlabeled = {"matched": (), "incorrect": frozenset() if args.labels else None}
+    unlabeled = (((), frozenset() if args.labels else None), 0)
     rows = []
     alignments = []
-    unnamed: dict[str, tuple[str, set]] = {}  # labels key -> (headline, texts naming nothing)
+    unnamed: dict[str, tuple[str, int, set]] = {}  # key -> (headline, labels line, texts)
     for annotation in gold:
         key = keys[annotation.headline]
-        computed = computed_by_headline.get(key)
-        if computed is None:
+        computed, computed_line = computed_by_headline.get(key, ([], 0))
+        if not computed_line:
             _report("warning", f"{args.gold}:{annotation.line}: no computed inferences for "
                     f"{annotation.headline!r}; counting all gold as missing")
-            computed = []
-            label_lines.pop(key, None)  # warned about: its labels go unchecked
-        entry = labels.get(key, unlabeled)
-        texts = set() if key in label_lines else None  # the texts of entry naming nothing
-        alignment = match(
-            computed, annotation, cfg, entry["matched"], entry["incorrect"], unnamed=texts
-        )
+        (judged, incorrect), line = labels.get(key, unlabeled)
+        # The labels' texts naming nothing, unchecked for a headline warned about above.
+        texts = set() if line and computed_line else None
+        alignment = match(computed, annotation, cfg, judged, incorrect, unnamed=texts)
         if texts is not None:  # a text names nothing if it does in no gold block of its key
-            if key in unnamed:
-                unnamed[key][1].intersection_update(texts)
-            else:
-                unnamed[key] = annotation.headline, texts
+            entry = unnamed.setdefault(key, (annotation.headline, line, texts))
+            entry[2].intersection_update(texts)
         rows.append(score_headline(alignment, headline=annotation.headline))
         alignments.append(alignment)
-    for key, (headline, texts) in unnamed.items():
+    for headline, line, texts in unnamed.values():
         for what, text, side in sorted(texts):  # sorted: a set's order changes from run to run
-            _report("warning", f"{args.labels}:{label_lines[key]}: {what} {text!r} "
+            _report("warning", f"{args.labels}:{line}: {what} {text!r} "
                     f"names no {side} inference of {headline!r}; ignored")
     report = {"headlines": rows, "triggers": score_by_trigger(alignments)}
     table = trigger_table(report["triggers"])

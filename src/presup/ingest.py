@@ -9,6 +9,7 @@ functions pure.
 from __future__ import annotations
 
 import json
+import re
 from collections import defaultdict
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
@@ -166,7 +167,7 @@ def normalize_labels(edges: Iterable[DependencyEdge]) -> list[DependencyEdge]:
     """
     edges = list(edges)
     if not edges:
-        return []
+        return []  # zip(*edges) would give no columns to unpack
     deps, governors, _, dependents, dependent_glosses = zip(*edges)
     labels = _labels(deps, governors, dependents, dependent_glosses)
     return [e if e.dep == dep else e._replace(dep=dep) for e, dep in zip(edges, labels)]
@@ -258,15 +259,17 @@ class _DigitStrings(dict):
 
 
 _DIGITS = _DigitStrings((str(i), i) for i in range(256))
+_SKIPPED_ID = re.compile(r"[0-9]+[-.][0-9]+")  # a multi-word token N-M or an empty node N.M
 
 
 def parse_conllu(document: str, source: str | None = None) -> list[ParsedHeadline]:
     """Parse a 10-column CoNLL-U document into one ParsedHeadline per sentence.
 
     The XPOS column supplies Penn tags; "_" falls back to a UPOS mapping.
-    Multi-word-token and empty-node lines are skipped.  A ``# sent_id`` or
-    ``# text`` line after a sentence's first token row is an error: it would
-    rename the sentence it is in.  Errors name
+    Multi-word-token (ID ``N-M``) and empty-node (ID ``N.M``) lines are
+    skipped; any other ID that is not ASCII digits is an error.  A
+    ``# sent_id`` or ``# text`` line after a sentence's first token row is an
+    error: it would rename the sentence it is in.  Errors name
     ``source:line`` (``line N`` without a source); a sentence's errors name
     its first line.  Each token row gives exactly one edge, so of the checks
     of ``build_headline`` a sentence needs only that every head exists.
@@ -331,8 +334,8 @@ def parse_conllu(document: str, source: str | None = None) -> list[ParsedHeadlin
                 f"{located(source, lineno)}: expected 10 columns, got {len(cols)}"
             )
         tid, form, _, upos, pos, _, head, deprel, _, _ = cols
-        if "-" in tid or "." in tid:
-            continue  # multi-word token / empty node
+        if ("-" in tid or "." in tid) and _SKIPPED_ID.fullmatch(tid):
+            continue
         try:
             ids.append(_DIGITS[tid])
         except ValueError:

@@ -71,8 +71,7 @@ def parse_lexicon(document: str, source: str = "lexicon") -> TriggerLexicon:
         cid, entry = cid.strip(), entry.strip()
         if cid not in CLASS_IDS:
             raise FormatError(f"{source}:{lineno}: unknown class {cid!r}")
-        if entry:
-            entries.setdefault(cid, set()).add(entry)
+        entries.setdefault(cid, set()).add(entry)
     return TriggerLexicon(entries=entries)
 
 

@@ -356,26 +356,25 @@ def _render_lexical(v: EdgeView, class_id: str, verb: Token, vlemma: str) -> Inf
         text = f"{subj_p} thinks that {obj_p} is bad"
         return presup(text, subj_s, obj_s)
 
-    if class_id == "iterative":
-        attachments = _nmod_attachments(v, v.below[verb.index])
-        if subj is not None and comp is not None:
-            form = VerbForm.PAST_PARTICIPLE
-            return presup(*_clause(v, subj.dependent, comp.dependent, form, "had", "previously"))
-        if subj is not None and attachments:
-            _, phrase, span = attachments[0]
-            subj_p, subj_s = _phrase(v, subj.dependent)
-            text = f"{subj_p} had been in {phrase} previously"
-            return presup(text, subj_s, span)
-        if subj is not None:
-            subj_p, subj_s = _phrase(v, subj.dependent)
-            return presup(f"{subj_p} has happened before", subj_s)
-        if dobj is not None:
-            obj_p, obj_s = _phrase(v, dobj.dependent)
-            return presup(f"{obj_p} has happened before", obj_s)
-        if attachments:
-            _, phrase, span = attachments[0]
-            return presup(f"{phrase} has happened before", span)
-
+    # iterative, the one verb class left
+    attachments = _nmod_attachments(v, v.below[verb.index])
+    if subj is not None and comp is not None:
+        form = VerbForm.PAST_PARTICIPLE
+        return presup(*_clause(v, subj.dependent, comp.dependent, form, "had", "previously"))
+    if subj is not None and attachments:
+        _, phrase, span = attachments[0]
+        subj_p, subj_s = _phrase(v, subj.dependent)
+        text = f"{subj_p} had been in {phrase} previously"
+        return presup(text, subj_s, span)
+    if subj is not None:
+        subj_p, subj_s = _phrase(v, subj.dependent)
+        return presup(f"{subj_p} has happened before", subj_s)
+    if dobj is not None:
+        obj_p, obj_s = _phrase(v, dobj.dependent)
+        return presup(f"{obj_p} has happened before", obj_s)
+    if attachments:
+        _, phrase, span = attachments[0]
+        return presup(f"{phrase} has happened before", span)
     return None
 
 

@@ -1671,6 +1671,22 @@ class TestEval:
             "inference of 'IOC extends North Korea deadline for Pyeongchang games'; ignored\n"
         )
 
+    def test_repeated_labels_record_warns_at_its_first_line(self, tmp_path, capsys):
+        """A labels record that repeats is read once, and its label warning
+        names the line of the headline's first record; a record with no gold
+        block is warned about at each of its lines."""
+        h = read_jsonl(FIXTURES / "scored_labels.jsonl")[0]["headline"]
+        first, orphan = {"headline": h, "incorrect": ["nobody said this"]}, {"headline": "Orphan"}
+        code, _, err, labels = self.run_with_labels(tmp_path, capsys,
+                                                    [first, orphan, first, orphan])
+        assert code == 0
+        assert err == (
+            f"warning: {labels}:2: no gold block for 'Orphan'; record ignored\n"
+            f"warning: {labels}:4: no gold block for 'Orphan'; record ignored\n"
+            f"warning: {labels}:1: incorrect label 'nobody said this' names no computed "
+            f"inference of {h!r}; ignored\n"
+        )
+
     def test_warnings_write_paths_that_are_not_utf8_escaped(self, tmp_path, capsys):
         """The eval warnings name a gold or labels path as every other line
         does: a byte that is not UTF-8 as \\xNN."""

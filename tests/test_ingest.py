@@ -88,6 +88,15 @@ class TestParseConllu:
             parse_conllu(doc, "s.conllu")
         assert str(exc.value) == f"s.conllu:1: non-integer token id {tid!r}"
 
+    # Only N-M (a multi-word token) and N.M (an empty node) are skipped.
+    @pytest.mark.parametrize("tid", ["-2", "2.", "1-", ".1", "a-b", "1-2-3", "1.1.1", "1.-1",
+                                     "1-\u0662", "\u0661.1", " 1-2", "1-2 "])
+    def test_malformed_range_or_decimal_id_is_an_error(self, tid):
+        doc = f"1\tBank\t_\t_\tNN\t_\t0\troot\t_\t_\n{tid}\tcuts\t_\t_\tVBZ\t_\t1\tdep\t_\t_\n"
+        with pytest.raises(ParseError) as exc:
+            parse_conllu(doc, "s.conllu")
+        assert str(exc.value) == f"s.conllu:2: non-integer token id {tid!r}"
+
     def test_leading_zeros_and_large_ids_are_integers(self):
         rows = ["001\tw\t_\t_\tNN\t_\t0\troot\t_\t_"]
         rows += [f"{i}\tw\t_\t_\tNN\t_\t01\tdep\t_\t_" for i in range(2, 301)]
@@ -462,6 +471,9 @@ class TestNormalizeLabels:
     def test_unknown_label_preserved(self):
         (e,) = normalize_labels([_edge("nmod:poss", 2, "ban", 1, "Russia")])
         assert e.dep == "nmod:poss"
+
+    def test_no_edges(self):
+        assert normalize_labels([]) == []
 
     def test_idempotent(self):
         edges = [

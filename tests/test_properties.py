@@ -589,7 +589,7 @@ def test_malformed_eval_records_raise_only_located_format_errors(tmp_path_factor
     path = tmp_path_factory.getbasetemp() / f"{flag}.jsonl"
     path.write_text("\n".join(lines), "utf-8")
     read = (_read_inference_file if flag == "inferences"
-            else lambda *args: _read_labels_file(*args, {}))
+            else _read_labels_file)
     text = "\n".join(lines)
     _parse_or_located_format_error(lambda: read(str(path), {}, set()), str(path), text)
 
