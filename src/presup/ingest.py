@@ -259,7 +259,8 @@ class _DigitStrings(dict):
 
 
 _DIGITS = _DigitStrings((str(i), i) for i in range(256))
-_SKIPPED_ID = re.compile(r"[0-9]+[-.][0-9]+")  # a multi-word token N-M or an empty node N.M
+# A multi-word token N-M or an empty node N.M.
+_SKIPPED_ID = re.compile(r"([0-9]+)([-.])([0-9]+)")
 
 
 def parse_conllu(document: str, source: str | None = None) -> list[ParsedHeadline]:
@@ -267,7 +268,9 @@ def parse_conllu(document: str, source: str | None = None) -> list[ParsedHeadlin
 
     The XPOS column supplies Penn tags; "_" falls back to a UPOS mapping.
     Multi-word-token (ID ``N-M``) and empty-node (ID ``N.M``) lines are
-    skipped; any other ID that is not ASCII digits is an error.  A
+    skipped; any other ID that is not ASCII digits is an error, and so is a
+    range unless ``1 <= N < M <=`` the sentence's last token ID, an error
+    at its own line found when the sentence ends, before its other checks.  A
     ``# sent_id`` or ``# text`` line after a sentence's first token row is an
     error: it would rename the sentence it is in.  Errors name
     ``source:line`` (``line N`` without a source); a sentence's errors name
@@ -281,12 +284,21 @@ def parse_conllu(document: str, source: str | None = None) -> list[ParsedHeadlin
     tags: list[str] = []
     heads: list[int] = []
     deprels: list[str] = []
+    ranges: list[tuple[int, str, int, int]] = []  # (line, ID, N, M) of each N-M row
     sent_id: str | None = None
     sent_text: str | None = None
     first_line = 0  # the current sentence's first line, 0 before it starts
 
     def flush() -> None:
-        nonlocal ids, forms, tags, heads, deprels, sent_id, sent_text, first_line
+        nonlocal ids, forms, tags, heads, deprels, ranges, sent_id, sent_text, first_line
+        if ranges:
+            last = ids[-1] if ids else 0
+            for lineno, tid, start, end in ranges:
+                if not 1 <= start < end <= last:
+                    raise ParseError(
+                        f"{located(source, lineno)}: multi-word token {tid!r} is not a range"
+                        f" N-M with 1 <= N < M <= {last}, the sentence's last token id"
+                    )
         if ids:
             known = set(ids)
             known.add(0)
@@ -306,7 +318,7 @@ def parse_conllu(document: str, source: str | None = None) -> list[ParsedHeadlin
                 headlines.append(_assemble(hid, text, tokens, ids, forms, tags, labels, heads))
             except ConsistencyError as exc:
                 raise ConsistencyError(f"{located(source, first_line)}: {exc}") from None
-        ids, forms, tags, heads, deprels = [], [], [], [], []
+        ids, forms, tags, heads, deprels, ranges = [], [], [], [], [], []
         sent_id, sent_text, first_line = None, None, 0
 
     for lineno, line in enumerate(split_lines(document), start=1):
@@ -334,7 +346,9 @@ def parse_conllu(document: str, source: str | None = None) -> list[ParsedHeadlin
                 f"{located(source, lineno)}: expected 10 columns, got {len(cols)}"
             )
         tid, form, _, upos, pos, _, head, deprel, _, _ = cols
-        if ("-" in tid or "." in tid) and _SKIPPED_ID.fullmatch(tid):
+        if ("-" in tid or "." in tid) and (skipped := _SKIPPED_ID.fullmatch(tid)):
+            if skipped[2] == "-":
+                ranges.append((lineno, tid, int(skipped[1]), int(skipped[3])))
             continue
         try:
             ids.append(_DIGITS[tid])

@@ -25,7 +25,7 @@ from presup.errors import read_text
 from presup.evaluation import normalize
 from presup.ingest import ROOT_GLOSS, build_headline, parse_conllu, parse_stanford_json
 from presup.lexicon import parse_lexicon
-from presup.rules import RULE_IDS
+from presup.rules import CHUNK, RULE_IDS
 
 CORE_EXPECTED_INFERENCES = [
     "Olympics is not yet broadcast",
@@ -418,6 +418,8 @@ class TestInfer:
          "non-integer head '+1'"),
         ("--parses", "p.conllu", "+3\tdown\t_\t_\tRB\t_\t1\tadvmod\t_\t_",
          "non-integer token id '+3'"),
+        ("--parses", "p.conllu", "2-1\tdown\t_\t_\t_\t_\t_\t_\t_\t_",
+         "multi-word token '2-1' is not a range N-M with 1 <= N < M <= 0"),
         ("--parses", "p.conllu", "3\tdown\t_\t_\tRB\t_\t9\tadvmod\t_\t_",
          "sentence 2: head 9 of token 3 does not exist"),
         ("--dataset", "d.txt", "no bracket here", "no '[source:' bracket in line: 'no bracket here'"),
@@ -916,6 +918,40 @@ class TestInfer:
         code, _ = run_infer(tmp_path)
         manifest = json.loads((tmp_path / "out.jsonl.manifest.json").read_text())
         assert (code, manifest["unused_parses"], capsys.readouterr().err) == (0, [], "")
+
+    def test_preprocess_runs_once_per_inferred_headline_in_order(self, tmp_path, monkeypatch):
+        """The engine takes its headlines a chunk at a time, but the CLI
+        still calls ``preprocess`` once for each headline it infers, in
+        dataset order, and for no skipped line; over more than two chunks,
+        with lines that no parse has and parses that no line uses."""
+        base = load_parses(str(FIXTURES / "basic_triggers.conllu"))
+        n = 3 * CHUNK
+        texts = [f"Nothing parsed here {i}" if i % 5 == 0 else base[i % len(base)].raw_text
+                 for i in range(1, n + 1)]
+        (tmp_path / "d.txt").write_text("".join(f"{t} [source: BBC]\n" for t in texts), "utf-8")
+        blocks = [(str(i), base[i % len(base)]) for i in range(1, n + 1) if i % 5]
+        blocks += [(f"extra-{k}", base[k]) for k in range(3)]
+        (tmp_path / "p.conllu").write_text("".join(
+            f"# sent_id = {hid}\n# text = {h.raw_text}\n" + "".join(
+                f"{t.index}\t{t.surface}\t_\t_\t{t.pos}\t_\t{e.governor}\t{e.dep}\t_\t_\n"
+                for t, e in zip(h.tokens, h.edges)) + "\n"
+            for hid, h in blocks), "utf-8")
+        calls = []
+
+        def spy(text):
+            calls.append(text)
+            return corpus.preprocess(text)
+
+        monkeypatch.setattr(cli, "preprocess", spy)
+        out = tmp_path / "o.jsonl"
+        assert main(["infer", "--rules", "all", "--dataset", str(tmp_path / "d.txt"),
+                     "--parses", str(tmp_path / "p.conllu"), "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "o.jsonl.manifest.json").read_text())
+        skipped = {s["line"] for s in manifest["skipped"]}
+        assert skipped and manifest["unused_parses"]
+        assert calls == [t for i, t in enumerate(texts, start=1) if i not in skipped]
+        assert calls == [r["headline"] for r in read_jsonl(out)]
+        assert len(calls) == manifest["inferred"] > 2 * CHUNK
 
     def test_parse_of_another_id_gets_the_line_id_and_text(self, tmp_path):
         """A sentence without a sent_id, one whose id is not its line number

@@ -128,6 +128,42 @@ class TestParseConllu:
         (h,) = parse_conllu(doc)
         assert [t.surface for t in h.tokens] == ["do", "go"]
 
+    # The range is checked when the sentence ends, against its last token
+    # ID, and named at its own row, before the sentence's other checks.
+    @pytest.mark.parametrize("tid", ["3-1", "2-2", "0-1", "7-9", "2-4", "00-1"])
+    def test_multiword_range_must_lie_within_the_sentence(self, tid):
+        doc = (
+            "1\tBank\t_\t_\tNN\t_\t0\troot\t_\t_\n"
+            f"{tid}\tcuts\t_\t_\t_\t_\t_\t_\t_\t_\n"
+            "2\tcuts\t_\t_\tVBZ\t_\t1\tdep\t_\t_\n"
+            "3\trates\t_\t_\tNNS\t_\t9\tdobj\t_\t_\n"
+        )
+        with pytest.raises(ParseError) as exc:
+            parse_conllu(doc, "s.conllu")
+        assert str(exc.value) == (
+            f"s.conllu:2: multi-word token {tid!r} is not a range N-M with"
+            " 1 <= N < M <= 3, the sentence's last token id"
+        )
+
+    def test_multiword_range_in_a_sentence_without_tokens(self):
+        doc = "1\tgo\t_\t_\tVB\t_\t0\troot\t_\t_\n\n# text = x\n1-2\tdon't\t_\t_\t_\t_\t_\t_\t_\t_\n"
+        with pytest.raises(ParseError) as exc:
+            parse_conllu(doc)
+        assert str(exc.value) == (
+            "line 4: multi-word token '1-2' is not a range N-M with"
+            " 1 <= N < M <= 0, the sentence's last token id"
+        )
+
+    def test_multiword_range_ending_at_the_last_token_is_skipped(self):
+        doc = (
+            "1\tgo\t_\t_\tVB\t_\t0\troot\t_\t_\n"
+            "2-3\tdon't\t_\t_\t_\t_\t_\t_\t_\t_\n"
+            "2\tdo\t_\t_\tMD\t_\t1\tdep\t_\t_\n"
+            "3\tnot\t_\t_\tRB\t_\t1\tneg\t_\t_\n"
+        )
+        (h,) = parse_conllu(doc)
+        assert [t.surface for t in h.tokens] == ["go", "do", "not"]
+
     @pytest.mark.parametrize("sent_id", ["s1", None])
     def test_comment_keys_match_exactly(self, sent_id):
         """UD treebanks carry text_en and similar keys next to text and sent_id."""

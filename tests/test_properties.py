@@ -69,6 +69,7 @@ from presup.ingest import (
 )
 from presup.lexicon import TriggerLexicon, default_lexicon
 from presup.rules import (
+    CHUNK,
     COMPOUND_MODES,
     DEFAULT_RULES,
     EngineConfig,
@@ -78,6 +79,7 @@ from presup.rules import (
     _merge,
     generate_all,
     infer_all,
+    infer_many,
 )
 
 WORDS = [
@@ -784,6 +786,29 @@ def test_generate_all_matches_the_reference_rules(h, quote_seed, lexicon, strict
             assert generate_all(variant, p, cfg) == rules_reference.generate_all(variant, p, cfg)
 
 
+@given(
+    st.sampled_from([0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3]),
+    st.integers(0, 2**32),
+    st.lists(st.sampled_from(RULE_IDS), unique=True),
+    st.sampled_from([default_lexicon(), FUZZ_LEXICON]),
+    st.booleans(),
+    st.sampled_from(COMPOUND_MODES),
+)
+@settings(max_examples=60)
+def test_infer_many_is_infer_all_per_headline(length, seed, rules, lexicon, strict_verbs, mode):
+    """Rules run over a chunk of headlines yield what each headline infers
+    alone, in order: over no headline, one, a chunk less one, a chunk, a
+    chunk and one, and two chunks and three."""
+    rng = random.Random(seed)
+    items = []
+    for _ in range(length):
+        h = rng.choice(_quoted_variants(random_parse(rng), rng))
+        items.append((h, preprocess(h.raw_text)))
+    cfg = EngineConfig(rules=tuple(rules), lexicon=lexicon, strict_verbs=strict_verbs,
+                       compound_mode=mode)
+    assert list(infer_many(items, cfg)) == [infer_all(h, p, cfg) for h, p in items]
+
+
 def test_infer_all_deterministic():
     corpus = load_fixture_corpus("basic_triggers.json", "basic_triggers_dataset.txt")
     for h, p, _ in corpus:
@@ -915,6 +940,35 @@ def _conllu_block(hid, raw, tokens, edges, with_id) -> str:
     return "\n".join(lines) + "\n\n"
 
 
+def _skipped_id(rng, tokens) -> str:
+    """An ID both CoNLL-U readers skip: an empty node N.M, or a multi-word
+    token N-M with 1 <= N < M <= the last token ID of ``tokens``."""
+    last = tokens[-1][0] if tokens else 0
+    if last < 2 or rng.random() < 0.5:
+        return f"{rng.randint(0, 9)}.{rng.randint(1, 9)}"
+    start = rng.randint(1, last - 1)
+    return f"{start}-{rng.randint(start + 1, last)}"
+
+
+def _malformed_id(rng, tokens) -> str:
+    """An ID the reference skips, as it skips any ID with "-" or ".", that
+    the package rejects at its row: not N-M or N.M, or a range that is
+    reversed, empty, from 0 or past the last token ID of ``tokens``."""
+    last = tokens[-1][0]
+    start = rng.randint(1, last)
+    return rng.choice(["-2", "2.", "a-b", "1-2-3", f"{start + 1}-{start}", f"{start}-{start}",
+                       f"0-{start}", f"{start}-{last + rng.randint(1, 3)}"])
+
+
+def _with_row(block: str, with_id: bool, rng, tid: str) -> tuple[str, int]:
+    """``block`` with a row of ID ``tid`` before, among or after its token
+    rows, and that row's line within the block, from 0."""
+    lines = block.rstrip("\n").split("\n")
+    at = rng.randint(1 + with_id, len(lines))
+    lines.insert(at, f"{tid}\tx\t_\t_\t_\t_\t_\t_\t_\t_")
+    return "\n".join(lines) + "\n\n", at
+
+
 def _stanford_object(hid, raw, tokens, edges) -> dict:
     return {
         "headline": raw,
@@ -943,7 +997,10 @@ def test_readers_match_the_reference_copy(h, seed):
     reference lacks, that only the root edge hangs from the root, comes
     last: the package rejects exactly the trees the reference accepts that
     break it, such as one with no root edge and a second one, which leaves
-    the root label on an edge from a token."""
+    the root label on an edge from a token.  A CoNLL-U tree may also hold a
+    valid N-M or N.M row, which both readers skip; the valid tree with a
+    malformed ID row, which the reference skips too, is a ParseError at
+    that row in the package."""
     rng = random.Random(seed)
     relabel = {rng.choice(sorted(LABEL_MAP.values())): rng.choice(sorted(LABEL_MAP))}
     base_tokens = [list(t) for t in h.tokens]
@@ -964,12 +1021,22 @@ def test_readers_match_the_reference_copy(h, seed):
             if fmt == "conllu":
                 with_id = rng.random() < 0.8
                 before = to_conllu(prefix) if rng.random() < 0.5 else ""  # a valid sentence
-                document = before + _conllu_block(h.headline_id, h.raw_text, tokens, edges, with_id)
+                block = _conllu_block(h.headline_id, h.raw_text, tokens, edges, with_id)
+                if rng.random() < 0.5:
+                    block, _ = _with_row(block, with_id, rng, _skipped_id(rng, tokens))
+                document = before + block
                 first_line = before.count("\n") + 1
                 error = _same_outcome(
                     parse_conllu, reference.parse_conllu, document,
                     lambda parses: _root_rule_error(parses[-1], f"line {first_line}: "),
                 )
+                if case == ("none",):
+                    tid = _malformed_id(rng, tokens)
+                    bad, at = _with_row(block, with_id, rng, tid)
+                    assert reference.parse_conllu(before + bad) == reference.parse_conllu(document)
+                    with pytest.raises(ParseError) as exc:
+                        parse_conllu(before + bad)
+                    assert str(exc.value).startswith(f"line {first_line + at}: "), tid
             else:
                 rng.shuffle(edges)  # Stanford JSON lists the edges in any order
                 document = json.dumps(_stanford_object(h.headline_id, h.raw_text, tokens, edges))

@@ -10,6 +10,7 @@ from presup.evaluation import normalize
 from presup.ingest import edge_view, parse_conllu
 from presup.lexicon import VERB_CLASS_IDS, default_lexicon
 from presup.rules import (
+    CHUNK,
     DEFAULT_RULES,
     RULE_IDS,
     RULES,
@@ -18,6 +19,7 @@ from presup.rules import (
     extract_triplets,
     generate_all,
     infer_all,
+    infer_many,
     rule_again,
     rule_but,
     rule_further,
@@ -599,6 +601,29 @@ class TestInferAll:
         got = infer_all(h, p, EngineConfig())
         by_text = {i.text: i.trigger for i in got}
         assert by_text["he went on killing spree"] == "temporal"
+
+    def test_infer_many_pulls_one_chunk_at_a_time(self, basic_triggers):
+        """No more than ``CHUNK`` items are taken before the first list is
+        yielded, and the next chunk only once the last list of this one is."""
+        h, p = basic_triggers["compound"]
+        pulled = []
+
+        def items():
+            for k in range(2 * CHUNK + 3):
+                pulled.append(k)
+                yield h, p
+
+        outs = infer_many(items(), EngineConfig())
+        assert pulled == []
+        assert next(outs) == infer_all(h, p, EngineConfig())
+        assert len(pulled) == CHUNK
+        for _ in range(CHUNK - 1):
+            next(outs)
+        assert len(pulled) == CHUNK
+        next(outs)
+        assert len(pulled) == 2 * CHUNK
+        assert len(list(outs)) == CHUNK + 2
+        assert len(pulled) == 2 * CHUNK + 3
 
     def test_spans_are_valid(self, basic_triggers, lexical_triggers, combined_example):
         cfg = EngineConfig(rules=DEFAULT_RULES + ("nmod_relaxed",))
