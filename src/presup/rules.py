@@ -5,11 +5,12 @@ The engine reads each headline's edges once, into an ``EdgeView``
 (``ingest.edge_view``), and every rule reads that view: no rule scans
 ``h.edges`` itself.  Each rule is a pure function of ``(v, p, cfg)``, the
 view, the headline's quoted spans and the ``EngineConfig``, and returns its
-Inference values in output order: by span, and the lexical group by class,
-then span.  ``RULES`` is the one rule registry: it maps each rule id, which
-is also the ``trigger`` of the inferences the rule renders, to its rule
-function, and its order is the output order.  Adding a rule is adding one
-row to it; the ``lexical.*`` rows come from ``lexicon.VERB_CLASS_IDS``.
+Inference values in the order it renders them.  ``RULES`` is the one rule
+registry: it maps each rule id, which is also the ``trigger`` of the
+inferences the rule renders, to its rule function, and its order is the
+output order: the engine sorts each headline's inferences by registry
+position, then span.  Adding a rule is adding one row to it; the
+``lexical.*`` rows come from ``lexicon.VERB_CLASS_IDS``.
 ``infer_all`` runs the configured rules in registry order and deduplicates
 the rendered texts; ``infer_many`` does the same for a stream of headlines,
 running each rule over a chunk of them at a time (``CHUNK``).  Rules assume
@@ -24,7 +25,6 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate, islice
-from operator import itemgetter
 from typing import NamedTuple
 
 from .corpus import QuotedSpan, letters, word_count
@@ -96,18 +96,10 @@ def _merge(*spans: tuple[int, ...] | list[int]) -> tuple[int, ...]:
 
 # Builds an Inference without its Python-level __new__.
 _new = tuple.__new__
-_SPAN = itemgetter(3)  # Inference.span
 
 
 def _presupposition(text: str, trigger: str, *spans) -> Inference:
     return _new(Inference, (InferenceKind.PRESUPPOSITION, text, trigger, _merge(*spans)))
-
-
-def _by_span(out: list[Inference]) -> list[Inference]:
-    """A rule's inferences in output order: by span, ties in rendering order."""
-    if len(out) > 1:
-        out.sort(key=_SPAN)
-    return out
 
 
 def _first(edges: list[DependencyEdge], dep: str) -> DependencyEdge | None:
@@ -190,7 +182,7 @@ def rule_future(v: EdgeView, p, cfg) -> list[Inference]:
             if nd.dep == "dobj":
                 text = f"{nd.dependent_gloss} is not yet {participle}"
                 out.append(_presupposition(text, "future", (d.dependent, d.governor, nd.dependent)))
-    return _by_span(out)
+    return out
 
 
 def rule_but(v: EdgeView, p, cfg) -> list[Inference]:
@@ -203,15 +195,9 @@ def rule_but(v: EdgeView, p, cfg) -> list[Inference]:
         negated = any(map(_is_negator, v.below[d.dependent]))
         expecting = "was not expecting" if negated else "was expecting"
         text = f"being {d.governor_gloss} {expecting} {gerund}"
-        out.append(
-            Inference(
-                InferenceKind.CONVENTIONAL_IMPLICATURE,
-                text,
-                "but",
-                _merge((d.governor, d.dependent)),
-            )
-        )
-    return _by_span(out)
+        span = _merge((d.governor, d.dependent))
+        out.append(_new(Inference, (InferenceKind.CONVENTIONAL_IMPLICATURE, text, "but", span)))
+    return out
 
 
 def rule_again(v: EdgeView, p, cfg) -> list[Inference]:
@@ -232,7 +218,7 @@ def rule_again(v: EdgeView, p, cfg) -> list[Inference]:
             obj_p, obj_s = _phrase(v, dobj.dependent)
         text = " ".join(filter(None, [subj_p, "has", participle, obj_p, "before"]))
         out.append(_presupposition(text, "again", subj_s, obj_s, (d.governor, d.dependent)))
-    return _by_span(out)
+    return out
 
 
 def rule_further(v: EdgeView, p, cfg) -> list[Inference]:
@@ -254,7 +240,7 @@ def rule_further(v: EdgeView, p, cfg) -> list[Inference]:
             subj_gloss, subj_index = preceding[-1].surface, preceding[-1].index
         text = f"{subj_gloss} is already {lemma(verb.surface, verb.pos)}"
         out.append(_presupposition(text, "further", (subj_index, d.governor, d.dependent)))
-    return _by_span(out)
+    return out
 
 
 def rule_noun_compound(v: EdgeView, p, cfg) -> list[Inference]:
@@ -266,7 +252,7 @@ def rule_noun_compound(v: EdgeView, p, cfg) -> list[Inference]:
         if tokens[e.governor - 1].pos[:1] == "N" == tokens[e.dependent - 1].pos[:1]:
             text = f"{e.dependent_gloss} {connector} {e.governor_gloss}"
             out.append(_presupposition(text, "compound", (e.governor, e.dependent)))
-    return _by_span(out)
+    return out
 
 
 def rule_past_tense(v: EdgeView, p, cfg) -> list[Inference]:
@@ -290,7 +276,7 @@ def rule_past_tense(v: EdgeView, p, cfg) -> list[Inference]:
             filter(None, [subj.dependent_gloss, "has", participle, prt, obj_p])
         )
         out.append(_presupposition(text, "past", (subj.dependent, t.index), prt_s, obj_s))
-    return _by_span(out)
+    return out
 
 
 def rule_nmod_of(v: EdgeView, p, cfg) -> list[Inference]:
@@ -302,7 +288,7 @@ def rule_nmod_of(v: EdgeView, p, cfg) -> list[Inference]:
                 text = f"{e.dependent_gloss} has {e.governor_gloss}"
                 out.append(_presupposition(text, "nmod_of", (e.governor, e.dependent, c.dependent)))
                 break
-    return _by_span(out)
+    return out
 
 
 def rule_nmod_relaxed(v: EdgeView, p, cfg) -> list[Inference]:
@@ -316,7 +302,7 @@ def rule_nmod_relaxed(v: EdgeView, p, cfg) -> list[Inference]:
         if tokens[e.governor - 1].pos[:1] == "N" == tokens[e.dependent - 1].pos[:1]:
             text = f"{e.dependent_gloss} has {e.governor_gloss}"
             out.append(_presupposition(text, "nmod_relaxed", (e.governor, e.dependent)))
-    return _by_span(out)
+    return out
 
 
 def _render_lexical(v: EdgeView, class_id: str, verb: Token, vlemma: str) -> Inference | None:
@@ -381,15 +367,11 @@ def _render_lexical(v: EdgeView, class_id: str, verb: Token, vlemma: str) -> Inf
     return None
 
 
-def _lexical_order(inf: Inference) -> tuple:
-    return VERB_CLASS_IDS.index(inf.trigger[len("lexical."):]), inf.span
-
-
 def rule_lexical(v: EdgeView, p, cfg) -> list[Inference]:
     """Lexicon-driven triggers: a headline verb whose lemma heads an entry of
     a class whose ``lexical.<class>`` id is in ``cfg.rules`` licenses that
     class's template over its complement/objects.  One pass over the verbs,
-    in verb order; the output by class, then span."""
+    in verb order."""
     lex, rules = cfg.lexicon, cfg.rules
     lowered = None
     out = []
@@ -405,8 +387,6 @@ def rule_lexical(v: EdgeView, p, cfg) -> list[Inference]:
             inf = _render_lexical(v, class_id, verb, vlemma)
             if inf is not None:
                 out.append(inf)
-    if len(out) > 1:
-        out.sort(key=_lexical_order)
     return out
 
 
@@ -427,7 +407,7 @@ def rule_temporal(v: EdgeView, p, cfg) -> list[Inference]:
             phrase, span = _phrase(v, gov.index)
             text = f"There was {phrase}"
         out.append(_presupposition(text, "temporal", span, (e.dependent,)))
-    return _by_span(out)
+    return out
 
 
 def _undo_inversion(v: EdgeView, substitute: str, words: list[str]) -> list[str]:
@@ -517,7 +497,7 @@ def rule_quotes(v: EdgeView, p: tuple[QuotedSpan, ...], cfg) -> list[Inference]:
             out.append(_presupposition(text, "quotes", subj_s, token_span, (verb.index,)))
         elif token_span:  # with no token of its own, it would name none
             out.append(_presupposition("something is said", "quotes", token_span))
-    return _by_span(out)
+    return out
 
 
 def extract_triplets(v: EdgeView, p, cfg) -> list[Inference]:
@@ -552,7 +532,7 @@ def extract_triplets(v: EdgeView, p, cfg) -> list[Inference]:
         for case_word, phrase, phrase_s in attachments:
             text, span = f"{stem} {case_word} {phrase}", _merge(subj_s, verb_s, obj_s, phrase_s)
             out.append(_new(Inference, (InferenceKind.EXPLICIT_TRIPLE, text, "triple", span)))
-    return _by_span(out)
+    return out
 
 
 # Rule id (the ``trigger`` of what the rule renders) -> rule(v, p, cfg), in
@@ -574,6 +554,13 @@ RULES = {
     "triple": extract_triplets,
 }
 RULE_IDS = tuple(RULES)
+_POSITION = {rule_id: k for k, rule_id in enumerate(RULE_IDS)}
+
+
+def _output_order(inf: Inference) -> tuple:
+    """A headline's output order: by registry position, then span."""
+    return _POSITION[inf.trigger], inf.span
+
 
 # The relaxed any-nmod rule over-generates, so it is opt-in.
 DEFAULT_RULES = tuple(r for r in RULE_IDS if r != "nmod_relaxed")
@@ -644,13 +631,18 @@ CHUNK = 32
 def _generate(
     items: list[tuple[ParsedHeadline, tuple[QuotedSpan, ...]]], cfg: EngineConfig
 ) -> list[list[Inference]]:
-    """Each ``(h, p)`` item's rule outputs, before deduplication: every
-    enabled rule function runs over the whole chunk, in registry order, on
-    one ``EdgeView`` of each ``h``, and appends to that item's list."""
+    """Each ``(h, p)`` item's rule outputs in output order, before
+    deduplication: every enabled rule function runs over the whole chunk, in
+    registry order, on one ``EdgeView`` of each ``h``, and appends to that
+    item's list, which is then sorted once (stably, so ties keep rendering
+    order)."""
     work = [(edge_view(h, cfg.strict_verbs), p, []) for h, p in items]
     for rule in cfg.rule_functions:
         for v, p, out in work:
             out += rule(v, p, cfg)
+    for _, _, out in work:
+        if len(out) > 1:
+            out.sort(key=_output_order)
     return [out for _, _, out in work]
 
 
@@ -683,8 +675,8 @@ def infer_many(
 def generate_all(
     h: ParsedHeadline, p: tuple[QuotedSpan, ...], cfg: EngineConfig
 ) -> list[Inference]:
-    """All enabled rules' outputs in registry order, each rule's by span,
-    before deduplication.  The rules share one ``EdgeView`` of ``h``, and a
+    """All enabled rules' outputs by registry position, then span, before
+    deduplication.  The rules share one ``EdgeView`` of ``h``, and a
     function shared by rows runs once."""
     return _generate([(h, p)], cfg)[0]
 

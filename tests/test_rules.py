@@ -15,6 +15,7 @@ from presup.rules import (
     RULE_IDS,
     RULES,
     EngineConfig,
+    Inference,
     InferenceKind,
     extract_triplets,
     generate_all,
@@ -624,6 +625,33 @@ class TestInferAll:
         assert len(pulled) == 2 * CHUNK
         assert len(list(outs)) == CHUNK + 2
         assert len(pulled) == 2 * CHUNK + 3
+
+    def test_engine_orders_what_rules_render(self, monkeypatch, basic_triggers):
+        """Rules return what they render in any order; the engine sorts each
+        headline's list by registry position, then span, ties kept in
+        rendering order."""
+
+        def rendered(trigger, *spans):
+            return [Inference(InferenceKind.PRESUPPOSITION, f"{trigger} {k}", trigger, span)
+                    for k, span in enumerate(spans)]
+
+        def future(v, p, cfg):
+            return rendered("future", (3,), (1, 2), (1, 2))
+
+        def lexical(v, p, cfg):
+            return rendered("lexical.judging", (1,)) + rendered("lexical.iterative", (2,))
+
+        monkeypatch.setitem(RULES, "future", future)
+        for c in VERB_CLASS_IDS:
+            monkeypatch.setitem(RULES, f"lexical.{c}", lexical)
+        cfg = EngineConfig(rules=("lexical.judging", "future", "lexical.iterative"))
+        want = [("future 1", (1, 2)), ("future 2", (1, 2)), ("future 0", (3,)),
+                ("lexical.iterative 0", (2,)), ("lexical.judging 0", (1,))]
+        h, p = basic_triggers["compound"]
+        assert [(i.text, i.span) for i in generate_all(h, p, cfg)] == want
+        assert [(i.text, i.span) for i in infer_all(h, p, cfg)] == want
+        for got in infer_many([(h, p)] * 3, cfg):
+            assert [(i.text, i.span) for i in got] == want
 
     def test_spans_are_valid(self, basic_triggers, lexical_triggers, combined_example):
         cfg = EngineConfig(rules=DEFAULT_RULES + ("nmod_relaxed",))
