@@ -55,11 +55,10 @@ _FORM_NAMES = {
 }
 
 
-def _read_config_file(path: str) -> dict[str, tuple[str, str]]:
-    """key -> (value, 'path:line' of the key) for each 'key = value' line.
-    A key may be given once."""
-    values = {}
-    first_line: dict[str, int] = {}
+def _read_config_file(path: str) -> dict[str, tuple[str, int]]:
+    """key -> (value, line of the key) for each 'key = value' line.  A key
+    may be given once."""
+    values: dict[str, tuple[str, int]] = {}
     for lineno, raw in enumerate(split_lines(read_text(path)), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -72,8 +71,8 @@ def _read_config_file(path: str) -> dict[str, tuple[str, str]]:
                 f"{path}:{lineno}: unknown key {key!r} (known keys: {', '.join(SETTINGS)})"
             )
         if key in values:
-            raise FormatError(f"{path}:{lineno}: key {key!r} repeats line {first_line[key]}")
-        values[key], first_line[key] = (value, f"{path}:{lineno}"), lineno
+            raise FormatError(f"{path}:{lineno}: key {key!r} repeats line {values[key][1]}")
+        values[key] = value, lineno
     return values
 
 
@@ -129,15 +128,15 @@ def _build_engine_config(args) -> EngineConfig:
         if flag is not None or key not in in_file:
             value[key] = check(default if flag is None else flag)
             continue
-        text, where = in_file[key]
+        text, line = in_file[key]
         try:
             value[key] = check(text)
         except FormatError:
             raise  # a lexicon file names its own path:line
         except ValueError as exc:
-            raise FormatError(f"{where}: {exc}") from exc
+            raise FormatError(f"{args.config}:{line}: {exc}") from exc
         except OSError as exc:  # a lexicon path of no readable file
-            raise FormatError(f"{where}: {exc.filename}: {exc.strerror}") from exc
+            raise FormatError(f"{args.config}:{line}: {exc.filename}: {exc.strerror}") from exc
     return EngineConfig(
         rules=value["rules"],
         lexicon=value["lexicon"],
@@ -372,24 +371,18 @@ def cmd_infer(args) -> int:
     cfg = _build_engine_config(args)
     records = _read_records(args.dataset)
     parses = load_parses(args.parses)
-    skipped, unused, texts = [], [], []  # pair's verdicts, and each inferred text
-
-    def inferred():
-        """The engine's ``(h, p)`` items, in dataset order; each text goes to
-        ``texts`` as its item is taken, a chunk ahead of its inferences."""
-        for verdict in pair(records, parses):
-            _, record, h, reason = verdict
-            if reason:
-                (unused if reason == "unused" else skipped).append(verdict)
-                continue
-            texts.append(record.text)
-            yield h, preprocess(record.text)
-
+    paired, skipped, unused = [], [], []  # pair's verdicts, by reason
+    for verdict in pair(records, parses):
+        reason = verdict[3]
+        (unused if reason == "unused" else skipped if reason else paired).append(verdict)
+    # A generator, not a list: each preprocess runs as the engine takes its
+    # chunk, where a trace of the run marks the start of that headline.
+    items = ((h, preprocess(h.raw_text)) for _, _, h, _ in paired)
     lines = []
     triggers: list[str] = []  # of every inference written, counted once at the end
-    for k, inferences in enumerate(infer_many(inferred(), cfg)):
+    for (_, _, h, _), inferences in zip(paired, infer_many(items, cfg)):
         triggers.extend(map(_TRIGGER, inferences))
-        lines.append(_jsonl_record(texts[k], inferences))
+        lines.append(_jsonl_record(h.raw_text, inferences))
     _write(args.out, "\n".join([*lines, ""]))  # each line ends in a newline
     manifest = {
         "tool": "presup",

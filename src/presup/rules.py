@@ -117,6 +117,11 @@ def _phrase(
     return " ".join([v.tokens[i - 1].surface for i in idxs]), tuple(idxs)
 
 
+def _joins_nouns(tokens: list[Token], e: DependencyEdge) -> bool:
+    """Whether edge ``e`` has a noun (an N* tag) at both ends."""
+    return tokens[e.governor - 1].pos[:1] == "N" == tokens[e.dependent - 1].pos[:1]
+
+
 def _is_negator(e) -> bool:
     return e.dep == "neg" or (e.dep == "advmod" and e.dependent_gloss.lower() == "not")
 
@@ -246,10 +251,9 @@ def rule_further(v: EdgeView, p, cfg) -> list[Inference]:
 def rule_noun_compound(v: EdgeView, p, cfg) -> list[Inference]:
     """Noun compound N1 N2: N1 can be / can have N2."""
     connector = _COMPOUND_CONNECTOR[cfg.compound_mode]
-    tokens = v.tokens
     out = []
     for e in v.labelled.get("compound", ()):
-        if tokens[e.governor - 1].pos[:1] == "N" == tokens[e.dependent - 1].pos[:1]:
+        if _joins_nouns(v.tokens, e):
             text = f"{e.dependent_gloss} {connector} {e.governor_gloss}"
             out.append(_presupposition(text, "compound", (e.governor, e.dependent)))
     return out
@@ -296,10 +300,9 @@ def rule_nmod_relaxed(v: EdgeView, p, cfg) -> list[Inference]:
 
     Over-generates by design; ships disabled by default.
     """
-    tokens = v.tokens
     out = []
     for e in v.labelled.get("nmod", ()):
-        if tokens[e.governor - 1].pos[:1] == "N" == tokens[e.dependent - 1].pos[:1]:
+        if _joins_nouns(v.tokens, e):
             text = f"{e.dependent_gloss} has {e.governor_gloss}"
             out.append(_presupposition(text, "nmod_relaxed", (e.governor, e.dependent)))
     return out

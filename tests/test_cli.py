@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from conftest import FIXTURES
-from presup import cli, corpus
+from presup import cli, corpus, rules
 from presup.cli import (
     SETTINGS,
     _read_config_file,
@@ -23,7 +23,7 @@ from presup.cli import (
 from presup.corpus import parse_gold, read_dataset
 from presup.errors import read_text
 from presup.evaluation import normalize
-from presup.ingest import ROOT_GLOSS, build_headline, parse_conllu, parse_stanford_json
+from presup.ingest import ROOT_GLOSS, build_headline, edge_view, parse_conllu, parse_stanford_json
 from presup.lexicon import parse_lexicon
 from presup.rules import CHUNK, RULE_IDS
 
@@ -953,6 +953,31 @@ class TestInfer:
         assert calls == [r["headline"] for r in read_jsonl(out)]
         assert len(calls) == manifest["inferred"] > 2 * CHUNK
 
+    def test_preprocess_runs_at_most_one_chunk_ahead_of_the_engine(self, tmp_path, monkeypatch):
+        """The CLI hands the engine its headlines lazily: when the engine
+        builds the view of headline k (from 0), ``preprocess`` has run for
+        exactly the headlines of k's chunk and those before it, no more."""
+        preprocessed, ahead = [], []
+
+        def spy_preprocess(text):
+            preprocessed.append(text)
+            return corpus.preprocess(text)
+
+        def spy_edge_view(h, strict_verbs=False):
+            ahead.append(len(preprocessed))
+            return edge_view(h, strict_verbs)
+
+        monkeypatch.setattr(cli, "preprocess", spy_preprocess)
+        monkeypatch.setattr(rules, "edge_view", spy_edge_view)
+        out = tmp_path / "o.jsonl"
+        assert main(["infer", "--rules", "all",
+                     "--dataset", repeated(tmp_path, "basic_triggers_dataset.txt", 15),
+                     "--parses", repeated(tmp_path, "basic_triggers.conllu", 15, "\n"),
+                     "--out", str(out)]) == 0
+        n = len(read_jsonl(out))
+        assert n > 3 * CHUNK and n % CHUNK
+        assert ahead == [min((k // CHUNK + 1) * CHUNK, n) for k in range(n)]
+
     def test_parse_of_another_id_gets_the_line_id_and_text(self, tmp_path):
         """A sentence without a sent_id, one whose id is not its line number
         and one whose text differs from its line's only in punctuation all
@@ -1203,8 +1228,7 @@ class TestLineEnds:
         path = tmp_path / "f"
         text, read, want = {
             "config": ("# engine\nrules = future\ncompound_mode = can_be\n",
-                       _read_config_file, {"rules": ("future", f"{path}:2"),
-                                           "compound_mode": ("can_be", f"{path}:3")}),
+                       _read_config_file, {"rules": ("future", 2), "compound_mode": ("can_be", 3)}),
             "parses": (GOOD_PARSE + "\n\n" + GOOD_PARSE + "\n",
                        lambda p: len(load_parses(p)), 2),
             "inferences": ('{"headline": "A"}\n{"headline": "B", "inferences": []}\n',
@@ -1799,6 +1823,12 @@ class TestMorphAndStats:
             "  Reuters: 1\n"
             "  The Hindu: 1\n"
         )
+
+    def test_stats_of_an_empty_bracket_is_unknown(self, tmp_path, capsys):
+        dataset = tmp_path / "d.txt"
+        dataset.write_text("Markets crashed [source:]\n", "utf-8")
+        assert main(["stats", "--dataset", str(dataset)]) == 0
+        assert capsys.readouterr().out == "headlines: 1\n  (unknown): 1\n"
 
 
 @pytest.fixture

@@ -46,6 +46,10 @@ class TestParseDatasetLine:
         assert source_of(record.bracket) == "BBC\t[live]"
         assert parse_dataset_line("X [source: BBC May 5").bracket == "BBC May 5"
 
+    def test_empty_bracket_is_empty(self):
+        record = parse_dataset_line("Markets crashed [source:]", 1)
+        assert (record.text, record.bracket, record.line) == ("Markets crashed", "", 1)
+
     def test_no_bracket_is_error(self):
         with pytest.raises(FormatError, match="no bracket here"):
             parse_dataset_line("no bracket here")
