@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import __version__
 from .corpus import HeadlineRecord, letters, parse_gold, preprocess, read_dataset, source_of
-from .errors import FormatError, ParseError, read_text, split_lines
+from .errors import FormatError, ParseError, content_lines, read_text
 from .evaluation import (
     MatchConfig,
     MatchMode,
@@ -59,10 +59,7 @@ def _read_config_file(path: str) -> dict[str, tuple[str, int]]:
     """key -> (value, line of the key) for each 'key = value' line.  A key
     may be given once."""
     values: dict[str, tuple[str, int]] = {}
-    for lineno, raw in enumerate(split_lines(read_text(path)), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in content_lines(read_text(path)):
         if "=" not in line:
             raise FormatError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))

@@ -28,6 +28,13 @@ def split_lines(text: str) -> list[str]:
     return text.replace("\r\n", "\n").split("\n")
 
 
+def content_lines(text: str) -> list[tuple[int, str]]:
+    """(line number, line stripped) for each line of ``text`` that is neither
+    blank nor a ``#`` comment."""
+    lines = enumerate(map(str.strip, split_lines(text)), start=1)
+    return [(lineno, line) for lineno, line in lines if line and not line.startswith("#")]
+
+
 def read_text(path) -> str:
     """The text of the input file at ``path``: its bytes decoded as UTF-8
     with no newline translation, so that only split_lines ends a line, and

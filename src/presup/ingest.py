@@ -17,6 +17,7 @@ from itertools import repeat
 from operator import ne
 from typing import NamedTuple
 
+from .corpus import QuotedSpan
 from .errors import ConsistencyError, ParseError, located, split_lines
 
 ROOT_GLOSS = "ROOT"
@@ -388,7 +389,8 @@ def _integer(value) -> int:
 
 def _record_error(where: str, record, keys: tuple[str, ...]) -> ParseError:
     """The error for a token or dependency record that failed to convert,
-    naming the record and the first key at fault."""
+    naming the record and the first key at fault.  It always returns: a dict
+    fails only on a missing key or in ``_integer``, retried here in order."""
     if not isinstance(record, dict):
         return ParseError(f"{where}: expected a JSON object, got {type(record).__name__}")
     for key in keys:
@@ -399,7 +401,6 @@ def _record_error(where: str, record, keys: tuple[str, ...]) -> ParseError:
                 _integer(record[key])
             except _RECORD_ERRORS:
                 return ParseError(f"{where}: key {key!r} must be an integer, got {record[key]!r}")
-    return ParseError(f"{where}: malformed record")
 
 
 def _record_list(obj: dict, key: str) -> list:
@@ -486,23 +487,24 @@ def nouns_of(h: ParsedHeadline) -> list[Token]:
 
 
 class EdgeView(NamedTuple):
-    """A headline as the rules read it, built by ``edge_view`` in one pass
-    over its edges, which are in dependent order (``h.edges[k - 1]`` is token
-    k's).  Each list keeps it: the first ``nsubj`` a rule finds is leftmost."""
+    """A headline as the rules read it: ``h`` and only what the engine adds.
+    ``edge_view`` builds it in one pass over the edges, which are in dependent
+    order (``h.edges[k - 1]`` is token k's); each list keeps that order, so
+    the first ``nsubj`` a rule finds is leftmost."""
 
     h: ParsedHeadline
-    tokens: tuple[Token, ...]
     verbs: list[Token]  # verbs_of(h, strict_verbs)
     below: list[list[DependencyEdge]]  # below[k]: the edges token k governs; 0 is the root
     labelled: defaultdict[str, list[DependencyEdge]]  # each label's edges; read with .get
+    quotes: tuple[QuotedSpan, ...]  # the quoted spans of h.raw_text that the caller gave
 
 
-def edge_view(h: ParsedHeadline, strict_verbs: bool = False) -> EdgeView:
-    """``h``'s edges grouped by governor and by label, and its verbs, for a
-    parse from a reader or ``build_headline``."""
+def edge_view(h: ParsedHeadline, strict_verbs: bool, quotes: tuple[QuotedSpan, ...]) -> EdgeView:
+    """``h``'s edges grouped by governor and by label, its verbs and its
+    ``quotes``, for a parse from a reader or ``build_headline``."""
     below = [[] for _ in range(len(h.tokens) + 1)]
     labelled = defaultdict(list)
     for e in h.edges:
         below[e.governor].append(e)
         labelled[e.dep].append(e)
-    return _new(EdgeView, (h, h.tokens, verbs_of(h, strict_verbs), below, labelled))
+    return _new(EdgeView, (h, verbs_of(h, strict_verbs), below, labelled, quotes))

@@ -8,7 +8,7 @@ from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
-from .errors import FormatError, read_text, split_lines
+from .errors import FormatError, content_lines, read_text
 from .morphology import lemma
 
 # Verb classes; each is one ``lexical.<class>`` rule, in this order.
@@ -61,10 +61,7 @@ def parse_lexicon(document: str, source: str = "lexicon") -> TriggerLexicon:
     """Read a 'class<TAB>entry' TSV; '#' comment and blank lines are skipped.
     Errors name ``source:line``."""
     entries: dict[str, set[str]] = {}
-    for lineno, raw in enumerate(split_lines(document), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in content_lines(document):
         if "\t" not in line:
             raise FormatError(f"{source}:{lineno}: expected 'class<TAB>entry'")
         cid, entry = line.split("\t", 1)

@@ -13,7 +13,7 @@ from enum import Enum
 from functools import lru_cache
 from importlib import resources
 
-from .errors import split_lines
+from .errors import content_lines
 
 
 class VerbForm(Enum):
@@ -97,10 +97,7 @@ def irregular_table() -> tuple[tuple[str, str, str], ...]:
     """(base, past, participle) triples from the bundled table."""
     entries = []
     text = resources.files(__package__).joinpath("data/irregular_verbs.tsv").read_text("utf-8")
-    for raw in split_lines(text):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for _, line in content_lines(text):
         parts = line.split("\t")
         if len(parts) != 3:
             raise ValueError(f"irregular verb table: expected 3 columns, got {line!r}")

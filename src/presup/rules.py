@@ -3,10 +3,10 @@ realization of the licensed inferences.
 
 The engine reads each headline's edges once, into an ``EdgeView``
 (``ingest.edge_view``), and every rule reads that view: no rule scans
-``h.edges`` itself.  Each rule is a pure function of ``(v, p, cfg)``, the
-view, the headline's quoted spans and the ``EngineConfig``, and returns its
-Inference values in the order it renders them.  ``RULES`` is the one rule
-registry: it maps each rule id, which is also the ``trigger`` of the
+``h.edges`` itself.  Each rule is a pure function of ``(v, cfg)``, the view
+(which carries the headline's quoted spans) and the ``EngineConfig``, and
+returns its Inference values in the order it renders them.  ``RULES`` is the
+one rule registry: it maps each rule id, which is also the ``trigger`` of the
 inferences the rule renders, to its rule function, and its order is the
 output order: the engine sorts each headline's inferences by registry
 position, then span.  Adding a rule is adding one row to it; the
@@ -114,7 +114,7 @@ def _phrase(
 ) -> tuple[str, tuple[int, ...]]:
     """Head token with its flat premodifiers, in surface order."""
     idxs = sorted([head] + [e.dependent for e in v.below[head] if e.dep in mods])
-    return " ".join([v.tokens[i - 1].surface for i in idxs]), tuple(idxs)
+    return " ".join([v.h.tokens[i - 1].surface for i in idxs]), tuple(idxs)
 
 
 def _joins_nouns(tokens: list[Token], e: DependencyEdge) -> bool:
@@ -168,20 +168,20 @@ def _clause(
     """Subject phrase, ``aux``, ``verb`` inflected to ``form``, the verb's
     object tail and ``after``, as text and span."""
     subj_p, subj_s = _phrase(v, subj)
-    tok = v.tokens[verb - 1]
+    tok = v.h.tokens[verb - 1]
     inflected = conjugate(lemma(tok.surface, tok.pos), form)
     tail, tail_s = _object_tail(v, verb)
     text = " ".join(filter(None, [subj_p, aux, inflected, tail, after]))
     return text, _merge(subj_s, tail_s, (verb,))
 
 
-def rule_future(v: EdgeView, p, cfg) -> list[Inference]:
+def rule_future(v: EdgeView, cfg) -> list[Inference]:
     """aux 'will' plus a co-governed direct object: the event is still ahead."""
     out = []
     for d in v.labelled.get("aux", ()):
         if d.dependent_gloss.lower() != "will":
             continue
-        verb = v.tokens[d.governor - 1]
+        verb = v.h.tokens[d.governor - 1]
         participle = conjugate(lemma(verb.surface, verb.pos), VerbForm.PAST_PARTICIPLE)
         for nd in v.below[d.governor]:
             if nd.dep == "dobj":
@@ -190,12 +190,12 @@ def rule_future(v: EdgeView, p, cfg) -> list[Inference]:
     return out
 
 
-def rule_but(v: EdgeView, p, cfg) -> list[Inference]:
+def rule_but(v: EdgeView, cfg) -> list[Inference]:
     """conj:but carries the contrast implicature: the first conjunct raised an
     expectation about the second."""
     out = []
     for d in v.labelled.get("conj:but", ()):
-        dep = v.tokens[d.dependent - 1]
+        dep = v.h.tokens[d.dependent - 1]
         gerund = conjugate(lemma(dep.surface, dep.pos), VerbForm.GERUND)
         negated = any(map(_is_negator, v.below[d.dependent]))
         expecting = "was not expecting" if negated else "was expecting"
@@ -205,7 +205,7 @@ def rule_but(v: EdgeView, p, cfg) -> list[Inference]:
     return out
 
 
-def rule_again(v: EdgeView, p, cfg) -> list[Inference]:
+def rule_again(v: EdgeView, cfg) -> list[Inference]:
     """advmod 'again' on a verb with a subject: it happened before."""
     out = []
     for d in v.labelled.get("advmod", ()):
@@ -214,7 +214,7 @@ def rule_again(v: EdgeView, p, cfg) -> list[Inference]:
         subj = _first(v.below[d.governor], "nsubj")
         if subj is None:
             continue
-        verb = v.tokens[d.governor - 1]
+        verb = v.h.tokens[d.governor - 1]
         subj_p, subj_s = _phrase(v, subj.dependent)
         participle = conjugate(lemma(verb.surface, verb.pos), VerbForm.PAST_PARTICIPLE)
         obj_p, obj_s = "", ()
@@ -226,13 +226,13 @@ def rule_again(v: EdgeView, p, cfg) -> list[Inference]:
     return out
 
 
-def rule_further(v: EdgeView, p, cfg) -> list[Inference]:
+def rule_further(v: EdgeView, cfg) -> list[Inference]:
     """advmod 'further' on a verb: the subject is already in that state."""
     out = []
     for d in v.labelled.get("advmod", ()):
         if d.dependent_gloss.lower() != "further":
             continue
-        verb = v.tokens[d.governor - 1]
+        verb = v.h.tokens[d.governor - 1]
         if verb not in v.verbs:
             continue
         subj = _first(v.below[d.governor], "nsubj")
@@ -248,21 +248,21 @@ def rule_further(v: EdgeView, p, cfg) -> list[Inference]:
     return out
 
 
-def rule_noun_compound(v: EdgeView, p, cfg) -> list[Inference]:
+def rule_noun_compound(v: EdgeView, cfg) -> list[Inference]:
     """Noun compound N1 N2: N1 can be / can have N2."""
     connector = _COMPOUND_CONNECTOR[cfg.compound_mode]
     out = []
     for e in v.labelled.get("compound", ()):
-        if _joins_nouns(v.tokens, e):
+        if _joins_nouns(v.h.tokens, e):
             text = f"{e.dependent_gloss} {connector} {e.governor_gloss}"
             out.append(_presupposition(text, "compound", (e.governor, e.dependent)))
     return out
 
 
-def rule_past_tense(v: EdgeView, p, cfg) -> list[Inference]:
+def rule_past_tense(v: EdgeView, cfg) -> list[Inference]:
     """Main-clause simple past: the event already happened."""
     out = []
-    for t in v.tokens:
+    for t in v.h.tokens:
         if t.pos != "VBD" or v.h.edges[t.index - 1].dep in ("advcl", "ccomp"):
             continue
         below = v.below[t.index]
@@ -283,7 +283,7 @@ def rule_past_tense(v: EdgeView, p, cfg) -> list[Inference]:
     return out
 
 
-def rule_nmod_of(v: EdgeView, p, cfg) -> list[Inference]:
+def rule_nmod_of(v: EdgeView, cfg) -> list[Inference]:
     """nmod with case 'of': the dependent has the governor."""
     out = []
     for e in v.labelled.get("nmod", ()):
@@ -295,14 +295,14 @@ def rule_nmod_of(v: EdgeView, p, cfg) -> list[Inference]:
     return out
 
 
-def rule_nmod_relaxed(v: EdgeView, p, cfg) -> list[Inference]:
+def rule_nmod_relaxed(v: EdgeView, cfg) -> list[Inference]:
     """Any noun-governed nmod between nouns: the dependent has the governor.
 
     Over-generates by design; ships disabled by default.
     """
     out = []
     for e in v.labelled.get("nmod", ()):
-        if _joins_nouns(v.tokens, e):
+        if _joins_nouns(v.h.tokens, e):
             text = f"{e.dependent_gloss} has {e.governor_gloss}"
             out.append(_presupposition(text, "nmod_relaxed", (e.governor, e.dependent)))
     return out
@@ -370,7 +370,7 @@ def _render_lexical(v: EdgeView, class_id: str, verb: Token, vlemma: str) -> Inf
     return None
 
 
-def rule_lexical(v: EdgeView, p, cfg) -> list[Inference]:
+def rule_lexical(v: EdgeView, cfg) -> list[Inference]:
     """Lexicon-driven triggers: a headline verb whose lemma heads an entry of
     a class whose ``lexical.<class>`` id is in ``cfg.rules`` licenses that
     class's template over its complement/objects.  One pass over the verbs,
@@ -383,7 +383,7 @@ def rule_lexical(v: EdgeView, p, cfg) -> list[Inference]:
         if vlemma not in lex.heads:
             continue
         if lowered is None:
-            lowered = [t.surface.lower() for t in v.tokens]
+            lowered = [t.surface.lower() for t in v.h.tokens]
         for class_id in lex.verb_classes(vlemma, lowered[verb.index :]):
             if "lexical." + class_id not in rules:
                 continue
@@ -393,14 +393,14 @@ def rule_lexical(v: EdgeView, p, cfg) -> list[Inference]:
     return out
 
 
-def rule_temporal(v: EdgeView, p, cfg) -> list[Inference]:
+def rule_temporal(v: EdgeView, cfg) -> list[Inference]:
     """Temporal case/mark words presuppose the embedded thing existed/happened."""
     temporal = cfg.lexicon.words("temporal")
     out = []
     for e in [*v.labelled.get("case", ()), *v.labelled.get("mark", ())]:
         if e.dependent_gloss.lower() not in temporal:
             continue
-        gov = v.tokens[e.governor - 1]
+        gov = v.h.tokens[e.governor - 1]
         if gov in v.verbs:
             subj = _first(v.below[gov.index], "nsubj")
             if subj is None:
@@ -423,12 +423,12 @@ def _undo_inversion(v: EdgeView, substitute: str, words: list[str]) -> list[str]
     return words[2:head] + [words[1]] + words[head:] + [substitute]
 
 
-def rule_question(v: EdgeView, p, cfg) -> list[Inference]:
+def rule_question(v: EdgeView, cfg) -> list[Inference]:
     """Wh-questions presuppose the indefinite counterpart; yes/no questions
     presuppose nothing."""
     if "?" not in v.h.raw_text:
         return []
-    words = [t.surface for t in v.tokens]
+    words = [t.surface for t in v.h.tokens]
     while words and not words[-1].strip("?!."):
         words.pop()  # trailing sentence punctuation is not rendered
     if not words:
@@ -452,7 +452,7 @@ def rule_question(v: EdgeView, p, cfg) -> list[Inference]:
         rendered = _undo_inversion(v, substitute, words)
     else:
         rendered = [substitute] + rest
-    return [_presupposition(" ".join(rendered), "question", [t.index for t in v.tokens])]
+    return [_presupposition(" ".join(rendered), "question", [t.index for t in v.h.tokens])]
 
 
 def quoted_tokens(
@@ -478,9 +478,9 @@ def quoted_tokens(
     return out
 
 
-def rule_quotes(v: EdgeView, p: tuple[QuotedSpan, ...], cfg) -> list[Inference]:
+def rule_quotes(v: EdgeView, cfg) -> list[Inference]:
     """A quote of more than two words means something was said."""
-    quotes = [q for q in p if word_count(q.text) > 2]
+    quotes = [q for q in v.quotes if word_count(q.text) > 2]
     if not quotes:
         return []
     speaker = None
@@ -503,7 +503,7 @@ def rule_quotes(v: EdgeView, p: tuple[QuotedSpan, ...], cfg) -> list[Inference]:
     return out
 
 
-def extract_triplets(v: EdgeView, p, cfg) -> list[Inference]:
+def extract_triplets(v: EdgeView, cfg) -> list[Inference]:
     """Subject-verb-object statements read directly off the parse: the bare
     S-V-dobj triple plus one extension per case-marked nominal attachment.
     A verb's dependents are read from its edges in the view: the first
@@ -538,7 +538,7 @@ def extract_triplets(v: EdgeView, p, cfg) -> list[Inference]:
     return out
 
 
-# Rule id (the ``trigger`` of what the rule renders) -> rule(v, p, cfg), in
+# Rule id (the ``trigger`` of what the rule renders) -> rule(v, cfg), in
 # output order.  Rows may share a function, which then renders every enabled
 # id of its rows.
 RULES = {
@@ -636,17 +636,17 @@ def _generate(
 ) -> list[list[Inference]]:
     """Each ``(h, p)`` item's rule outputs in output order, before
     deduplication: every enabled rule function runs over the whole chunk, in
-    registry order, on one ``EdgeView`` of each ``h``, and appends to that
+    registry order, on one ``EdgeView`` of each item, and appends to that
     item's list, which is then sorted once (stably, so ties keep rendering
     order)."""
-    work = [(edge_view(h, cfg.strict_verbs), p, []) for h, p in items]
+    work = [(edge_view(h, cfg.strict_verbs, p), []) for h, p in items]
     for rule in cfg.rule_functions:
-        for v, p, out in work:
-            out += rule(v, p, cfg)
-    for _, _, out in work:
+        for v, out in work:
+            out += rule(v, cfg)
+    for _, out in work:
         if len(out) > 1:
             out.sort(key=_output_order)
-    return [out for _, _, out in work]
+    return [out for _, out in work]
 
 
 def _deduplicated(generated: list[Inference]) -> list[Inference]:

@@ -963,9 +963,9 @@ class TestInfer:
             preprocessed.append(text)
             return corpus.preprocess(text)
 
-        def spy_edge_view(h, strict_verbs=False):
+        def spy_edge_view(h, strict_verbs, quotes):
             ahead.append(len(preprocessed))
-            return edge_view(h, strict_verbs)
+            return edge_view(h, strict_verbs, quotes)
 
         monkeypatch.setattr(cli, "preprocess", spy_preprocess)
         monkeypatch.setattr(rules, "edge_view", spy_edge_view)

@@ -41,7 +41,7 @@ LEX = default_lexicon()
 def run(rule, h, p=(), **settings):
     """``rule`` on ``h``'s edge view, under an EngineConfig of ``settings``."""
     cfg = EngineConfig(**settings)
-    return rule(edge_view(h, cfg.strict_verbs), p, cfg)
+    return rule(edge_view(h, cfg.strict_verbs, p), cfg)
 
 
 def texts(inferences):
@@ -626,6 +626,16 @@ class TestInferAll:
         assert len(list(outs)) == CHUNK + 2
         assert len(pulled) == 2 * CHUNK + 3
 
+    def test_engine_reads_the_callers_quotes(self, lexical_triggers):
+        """The quoted spans are the caller's ``p``, not found again in the
+        text: given none, no entry point renders a ``quotes`` inference."""
+        h, _ = lexical_triggers["quotes"]
+        cfg = EngineConfig(rules=RULE_IDS)
+        for p, want in (((), 0), (preprocess(h.raw_text), 1)):
+            for got in (generate_all(h, p, cfg), infer_all(h, p, cfg),
+                        next(infer_many([(h, p)], cfg))):
+                assert [i.trigger for i in got].count("quotes") == want
+
     def test_engine_orders_what_rules_render(self, monkeypatch, basic_triggers):
         """Rules return what they render in any order; the engine sorts each
         headline's list by registry position, then span, ties kept in
@@ -635,10 +645,10 @@ class TestInferAll:
             return [Inference(InferenceKind.PRESUPPOSITION, f"{trigger} {k}", trigger, span)
                     for k, span in enumerate(spans)]
 
-        def future(v, p, cfg):
+        def future(v, cfg):
             return rendered("future", (3,), (1, 2), (1, 2))
 
-        def lexical(v, p, cfg):
+        def lexical(v, cfg):
             return rendered("lexical.judging", (1,)) + rendered("lexical.iterative", (2,))
 
         monkeypatch.setitem(RULES, "future", future)
