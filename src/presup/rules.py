@@ -65,9 +65,9 @@ COMPOUND_MODES = tuple(_COMPOUND_CONNECTOR)
 _SUBJ_MODS = ("compound", "amod", "nummod")
 _OBJ_MODS = ("compound", "amod", "nummod", "det")
 _PARTICLE_DEPS = ("compound:prt", "prt")
-# The dependents a triple renders with its verb: particles, auxiliaries and
-# "neg" (an advmod "not" is the other negator, see ``_is_negator``).
-_VERB_WORDS = frozenset({*_PARTICLE_DEPS, "aux", "auxpass", "neg"})
+# The dependents a triple renders with its verb, besides its negators
+# (``_is_negator``): particles and auxiliaries.
+_VERB_WORDS = frozenset({*_PARTICLE_DEPS, "aux", "auxpass"})
 _COMP_DEPS = ("xcomp", "ccomp")
 
 _SPEECH_VERBS = frozenset({"say", "tell", "claim", "add", "warn", "announce"})
@@ -80,7 +80,7 @@ _WH_SUBSTITUTE = {
     "how": "somehow",
     "when": "sometime",
 }
-# The contracted "is" after a wh-word, with a straight or a curly apostrophe.
+# The clitic "is" of "what's", with a straight or a curly apostrophe.
 _IS_CLITICS = ("'s", "’s")
 _AUX_SURFACES = frozenset(
     """
@@ -147,32 +147,27 @@ def _nmod_attachments(v: EdgeView, below: list) -> list[tuple[str, str, tuple[in
     return out
 
 
-def _object_tail(v: EdgeView, verb: int) -> tuple[str, tuple[int, ...]]:
-    """Direct object plus case-marked nominal attachments of a verb."""
-    parts: list[str] = []
-    span: tuple[int, ...] = ()
-    dobj = _first(v.below[verb], "dobj")
-    if dobj is not None:
-        p, s = _phrase(v, dobj.dependent, _OBJ_MODS)
-        parts.append(p)
-        span = _merge(span, s)
-    for case_word, p, s in _nmod_attachments(v, v.below[verb]):
-        parts.append(f"{case_word} {p}")
-        span = _merge(span, s)
-    return " ".join(parts), span
-
-
 def _clause(
     v: EdgeView, subj: int, verb: int, form: VerbForm, aux: str = "", after: str = ""
 ) -> tuple[str, tuple[int, ...]]:
-    """Subject phrase, ``aux``, ``verb`` inflected to ``form``, the verb's
-    object tail and ``after``, as text and span."""
+    """Subject phrase, ``aux``, ``verb`` inflected to ``form``, its tail and
+    ``after``, as text and span.  The tail, the verb's direct object and
+    case-marked nominal attachments, is joined before the clause drops its
+    empty parts, so an object with no text keeps its space."""
     subj_p, subj_s = _phrase(v, subj)
     tok = v.h.tokens[verb - 1]
     inflected = conjugate(lemma(tok.surface, tok.pos), form)
-    tail, tail_s = _object_tail(v, verb)
-    text = " ".join(filter(None, [subj_p, aux, inflected, tail, after]))
-    return text, _merge(subj_s, tail_s, (verb,))
+    tail, spans = [], [subj_s, (verb,)]
+    dobj = _first(v.below[verb], "dobj")
+    if dobj is not None:
+        p, s = _phrase(v, dobj.dependent, _OBJ_MODS)
+        tail.append(p)
+        spans.append(s)
+    for case_word, p, s in _nmod_attachments(v, v.below[verb]):
+        tail.append(f"{case_word} {p}")
+        spans.append(s)
+    text = " ".join(filter(None, [subj_p, aux, inflected, " ".join(tail), after]))
+    return text, _merge(*spans)
 
 
 def rule_future(v: EdgeView, cfg) -> list[Inference]:
@@ -262,7 +257,7 @@ def rule_noun_compound(v: EdgeView, cfg) -> list[Inference]:
 def rule_past_tense(v: EdgeView, cfg) -> list[Inference]:
     """Main-clause simple past: the event already happened."""
     out = []
-    for t in v.h.tokens:
+    for t in v.verbs:
         if t.pos != "VBD" or v.h.edges[t.index - 1].dep in ("advcl", "ccomp"):
             continue
         below = v.below[t.index]
@@ -358,16 +353,13 @@ def _render_lexical(v: EdgeView, class_id: str, verb: Token, vlemma: str) -> Inf
         subj_p, subj_s = _phrase(v, subj.dependent)
         text = f"{subj_p} had been in {phrase} previously"
         return presup(text, subj_s, span)
-    if subj is not None:
-        subj_p, subj_s = _phrase(v, subj.dependent)
-        return presup(f"{subj_p} has happened before", subj_s)
-    if dobj is not None:
-        obj_p, obj_s = _phrase(v, dobj.dependent)
-        return presup(f"{obj_p} has happened before", obj_s)
-    if attachments:
+    if subj or dobj:
+        phrase, span = _phrase(v, (subj or dobj).dependent)
+    elif attachments:
         _, phrase, span = attachments[0]
-        return presup(f"{phrase} has happened before", span)
-    return None
+    else:
+        return None
+    return presup(f"{phrase} has happened before", span)
 
 
 def rule_lexical(v: EdgeView, cfg) -> list[Inference]:
@@ -433,20 +425,13 @@ def rule_question(v: EdgeView, cfg) -> list[Inference]:
         words.pop()  # trailing sentence punctuation is not rendered
     if not words:
         return []
-    first = words[0].lower()
-    wh = None
-    contracted = False
-    if first in _WH_SUBSTITUTE:
-        wh = first
-    elif first.endswith(_IS_CLITICS) and first[:-2] in _WH_SUBSTITUTE:
-        wh, contracted = first[:-2], True
-    if wh is None:
+    wh, rest = words[0].lower(), words[1:]
+    if wh.endswith(_IS_CLITICS) and wh[:-2] in _WH_SUBSTITUTE:
+        wh, rest = wh[:-2], [wh[-2:]] + rest  # "what's": the wh-word, then its clitic
+    if wh not in _WH_SUBSTITUTE:
         return []
     substitute = _WH_SUBSTITUTE[wh]
-    rest = words[1:]
-    if contracted:
-        rendered = [substitute, "is"] + rest
-    elif rest and rest[0].lower() in _IS_CLITICS:
+    if rest and rest[0].lower() in _IS_CLITICS:
         rendered = [substitute, "is"] + rest[1:]
     elif rest and rest[0].lower() in _AUX_SURFACES:
         rendered = _undo_inversion(v, substitute, words)

@@ -6,11 +6,12 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURES
+from conftest import FIXTURES, load_fixture_corpus
 from presup import cli, corpus, rules
 from presup.cli import (
     SETTINGS,
@@ -1172,6 +1173,27 @@ class TestInfer:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}:2: invalid JSON: maximum recursion depth")
         assert err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "fixture, headline_id, spans",
+    [
+        ("lexical_triggers", "quotes", ((6, 8),)),
+        ("escapes", "quotes", ((3, 6),)),
+        ("basic_triggers", "again", ((5, 5),)),
+    ],
+)
+def test_spans_for_tokens_as_the_benchmark_sets_them(fixture, headline_id, spans):
+    """The first and last token of each quote, set as ``quoted_spans`` the
+    way the benchmark's rule timing builds its headlines; no rule reads
+    them, so every rule renders the same for either headline."""
+    loaded = load_fixture_corpus(f"{fixture}.json", f"{fixture}_dataset.txt")
+    h = next(h for h, _, _ in loaded if h.headline_id == headline_id)
+    p = corpus.preprocess(h.raw_text)
+    quoted = replace(h, quoted_spans=cli._spans_for_tokens(h, p))
+    assert quoted.quoted_spans == spans
+    cfg = rules.EngineConfig(rules=RULE_IDS)
+    assert rules.generate_all(quoted, p, cfg) == rules.generate_all(h, p, cfg) != []
 
 
 # Each document reader: (read a document, a one-record document holding `x`,

@@ -774,6 +774,17 @@ def _twinned_parse(seed):
     st.sampled_from(COMPOUND_MODES),
 )
 @settings(max_examples=300)
+# A token with an empty surface: the clause "temporal" renders keeps the space
+# its empty object leaves, "China stockpiled  in Asia".
+@example(
+    make_headline(
+        "China/NNP stockpiled/VBD /NN in/IN Asia/NNP before/IN talks/NNS",
+        [("nsubj", 2, 1), ("root", 0, 2), ("dobj", 2, 3), ("case", 5, 4), ("nmod", 2, 5),
+         ("mark", 2, 6), ("dep", 2, 7)],
+        "China stockpiled in Asia before talks",
+    ),
+    0, default_lexicon(), False, "both",
+)
 def test_generate_all_matches_the_reference_rules(h, quote_seed, lexicon, strict_verbs, mode):
     """Rules that read one edge view per headline render what the reference
     copy's rules, each scanning ``h.edges`` itself, render: the same

@@ -1,11 +1,13 @@
+import json
 import pickle
 from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
-from conftest import make_headline
+from conftest import FIXTURES, make_headline
 from presup.corpus import preprocess
+from presup.errors import split_lines
 from presup.evaluation import normalize
 from presup.ingest import edge_view, parse_conllu
 from presup.lexicon import VERB_CLASS_IDS, default_lexicon
@@ -733,3 +735,23 @@ class TestRegistry:
             else:
                 ids.append(rule_id)
         assert tuple(ids) == RULE_IDS
+
+    def test_readme_rule_examples_are_pinned_outputs(self):
+        """Each row's example output is the text of an inference of that
+        row's rule in the pinned outputs; any lexical class serves
+        ``lexical.*``."""
+        readme = (Path(__file__).parent.parent / "README.md").read_text("utf-8")
+        rows = readme.split("| rule id |", 1)[1].split("\n\n", 1)[0].splitlines()[2:]
+        pinned = {}  # text -> the triggers that render it
+        for path in (FIXTURES / "pinned").glob("*.jsonl"):
+            # split_lines: a text may hold a raw U+2028
+            for line in filter(None, split_lines(path.read_text("utf-8"))):
+                for inf in json.loads(line)["inferences"]:
+                    pinned.setdefault(inf["text"], set()).add(inf["trigger"])
+        assert len(rows) == 13
+        for row in rows:
+            rule_id, _, text = (cell.strip().strip("`") for cell in row.split("|")[1:4])
+            triggers = pinned.get(text, set())
+            assert rule_id in triggers or (
+                rule_id == "lexical.*" and any(t.startswith("lexical.") for t in triggers)
+            ), row
